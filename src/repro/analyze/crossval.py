@@ -15,13 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..apps.base import Application
+from ..injection.models import draw_task
 from ..injection.outcome import Outcome
 from ..injection.runner import InjectionRunner
-from ..injection.space import FaultSpec, InjectionPoint, enumerate_points
-from ..injection.targets import pick_target
+from ..injection.space import InjectionPoint, enumerate_points
 from ..profiling.profiler import profile_application
 from .matching import MatchReport, check_skeleton
 from .preclassify import PreClassifier, predict_tests
@@ -142,11 +140,11 @@ def cross_validate(
         if (cv.n_predicted - 1) % stride:
             continue
         # Rebuild the campaign's rng stream from scratch so the dynamic
-        # run consumes draws exactly like Campaign.run_point does.
-        rng = _campaign_rng(seed, i, t)
-        param = pick_target(rng, point.collective, param_policy)
+        # run consumes draws exactly like the unit executor does.
+        spec, rng = draw_task(point, seed, i, t, policy=param_policy)
+        param = spec.param
         assert param == prediction.param, "draw replay diverged"
-        result = runner.run_one(FaultSpec(point, param, None), rng)
+        result = runner.run_one(spec, rng)
         cv.n_checked += 1
         if result.outcome is not prediction.outcome:
             cv.mismatches.append(
@@ -156,10 +154,3 @@ def cross_validate(
                 )
             )
     return cv
-
-
-def _campaign_rng(seed: int, point_index: int, test_index: int) -> np.random.Generator:
-    """Exactly ``Campaign._rng_for``: the per-test replayable stream."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(point_index, test_index))
-    )

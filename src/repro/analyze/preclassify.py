@@ -55,6 +55,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..injection.bitflip import flip_int32, flip_int64
+from ..injection.models import task_rng
 from ..injection.outcome import Outcome
 from ..injection.space import InjectionPoint
 from ..injection.targets import param_kind, pick_target
@@ -133,11 +134,7 @@ class PreClassifier:
         )
         if op is None:
             return None
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(point_index, test_index)
-            )
-        )
+        rng = task_rng(self.seed, point_index, test_index)
         param = pick_target(rng, point.collective, self.param_policy)
         return self.classify(op, param, rng)
 

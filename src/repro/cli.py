@@ -48,7 +48,7 @@ from .exec.checkpoint import CheckpointMismatch
 from .fastfit import FastFIT
 from .store import CampaignStoreError, MigrationError
 from .injection.campaign import Campaign
-from .injection.models import SELECTABLE_MODELS
+from .injection.models import SELECTABLE_MODELS, task_rng
 from .injection.outcome import OUTCOME_ORDER, Outcome
 from .injection.scenario import ScenarioError, load_scenario
 from .injection.space import FaultSpec
@@ -400,7 +400,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     def spec_for(test_index: int):
         # Rebuilding the rng from (point, test) indices replays the exact
         # parameter pick and bit choice of any test of the campaign.
-        rng = camp._rng_for(args.point, test_index)
+        rng = task_rng(args.seed, args.point, test_index)
         param = args.param or pick_target(rng, point.collective, args.policy)
         return FaultSpec(point, param, args.bit), rng
 
@@ -1307,6 +1307,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 2
     if getattr(args, "scenario", None):
+        if args.command == "learn" or (
+            args.command == "study" and not args.no_ml
+        ):
+            print(
+                "--scenario runs under one anchor point, which leaves the "
+                "ML stage nothing to learn (use 'campaign' or 'study --no-ml')",
+                file=sys.stderr,
+            )
+            return 2
         if getattr(args, "static_prune", False):
             print(
                 "--scenario is incompatible with --static-prune: the "

@@ -48,11 +48,9 @@ from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
 from ..apps.base import Application
 from ..injection.runner import InjectionRunner, TestResult
-from ..injection.models import draw_spec
+from ..injection.models import draw_task
 from ..injection.space import FaultSpec, InjectionPoint
 from ..obs.metrics import MetricsRegistry
 from ..profiling.profiler import ApplicationProfile
@@ -126,8 +124,10 @@ class SupervisorConfig:
 
 
 class WorkerState:
-    """Per-process campaign state, built once per worker (or once for
-    the whole campaign when ``jobs == 1``)."""
+    """The unit executor: per-process campaign state plus the one loop
+    that turns a work unit into results.  Built once per pool worker,
+    and once per :class:`~repro.injection.campaign.Campaign` for the
+    in-process (``jobs == 1``) executor."""
 
     def __init__(
         self,
@@ -140,6 +140,7 @@ class WorkerState:
         fault_model: str = "bitflip",
         scenario=None,
         stopper=None,
+        preclassifier=None,
     ):
         self.app = app
         self.param_policy = param_policy
@@ -147,10 +148,14 @@ class WorkerState:
         self.fault_model = fault_model
         self.scenario = scenario
         #: Optional :class:`~repro.steer.SequentialStopper`.  Units then
-        #: carry a whole point each (the engine guarantees it) and the
-        #: worker serves tests one at a time, truncating the stream at
-        #: the same index any other scheduling would.
+        #: carry a whole point each (the unit plan guarantees it) and
+        #: tests are served one at a time, truncating the stream at the
+        #: same index any other scheduling would.
         self.stopper = stopper
+        #: Optional :class:`repro.analyze.PreClassifier` (in-process
+        #: executor only): tests it proves are recorded as ``predicted``
+        #: results in their slot without running.
+        self.preclassifier = preclassifier
         # The profile arrives pickled; the runner derives its hang budget
         # from it without re-running the golden job.
         self.runner = InjectionRunner(app, profile, algorithms=algorithms)
@@ -161,71 +166,81 @@ class WorkerState:
 
             self.engine = SnapshotEngine(self.runner)
 
+    def draw(self, point: InjectionPoint, point_index: int, test_index: int):
+        """The ``(spec, rng)`` of campaign test ``(point_index, test_index)``."""
+        return draw_task(
+            point, self.seed, point_index, test_index,
+            policy=self.param_policy,
+            model=self.fault_model,
+            scenario=self.scenario,
+        )
+
+    def _predict(
+        self, point: InjectionPoint, point_index: int, test_index: int
+    ) -> TestResult | None:
+        if self.preclassifier is None:
+            return None
+        prediction = self.preclassifier.predict(point, point_index, test_index)
+        if prediction is None:
+            return None
+        return TestResult(
+            FaultSpec(point, prediction.param, prediction.bit),
+            prediction.outcome,
+            None,
+            detail=f"static: {prediction.rule} — {prediction.detail}",
+            predicted=True,
+        )
+
+    def _serve(
+        self, point: InjectionPoint, tasks: list, registry: MetricsRegistry
+    ) -> list[TestResult]:
+        if not tasks:
+            return []
+        if self.engine is not None:
+            return self.engine.serve_point(point, tasks, metrics=registry)
+        return [self.runner.run_one(spec, rng) for spec, rng in tasks]
+
     def execute(
         self, unit: WorkUnit, point: InjectionPoint
     ) -> tuple[str, list[TestResult], MetricsRegistry]:
-        """Run one work unit; return its results and metrics snapshot."""
+        """Run one work unit; return its results and metrics snapshot.
+
+        Statically predicted tests keep their slot and never execute;
+        the rest are drawn in test order and served as one batch (one
+        prefix park under the snapshot engine).  With a stopper, tests
+        are served one at a time instead and the stream ends where the
+        stopper says — a pure function of the ordered result prefix, so
+        every scheduling truncates at the same index.  Under the
+        snapshot engine the point stays parked across those calls, so
+        each pays the fork, not the warm-up.
+        """
         registry = MetricsRegistry()
-        tests: list[TestResult] = []
+        sequential = self.stopper is not None
         with registry.time("exec.unit_s"):
-            if self.stopper is not None:
-                tests = self._execute_sequential(unit, point, registry)
-            else:
-                tasks: list[tuple[FaultSpec, np.random.Generator]] = []
-                for t in range(unit.test_start, unit.test_stop):
-                    seq = np.random.SeedSequence(
-                        entropy=self.seed, spawn_key=(unit.point_index, t)
-                    )
-                    rng = np.random.default_rng(seq)
-                    spec = draw_spec(
-                        point, rng,
-                        policy=self.param_policy,
-                        model=self.fault_model,
-                        scenario=self.scenario,
-                    )
-                    tasks.append((spec, rng))
-                if self.engine is not None:
-                    tests = self.engine.serve_point(point, tasks, metrics=registry)
-                else:
-                    tests = [self.runner.run_one(spec, rng) for spec, rng in tasks]
+            tests: list[TestResult | None] = []  # None: queued in ``tasks``
+            tasks: list = []
+            for t in range(unit.test_start, unit.test_stop):
+                test = self._predict(point, unit.point_index, t)
+                if test is None:
+                    tasks.append(self.draw(point, unit.point_index, t))
+                    if sequential:
+                        [test] = self._serve(point, tasks, registry)
+                        tasks = []
+                tests.append(test)
+                if sequential and self.stopper.should_stop(tests):
+                    break
+            served = iter(self._serve(point, tasks, registry))
+            tests = [next(served) if test is None else test for test in tests]
         registry.counter("campaign.tests").inc(len(tests))
         saved = unit.n_tests - len(tests)
         if saved > 0:
             registry.counter("campaign.tests_saved").inc(saved)
+        predicted = sum(1 for test in tests if test.predicted)
+        if predicted:
+            registry.counter("campaign.tests_predicted").inc(predicted)
         for test in tests:
             registry.counter(f"campaign.outcome.{test.outcome.name}").inc()
         return unit.unit_id, tests, registry
-
-    def _execute_sequential(
-        self, unit: WorkUnit, point: InjectionPoint, registry: MetricsRegistry
-    ) -> list[TestResult]:
-        """Serve tests one at a time, truncating at the stopper's index.
-
-        The decision is a pure function of the ordered result prefix, so
-        this truncates exactly where a serial loop would.  Under the
-        snapshot engine the point stays parked across calls, so the
-        per-test ``serve_point`` only pays the fork, not the warm-up.
-        """
-        tests: list[TestResult] = []
-        for t in range(unit.test_start, unit.test_stop):
-            seq = np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(unit.point_index, t)
-            )
-            rng = np.random.default_rng(seq)
-            spec = draw_spec(
-                point, rng,
-                policy=self.param_policy,
-                model=self.fault_model,
-                scenario=self.scenario,
-            )
-            if self.engine is not None:
-                [res] = self.engine.serve_point(point, [(spec, rng)], metrics=registry)
-            else:
-                res = self.runner.run_one(spec, rng)
-            tests.append(res)
-            if self.stopper.should_stop(tests):
-                break
-        return tests
 
 
 @dataclass(frozen=True)

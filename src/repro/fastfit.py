@@ -144,8 +144,8 @@ class FastFIT:
         #: supervision counters ``exec.retries``/``exec.worker_deaths``/
         #: ``exec.quarantined``).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Worker processes for campaign execution (1 = classic serial
-        #: loop); campaigns shard across workers with bit-identical
+        #: Worker processes for campaign execution (1 = in-process
+        #: executor); campaigns shard across workers with bit-identical
         #: results (see :mod:`repro.exec`).
         self.jobs = jobs
         self.checkpoint_dir = checkpoint_dir
@@ -164,7 +164,7 @@ class FastFIT:
         self.quarantine = quarantine
         self.tracer = tracer
         #: Skip tests whose outcome the static pre-classifier proves
-        #: (serial in-memory campaigns only; see :mod:`repro.analyze`).
+        #: (``jobs == 1`` in-memory campaigns only; see :mod:`repro.analyze`).
         self.static_prune = static_prune
         #: Snapshot-and-fork serving (:mod:`repro.snapshot`): amortise
         #: the fault-free prefix across every test at an injection point.
@@ -243,20 +243,12 @@ class FastFIT:
                 )
         return self._preclassifier
 
-    def campaign(
-        self, points: Sequence[InjectionPoint] | None = None, tests_per_point: int | None = None
-    ) -> CampaignResult:
-        """A traditional campaign over ``points`` (default: the pruned
-        representatives)."""
-        if points is None:
-            if self.scenario is not None:
-                points = [self.scenario.anchor_point()]
-            else:
-                points = self.prune().representative_points
-        runner = Campaign(
-            self.app,
-            self.profile(),
-            tests_per_point=tests_per_point or self.tests_per_point,
+    def _campaign_options(self) -> dict:
+        """Every campaign option set on the facade, as ``Campaign``
+        keywords — the one list :meth:`campaign`, :meth:`learn` and
+        :meth:`steer` all forward, so none of them can drop an option."""
+        return dict(
+            tests_per_point=self.tests_per_point,
             param_policy=self.param_policy,
             seed=self.seed,
             metrics=self.metrics,
@@ -275,6 +267,21 @@ class FastFIT:
             fault_model=self.fault_model,
             scenario=self.scenario,
         )
+
+    def campaign(
+        self, points: Sequence[InjectionPoint] | None = None, tests_per_point: int | None = None
+    ) -> CampaignResult:
+        """A traditional campaign over ``points`` (default: the pruned
+        representatives)."""
+        if points is None:
+            if self.scenario is not None:
+                points = [self.scenario.anchor_point()]
+            else:
+                points = self.prune().representative_points
+        options = self._campaign_options()
+        if tests_per_point:
+            options["tests_per_point"] = tests_per_point
+        runner = Campaign(self.app, self.profile(), **options)
         logger.info(
             "campaign: %d points x %d tests (%d jobs)",
             len(list(points)),
@@ -301,15 +308,8 @@ class FastFIT:
                 labeler=labeler,
                 label_names=label_names,
                 threshold=threshold,
-                tests_per_point=self.tests_per_point,
                 batch_size=batch_size,
-                param_policy=self.param_policy,
-                seed=self.seed,
-                metrics=self.metrics,
-                jobs=self.jobs,
-                db_path=self.db_path,
-                resume=self.resume,
-                snapshot=self.snapshot,
+                **self._campaign_options(),
             )
 
     def steer(
@@ -339,24 +339,14 @@ class FastFIT:
                 self.app,
                 self.profile(),
                 points,
-                labeler=labeler,
-                label_names=label_names,
                 accuracy_target=accuracy_target,
                 ci_width=ci_width,
                 budget=budget,
-                tests_per_point=self.tests_per_point,
+                labeler=labeler,
+                label_names=label_names,
                 batch_size=batch_size,
-                param_policy=self.param_policy,
-                seed=self.seed,
                 min_tests=min_tests,
-                metrics=self.metrics,
-                jobs=self.jobs,
-                db_path=self.db_path,
-                resume=self.resume,
-                snapshot=self.snapshot,
-                fault_model=self.fault_model,
-                progress_sinks=self.progress_sinks,
-                progress_every=self.progress_every,
+                **self._campaign_options(),
             )
 
     # -- one-shot studies ----------------------------------------------------

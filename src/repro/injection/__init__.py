@@ -17,7 +17,9 @@ from .models import (
     FaultModel,
     build_injector,
     draw_spec,
+    draw_task,
     model_for_spec,
+    task_rng,
 )
 from .multibit import BurstInjector
 from .outcome import OUTCOME_ORDER, Outcome, classify_exception
@@ -71,6 +73,7 @@ __all__ = [
     "build_injector",
     "classify_exception",
     "draw_spec",
+    "draw_task",
     "enumerate_points",
     "flip_array_element",
     "flip_int32",
@@ -83,5 +86,6 @@ __all__ = [
     "points_per_site",
     "random_buffer_bit",
     "serialize_scenario",
+    "task_rng",
     "targets_for_policy",
 ]

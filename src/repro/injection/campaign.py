@@ -6,9 +6,16 @@ the paper) and tally the six response types.  Everything is driven by a
 single campaign seed — each test's RNG is rebuilt from
 ``SeedSequence(seed, spawn_key=(point_index, test_index))`` — so a
 campaign is a pure function of ``(app, points, config)`` no matter how
-its tests are scheduled.  ``jobs > 1`` (or a checkpoint directory)
-delegates execution to the sharded engine in :mod:`repro.exec`, which
-produces bit-identical results to the serial loop.
+its tests are scheduled.
+
+There is one execution path.  :meth:`Campaign.run` cuts the points into
+work units (:meth:`Campaign.plan`) and hands them to the engine in
+:mod:`repro.exec.parallel`, which feeds them to an executor — this
+process's :class:`~repro.exec.supervisor.WorkerState` when ``jobs ==
+1``, a supervised worker pool otherwise — and assembles the results in
+point order, persisting completed units when a store is configured.
+The per-test recipe itself lives in
+:func:`repro.injection.models.draw_task`.
 """
 
 from __future__ import annotations
@@ -17,15 +24,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from ..apps.base import Application
 from ..profiling.profiler import ApplicationProfile
 from .outcome import OUTCOME_ORDER, Outcome
-from .models import MODELS, draw_spec
+from .models import MODELS
 from .runner import InjectionRunner, TestResult
 from .scenario import Scenario
-from .space import FaultSpec, InjectionPoint
+from .space import InjectionPoint
 
 
 @dataclass
@@ -214,14 +219,15 @@ class Campaign:
     Parameters
     ----------
     jobs:
-        Worker processes for the campaign.  ``1`` (the default) runs the
-        classic in-process loop; anything else shards the work units
-        across a pool via :class:`repro.exec.ParallelCampaign` with
-        bit-identical results.
+        Worker processes for the campaign.  ``1`` (the default) executes
+        the work units in this process; anything else shards them across
+        a supervised pool (:mod:`repro.exec`) with bit-identical results.
+    progress:
+        ``progress(done_tests, total_tests)`` callback, for every
+        ``jobs``.
     progress_every:
-        Emit the ``progress`` callback at most every N completed units
-        (points when serial, work units when parallel); the final update
-        always fires.
+        Emit the ``progress`` callback (and telemetry snapshots) at most
+        every N completed work units; the final update always fires.
     checkpoint_dir:
         Directory for periodic campaign checkpoints; with ``resume=True``
         a matching interrupted campaign restarts where it left off.
@@ -314,10 +320,10 @@ class Campaign:
         if preclassifier is not None and (
             jobs != 1 or checkpoint_dir is not None or db_path is not None
         ):
-            # Parallel workers rebuild their own test streams and the
-            # store schema has no predicted rows yet: static pruning is
-            # serial-path only, and silently dropping it would change
-            # which tests execute.
+            # The pool payload does not carry the preclassifier and the
+            # store schema has no predicted rows yet: static pruning runs
+            # on the in-process executor only, and silently dropping it
+            # would change which tests execute.
             raise ValueError(
                 "static pruning (preclassifier) is incompatible with "
                 "jobs>1, checkpoint_dir, and db_path"
@@ -367,121 +373,71 @@ class Campaign:
         #: The decision is a pure function of the ordered test prefix,
         #: so stopped campaigns stay bit-identical across schedulings.
         self.stopper = stopper
-        self.runner = InjectionRunner(app, profile, algorithms=algorithms)
-        self._engine = None
+        #: Unit ids given up on during the last :meth:`run` (their tests
+        #: carry synthetic ``TOOL_ERROR`` verdicts).
+        self.quarantined: list[str] = []
+        self._state = None
 
-    def _rng_for(self, point_index: int, test_index: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(point_index, test_index)
+    def worker_args(self) -> tuple:
+        """The executor configuration: the positional arguments of
+        :class:`~repro.exec.supervisor.WorkerState`, and (pickled) the
+        payload every pool worker is initialised with."""
+        return (
+            self.app, self.profile, self.param_policy, self.seed,
+            self.algorithms, self.snapshot,
+            self.fault_model, self.scenario, self.stopper,
         )
-        return np.random.default_rng(seq)
 
-    def _snapshot_engine(self):
-        """Lazy per-campaign :class:`~repro.snapshot.SnapshotEngine`."""
-        if self._engine is None:
-            from ..snapshot import SnapshotEngine
+    def worker_state(self):
+        """The in-process executor (runner + snapshot engine and its
+        cache), built on first use and kept for the campaign's lifetime
+        so per-batch drivers do not rebuild it every :meth:`run`."""
+        if self._state is None:
+            from ..exec.supervisor import WorkerState
 
-            self._engine = SnapshotEngine(self.runner, metrics=self.metrics)
-        return self._engine
+            self._state = WorkerState(*self.worker_args(), self.preclassifier)
+        return self._state
 
-    def run_point(self, point: InjectionPoint, point_index: int = 0) -> PointResult:
-        """All tests for one injection point."""
-        if self.stopper is not None:
-            return self._run_point_sequential(point, point_index)
-        pr = PointResult(point)
-        #: ``(slot, TestResult)`` for statically predicted tests and
-        #: ``(slot, (spec, rng))`` for tests that must execute, so engine
-        #: and scratch paths reassemble identical test order.
-        predicted: list[tuple[int, TestResult]] = []
-        tasks: list[tuple[FaultSpec, np.random.Generator]] = []
-        for t in range(self.tests_per_point):
-            if self.preclassifier is not None:
-                prediction = self.preclassifier.predict(point, point_index, t)
-                if prediction is not None:
-                    predicted.append(
-                        (
-                            t,
-                            TestResult(
-                                FaultSpec(point, prediction.param, prediction.bit),
-                                prediction.outcome,
-                                None,
-                                detail=f"static: {prediction.rule} — {prediction.detail}",
-                                predicted=True,
-                            ),
-                        )
-                    )
-                    continue
-            rng = self._rng_for(point_index, t)
-            spec = draw_spec(
-                point, rng,
-                policy=self.param_policy,
-                model=self.fault_model,
-                scenario=self.scenario,
-            )
-            tasks.append((spec, rng))
-        if self.snapshot and tasks:
-            executed = self._snapshot_engine().serve_point(point, tasks)
-        else:
-            executed = [self.runner.run_one(spec, rng) for spec, rng in tasks]
-        # Weave predicted results back into their original slots.
-        merged: list[TestResult] = []
-        pred_iter = iter(predicted)
-        next_pred = next(pred_iter, None)
-        exec_iter = iter(executed)
-        for t in range(self.tests_per_point):
-            if next_pred is not None and next_pred[0] == t:
-                merged.append(next_pred[1])
-                next_pred = next(pred_iter, None)
-            else:
-                merged.append(next(exec_iter))
-        for test in merged:
-            pr.add(test)
-        if self.metrics is not None:
-            self.metrics.counter("campaign.tests").inc(pr.n_tests)
-            predicted = sum(1 for t in pr.tests if t.predicted)
-            if predicted:
-                self.metrics.counter("campaign.tests_predicted").inc(predicted)
-            for outcome, n in pr._synced_counts().items():
-                self.metrics.counter(f"campaign.outcome.{outcome.name}").inc(n)
-            self.metrics.histogram("campaign.point_error_rate").observe(pr.error_rate)
-        return pr
+    @property
+    def runner(self) -> InjectionRunner:
+        """The in-process :class:`InjectionRunner` (``fastfit trace``)."""
+        return self.worker_state().runner
 
-    def _run_point_sequential(self, point: InjectionPoint, point_index: int) -> PointResult:
-        """Serve one test at a time, stopping once the stopper says the
-        point's outcome histogram has converged.
+    def plan(self) -> tuple[str, int]:
+        """The unit plan ``(layout, unit_tests)``: site-major whole-point
+        units (``"s1"``) under snapshot serving — one prefix park serves
+        the whole point — and point-major slices (``"p1"``) without.  A
+        stopper forces whole-point units under either layout: its
+        decision consumes the ordered per-point test prefix, which only
+        one owner can observe."""
+        from ..exec.sharding import default_unit_tests
 
-        Tests execute strictly in test-index order, so the truncation
-        index is a pure function of ``(seed, point_index)`` — identical
-        under any scheduling.  Per-test serving costs almost nothing
-        extra under the snapshot engine: the fault-free prefix snapshot
-        is cached at the park, so every call after the first
-        fast-forwards ~zero steps before forking.
-        """
-        pr = PointResult(point)
-        for t in range(self.tests_per_point):
-            rng = self._rng_for(point_index, t)
-            spec = draw_spec(
-                point, rng,
-                policy=self.param_policy,
-                model=self.fault_model,
-                scenario=self.scenario,
-            )
-            if self.snapshot:
-                [res] = self._snapshot_engine().serve_point(point, [(spec, rng)])
-            else:
-                res = self.runner.run_one(spec, rng)
-            pr.add(res)
-            if self.stopper.should_stop(pr.tests):
-                break
-        if self.metrics is not None:
-            self.metrics.counter("campaign.tests").inc(pr.n_tests)
-            saved = self.tests_per_point - pr.n_tests
-            if saved:
-                self.metrics.counter("campaign.tests_saved").inc(saved)
-            for outcome, n in pr._synced_counts().items():
-                self.metrics.counter(f"campaign.outcome.{outcome.name}").inc(n)
-            self.metrics.histogram("campaign.point_error_rate").observe(pr.error_rate)
-        return pr
+        layout = "s1" if self.snapshot else "p1"
+        if layout == "s1" or self.stopper is not None:
+            return layout, max(1, self.tests_per_point)
+        return layout, default_unit_tests(self.tests_per_point)
+
+    def digest(self, points: Sequence[InjectionPoint], extra: dict | None = None) -> str:
+        """The store identity of this campaign over ``points``.
+
+        ``extra`` carries what a batch driver's results depend on beyond
+        the campaign axes (``{"ml": …}`` / ``{"steer": …}``)."""
+        from ..exec.checkpoint import campaign_digest
+
+        layout, unit_tests = self.plan()
+        return campaign_digest(
+            self.app,
+            self.seed,
+            self.tests_per_point,
+            self.param_policy,
+            unit_tests,
+            list(points),
+            algorithms=self.algorithms,
+            layout=layout,
+            fault_model=self.fault_model,
+            scenario_fp=None if self.scenario is None else self.scenario.fingerprint(),
+            extra=extra,
+        )
 
     def run(
         self,
@@ -498,51 +454,10 @@ class Campaign:
         would have run at those points.  Default: ``0..len(points)-1``.
 
         ``digest`` overrides the store identity for checkpoint/database
-        runs; batch drivers pass one digest computed over the *full*
-        candidate list so every batch lands in the same campaign row.
+        runs; batch drivers pass one :meth:`digest` computed over the
+        *full* candidate list so every batch lands in the same campaign
+        row.
         """
-        points = list(points)
-        if point_indices is not None:
-            point_indices = [int(i) for i in point_indices]
-            if len(point_indices) != len(points):
-                raise ValueError(
-                    f"{len(point_indices)} point_indices for {len(points)} points"
-                )
-        if self.jobs != 1 or self.checkpoint_dir is not None or self.db_path is not None:
-            from ..exec.parallel import ParallelCampaign
+        from ..exec.parallel import run_campaign
 
-            return ParallelCampaign.from_campaign(self).run(
-                points, point_indices=point_indices, digest=digest
-            )
-        tracker = None
-        if self.progress_sinks:
-            from ..obs.progress import ProgressTracker
-
-            tracker = ProgressTracker(
-                len(points) * self.tests_per_point,
-                len(points),
-                sinks=self.progress_sinks,
-                every_units=self.progress_every,
-                metrics=self.metrics,
-            )
-        result = CampaignResult(self.app.name, self.tests_per_point, self.param_policy)
-        n = len(points)
-        try:
-            for i, point in enumerate(points):
-                idx = point_indices[i] if point_indices is not None else i
-                if self.metrics is not None:
-                    with self.metrics.time("campaign.point_s"):
-                        result.points[point] = self.run_point(point, point_index=idx)
-                    self.metrics.counter("campaign.points").inc()
-                else:
-                    result.points[point] = self.run_point(point, point_index=idx)
-                if tracker is not None:
-                    tracker.unit_done(result.points[point].tests)
-                if self.progress is not None and (
-                    (i + 1) % self.progress_every == 0 or i + 1 == n
-                ):
-                    self.progress(i + 1, n)
-        finally:
-            if tracker is not None:
-                tracker.finish()
-        return result
+        return run_campaign(self, points, point_indices=point_indices, digest=digest)

@@ -11,10 +11,13 @@ snapshot-and-fork engine may serve it from a parked prefix
 whether the static preclassifier understands it (``preclassifiable``:
 only the paper's single-bit model).
 
-``draw_spec`` is the one place a campaign turns ``(point, rng)`` into a
-concrete spec; serial workers, parallel workers, and quarantine
-synthesis all call it, which is what keeps serial ↔ parallel ↔ resumed
-campaigns bit-identical for every model.
+``draw_task`` is the per-test recipe — the one place that spells the
+``SeedSequence(seed, spawn_key=(point_index, test_index))`` derivation
+(``task_rng``) and turns ``(point, rng)`` into a concrete spec
+(``draw_spec``).  The unit executor, quarantine synthesis, the static
+pre-classifier and every replay oracle call it, which is what keeps
+serial ↔ parallel ↔ resumed ↔ forked campaigns bit-identical for every
+model.
 """
 
 from __future__ import annotations
@@ -111,6 +114,30 @@ def model_for_spec(spec) -> FaultModel:
 def build_injector(spec, rng: np.random.Generator, tracer=None):
     """Construct the armed injector instrument for one test."""
     return model_for_spec(spec).builder(spec, rng, tracer=tracer)
+
+
+def task_rng(seed: int, point_index: int, test_index: int) -> np.random.Generator:
+    """The replayable RNG stream of campaign test ``(point_index,
+    test_index)`` — a pure function of the coordinates, so a test draws
+    the same fault however (and wherever) it is scheduled."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(point_index, test_index))
+    )
+
+
+def draw_task(
+    point: InjectionPoint,
+    seed: int,
+    point_index: int,
+    test_index: int,
+    *,
+    policy: str,
+    model: str = "bitflip",
+    scenario: Scenario | None = None,
+):
+    """One test's ``(spec, rng)``: its RNG stream and the spec drawn from it."""
+    rng = task_rng(seed, point_index, test_index)
+    return draw_spec(point, rng, policy=policy, model=model, scenario=scenario), rng
 
 
 def draw_spec(

@@ -23,6 +23,7 @@ from ..simmpi import Instrument, SimMPIError, run_app
 from ..simmpi.calls import P2P_PARAMS, P2PCall
 from ..simmpi.validation import resolve_datatype
 from .bitflip import flip_int32, flip_int64
+from .models import task_rng
 from .outcome import OUTCOME_ORDER, Outcome, classify_exception
 
 #: Parameter → machine representation for the p2p surface.
@@ -188,9 +189,7 @@ def p2p_campaign(
     for i, point in enumerate(points):
         params = P2P_PARAMS[point.kind]
         for t in range(tests_per_point):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(i, t))
-            )
+            rng = task_rng(seed, i, t)
             param = params[int(rng.integers(0, len(params)))]
             spec = P2PFaultSpec(point, param, None)
             injector = P2PFaultInjector(spec, rng)

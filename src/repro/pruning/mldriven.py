@@ -73,19 +73,16 @@ def ml_driven_campaign(
     app: Application,
     profile: ApplicationProfile,
     points: Sequence[InjectionPoint],
+    *,
     labeler: Labeler | None = None,
     label_names: tuple[str, ...] | None = None,
     threshold: float = 0.65,
-    tests_per_point: int = 40,
     batch_size: int | None = None,
-    param_policy: str = "buffer",
-    seed: int = 0,
     n_estimators: int = 24,
+    tests_per_point: int = 40,
+    seed: int = 0,
     metrics=None,
-    jobs: int = 1,
-    db_path=None,
-    resume: bool = False,
-    snapshot: bool = True,
+    **campaign_options,
 ) -> MLDrivenResult:
     """Run the inject → learn → verify loop of FastFIT's learning phase.
 
@@ -95,12 +92,16 @@ def ml_driven_campaign(
     accuracy and the final tested/predicted split under ``ml.*`` (the
     inner campaign also records ``campaign.*``).
 
-    ``jobs``/``db_path``/``resume`` route each batch through the
-    sharded engine and/or the SQLite store with bit-identical results:
-    batches carry their global point indices (the ``SeedSequence``
-    contract), share one digest computed over the full candidate list,
-    and a killed-and-resumed run replays recorded units to the same
-    :class:`MLDrivenResult` an uninterrupted one produces.
+    The loop is a scheduler over one
+    :class:`~repro.injection.campaign.Campaign`, built from
+    ``tests_per_point``/``seed``/``metrics`` plus every other
+    ``campaign_options`` keyword forwarded verbatim (``jobs``,
+    ``db_path``, ``resume``, ``snapshot``, ``fault_model``, …).  Batches
+    carry their global point indices (the ``SeedSequence`` contract) and
+    share one digest computed over the full candidate list, so results
+    are bit-identical under any ``jobs`` and a killed-and-resumed run
+    replays recorded units to the same :class:`MLDrivenResult` an
+    uninterrupted one produces.
     """
     if labeler is None:
         labeler, label_names = level_labeler()
@@ -114,45 +115,20 @@ def ml_driven_campaign(
     if batch_size is None:
         batch_size = max(4, len(shuffled) // 8)
 
-    digest = None
-    if db_path is not None:
-        from ..exec.checkpoint import campaign_digest
-        from ..exec.sharding import default_unit_tests
-
-        layout = "s1" if snapshot else "p1"
-        unit_tests = (
-            max(1, tests_per_point)
-            if layout == "s1"
-            else default_unit_tests(tests_per_point)
-        )
-        digest = campaign_digest(
-            app,
-            seed,
-            tests_per_point,
-            param_policy,
-            unit_tests,
-            points,
-            layout=layout,
-            extra={
-                "ml": {
-                    "threshold": threshold,
-                    "batch_size": batch_size,
-                    "n_estimators": n_estimators,
-                }
-            },
-        )
-
     campaign = Campaign(
-        app,
-        profile,
-        tests_per_point=tests_per_point,
-        param_policy=param_policy,
-        seed=seed,
-        metrics=metrics,
-        jobs=jobs,
-        db_path=db_path,
-        resume=resume,
-        snapshot=snapshot,
+        app, profile,
+        tests_per_point=tests_per_point, seed=seed, metrics=metrics,
+        **campaign_options,
+    )
+    digest = campaign.digest(
+        points,
+        extra={
+            "ml": {
+                "threshold": threshold,
+                "batch_size": batch_size,
+                "n_estimators": n_estimators,
+            }
+        },
     )
     result = MLDrivenResult(threshold=threshold, label_names=label_names)
 
@@ -167,19 +143,11 @@ def ml_driven_campaign(
         batch = shuffled[idx : idx + batch_size]
         idx += len(batch)
         batch_indices = [order[idx - len(batch) + j] for j in range(len(batch))]
-        if jobs != 1 or db_path is not None:
-            # Sharded/persistent path: one Campaign.run per batch, global
-            # indices preserved, all batches in one store campaign row.
-            sub = campaign.run(batch, point_indices=batch_indices, digest=digest)
-            measured = {pt: sub.points[pt] for pt in batch}
-            if db_path is not None:
-                # Later batches must not cascade-wipe the campaign row.
-                campaign.resume = True
-        else:
-            measured = {
-                pt: campaign.run_point(pt, point_index=pi)
-                for pt, pi in zip(batch, batch_indices)
-            }
+        # One Campaign.run per batch: global indices preserved, all
+        # batches in one store campaign row (when a store is configured).
+        measured = campaign.run(batch, point_indices=batch_indices, digest=digest).points
+        # Later batches must join that row, not cascade-wipe it.
+        campaign.resume = True
 
         if model is not None:
             # Verification: predict the fresh batch, compare to reality.

@@ -38,7 +38,7 @@ Store identity
 --------------
 All batches of one steering run land in **one** campaign row: the
 digest is computed once over the *full* candidate list plus the
-steering parameters (via ``campaign_digest(extra=...)``) and passed to
+steering parameters (via ``Campaign.digest(extra=...)``) and passed to
 every ``Campaign.run`` as an override.  A resumed run recomputes the
 same digest, replays recorded units from the store, and re-derives the
 identical trajectory from them.
@@ -147,27 +147,21 @@ def adaptive_campaign(
     app: Application,
     profile: ApplicationProfile,
     points: Sequence[InjectionPoint],
+    *,
     labeler: Labeler | None = None,
     label_names: tuple[str, ...] | None = None,
     accuracy_target: float = 0.65,
     ci_width: float = 0.25,
     budget: int | None = None,
-    tests_per_point: int = 40,
     batch_size: int | None = None,
-    param_policy: str = "buffer",
-    seed: int = 0,
     n_estimators: int = 24,
     min_tests: int = 6,
     z: float = DEFAULT_Z,
     sampler_mode: str = "margin",
+    tests_per_point: int = 40,
+    seed: int = 0,
     metrics=None,
-    jobs: int = 1,
-    db_path=None,
-    resume: bool = False,
-    snapshot: bool = True,
-    fault_model: str = "bitflip",
-    progress_sinks=None,
-    progress_every: int = 1,
+    **campaign_options,
 ) -> SteeringResult:
     """Run the adaptive inject → verify → retrain → steer loop.
 
@@ -181,6 +175,12 @@ def adaptive_campaign(
     ``metrics`` optionally records round accuracies and the final
     tested/predicted/saved split under ``steer.*`` (the inner campaign
     also records ``campaign.*`` including ``campaign.tests_saved``).
+
+    The loop is a scheduler over one
+    :class:`~repro.injection.campaign.Campaign` carrying the stopper,
+    built from ``tests_per_point``/``seed``/``metrics`` plus every other
+    ``campaign_options`` keyword forwarded verbatim (``jobs``,
+    ``db_path``, ``resume``, ``snapshot``, ``fault_model``, …).
     """
     if labeler is None:
         labeler, label_names = level_labeler()
@@ -209,50 +209,27 @@ def adaptive_campaign(
     rng = np.random.default_rng(seed)
     order = [int(i) for i in rng.permutation(len(points))]
 
-    digest = None
-    if db_path is not None:
-        # One digest for the whole steering run, over the FULL candidate
-        # list plus the steering knobs — every batch joins the same
-        # campaign row, and a differently-steered run cannot collide.
-        from ..exec.checkpoint import campaign_digest
-
-        layout = "s1" if snapshot else "p1"
-        digest = campaign_digest(
-            app,
-            seed,
-            tests_per_point,
-            param_policy,
-            max(1, tests_per_point),  # stopper forces whole-point units
-            points,
-            layout=layout,
-            fault_model=fault_model,
-            extra={
-                "steer": {
-                    "accuracy_target": accuracy_target,
-                    "stopper": stopper.fingerprint(),
-                    "budget": budget,
-                    "batch_size": batch_size,
-                    "n_estimators": n_estimators,
-                    "sampler": sampler_mode,
-                }
-            },
-        )
-
     campaign = Campaign(
-        app,
-        profile,
-        tests_per_point=tests_per_point,
-        param_policy=param_policy,
-        seed=seed,
-        metrics=metrics,
-        jobs=jobs,
-        db_path=db_path,
-        resume=resume,
-        snapshot=snapshot,
-        fault_model=fault_model,
-        progress_sinks=progress_sinks,
-        progress_every=progress_every,
+        app, profile,
+        tests_per_point=tests_per_point, seed=seed, metrics=metrics,
         stopper=stopper,
+        **campaign_options,
+    )
+    # One digest for the whole steering run, over the FULL candidate
+    # list plus the steering knobs — every batch joins the same
+    # campaign row, and a differently-steered run cannot collide.
+    digest = campaign.digest(
+        points,
+        extra={
+            "steer": {
+                "accuracy_target": accuracy_target,
+                "stopper": stopper.fingerprint(),
+                "budget": budget,
+                "batch_size": batch_size,
+                "n_estimators": n_estimators,
+                "sampler": sampler_mode,
+            }
+        },
     )
 
     result = SteeringResult(
@@ -270,11 +247,11 @@ def adaptive_campaign(
         return pts, np.array([labeler(prs[p]) for p in pts], dtype=np.int64)
 
     model: RandomForestClassifier | None = None
-    tested_idx: set[int] = set()
+    #: Global indices not injected yet, ascending; shrinks every round.
+    unexplored = list(range(len(points)))
     spent = 0
     round_no = 0
     while True:
-        unexplored = sorted(set(range(len(points))) - tested_idx)
         if not unexplored:
             result.stop_reason = "exhausted"
             break
@@ -290,9 +267,10 @@ def adaptive_campaign(
 
         mean_unc: float | None = None
         if model is None:
-            # Seed round: no model yet — take the head of the seeded
-            # permutation, exactly like ml_driven_campaign's first batch.
-            batch = [i for i in order if i in set(unexplored)][:n_take]
+            # Seed round: no model yet and nothing explored — take the
+            # head of the seeded permutation, exactly like
+            # ml_driven_campaign's first batch.
+            batch = order[:n_take]
         else:
             scores = uncertainty_scores(
                 model, X_all[np.array(unexplored)], mode=sampler_mode
@@ -309,13 +287,13 @@ def adaptive_campaign(
             point_indices=batch_sorted,
             digest=digest,
         )
-        if db_path is not None:
-            # Batches after the first must not cascade-wipe the row.
-            campaign.resume = True
-        measured = {points[i]: sub.points[points[i]] for i in batch_sorted}
+        # Batches after the first must join the store row, not wipe it.
+        campaign.resume = True
+        measured = sub.points
         round_tests = sub.n_tests()
         spent += round_tests
-        tested_idx.update(batch_sorted)
+        injected = set(batch)
+        unexplored = [i for i in unexplored if i not in injected]
 
         acc: float | None = None
         if model is not None:
@@ -337,7 +315,7 @@ def adaptive_campaign(
                 mean_uncertainty=mean_unc,
             )
         )
-        _record_round(db_path, digest, result.rounds[-1], spent, "")
+        _record_round(campaign.db_path, digest, result.rounds[-1], spent, "")
 
         if acc is not None and acc >= accuracy_target:
             result.reached_target = True
@@ -353,12 +331,11 @@ def adaptive_campaign(
     result.model = model
     if result.rounds:
         _record_round(
-            db_path, digest, result.rounds[-1], spent, result.stop_reason
+            campaign.db_path, digest, result.rounds[-1], spent, result.stop_reason
         )
-    remaining = [i for i in range(len(points)) if i not in tested_idx]
-    if remaining and model is not None:
-        preds = model.predict(X_all[np.array(remaining)])
-        result.predicted = {points[i]: int(p) for i, p in zip(remaining, preds)}
+    if unexplored and model is not None:
+        preds = model.predict(X_all[np.array(unexplored)])
+        result.predicted = {points[i]: int(p) for i, p in zip(unexplored, preds)}
 
     if metrics is not None:
         metrics.gauge("steer.rounds").set(len(result.rounds))
@@ -372,7 +349,7 @@ def adaptive_campaign(
 
 
 def _record_round(
-    db_path, digest: str | None, rnd: SteeringRound, spent: int, stop_reason: str
+    db_path, digest: str, rnd: SteeringRound, spent: int, stop_reason: str
 ) -> None:
     """Persist one round into ``steering_rounds`` (no-op without a DB).
 
@@ -380,7 +357,7 @@ def _record_round(
     after every batch, so the driver holds no connection between rounds.
     ``INSERT OR REPLACE`` keeps resumed replays idempotent.
     """
-    if db_path is None or digest is None:
+    if db_path is None:
         return
     from ..store.db import CampaignDB
 

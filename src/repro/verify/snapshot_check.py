@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..apps.base import Application
+from ..injection.models import draw_task
 from ..injection.runner import InjectionRunner, TestResult
 from ..injection.space import FaultSpec, InjectionPoint, enumerate_points
-from ..injection.targets import pick_target
 from ..profiling.profiler import ApplicationProfile, profile_application
 from ..snapshot import SnapshotEngine, seeded_snapshot_mutant
 from .replay import fingerprint
@@ -113,13 +113,10 @@ def fork_equivalence(
     points: list[InjectionPoint] = [space[i] for i in idx]
 
     def tasks_for(pi: int) -> list[tuple[FaultSpec, np.random.Generator]]:
-        tasks = []
-        for t in range(tests_per_point):
-            seq = np.random.SeedSequence(entropy=seed, spawn_key=(pi, t))
-            rng = np.random.default_rng(seq)
-            param = pick_target(rng, points[pi].collective, param_policy)
-            tasks.append((FaultSpec(points[pi], param, None), rng))
-        return tasks
+        return [
+            draw_task(points[pi], seed, pi, t, policy=param_policy)
+            for t in range(tests_per_point)
+        ]
 
     scratch = [
         [runner.run_one(spec, rng) for spec, rng in tasks_for(pi)]

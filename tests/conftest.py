@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
-from repro.injection import Campaign, enumerate_points
+from repro.injection import Campaign, CampaignResult, InjectionRunner, PointResult, enumerate_points
+from repro.injection.models import draw_task
 from repro.profiling import profile_application
 
 
@@ -19,6 +20,26 @@ def run_rank0(gen_fn, nranks=1, **kwargs):
     from repro.simmpi import run_app
 
     return run_app(gen_fn, nranks, **kwargs).results[0]
+
+
+@pytest.fixture(scope="session")
+def scratch_reference():
+    """The independent reference every equivalence suite is anchored to:
+    the paper's loop written out directly — ``draw_task`` +
+    ``InjectionRunner.run_one`` per ``(point, test)`` — with no work
+    units, no engine, no snapshot and no store."""
+
+    def reference(app, profile, points, tests_per_point, seed, policy):
+        runner = InjectionRunner(app, profile)
+        result = CampaignResult(app.name, tests_per_point, policy)
+        for i, point in enumerate(points):
+            result.points[point] = PointResult(point, [
+                runner.run_one(*draw_task(point, seed, i, t, policy=policy))
+                for t in range(tests_per_point)
+            ])
+        return result
+
+    return reference
 
 
 @pytest.fixture(scope="session")

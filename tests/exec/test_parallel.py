@@ -1,8 +1,9 @@
-"""Parallel engine: bit-identical sharded execution + resume semantics."""
+"""Campaign engine: bit-identical execution under every executor, unit
+slicing and resume — anchored to the scratch reference loop."""
 
 import pytest
 
-from repro.exec.parallel import ParallelCampaign
+from repro.exec import WorkerState, WorkUnit
 from repro.injection import Campaign, enumerate_points
 from repro.obs.metrics import MetricsRegistry
 
@@ -44,6 +45,21 @@ def serial_result(lu_app, lu_profile, lu_points):
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("snapshot", [True, False])
+    def test_jobs1_bit_identical_to_scratch_reference(
+        self, scratch_reference, lu_app, lu_profile, lu_points, snapshot
+    ):
+        """The anchor: the engine's in-process executor, with and without
+        snapshot serving, reproduces the plain draw_task + run_one loop —
+        so every "≡ jobs=1" assertion elsewhere is "≡ scratch"."""
+        reference = scratch_reference(lu_app, lu_profile, lu_points, 6, 11, "all")
+        engine = Campaign(
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            snapshot=snapshot,
+        ).run(lu_points)
+        assert campaign_signature(engine) == campaign_signature(reference)
+        assert engine.outcome_histogram() == reference.outcome_histogram()
+
     def test_jobs4_bit_identical_to_jobs1(self, lu_app, lu_profile, lu_points, serial_result):
         """The headline guarantee: a 4-worker NPB campaign reproduces the
         serial run exactly — outcomes, error rates, per-test FaultSpecs."""
@@ -53,15 +69,24 @@ class TestDeterminism:
         assert campaign_signature(parallel) == campaign_signature(serial_result)
         assert parallel.outcome_histogram() == serial_result.outcome_histogram()
 
-    def test_unit_size_does_not_change_results(self, lu_app, lu_profile, lu_points, serial_result):
-        for unit_tests in (1, 2, 6):
-            engine = ParallelCampaign(
-                lu_app, lu_profile, tests_per_point=6, param_policy="all",
-                seed=11, jobs=2, unit_tests=unit_tests,
-            )
-            assert campaign_signature(engine.run(lu_points)) == campaign_signature(
-                serial_result
-            )
+    def test_unit_size_does_not_change_results(
+        self, lu_app, lu_profile, lu_points, serial_result
+    ):
+        """Arbitrary slicings of a point through the unit executor,
+        concatenated, equal the whole-point unit (and the campaign) —
+        with and without snapshot serving."""
+        pi, point = 2, lu_points[2]
+        expected = [(t.spec, t.outcome) for t in serial_result.points[point].tests]
+        for snapshot in (True, False):
+            state = WorkerState(lu_app, lu_profile, "all", 11, None, snapshot)
+            for cuts in ([0, 6], [0, 1, 2, 3, 4, 5, 6], [0, 2, 4, 6], [0, 1, 5, 6]):
+                tests = []
+                for a, b in zip(cuts, cuts[1:]):
+                    unit = WorkUnit(pi, a, b)
+                    unit_id, unit_tests, _registry = state.execute(unit, point)
+                    assert unit_id == unit.unit_id
+                    tests += unit_tests
+                assert [(t.spec, t.outcome) for t in tests] == expected
 
     def test_parallel_metrics_match_serial(self, lu_app, lu_profile, lu_points):
         serial, parallel = MetricsRegistry(), MetricsRegistry()
@@ -135,9 +160,11 @@ class TestResume:
 
     def test_resume_with_parallel_workers(self, tmp_path, lu_app, lu_profile, lu_points, serial_result):
         ckdir = tmp_path / "ck"
-        engine = ParallelCampaign(
+        # snapshot=False selects the point-major layout: 6 tests per
+        # point in 2-test units, 12 units in all.
+        engine = Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            jobs=1, checkpoint_dir=ckdir, unit_tests=2,
+            jobs=1, checkpoint_dir=ckdir, snapshot=False,
         )
         # Complete only the first 5 units by faking an interrupt.
         boom = RuntimeError("stop")
@@ -153,13 +180,16 @@ class TestResume:
             engine.run(lu_points)
 
         # Resume under a different worker count — unit layout is stable.
-        # (Same explicit unit_tests: that selects the classic p1 layout,
-        # and the digest covers it.)
-        resumed = ParallelCampaign(
+        metrics = MetricsRegistry()
+        resumed = Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            jobs=4, checkpoint_dir=ckdir, unit_tests=2, resume=True,
+            jobs=4, checkpoint_dir=ckdir, snapshot=False, resume=True,
+            metrics=metrics,
         ).run(lu_points)
         assert campaign_signature(resumed) == campaign_signature(serial_result)
+        counters = metrics.to_dict()["counters"]
+        assert counters["exec.units_resumed"] == 5
+        assert counters["exec.units"] == 7
 
     def test_resume_of_complete_checkpoint_runs_nothing(
         self, tmp_path, lu_app, lu_profile, lu_points, serial_result

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.exec.parallel import ParallelCampaign
 from repro.exec.sharding import make_units
 from repro.exec.supervisor import SupervisorConfig, UnitFailedError
 from repro.injection import Campaign, Outcome, enumerate_points
@@ -57,11 +56,11 @@ def _engine(lu_app, lu_profile, **kwargs):
     kwargs.setdefault("param_policy", "all")
     kwargs.setdefault("seed", 11)
     kwargs.setdefault("jobs", 2)
-    # Explicit unit_tests pins the classic point-major layout so the
-    # FASTFIT_CHAOS_UNITS ids below stay stable regardless of the
-    # snapshot default (which would otherwise select site-major units).
-    kwargs.setdefault("unit_tests", 2)
-    return ParallelCampaign(lu_app, lu_profile, **kwargs)
+    # snapshot=False pins the classic point-major layout (6 tests per
+    # point in 2-test units), which is what the FASTFIT_CHAOS_UNITS ids
+    # below name; the snapshot default would select whole-point units.
+    kwargs.setdefault("snapshot", False)
+    return Campaign(lu_app, lu_profile, **kwargs)
 
 
 class TestSupervisorConfig:

@@ -115,7 +115,9 @@ class TestCampaign:
             seed=0,
             progress=lambda done, total: seen.append((done, total)),
         ).run(points)
-        assert seen == [(1, 2), (2, 2)]
+        # (done_tests, total_tests), one update per completed work unit
+        # (whole-point units under the snapshot default).
+        assert seen == [(2, 4), (4, 4)]
 
     def test_progress_throttled_serial(self, lu_app, lu_profile):
         points = enumerate_points(lu_profile)[:5]
@@ -129,8 +131,8 @@ class TestCampaign:
             progress=lambda done, total: seen.append((done, total)),
             progress_every=2,
         ).run(points)
-        # Every 2nd point, plus the final (odd) one.
-        assert seen == [(2, 5), (4, 5), (5, 5)]
+        # Tests done after every 2nd unit, plus the final (odd) one.
+        assert seen == [(4, 10), (8, 10), (10, 10)]
 
     def test_incremental_tallies_survive_direct_append(self, lu_small_campaign):
         pr = next(iter(lu_small_campaign.points.values()))

@@ -94,3 +94,49 @@ def test_deterministic_given_seed(lu_app, lu_profile, lu_points):
     b = ml_driven_campaign(lu_app, lu_profile, lu_points[:8], **kw)
     assert a.predicted == b.predicted
     assert a.accuracy_history == b.accuracy_history
+
+
+def test_fault_model_reaches_every_test(lu_app, lu_points):
+    """Campaign options set on the facade reach the ML-driven loop:
+    ``FastFIT(fault_model=...).learn()`` injects that model, not the
+    default bit flip it used to fall back to silently."""
+    from repro import FastFIT
+
+    ff = FastFIT(
+        lu_app, seed=0, tests_per_point=2, param_policy="all",
+        fault_model="multibit",
+    )
+    result = ff.learn(threshold=1.01, batch_size=8)
+    assert result.tested and not result.predicted
+    assert all(
+        t.spec.model == "multibit"
+        for pr in result.tested.values()
+        for t in pr.tests
+    )
+
+
+def test_ml_digest_covers_the_fault_model(tmp_path, lu_app, lu_profile, lu_points):
+    """The ML store identity hashes the fault model the way the adaptive
+    one does, and the default (bitflip) digest is byte-for-byte the one
+    the pre-refactor driver computed — existing DBs keep resuming."""
+    from repro.exec import campaign_digest
+    from repro.store.db import CampaignDB
+
+    points = lu_points[:4]
+    kw = dict(threshold=1.01, tests_per_point=2, batch_size=4, param_policy="all", seed=3)
+    extra = {"ml": {"threshold": 1.01, "batch_size": 4, "n_estimators": 24}}
+
+    def legacy_digest(**more):
+        return campaign_digest(
+            lu_app, 3, 2, "all", 2, points, layout="s1", extra=extra, **more
+        )
+
+    db_path = tmp_path / "ml.db"
+    ml_driven_campaign(lu_app, lu_profile, points, db_path=db_path, **kw)
+    ml_driven_campaign(
+        lu_app, lu_profile, points, db_path=db_path, fault_model="multibit", **kw
+    )
+    with CampaignDB(db_path) as db:
+        assert db.campaign_id(legacy_digest()) is not None
+        assert db.campaign_id(legacy_digest(fault_model="multibit")) is not None
+        assert len(db.campaigns()) == 2

@@ -73,6 +73,17 @@ class TestScenarioFlag:
         assert "mutually exclusive" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["learn", "study"])
+    def test_scenario_with_the_ml_stage_is_exit_2(self, command, scenario_file, capsys):
+        """A scenario has one anchor point: nothing for the ML stage to
+        learn, so it is refused instead of silently running bit flips."""
+        args = ["--app", "is", "--problem-class", "T", "--tests", "2"]
+        assert main([command, *args, "--scenario", scenario_file]) == 2
+        err = capsys.readouterr().err
+        assert "--scenario" in err and "ML stage" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestVerifyRouting:
     def test_model_mutants_are_listed(self, capsys):
         assert main(["verify", "--list-mutants"]) == 0
