@@ -10,10 +10,9 @@ convergence trace of the estimate as tests accumulate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import stats as sps
+from statistics import NormalDist
 
 
 @dataclass(frozen=True)
@@ -31,18 +30,38 @@ class RateInterval:
         return (self.high - self.low) / 2.0
 
 
+def _normal_quantile(confidence: float) -> float:
+    """The two-sided normal quantile ``z`` of a confidence level."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
+def wilson_bounds(k: int, n: int, z: float) -> tuple[float, float]:
+    """``(lo, hi)`` of the Wilson score interval for ``k`` successes in
+    ``n`` trials at normal quantile ``z`` — the one closed form behind
+    :func:`wilson_interval` and the sequential stopper
+    (:mod:`repro.steer.stopping`).  ``n = 0`` is the vacuous ``(0, 1)``.
+    """
+    if z <= 0:
+        raise ValueError(f"z must be > 0, got {z}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, n={n}], got {k}")
+    if n == 0:
+        return (0.0, 1.0)
+    p = k / n
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
+    return (max(0.0, center - half), min(1.0, center + half))
+
+
 def wilson_interval(errors: int, n: int, confidence: float = 0.95) -> RateInterval:
     """Wilson score interval for an error rate (robust near 0 and 1)."""
     if n <= 0:
         return RateInterval(0.0, 0.0, 1.0, 0, confidence)
-    if not 0 <= errors <= n:
-        raise ValueError(f"errors={errors} out of range for n={n}")
-    z = float(sps.norm.ppf(0.5 + confidence / 2.0))
-    p = errors / n
-    denom = 1.0 + z * z / n
-    centre = (p + z * z / (2 * n)) / denom
-    margin = (z / denom) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    return RateInterval(p, max(0.0, centre - margin), min(1.0, centre + margin), n, confidence)
+    low, high = wilson_bounds(errors, n, _normal_quantile(confidence))
+    return RateInterval(errors / n, low, high, n, confidence)
 
 
 def required_tests(half_width: float, confidence: float = 0.95, worst_p: float = 0.5) -> int:
@@ -54,8 +73,8 @@ def required_tests(half_width: float, confidence: float = 0.95, worst_p: float =
     """
     if not 0 < half_width < 1:
         raise ValueError(f"half_width must be in (0, 1), got {half_width}")
-    z = float(sps.norm.ppf(0.5 + confidence / 2.0))
-    return int(np.ceil(worst_p * (1 - worst_p) * (z / half_width) ** 2))
+    z = _normal_quantile(confidence)
+    return math.ceil(worst_p * (1 - worst_p) * (z / half_width) ** 2)
 
 
 def convergence_trace(outcomes_are_errors: list[bool], confidence: float = 0.95) -> list[RateInterval]:

@@ -7,10 +7,10 @@ standard deviation 7.69 over 100 same-stack invocations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,9 @@ class GaussianFit:
     n: int
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        return sps.norm.pdf(x, loc=self.mean, scale=max(self.std, 1e-12))
+        sigma = max(self.std, 1e-12)
+        z = (np.asarray(x, dtype=np.float64) - self.mean) / sigma
+        return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def fit_error_rates(rates_percent: list[float]) -> GaussianFit:

@@ -5,6 +5,7 @@ Callgrind/gprof (call graphs), and ``backtrace()`` (call stacks).
 """
 
 from .callgraph import (
+    CallGraph,
     build_callgraph,
     callgraph_signature,
     frame_function,
@@ -25,6 +26,7 @@ from .profiler import ApplicationProfile, SiteSummary, profile_application
 
 __all__ = [
     "ApplicationProfile",
+    "CallGraph",
     "CallInfo",
     "CommProfile",
     "CommProfiler",

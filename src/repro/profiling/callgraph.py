@@ -10,9 +10,21 @@ compare their similarity").
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable
 
-import networkx as nx
+
+@dataclass
+class CallGraph:
+    """One rank's weighted call graph as two counter dicts.
+
+    ``nodes[f]`` counts the stacks whose innermost frame is ``f`` (0 for
+    functions only ever seen as callers); ``edges[(caller, callee)]``
+    counts the adjacent frame pairs observed.
+    """
+
+    nodes: dict[str, int] = field(default_factory=dict)
+    edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
 
 def frame_function(frame: str) -> str:
@@ -26,47 +38,41 @@ def frame_function(frame: str) -> str:
     return head or frame
 
 
-def build_callgraph(stacks: Iterable[tuple[str, ...]]) -> nx.DiGraph:
+def build_callgraph(stacks: Iterable[tuple[str, ...]]) -> CallGraph:
     """Build a weighted call graph from canonical stacks."""
-    g = nx.DiGraph()
+    g = CallGraph()
     for stack in stacks:
         funcs = [frame_function(f) for f in stack]
         for node in funcs:
-            if not g.has_node(node):
-                g.add_node(node, count=0)
+            g.nodes.setdefault(node, 0)
         if funcs:
-            g.nodes[funcs[-1]]["count"] += 1
-        for caller, callee in zip(funcs, funcs[1:]):
-            if g.has_edge(caller, callee):
-                g[caller][callee]["count"] += 1
-            else:
-                g.add_edge(caller, callee, count=1)
+            g.nodes[funcs[-1]] += 1
+        for edge in zip(funcs, funcs[1:]):
+            g.edges[edge] = g.edges.get(edge, 0) + 1
     return g
 
 
-def callgraph_signature(g: nx.DiGraph) -> tuple:
+def callgraph_signature(g: CallGraph) -> tuple:
     """A hashable signature: sorted weighted edge and node sets."""
-    nodes = tuple(sorted((n, d.get("count", 0)) for n, d in g.nodes(data=True)))
-    edges = tuple(sorted((u, v, d.get("count", 0)) for u, v, d in g.edges(data=True)))
+    nodes = tuple(sorted(g.nodes.items()))
+    edges = tuple(sorted((u, v, count) for (u, v), count in g.edges.items()))
     return (nodes, edges)
 
 
-def graphs_equivalent(a: nx.DiGraph, b: nx.DiGraph) -> bool:
+def graphs_equivalent(a: CallGraph, b: CallGraph) -> bool:
     """True when two ranks' call graphs match exactly (nodes, edges,
     and counts) — the empirical equivalence test of § III-A."""
     return callgraph_signature(a) == callgraph_signature(b)
 
 
-def graph_similarity(a: nx.DiGraph, b: nx.DiGraph) -> float:
+def graph_similarity(a: CallGraph, b: CallGraph) -> float:
     """Jaccard similarity over weighted edges, in [0, 1].
 
     Used for reporting how close two non-equivalent processes are.
     """
-    ea = {(u, v): d.get("count", 0) for u, v, d in a.edges(data=True)}
-    eb = {(u, v): d.get("count", 0) for u, v, d in b.edges(data=True)}
-    if not ea and not eb:
+    if not a.edges and not b.edges:
         return 1.0
-    keys = set(ea) | set(eb)
-    inter = sum(min(ea.get(k, 0), eb.get(k, 0)) for k in keys)
-    union = sum(max(ea.get(k, 0), eb.get(k, 0)) for k in keys)
+    keys = set(a.edges) | set(b.edges)
+    inter = sum(min(a.edges.get(k, 0), b.edges.get(k, 0)) for k in keys)
+    union = sum(max(a.edges.get(k, 0), b.edges.get(k, 0)) for k in keys)
     return inter / union if union else 1.0

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import networkx as nx
-
 from ..apps.base import Application
 from ..simmpi import run_app
-from .callgraph import build_callgraph
+from .callgraph import CallGraph, build_callgraph
 from .callstack import average_depth, distinct_stacks, group_by_stack
 from .comm_profile import CallInfo, CommProfile, CommProfiler
 
@@ -49,7 +47,7 @@ class ApplicationProfile:
     app_name: str
     nranks: int
     comm: CommProfile
-    callgraphs: dict[int, nx.DiGraph] = field(default_factory=dict)
+    callgraphs: dict[int, CallGraph] = field(default_factory=dict)
     summaries: dict[tuple[int, tuple[str, str]], SiteSummary] = field(default_factory=dict)
     golden_results: list[Any] = field(default_factory=list)
     golden_steps: int = 0

@@ -148,13 +148,15 @@ def _snapshot_engine_summary(db: CampaignDB, c: sqlite3.Row) -> str:
     hits = counters.get("snapshot.hits", 0)
     misses = counters.get("snapshot.misses", 0)
     nbytes = metrics.get("gauges", {}).get("snapshot.bytes", 0)
-    ff_s = metrics.get("timers", {}).get("snapshot.fastforward_s", {}).get("total", 0.0)
+    timers = metrics.get("timers", {})
+    ff_s = timers.get("snapshot.fastforward_s", {}).get("total", 0.0)
+    fork_s = timers.get("snapshot.fork_s", {}).get("total", 0.0)
     return (
         '<p class="muted">snapshot engine: '
         f"{forks} forked tests, {fallbacks} full replays, "
         f"{hits} snapshot hits / {misses} misses, "
         f"{nbytes / (1 << 20):.1f} MiB cached, "
-        f"{ff_s:.3f}s fast-forwarding</p>"
+        f"{ff_s:.3f}s fast-forwarding, {fork_s:.3f}s in fork+reap</p>"
     )
 
 

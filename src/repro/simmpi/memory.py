@@ -25,6 +25,7 @@ same addresses.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,16 @@ ARENA_BASE = 0x0000_5555_0000_0000
 DEFAULT_ARENA_SIZE = 1 << 22
 
 _ALIGN = 16
+
+#: Arenas are anonymous *private* maps: zero pages until touched, never
+#: memset, returned to the kernel when the ``Memory`` dies.  ``mmap``'s
+#: default is ``MAP_SHARED``, under which a forked test's writes would
+#: land in the parent's parked arena (see DESIGN "Snapshot & fork").
+#: Platforms without the flags have no ``os.fork`` either, so the default
+#: map is correct there.
+_MAP_FLAGS = (
+    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS} if hasattr(mmap, "MAP_PRIVATE") else {}
+)
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ class Memory:
         if alloc_cap is not None and alloc_cap < 1:
             raise ValueError(f"alloc_cap must be >= 1 bytes, got {alloc_cap}")
         self.alloc_cap = alloc_cap
-        self.raw = np.zeros(size, dtype=np.uint8)
+        self.raw = np.frombuffer(mmap.mmap(-1, size, **_MAP_FLAGS), dtype=np.uint8)
         self.segments: list[Segment] = []
         self._brk = base
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 from dataclasses import replace
 from typing import Any
 
@@ -270,6 +271,7 @@ class SnapshotEngine:
                 injector = build_injector(spec, rng)
                 rfd, wfd = os.pipe()
                 self._inc(m, "snapshot.forks")
+                fork_t0 = time.perf_counter()
                 pid = os.fork()
                 if pid == 0:
                     # -- child: arm the fault at the parked call and let
@@ -282,6 +284,8 @@ class SnapshotEngine:
                     return
                 os.close(wfd)
                 results[i] = self._reap(pid, rfd)
+                if m is not None:
+                    m.timer("snapshot.fork_s").record(time.perf_counter() - fork_t0)
             raise _PrefixAbandoned
 
         park.on_park = on_park

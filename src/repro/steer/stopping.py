@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..analysis.significance import wilson_bounds
 from ..injection.runner import TestResult
 
 #: Two-sided 95% normal quantile — the conventional Wilson z.
@@ -51,19 +52,7 @@ def wilson_interval(k: int, n: int, z: float = DEFAULT_Z) -> tuple[float, float]
     ``k = n`` — exactly the degenerate histograms a fault-injection
     point usually produces.  ``n = 0`` returns the vacuous ``(0, 1)``.
     """
-    if z <= 0:
-        raise ValueError(f"z must be > 0, got {z}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, n={n}], got {k}")
-    if n == 0:
-        return (0.0, 1.0)
-    p = k / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
-    return (max(0.0, center - half), min(1.0, center + half))
+    return wilson_bounds(k, n, z)
 
 
 def wilson_width(k: int, n: int, z: float = DEFAULT_Z) -> float:

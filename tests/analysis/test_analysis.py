@@ -8,6 +8,7 @@ from repro.analysis import (
     EVEN_3_LEVELS,
     PAPER_3_LEVELS,
     QUARTILE_LEVELS,
+    GaussianFit,
     LevelScheme,
     dispersion_summary,
     fit_error_rates,
@@ -75,6 +76,14 @@ class TestStats:
         xs = np.array([fit.mean - 10, fit.mean, fit.mean + 10])
         pdf = fit.pdf(xs)
         assert pdf[1] == max(pdf)
+
+    def test_pdf_pinned_from_scipy(self):
+        """Fig. 3's fit, values captured from ``scipy.stats.norm.pdf``."""
+        pdf = GaussianFit(29.58, 7.69, 100).pdf([10, 29.58, 50])
+        assert pdf == pytest.approx(
+            [0.002028751925369854, 0.05187805987014729, 0.0015270386854516554],
+            abs=1e-12,
+        )
 
     def test_histogram_bins(self):
         edges, counts = histogram([2.0, 7.0, 7.5, 96.0], bin_width=5.0)

@@ -87,6 +87,21 @@ class TestSignificance:
         assert n <= 100
         assert required_tests(half_width=0.05) > 100
 
+    def test_values_pinned_from_scipy(self):
+        """Captured from ``scipy.stats.norm.ppf`` before the stdlib
+        ``NormalDist().inv_cdf`` replaced it."""
+        iv = wilson_interval(3, 20)
+        assert (iv.rate, iv.n, iv.confidence) == (0.15, 20, 0.95)
+        assert iv.low == pytest.approx(0.052368745896216595, abs=1e-12)
+        assert iv.high == pytest.approx(0.36041886474075696, abs=1e-12)
+        iv = wilson_interval(0, 100, 0.99)
+        assert iv.low == 0.0
+        assert iv.high == pytest.approx(0.062220687715822974, abs=1e-12)
+        assert type(iv.low) is float and type(iv.high) is float
+        assert required_tests(0.125) == 62
+        assert required_tests(0.05) == 385
+        assert required_tests(0.1, confidence=0.99) == 166
+
     def test_required_tests_validates(self):
         with pytest.raises(ValueError):
             required_tests(0.0)

@@ -102,6 +102,10 @@ class TestDeterminism:
         campaign_keys = {k for k in s if k.startswith("campaign.")}
         assert campaign_keys == {k for k in p if k.startswith("campaign.")}
         assert all(s[k] == p[k] for k in campaign_keys)
+        # Worker-side snapshot timers merge like the counters: one
+        # fork+reap sample per forked test, whoever forked it.
+        for registry, counters in ((serial, s), (parallel, p)):
+            assert registry.timer("snapshot.fork_s").count == counters["snapshot.forks"] > 0
 
     def test_progress_reports_tests_and_throttles(self, lu_app, lu_profile, lu_points):
         seen = []

@@ -1,9 +1,12 @@
 """Profiling substrate tests: comm profile, call graphs, call stacks."""
 
-import networkx as nx
+import pickle
+
 import pytest
 
+from repro.apps import make_app
 from repro.profiling import (
+    CallGraph,
     CommProfiler,
     average_depth,
     build_callgraph,
@@ -15,9 +18,11 @@ from repro.profiling import (
     graphs_equivalent,
     group_by_stack,
     phase_indicator,
+    profile_application,
     stack_digest,
     stack_histogram,
 )
+from repro.pruning import select_semantic
 from repro.simmpi import run_app
 
 
@@ -70,7 +75,8 @@ class TestCallgraph:
         g1 = build_callgraph(stacks)
         g2 = build_callgraph(stacks)
         assert graphs_equivalent(g1, g2)
-        assert g1["main@a.py"]["solve@a.py"]["count"] == 3
+        assert g1.edges[("main@a.py", "solve@a.py")] == 3
+        assert g1.nodes == {"main@a.py": 0, "solve@a.py": 0, "reduce@a.py": 3}
 
     def test_count_difference_breaks_equivalence(self):
         s = ("main@a.py:1", "f@a.py:2")
@@ -81,7 +87,7 @@ class TestCallgraph:
         b = build_callgraph([("m@x:1", "g@x:3")])
         assert graph_similarity(a, a) == 1.0
         assert graph_similarity(a, b) == 0.0
-        assert graphs_equivalent(nx.DiGraph(), nx.DiGraph())
+        assert graphs_equivalent(CallGraph(), CallGraph())
 
     def test_frame_function_strips_lineno(self):
         assert frame_function("solve@a.py:123") == "solve@a.py"
@@ -89,6 +95,66 @@ class TestCallgraph:
     def test_signature_is_hashable(self):
         sig = callgraph_signature(build_callgraph([("m@x:1", "f@x:2")]))
         hash(sig)
+
+
+#: Per-app pins captured from the ``networkx.DiGraph`` build this module
+#: replaced: every rank's ``callgraph_signature`` (all ranks share one
+#: call graph in both kernels), the semantic selection that keys on it,
+#: and ``len(pickle.dumps(profile))`` with the graphs riding in it.
+PARITY = {
+    "lu": dict(
+        signature=(
+            (("check_norms@lu_kernel.py", 9), ("main@lu_kernel.py", 5)),
+            (("main@lu_kernel.py", "check_norms@lu_kernel.py", 9),),
+        ),
+        classes=[[0], [1, 2], [3]],
+        selected={
+            ("Allreduce", "lu_kernel.py:173"): (0, 1, 3),
+            ("Allreduce", "lu_kernel.py:46"): (0, 1, 3),
+            ("Barrier", "lu_kernel.py:107"): (0, 1, 3),
+            ("Barrier", "lu_kernel.py:164"): (0, 1, 3),
+            ("Barrier", "lu_kernel.py:174"): (0, 1, 3),
+            ("Bcast", "lu_kernel.py:85"): (0, 1, 3),
+        },
+        digraph_pickle_bytes=15505,
+    ),
+    "is": dict(
+        signature=(
+            (
+                ("check_config@is_kernel.py", 1),
+                ("check_conservation@is_kernel.py", 3),
+                ("main@is_kernel.py", 6),
+            ),
+            (
+                ("main@is_kernel.py", "check_config@is_kernel.py", 1),
+                ("main@is_kernel.py", "check_conservation@is_kernel.py", 3),
+            ),
+        ),
+        classes=[[0, 1, 2, 3]],
+        selected={
+            ("Allgather", "is_kernel.py:156"): (0,),
+            ("Allreduce", "is_kernel.py:48"): (0,),
+            ("Allreduce", "is_kernel.py:62"): (0,),
+            ("Alltoall", "is_kernel.py:112"): (0,),
+            ("Alltoallv", "is_kernel.py:123"): (0,),
+            ("Bcast", "is_kernel.py:78"): (0, 1),
+        },
+        digraph_pickle_bytes=8629,
+    ),
+}
+
+
+@pytest.mark.parametrize("app_name", sorted(PARITY))
+def test_callgraph_parity_with_networkx_build(app_name):
+    pin = PARITY[app_name]
+    profile = profile_application(make_app(app_name, "T"))
+    assert profile.nranks == 4
+    for rank in range(profile.nranks):
+        assert callgraph_signature(profile.callgraphs[rank]) == pin["signature"]
+    selection = select_semantic(profile)
+    assert selection.classes == pin["classes"]
+    assert selection.selected_ranks == pin["selected"]
+    assert len(pickle.dumps(profile)) < pin["digraph_pickle_bytes"]
 
 
 class TestCallstack:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.injection import Campaign, enumerate_points
+from repro.obs.metrics import MetricsRegistry
 from repro.report import SECTIONS, build_report
 from repro.store import CampaignDB, CampaignStoreError
 
@@ -14,7 +15,7 @@ def campaign_db(tmp_path_factory, lu_app, lu_profile):
     points = enumerate_points(lu_profile)[:5]
     result = Campaign(
         lu_app, lu_profile, tests_per_point=5, param_policy="all", seed=17,
-        db_path=db_path,
+        db_path=db_path, metrics=MetricsRegistry(),
     ).run(points)
     return db_path, result
 
@@ -54,6 +55,12 @@ def test_summary_reflects_campaign_config(report):
     assert "lu" in html
     total = len(result.all_tests())
     assert str(total) in html
+
+
+def test_summary_carries_snapshot_engine_line(report):
+    _, html, result = report
+    assert f"{len(result.all_tests())} forked tests" in html
+    assert "s in fork+reap" in html
 
 
 def test_heatmap_has_every_point_row(report):

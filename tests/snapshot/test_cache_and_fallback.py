@@ -166,3 +166,4 @@ class TestEngineFallbacks:
         assert counters["snapshot.forks"] == 6
         assert m.gauge("snapshot.bytes").value == engine.cache.nbytes > 0
         assert m.timer("snapshot.fastforward_s").count == 1
+        assert m.timer("snapshot.fork_s").count == 6

@@ -39,6 +39,7 @@ def test_stats_db_text(db_path, capsys):
     assert "campaign" in out and "lu" in out
     assert "complete" in out
     assert "response types (stored)" in out
+    assert "snapshot.fork_s" in out
 
 
 def test_stats_db_json_matches_sqlite(db_path, capsys):
