@@ -727,7 +727,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             max_points=args.max_points, mutant=args.mutant,
         )
         phase("snapshot", report.ok, {
-            "mutant": args.mutant, "detected": not report.identical,
+            "mutant": args.mutant, "detected": report.ok,
             "points": report.n_points, "tests": report.n_tests,
         })
         if args.json:

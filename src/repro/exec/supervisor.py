@@ -149,8 +149,8 @@ class WorkerState:
         self.scenario = scenario
         #: Optional :class:`~repro.steer.SequentialStopper`.  Units then
         #: carry a whole point each (the unit plan guarantees it) and
-        #: tests are served one at a time, truncating the stream at the
-        #: same index any other scheduling would.
+        #: the stopper is consulted before each test is drawn, truncating
+        #: the stream at the same index any other scheduling would.
         self.stopper = stopper
         #: Optional :class:`repro.analyze.PreClassifier` (in-process
         #: executor only): tests it proves are recorded as ``predicted``
@@ -191,46 +191,41 @@ class WorkerState:
             predicted=True,
         )
 
-    def _serve(
-        self, point: InjectionPoint, tasks: list, registry: MetricsRegistry
-    ) -> list[TestResult]:
-        if not tasks:
-            return []
-        if self.engine is not None:
-            return self.engine.serve_point(point, tasks, metrics=registry)
-        return [self.runner.run_one(spec, rng) for spec, rng in tasks]
-
     def execute(
         self, unit: WorkUnit, point: InjectionPoint
     ) -> tuple[str, list[TestResult], MetricsRegistry]:
         """Run one work unit; return its results and metrics snapshot.
 
-        Statically predicted tests keep their slot and never execute;
-        the rest are drawn in test order and served as one batch (one
-        prefix park under the snapshot engine).  With a stopper, tests
-        are served one at a time instead and the stream ends where the
-        stopper says — a pure function of the ordered result prefix, so
-        every scheduling truncates at the same index.  Under the
-        snapshot engine the point stays parked across those calls, so
-        each pays the fork, not the warm-up.
+        The unit is one lazily pulled task stream: in test order, a
+        statically predicted test takes its slot without executing, any
+        other is drawn and yielded.  The consumer — the snapshot engine
+        or a plain ``run_one`` loop — appends each result to ``tests``
+        before pulling again, so a stopper sees result *k* before test
+        *k+1* is drawn and ends the stream where it says: a pure function
+        of the ordered result prefix, so every scheduling truncates at
+        the same index.  The engine pulls while the point is parked, so
+        a unit costs one prefix plus one fork per executed test, with or
+        without a stopper.
         """
         registry = MetricsRegistry()
-        sequential = self.stopper is not None
-        with registry.time("exec.unit_s"):
-            tests: list[TestResult | None] = []  # None: queued in ``tasks``
-            tasks: list = []
+        tests: list[TestResult] = []
+
+        def tasks():
             for t in range(unit.test_start, unit.test_stop):
+                if self.stopper is not None and self.stopper.should_stop(tests):
+                    return
                 test = self._predict(point, unit.point_index, t)
                 if test is None:
-                    tasks.append(self.draw(point, unit.point_index, t))
-                    if sequential:
-                        [test] = self._serve(point, tasks, registry)
-                        tasks = []
-                tests.append(test)
-                if sequential and self.stopper.should_stop(tests):
-                    break
-            served = iter(self._serve(point, tasks, registry))
-            tests = [next(served) if test is None else test for test in tests]
+                    yield self.draw(point, unit.point_index, t)
+                else:
+                    tests.append(test)
+
+        with registry.time("exec.unit_s"):
+            if self.engine is not None:
+                self.engine.serve_point(point, tasks(), metrics=registry, on_result=tests.append)
+            else:
+                for spec, rng in tasks():
+                    tests.append(self.runner.run_one(spec, rng))
         registry.counter("campaign.tests").inc(len(tests))
         saved = unit.n_tests - len(tests)
         if saved > 0:

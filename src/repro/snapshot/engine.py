@@ -11,9 +11,13 @@ classification helpers the from-scratch path uses, and ships the
 parent's runtime is never perturbed, so forked results are
 fingerprint-identical to from-scratch runs by construction.
 
+Tasks are pulled lazily while the job is parked, each only after the
+previous result was delivered, so a caller that decides test *k+1* from
+result *k* (a sequential stopper) still pays one prefix per work unit.
 At park time the parent also captures a :class:`SimSnapshot` into an
-LRU cache; re-serving the same point later in the process fast-forwards
-from the snapshot instead of replaying the prefix from t=0.
+LRU cache; only a *later* ``serve_point`` call on the same point in the
+same process (a retried unit, a second ``Campaign.run`` on one
+``Campaign``) fast-forwards from it instead of replaying from t=0.
 
 Fallbacks (always to a plain ``runner.run_one`` full replay):
 
@@ -21,7 +25,7 @@ Fallbacks (always to a plain ``runner.run_one`` full replay):
 * apps flagged ``deterministic = False``;
 * the park never fires (site unreachable) or the prefix itself fails;
 * fast-forward divergence (stale snapshot / determinism violation);
-* a forked child dying without delivering a result.
+* ``os.fork`` failing, or a forked child dying without a result.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ import os
 import pickle
 import time
 from dataclasses import replace
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable
 
 import numpy as np
 
-from ..injection.injector import FaultInjector
 from ..injection.models import MODELS, build_injector
 from ..injection.runner import InjectionRunner, TestResult
 from ..injection.space import FaultSpec, InjectionPoint
@@ -51,8 +55,9 @@ from .snapshot import (
     verify_restored,
 )
 
-#: One test handed to :meth:`SnapshotEngine.serve_point`: the fault spec
-#: (parameter already drawn) and the post-draw RNG that will pick the bit.
+#: One test handed to :meth:`SnapshotEngine.serve_point`: the spec
+#: (``FaultSpec`` or any model's ``ModelSpec``, parameter already drawn)
+#: and the post-draw RNG that will pick the bit.
 Task = tuple[FaultSpec, np.random.Generator]
 
 
@@ -62,7 +67,7 @@ def snapshot_supported() -> bool:
 
 
 class _PrefixAbandoned(SchedulerInterrupt):
-    """Parent-side unwind after every forked test has been served."""
+    """Parent-side unwind once the task stream is exhausted."""
 
 
 class _FastForwardMismatch(SchedulerInterrupt):
@@ -130,47 +135,63 @@ class SnapshotEngine:
     # -- public API ----------------------------------------------------
 
     def serve_point(
-        self, point: InjectionPoint, tasks: list[Task], metrics=None
+        self, point: InjectionPoint, tasks: Iterable[Task], metrics=None, on_result=None
     ) -> list[TestResult]:
         """Run every task at ``point``, amortizing the fault-free prefix.
 
-        Tasks are ``(spec, rng)`` pairs with the fault parameter already
-        drawn — the rng state handed in is exactly what ``run_one``
-        would receive, and the forked child inherits it bit-for-bit.
-        Results come back in task order; any test the fork path cannot
-        serve is transparently re-run from scratch.
+        ``tasks`` is any iterable of ``(spec, rng)`` pairs with the
+        fault parameter already drawn — the rng state handed in is
+        exactly what ``run_one`` would receive, and the forked child
+        inherits it bit-for-bit.  It is pulled lazily while the job is
+        parked: the first task before the prefix runs, each later one
+        only after the previous result has been appended to the returned
+        list and passed to ``on_result`` — exactly once, in task order —
+        so a generator may decide from the results so far whether there
+        is a next task; the park lasts until it is exhausted.  Any test
+        the fork path cannot serve is transparently re-run from scratch,
+        resuming at the first undelivered task.
         """
         m = metrics if metrics is not None else self.metrics
-        if not tasks:
-            return []
-        if not snapshot_supported() or not getattr(self.runner.app, "deterministic", True):
-            self._inc(m, "snapshot.fallback_tests", len(tasks))
-            return [self.runner.run_one(spec, rng) for spec, rng in tasks]
-        if not MODELS[getattr(tasks[0][0], "model", "bitflip")].snapshot_safe:
+        results: list[TestResult] = []
+
+        def deliver(result: TestResult) -> None:
+            results.append(result)
+            if on_result is not None:
+                on_result(result)
+
+        stream = iter(tasks)
+        first = next(stream, None)
+        if first is None:
+            return results
+        stream = chain([first], stream)
+        if (
+            not snapshot_supported()
+            or not getattr(self.runner.app, "deterministic", True)
             # Wire, rank, and timeline faults are not single-site
             # parameter corruptions: the fault-free-prefix assumption
-            # the fork amortization rests on does not hold, so the
-            # whole batch replays from scratch.
-            self._inc(m, "snapshot.fallback_tests", len(tasks))
-            return [self.runner.run_one(spec, rng) for spec, rng in tasks]
+            # the fork amortization rests on does not hold.
+            or not MODELS[getattr(first[0], "model", "bitflip")].snapshot_safe
+        ):
+            self._replay(stream, deliver, m)
+            return results
 
         park = _ParkInstrument(self._park_point(point))
         job, snapshot = self._restore(point, park, m)
         try:
             try:
-                results = self._serve(point, park, tasks, job, snapshot, m)
+                self._serve(point, park, stream, deliver, job, snapshot, m)
             except _FastForwardMismatch:
                 # The restored state failed the byte-exact re-park check
                 # (stale snapshot / determinism violation): drop it and
-                # serve from a fresh t=0 prefix.  No child forked yet, so
-                # every task RNG is still pristine.
+                # serve from a fresh t=0 prefix.  Raised before the first
+                # pull inside the park, so the stream is still untouched.
                 self.cache.pop(point)
                 self._inc(m, "snapshot.ff_divergence")
                 park = _ParkInstrument(self._park_point(point))
-                results = self._serve(point, park, tasks, None, None, m)
+                self._serve(point, park, stream, deliver, None, None, m)
         except _SnapshotUnusable:
-            self._inc(m, "snapshot.fallback_tests", len(tasks))
-            results = [self.runner.run_one(spec, rng) for spec, rng in tasks]
+            # Prefix aborted or park never fired: nothing pulled yet.
+            self._replay(stream, deliver, m)
         if m is not None:
             m.gauge("snapshot.bytes").set(self.cache.nbytes)
         return results
@@ -178,9 +199,15 @@ class SnapshotEngine:
     # -- internals -----------------------------------------------------
 
     @staticmethod
-    def _inc(m, name: str, n: int = 1) -> None:
-        if m is not None and n:
-            m.counter(name).inc(n)
+    def _inc(m, name: str) -> None:
+        if m is not None:
+            m.counter(name).inc()
+
+    def _replay(self, tasks: Iterable[Task], deliver, m) -> None:
+        """Counted fallback: ``run_one`` whatever is left of ``tasks``."""
+        for spec, rng in tasks:
+            self._inc(m, "snapshot.fallback_tests")
+            deliver(self.runner.run_one(spec, rng))
 
     @staticmethod
     def _park_point(point: InjectionPoint) -> InjectionPoint:
@@ -199,7 +226,6 @@ class SnapshotEngine:
             self._inc(m, "snapshot.misses")
             return None, None
         self._inc(m, "snapshot.hits")
-        runner = self.runner
         try:
             if m is not None:
                 with m.time("snapshot.fastforward_s"):
@@ -224,9 +250,8 @@ class SnapshotEngine:
             instruments=[park],
         )
 
-    def _serve(self, point, park, tasks, job, snapshot, m) -> list:
+    def _serve(self, point, park, stream, deliver, job, snapshot, m) -> None:
         runner = self.runner
-        results: list[TestResult | None] = [None] * len(tasks)
         #: Populated only inside a forked child, between the fork and the
         #: child's classification of its own continuation.
         child: dict[str, Any] = {}
@@ -265,27 +290,40 @@ class SnapshotEngine:
                     mem = stale_ctx.memory
                     for seg in mem.segments:
                         mem.raw[seg.addr - mem.base] ^= 1
-            for i, (spec, rng) in enumerate(tasks):
+            for spec, rng in stream:
                 if mutants.active_mutant() == "snapshot_rng_desync":
                     rng.integers(0, 1 << 16)
                 injector = build_injector(spec, rng)
-                rfd, wfd = os.pipe()
-                self._inc(m, "snapshot.forks")
                 fork_t0 = time.perf_counter()
-                pid = os.fork()
+                rfd, wfd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    # Process limit: no child, both pipe ends are ours.
+                    # Earlier results are delivered; replay from here on.
+                    os.close(rfd)
+                    os.close(wfd)
+                    self._replay(chain([(spec, rng)], stream), deliver, m)
+                    break
                 if pid == 0:
                     # -- child: arm the fault at the parked call and let
                     # the inherited scheduler stack resume.
                     os.close(rfd)
-                    child["wfd"] = wfd
-                    child["spec"] = spec
-                    child["injector"] = injector
+                    child.update(wfd=wfd, spec=spec, injector=injector)
                     injector._inject(ctx, call)
                     return
                 os.close(wfd)
-                results[i] = self._reap(pid, rfd)
+                self._inc(m, "snapshot.forks")
+                result = self._reap(pid, rfd)
                 if m is not None:
                     m.timer("snapshot.fork_s").record(time.perf_counter() - fork_t0)
+                if result is not None:
+                    deliver(result)
+                else:
+                    # The child died without delivering: full-replay this
+                    # test on the parent's untouched post-draw RNG now —
+                    # the next pull may depend on its result.
+                    self._replay([(spec, rng)], deliver, m)
             raise _PrefixAbandoned
 
         park.on_park = on_park
@@ -295,18 +333,14 @@ class SnapshotEngine:
             with np.errstate(all="ignore"):
                 run_results = scheduler.run()
         except _PrefixAbandoned:
-            pass  # parent: every task forked (some may need re-runs)
+            pass  # parent: stream exhausted, every result delivered
         except SimMPIError as exc:
             if child:
-                spec, injector = child["spec"], child["injector"]
-                self._child_exit(child, lambda: runner.classify_error(spec, injector, exc))
+                self._child_exit(child, runner.classify_error, exc)
             raise _SnapshotUnusable(f"fault-free prefix aborted: {exc!r}") from exc
         except Exception as exc:
             if child:
-                spec, injector = child["spec"], child["injector"]
-                self._child_exit(
-                    child, lambda: runner.classify_harness_error(spec, injector, exc)
-                )
+                self._child_exit(child, runner.classify_harness_error, exc)
             raise _SnapshotUnusable(f"prefix run failed in the harness: {exc!r}") from exc
         except BaseException:
             if child:  # pragma: no cover - interrupt containment
@@ -314,29 +348,19 @@ class SnapshotEngine:
             raise
         else:
             if child:
-                spec, injector = child["spec"], child["injector"]
-                self._child_exit(
-                    child, lambda: runner.classify_completion(spec, injector, run_results)
-                )
+                self._child_exit(child, runner.classify_completion, run_results)
             # Parent, and the park never fired: the site is unreachable
             # under this configuration.
             raise _SnapshotUnusable(f"injection site never reached: {point}")
 
-        for i, result in enumerate(results):
-            if result is None:
-                # The child died without delivering: full-replay this
-                # test on the parent's untouched post-draw RNG.
-                self._inc(m, "snapshot.fallback_tests")
-                spec, rng = tasks[i]
-                results[i] = runner.run_one(spec, rng)
-        return results
-
     @staticmethod
-    def _child_exit(child: dict, build_result) -> None:
-        """Classify, ship the result to the parent, and exit the child
-        without running any inherited teardown (``os._exit``)."""
+    def _child_exit(child: dict, classify, ending) -> None:
+        """Classify how the continuation ended, ship the result to the
+        parent, and exit the child without running any inherited
+        teardown (``os._exit``)."""
         try:
-            payload = pickle.dumps(build_result(), protocol=pickle.HIGHEST_PROTOCOL)
+            result = classify(child["spec"], child["injector"], ending)
+            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
             view = memoryview(payload)
             wfd = child["wfd"]
             while view:

@@ -28,6 +28,15 @@ from ..snapshot import SnapshotEngine, seeded_snapshot_mutant
 from .replay import fingerprint
 
 
+#: The three ways every point is served: ``cold`` — a list on an empty
+#: cache (park + capture); ``fast-forward`` — the same list again (cache
+#: hit; under a mutant nothing is cached, so a second cold park);
+#: ``lazy`` — a generator on a fresh engine that yields test *k+1* only
+#: once result *k* was delivered, which is how stopper-driven (adaptive)
+#: work units are served.
+PASSES = ("cold", "fast-forward", "lazy")
+
+
 def _test_signature(t: TestResult) -> tuple:
     rec = t.record
     record = (
@@ -51,20 +60,33 @@ class ForkEquivalenceReport:
     n_points: int
     n_tests: int
     scratch_fingerprint: str
-    forked_fingerprint: str
+    #: Forked-stream fingerprint of each serving pass, by name (see
+    #: :data:`PASSES`).
+    forked_fingerprints: dict[str, str]
     #: Armed engine defect, or None for the plain equivalence check.
     mutant: str | None = None
     #: Human-readable divergences (first few points that differ).
     mismatches: list[str] = field(default_factory=list)
 
     @property
+    def diverged(self) -> list[str]:
+        """The passes whose forked stream differs from scratch."""
+        return [
+            name for name, fp in self.forked_fingerprints.items()
+            if fp != self.scratch_fingerprint
+        ]
+
+    @property
     def identical(self) -> bool:
-        return self.scratch_fingerprint == self.forked_fingerprint
+        return not self.diverged
 
     @property
     def ok(self) -> bool:
-        """Clean run ⇒ streams must match; mutant run ⇒ must differ."""
-        return self.identical if self.mutant is None else not self.identical
+        """Clean run ⇒ every pass must match scratch; mutant run ⇒
+        every pass must differ (the defect is visible on each path)."""
+        if self.mutant is None:
+            return self.identical
+        return len(self.diverged) == len(self.forked_fingerprints)
 
     def describe(self) -> str:
         base = (
@@ -72,13 +94,18 @@ class ForkEquivalenceReport:
             f"{self.n_tests} tests"
         )
         if self.mutant is not None:
+            missed = [name for name in self.forked_fingerprints if name not in self.diverged]
             verdict = (
-                "DETECTED (oracle has teeth)"
-                if not self.identical
-                else "NOT DETECTED — oracle failure"
+                f"NOT DETECTED on {missed} — oracle failure"
+                if missed
+                else "DETECTED (oracle has teeth)"
             )
             return f"{base}, mutant {self.mutant!r}: {verdict}"
-        verdict = "forked == scratch (bit-identical)" if self.identical else "DIVERGED"
+        verdict = (
+            f"forked == scratch (bit-identical; {', '.join(self.forked_fingerprints)})"
+            if self.identical
+            else "DIVERGED"
+        )
         lines = [f"{base}: {verdict}"]
         lines.extend(f"  {m}" for m in self.mismatches[:10])
         return "\n".join(lines)
@@ -98,9 +125,8 @@ def fork_equivalence(
 
     Points are a deterministic spread over the enumerated space (first,
     last, and evenly between — early and late invocations both
-    represented).  Every point is served through the engine **twice**,
-    so both the cold path (park + capture) and the snapshot fast-forward
-    path are covered by the comparison.
+    represented).  Every point is served three times (:data:`PASSES`)
+    and each pass is compared with scratch on its own.
     """
     if profile is None:
         profile = profile_application(app)
@@ -123,15 +149,22 @@ def fork_equivalence(
         for pi in range(len(points))
     ]
 
-    engine = SnapshotEngine(runner)
+    def lazily(pi: int, delivered: list[TestResult]):
+        # What a stopper-driven work unit hands the engine: the next test
+        # is drawn when pulled, from what has been delivered by then — an
+        # engine pulling ahead of its deliveries redraws a test and diverges.
+        for _ in range(tests_per_point):
+            yield draw_task(points[pi], seed, pi, len(delivered), policy=param_policy)
 
-    def serve_all() -> list[list[TestResult]]:
-        out = []
-        for _pass in range(2):  # cold park, then snapshot fast-forward
-            out = [
-                engine.serve_point(points[pi], tasks_for(pi))
-                for pi in range(len(points))
-            ]
+    def serve_all() -> dict[str, list[list[TestResult]]]:
+        batch, lazy = SnapshotEngine(runner), SnapshotEngine(runner)
+        out: dict[str, list[list[TestResult]]] = {name: [] for name in PASSES}
+        for pi, point in enumerate(points):
+            out["cold"].append(batch.serve_point(point, tasks_for(pi)))
+            out["fast-forward"].append(batch.serve_point(point, tasks_for(pi)))
+            delivered: list[TestResult] = []
+            lazy.serve_point(point, lazily(pi, delivered), on_result=delivered.append)
+            out["lazy"].append(delivered)
         return out
 
     if mutant is not None:
@@ -141,18 +174,19 @@ def fork_equivalence(
         forked = serve_all()
 
     scratch_sig = _stream_signature(scratch)
-    forked_sig = _stream_signature(forked)
+    forked_sigs = {name: _stream_signature(stream) for name, stream in forked.items()}
     mismatches = [
-        f"{points[pi]}: forked stream differs from scratch"
+        f"{points[pi]}: {name} forked stream differs from scratch"
+        for name, sig in forked_sigs.items()
         for pi in range(len(points))
-        if scratch_sig[pi] != forked_sig[pi]
+        if scratch_sig[pi] != sig[pi]
     ]
     return ForkEquivalenceReport(
         app_name=app.name,
         n_points=len(points),
         n_tests=tests_per_point,
         scratch_fingerprint=fingerprint(scratch_sig),
-        forked_fingerprint=fingerprint(forked_sig),
+        forked_fingerprints={name: fingerprint(sig) for name, sig in forked_sigs.items()},
         mutant=mutant,
         mismatches=mismatches,
     )

@@ -1,11 +1,16 @@
 """Campaign engine: bit-identical execution under every executor, unit
 slicing and resume — anchored to the scratch reference loop."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from repro.exec import WorkerState, WorkUnit
-from repro.injection import Campaign, enumerate_points
+from repro.injection import Campaign, Outcome, enumerate_points
 from repro.obs.metrics import MetricsRegistry
+from repro.snapshot import SnapshotEngine
+from repro.steer import SequentialStopper
 
 
 def campaign_signature(result):
@@ -121,6 +126,116 @@ class TestDeterminism:
         assert done == sorted(done)
         # Throttled: far fewer updates than completed units (12 units here).
         assert len(seen) <= 5
+
+
+class _Oracle:
+    """Stand-in pre-classifier: proves the given test indices SUCCESS."""
+
+    def __init__(self, reference_tests, indices):
+        self.reference_tests, self.indices = reference_tests, indices
+
+    def predict(self, point, point_index, test_index):
+        if test_index not in self.indices:
+            return None
+        spec = self.reference_tests[test_index].spec
+        return SimpleNamespace(
+            outcome=Outcome.SUCCESS, param=spec.param, bit=0, rule="oracle", detail=""
+        )
+
+
+class TestStopperDrivenUnit:
+    """A stopper-driven whole-point unit is the batch unit cut short:
+    same generator, one park, one fork per executed test."""
+
+    TESTS = 10
+    stopper = SequentialStopper(ci_width=0.9, min_tests=5)
+
+    @pytest.fixture(scope="class")
+    def reference_tests(self, scratch_reference, lu_app, lu_profile, lu_points):
+        reference = scratch_reference(lu_app, lu_profile, lu_points, self.TESTS, 11, "all")
+        return reference.points[lu_points[2]].tests
+
+    def cut(self, tests):
+        """Where ``stopper`` truncates an ordered stream."""
+        return next(
+            (n for n in range(1, len(tests)) if self.stopper.should_stop(tests[:n])), len(tests)
+        )
+
+    def execute(self, lu_app, lu_profile, lu_points, snapshot, **state_options):
+        state = WorkerState(
+            lu_app, lu_profile, "all", 11, None, snapshot, stopper=self.stopper, **state_options
+        )
+        _, tests, registry = state.execute(WorkUnit(2, 0, self.TESTS), lu_points[2])
+        return tests, registry.to_dict()["counters"], registry
+
+    @pytest.mark.parametrize("snapshot", [True, False])
+    def test_truncates_where_the_scratch_stream_does(
+        self, reference_tests, lu_app, lu_profile, lu_points, snapshot
+    ):
+        tests, counters, registry = self.execute(lu_app, lu_profile, lu_points, snapshot)
+        stop = self.cut(reference_tests)
+        assert 0 < stop < self.TESTS
+        assert [(t.spec, t.outcome) for t in tests] == [
+            (t.spec, t.outcome) for t in reference_tests[:stop]
+        ]
+        assert counters["campaign.tests_saved"] == self.TESTS - stop
+        if snapshot:
+            # One cold park for the whole unit: no re-serve, no fast-forward.
+            assert counters["snapshot.misses"] == 1
+            assert counters["snapshot.forks"] == stop
+            assert "snapshot.hits" not in counters
+            assert "snapshot.fallback_tests" not in counters
+            assert registry.timer("snapshot.fastforward_s").count == 0
+        else:
+            assert not any(k.startswith("snapshot.") for k in counters)
+
+    def test_dead_child_is_replayed_in_its_slot_before_the_next_draw(
+        self, reference_tests, lu_app, lu_profile, lu_points, monkeypatch
+    ):
+        """Child 2 dies without a result: its slot holds the scratch
+        result, the stopper still sees it in order, and the later tests
+        are forked from the same park."""
+        reap, reaped = SnapshotEngine._reap, []
+
+        def lossy_reap(pid, rfd):
+            reaped.append(pid)
+            result = reap(pid, rfd)
+            return None if len(reaped) == 2 else result
+
+        monkeypatch.setattr(SnapshotEngine, "_reap", staticmethod(lossy_reap))
+        tests, counters, _ = self.execute(lu_app, lu_profile, lu_points, True)
+        stop = self.cut(reference_tests)
+        assert stop >= 3
+        assert [(t.spec, t.outcome, t.detail) for t in tests] == [
+            (t.spec, t.outcome, t.detail) for t in reference_tests[:stop]
+        ]
+        assert counters["snapshot.misses"] == 1 and "snapshot.hits" not in counters
+        assert counters["snapshot.forks"] == stop
+        assert counters["snapshot.fallback_tests"] == 1
+
+    @pytest.mark.parametrize("snapshot", [True, False])
+    def test_predicted_tests_keep_their_slot_under_a_stopper(
+        self, reference_tests, lu_app, lu_profile, lu_points, snapshot
+    ):
+        """Predicted and executed tests weave in test order, and the
+        stopper counts both."""
+        oracle = _Oracle(reference_tests, {0, 2})
+        tests, counters, _ = self.execute(
+            lu_app, lu_profile, lu_points, snapshot, preclassifier=oracle
+        )
+        woven = [
+            replace(t, outcome=Outcome.SUCCESS, record=None, predicted=True)
+            if i in oracle.indices else t
+            for i, t in enumerate(reference_tests)
+        ]
+        stop = self.cut(woven)
+        assert 3 <= stop < self.TESTS
+        assert [(t.spec.param, t.outcome, t.predicted) for t in tests] == [
+            (t.spec.param, t.outcome, t.predicted) for t in woven[:stop]
+        ]
+        assert counters["campaign.tests_predicted"] == 2
+        if snapshot:
+            assert counters["snapshot.forks"] == stop - 2
 
 
 class TestResume:

@@ -1,16 +1,21 @@
-"""Snapshot cache bounds and the engine's full-replay fallbacks.
+"""Snapshot cache bounds, the engine's full-replay fallbacks, and its
+lazily pulled task stream.
 
 The LRU cache is byte-budgeted (arena copies dominate), and every path
 the fork engine cannot serve must degrade to a plain ``run_one`` replay
-with the correct telemetry — never a wrong result.
+with the correct telemetry — never a wrong result.  Tasks are pulled
+while the job is parked, one per delivered result, so a list and a
+generator that decides from the results so far are served alike.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from repro.injection import enumerate_points
+from repro.injection.models import draw_task
 from repro.injection.runner import InjectionRunner
 from repro.injection.space import FaultSpec, InjectionPoint
 from repro.injection.targets import pick_target
@@ -109,6 +114,27 @@ def _sig(tests):
     ]
 
 
+def _stream(tasks, delivered, pulls, stop_at):
+    """A stopper-shaped generator: ends once ``stop_at`` results have
+    been delivered, and notes how many had been at each pull."""
+    for task in tasks:
+        if len(delivered) >= stop_at:
+            return
+        pulls.append(len(delivered))
+        yield task
+
+
+def _serve_stream(engine, point, tasks, stop_at):
+    delivered, pulls = [], []
+    results = engine.serve_point(
+        point, _stream(tasks, delivered, pulls, stop_at), on_result=delivered.append
+    )
+    assert _sig(results) == _sig(delivered)
+    # Exactly-once, in-order: task k+1 is drawn after result k arrived.
+    assert pulls == list(range(len(results)))
+    return results
+
+
 class TestEngineFallbacks:
     def test_ff_divergence_falls_back_to_fresh_prefix(self, runner, late_point):
         """Tamper with the cached snapshot: the byte-exact re-park check
@@ -167,3 +193,88 @@ class TestEngineFallbacks:
         assert m.gauge("snapshot.bytes").value == engine.cache.nbytes > 0
         assert m.timer("snapshot.fastforward_s").count == 1
         assert m.timer("snapshot.fork_s").count == 6
+
+
+class TestLazyStream:
+    def test_list_and_generator_equal_scratch_from_one_park(self, runner, late_point):
+        scratch = _sig(_scratch(runner, late_point, n=5))
+        for feed in (list, iter):
+            m = MetricsRegistry()
+            engine = SnapshotEngine(runner, metrics=m)
+            results = engine.serve_point(late_point, feed(_tasks(late_point, n=5)))
+            assert _sig(results) == scratch
+            counters = m.to_dict()["counters"]
+            assert counters["snapshot.misses"] == 1 and counters["snapshot.forks"] == 5
+            assert "snapshot.hits" not in counters
+            assert m.timer("snapshot.fastforward_s").count == 0
+
+    def test_next_task_is_pulled_after_previous_result(self, runner, late_point):
+        """A stream that ends on what it was handed is cut there, and
+        nothing past the cut is ever drawn."""
+        m = MetricsRegistry()
+        engine = SnapshotEngine(runner, metrics=m)
+        results = _serve_stream(engine, late_point, _tasks(late_point, n=5), stop_at=3)
+        assert _sig(results) == _sig(_scratch(runner, late_point, n=5))[:3]
+        assert m.counter("snapshot.forks").value == 3
+        assert m.counter("snapshot.misses").value == 1
+
+    @pytest.mark.parametrize("why", ["nondeterministic", "unreachable", "wire"])
+    def test_fallbacks_replay_and_count_only_what_was_pulled(
+        self, runner, late_point, monkeypatch, why
+    ):
+        """Every whole-stream fallback, fed a generator that stops after
+        2 of 3 results: two scratch replays, two counted, none forked."""
+        point, tasks = late_point, _tasks
+        if why == "nondeterministic":
+            monkeypatch.setattr(runner.app, "deterministic", False)
+        elif why == "unreachable":
+            point = dataclasses.replace(point, invocation=point.invocation + 10_000)
+        else:  # msg_drop is not snapshot_safe: no prefix is shared
+
+            def tasks(p, n=3):
+                return [draw_task(p, 5, 0, t, policy="buffer", model="msg_drop") for t in range(n)]
+
+        m = MetricsRegistry()
+        engine = SnapshotEngine(runner, metrics=m)
+        results = _serve_stream(engine, point, tasks(point), stop_at=2)
+        scratch = [runner.run_one(spec, rng) for spec, rng in tasks(point)]
+        assert len(results) == 2
+        assert [(t.spec, t.outcome, t.detail) for t in results] == [
+            (t.spec, t.outcome, t.detail) for t in scratch[:2]
+        ]
+        assert m.counter("snapshot.fallback_tests").value == 2
+        assert m.counter("snapshot.forks").value == 0
+
+    def test_empty_stream_runs_no_prefix(self, runner, late_point):
+        m = MetricsRegistry()
+        engine = SnapshotEngine(runner, metrics=m)
+        assert engine.serve_point(late_point, iter(())) == []
+        assert m.to_dict()["counters"] == {}
+        assert late_point not in engine.cache
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_fork_failure_replays_the_rest_and_leaks_no_fd(
+        self, runner, late_point, monkeypatch, k
+    ):
+        """``os.fork`` raising on the k-th call (process limit): the
+        k-1 served results stand, test k and the rest replay from
+        scratch, and both ends of the orphaned pipe are closed."""
+        n, real_fork, calls = 5, os.fork, []
+
+        def fork():
+            calls.append(None)
+            if len(calls) == k:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        m = MetricsRegistry()
+        engine = SnapshotEngine(runner, metrics=m)
+        fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", fork)
+        results = _serve_stream(engine, late_point, _tasks(late_point, n=n), stop_at=n)
+        monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert _sig(results) == _sig(_scratch(runner, late_point, n=n))
+        assert len(calls) == k  # no fork is attempted after the failure
+        assert m.counter("snapshot.forks").value == k - 1
+        assert m.counter("snapshot.fallback_tests").value == n - k + 1

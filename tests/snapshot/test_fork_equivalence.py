@@ -15,6 +15,7 @@ from repro.injection import Campaign, enumerate_points
 from repro.snapshot import SNAPSHOT_MUTANTS, snapshot_supported
 from repro.store import CampaignDB
 from repro.verify import fork_equivalence
+from repro.verify.snapshot_check import PASSES
 
 from tests.store.test_equivalence import stream_signature
 
@@ -49,6 +50,10 @@ def test_oracle_reports_identical_streams(lu_app, lu_profile):
     assert report.identical, report.describe()
     assert report.ok
     assert report.mismatches == []
+    # Cold park, cache-hit fast-forward and the lazily pulled stream that
+    # stopper-driven units use are each compared with scratch.
+    assert set(report.forked_fingerprints.values()) == {report.scratch_fingerprint}
+    assert tuple(report.forked_fingerprints) == PASSES == ("cold", "fast-forward", "lazy")
 
 
 def test_serial_snapshot_campaign_bit_identical(
@@ -99,6 +104,7 @@ def test_seeded_engine_mutants_are_detected(lu_app, lu_profile, mutant):
     )
     assert not report.identical, report.describe()
     assert report.ok
+    assert report.diverged == list(PASSES)  # caught on the lazy path too
 
 
 def test_mutant_spread_includes_late_invocations(lu_profile):
