@@ -134,8 +134,9 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--snapshot", action=argparse.BooleanOptionalAction, default=True,
-        help="snapshot-and-fork serving: run the fault-free prefix once "
-        "per injection point and fork every test from the parked state "
+        help="snapshot-and-fork serving: one fault-free run per worker "
+        "parks at each injection point in turn and every test is forked "
+        "from the parked state "
         "(bit-identical results, default on); --no-snapshot forces "
         "classic full replays and the point-major unit layout",
     )

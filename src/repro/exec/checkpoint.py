@@ -282,9 +282,3 @@ class CheckpointStore:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __enter__(self) -> "CheckpointStore":  # pragma: no cover - convenience
-        return self
-
-    def __exit__(self, *exc) -> None:  # pragma: no cover - convenience
-        self.close()

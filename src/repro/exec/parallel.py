@@ -172,7 +172,14 @@ def run_campaign(
                 metrics.counter("exec.units_resumed").inc()
 
     known = {u.unit_id for u in units}
-    pending = [u for u in units if u.unit_id not in results]
+    # Handed out in execution order (stable: a point's slices stay in
+    # test order), so each executor's one fault-free run walks forward
+    # from park to park — any subsequence of the list is monotone too.
+    reached = campaign.profile.comm.execution_key()
+    pending = sorted(
+        ((u, point_of[u.point_index]) for u in units if u.unit_id not in results),
+        key=lambda task: reached(task[1]),
+    )
     done_tests = sum(len(results[uid]) for uid in results if uid in known)
     done_units = 0
     last_reported = -1
@@ -215,6 +222,10 @@ def run_campaign(
             # Counted here, not in the executor's snapshot, so replaying a
             # checkpointed unit never inflates the executed-unit count.
             metrics.counter("exec.units").inc()
+            if campaign.jobs == 1:
+                # In-process unit time under its old name: frozen
+                # perf/child.py derives ``steer.driver_self_s`` from it.
+                metrics.timer("campaign.point_s").record(registry.timer("exec.unit_s").total)
         if tracker is not None:
             tracker.unit_done(tests)
         report()
@@ -243,18 +254,9 @@ def run_campaign(
             tracker.unit_quarantined(tests)
         report()
 
-    #: In-process seconds spent executing units, per global point index.
-    point_s: dict[int, float] = {}
     try:
         if pending and campaign.jobs == 1:
-            state = campaign.worker_state()
-            for unit in pending:
-                done = state.execute(unit, point_of[unit.point_index])
-                point_s[unit.point_index] = (
-                    point_s.get(unit.point_index, 0.0)
-                    + done[2].timer("exec.unit_s").total
-                )
-                complete(*done)
+            campaign.worker_state().run(pending, complete)
         elif pending:
             pool = SupervisedPool(
                 pickle.dumps(campaign.worker_args(), protocol=pickle.HIGHEST_PROTOCOL),
@@ -267,7 +269,7 @@ def run_campaign(
                 metrics=metrics,
                 tracer=campaign.tracer,
             )
-            events = pool.run([(u, point_of[u.point_index]) for u in pending])
+            events = pool.run(pending)
             try:
                 for event in events:
                     if event[0] == "done":
@@ -317,13 +319,6 @@ def run_campaign(
         if metrics is not None:
             metrics.counter("campaign.points").inc()
             metrics.histogram("campaign.point_error_rate").observe(pr.error_rate)
-            if g in point_s:
-                # ``jobs == 1`` only: the in-process time spent executing
-                # this point's units.  Kept because perf/child.py derives
-                # ``steer.driver_self_s`` from it and perf/ is frozen; a
-                # later benchmark PR can read ``exec.unit_s`` instead and
-                # delete this timer together with ``point_s`` above.
-                metrics.timer("campaign.point_s").record(point_s[g])
 
     if tracker is not None:
         tracker.finish()

@@ -13,12 +13,13 @@ campaign digest (:func:`repro.exec.checkpoint.campaign_digest`):
 * ``"p1"`` — classic point-major: each point is cut into
   ``UNITS_PER_POINT`` slices, enumerated in point order.  Best when
   tests are independent full replays (``--no-snapshot``).
-* ``"s1"`` — site-major: one unit carries *all* tests of its point, and
-  units are ordered by ``(site_key, point_index)`` so every invocation
-  of one static call site is served consecutively.  This is the layout
-  the snapshot-and-fork engine (:mod:`repro.snapshot`) wants: the
-  fault-free prefix is parked once per unit and amortised over the
-  whole test batch, and consecutive units share prefix structure.
+* ``"s1"`` — whole-point units: one unit carries *all* tests of its
+  point, which the snapshot-and-fork engine (:mod:`repro.snapshot`)
+  serves from one park.  The canonical enumeration is site-major
+  (``(site_key, point_index)``); it fixes the layout tag and the unit
+  set, not the dispatch order — :func:`repro.exec.parallel.run_campaign`
+  hands units out in execution order so one fault-free run walks
+  through them.
 
 Unit *ids* are layout-independent (``p<i>:t<a>-<b>``); only the slicing
 and ordering differ, which is why the tag must be part of the digest —
@@ -94,10 +95,10 @@ def make_units(
 ) -> list[WorkUnit]:
     """Enumerate the campaign's work units in canonical order.
 
-    ``layout="s1"`` (site-major) requires the point list itself: units
-    are ordered by each point's ``site_key`` so all invocations of one
-    call site run consecutively, and ``unit_tests`` defaults to
-    ``tests_per_point`` (one prefix park serves the whole point).
+    ``layout="s1"`` requires the point list itself: units are
+    enumerated by each point's ``site_key`` and ``unit_tests`` defaults
+    to ``tests_per_point`` (one park serves the whole point).  The
+    engine dispatches in execution order, not in this one.
     """
     if n_points < 0:
         raise ValueError(f"n_points must be >= 0, got {n_points}")

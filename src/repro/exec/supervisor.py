@@ -46,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..apps.base import Application
 from ..injection.runner import InjectionRunner, TestResult
@@ -142,7 +142,6 @@ class WorkerState:
         stopper=None,
         preclassifier=None,
     ):
-        self.app = app
         self.param_policy = param_policy
         self.seed = seed
         self.fault_model = fault_model
@@ -166,15 +165,6 @@ class WorkerState:
 
             self.engine = SnapshotEngine(self.runner)
 
-    def draw(self, point: InjectionPoint, point_index: int, test_index: int):
-        """The ``(spec, rng)`` of campaign test ``(point_index, test_index)``."""
-        return draw_task(
-            point, self.seed, point_index, test_index,
-            policy=self.param_policy,
-            model=self.fault_model,
-            scenario=self.scenario,
-        )
-
     def _predict(
         self, point: InjectionPoint, point_index: int, test_index: int
     ) -> TestResult | None:
@@ -191,24 +181,46 @@ class WorkerState:
             predicted=True,
         )
 
-    def execute(
-        self, unit: WorkUnit, point: InjectionPoint
-    ) -> tuple[str, list[TestResult], MetricsRegistry]:
-        """Run one work unit; return its results and metrics snapshot.
+    def run(self, units: Iterable[tuple[WorkUnit, InjectionPoint]], complete) -> None:
+        """Execute a lazily pulled stream of ``(unit, point)`` pairs,
+        calling ``complete(unit_id, tests, registry)`` as each finishes —
+        the one executor of the in-process loop and of a pool worker.
 
-        The unit is one lazily pulled task stream: in test order, a
-        statically predicted test takes its slot without executing, any
-        other is drawn and yielded.  The consumer — the snapshot engine
-        or a plain ``run_one`` loop — appends each result to ``tests``
-        before pulling again, so a stopper sees result *k* before test
-        *k+1* is drawn and ends the stream where it says: a pure function
-        of the ordered result prefix, so every scheduling truncates at
-        the same index.  The engine pulls while the point is parked, so
-        a unit costs one prefix plus one fork per executed test, with or
-        without a stopper.
+        A unit is a lazily pulled task stream (:meth:`_unit`); its
+        consumer is the snapshot engine or a plain ``run_one`` loop.  The
+        engine pulls the next unit while the finished one is still parked
+        and walks its one fault-free run on whenever that point is still
+        ahead, so a stream in execution order costs one run plus one fork
+        per executed test; a point already passed (a retried unit, an
+        out-of-order stream) starts a fresh run.
         """
+        stream = (self._unit(unit, point, complete) for unit, point in units)
+        if self.engine is not None:
+            self.engine.serve(stream)
+            return
+        for _, tasks, deliver, done, _ in stream:
+            for spec, rng in tasks:
+                deliver(self.runner.run_one(spec, rng))
+            done()
+
+    def execute(self, unit: WorkUnit, point: InjectionPoint) -> tuple:
+        """:meth:`run` for one unit; returns the ``(unit_id, tests,
+        registry)`` it completes with."""
+        out: list[tuple] = []
+        self.run([(unit, point)], lambda *completed: out.append(completed))
+        return out[0]
+
+    def _unit(self, unit: WorkUnit, point: InjectionPoint, complete) -> tuple:
+        """``unit`` as the engine's ``(point, tasks, deliver, done,
+        metrics)``.  In test order, a statically predicted test takes its
+        slot without executing, any other is drawn and yielded; the
+        consumer appends each result to ``tests`` before pulling again,
+        so a stopper sees result *k* before test *k+1* is drawn and ends
+        the stream at the same index under every scheduling.
+        ``exec.unit_s`` spans the unit from this pull to ``complete``."""
         registry = MetricsRegistry()
         tests: list[TestResult] = []
+        pulled = time.perf_counter()
 
         def tasks():
             for t in range(unit.test_start, unit.test_stop):
@@ -216,26 +228,27 @@ class WorkerState:
                     return
                 test = self._predict(point, unit.point_index, t)
                 if test is None:
-                    yield self.draw(point, unit.point_index, t)
+                    yield draw_task(
+                        point, self.seed, unit.point_index, t, policy=self.param_policy,
+                        model=self.fault_model, scenario=self.scenario,
+                    )
                 else:
                     tests.append(test)
 
-        with registry.time("exec.unit_s"):
-            if self.engine is not None:
-                self.engine.serve_point(point, tasks(), metrics=registry, on_result=tests.append)
-            else:
-                for spec, rng in tasks():
-                    tests.append(self.runner.run_one(spec, rng))
-        registry.counter("campaign.tests").inc(len(tests))
-        saved = unit.n_tests - len(tests)
-        if saved > 0:
-            registry.counter("campaign.tests_saved").inc(saved)
-        predicted = sum(1 for test in tests if test.predicted)
-        if predicted:
-            registry.counter("campaign.tests_predicted").inc(predicted)
-        for test in tests:
-            registry.counter(f"campaign.outcome.{test.outcome.name}").inc()
-        return unit.unit_id, tests, registry
+        def done() -> None:
+            registry.timer("exec.unit_s").record(time.perf_counter() - pulled)
+            registry.counter("campaign.tests").inc(len(tests))
+            saved = unit.n_tests - len(tests)
+            if saved > 0:
+                registry.counter("campaign.tests_saved").inc(saved)
+            predicted = sum(1 for test in tests if test.predicted)
+            if predicted:
+                registry.counter("campaign.tests_predicted").inc(predicted)
+            for test in tests:
+                registry.counter(f"campaign.outcome.{test.outcome.name}").inc()
+            complete(unit.unit_id, tests, registry)
+
+        return point, tasks(), tests.append, done, registry
 
 
 @dataclass(frozen=True)
@@ -293,27 +306,36 @@ def _worker_main(payload: bytes, conn: Connection) -> None:
     """
     state = WorkerState(*pickle.loads(payload))
     chaos = _Chaos.from_env()
+    unit_id = ""
+
+    def tasks():
+        # Pulled by the executor once the previous unit was sent back
+        # (while that unit's point is still parked, under snapshot).
+        nonlocal unit_id
+        while True:
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                return
+            if msg[0] == "stop":
+                return
+            _, unit, point, attempt = msg
+            unit_id = unit.unit_id
+            chaos.fire(unit_id, attempt)
+            yield unit, point
+
     while True:
         try:
-            msg = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
+            state.run(tasks(), lambda *done: conn.send(("ok",) + done))
             return
-        if msg[0] == "stop":
-            return
-        _, unit, point, attempt = msg
-        try:
-            chaos.fire(unit.unit_id, attempt)
-            out = state.execute(unit, point)
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
+        except KeyboardInterrupt:
             return
         except Exception as exc:
             # In-worker boundary for harness code outside run_one's own
             # containment (target picking, RNG rebuild, ...): report the
             # crash instead of dying, so the slot survives for other
             # units while this one is retried or quarantined.
-            conn.send(("error", unit.unit_id, f"{type(exc).__name__}: {exc}"))
-        else:
-            conn.send(("ok",) + out)
+            conn.send(("error", unit_id, f"{type(exc).__name__}: {exc}"))
 
 
 # -- parent side -------------------------------------------------------
@@ -388,8 +410,7 @@ class SupervisedPool:
         )
         proc.start()
         child_conn.close()  # parent keeps only its end; EOF then tracks the child
-        slot = _Slot(proc=proc, conn=parent_conn)
-        return slot
+        return _Slot(proc=proc, conn=parent_conn)
 
     def _discard_slot(self, slot: _Slot, kill: bool = False) -> None:
         try:
@@ -456,8 +477,8 @@ class SupervisedPool:
             self._spawn_slot() for _ in range(min(self.jobs, max(1, len(pending))))
         ]
 
-        def fail(att: _Attempt, reason: str) -> tuple | None:
-            """Retry-or-quarantine; returns an event to yield, if any."""
+        def fail(att: _Attempt, reason: str) -> list[tuple]:
+            """Retry-or-quarantine; returns the events to yield (0 or 1)."""
             nonlocal backoff_seq
             att.failures += 1
             att.last_reason = reason
@@ -466,32 +487,32 @@ class SupervisedPool:
                 self._emit("unit_quarantined", att, reason)
                 if not cfg.quarantine:
                     raise UnitFailedError(att.unit.unit_id, att.failures, reason)
-                return (QUARANTINED, att, reason)
+                return [(QUARANTINED, att, reason)]
             self._count("exec.retries")
             self._emit("unit_retry", att, reason)
-            delay = cfg.backoff(att.failures)
             backoff_seq += 1
             heapq.heappush(
-                backoff, (time.monotonic() + delay, backoff_seq, att)
+                backoff, (time.monotonic() + cfg.backoff(att.failures), backoff_seq, att)
             )
-            return None
+            return []
 
-        def dispatch(slot: _Slot, att: _Attempt) -> tuple | None:
+        def lost(slot: _Slot, att: _Attempt, reason: str, kill: bool = False) -> list[tuple]:
+            """The worker holding (or about to get) ``att`` is gone."""
+            self._count("exec.worker_deaths")
+            self._respawn(slot, kill=kill)
+            return fail(att, reason)
+
+        def dispatch(slot: _Slot, att: _Attempt) -> list[tuple]:
             """Hand a unit to a worker; a send failure is a worker death."""
             nonlocal in_flight
             try:
                 slot.conn.send(("task", att.unit, att.point, att.failures))
             except (BrokenPipeError, OSError):
-                self._count("exec.worker_deaths")
-                self._respawn(slot)
-                return fail(att, "worker died before dispatch")
+                return lost(slot, att, "worker died before dispatch")
             slot.task = att
-            slot.deadline = (
-                None if cfg.unit_timeout is None
-                else time.monotonic() + cfg.unit_timeout
-            )
+            slot.deadline = None if cfg.unit_timeout is None else time.monotonic() + cfg.unit_timeout
             in_flight += 1
-            return None
+            return []
 
         try:
             while pending or backoff or in_flight:
@@ -500,9 +521,7 @@ class SupervisedPool:
                     pending.append(heapq.heappop(backoff)[2])
                 for slot in self._slots:
                     if slot.task is None and pending:
-                        event = dispatch(slot, pending.popleft())
-                        if event is not None:
-                            yield event
+                        yield from dispatch(slot, pending.popleft())
 
                 # How long may we sleep? Until the nearest deadline or
                 # backoff promotion, bounded by the poll interval.
@@ -514,33 +533,24 @@ class SupervisedPool:
                 if backoff:
                     timeout = min(timeout, max(0.0, backoff[0][0] - now))
 
-                busy = {
-                    slot.conn: slot for slot in self._slots if slot.task is not None
-                }
+                busy = {slot.conn: slot for slot in self._slots if slot.task is not None}
                 if busy:
                     for conn in connection_wait(list(busy), timeout):
                         slot = busy[conn]
                         att = slot.task
+                        in_flight -= 1
                         try:
                             msg = conn.recv()
                         except (EOFError, OSError):
                             # Pipe EOF: the worker died mid-unit, however
                             # it died (os._exit, signal, native crash).
-                            self._count("exec.worker_deaths")
-                            in_flight -= 1
-                            self._respawn(slot)
-                            event = fail(att, "worker process died mid-unit")
-                            if event is not None:
-                                yield event
+                            yield from lost(slot, att, "worker process died mid-unit")
                             continue
-                        in_flight -= 1
                         slot.task, slot.deadline = None, None
                         if msg[0] == "ok":
                             yield (DONE, att, msg[1:])
                         else:  # ("error", unit_id, summary)
-                            event = fail(att, f"worker crashed: {msg[2]}")
-                            if event is not None:
-                                yield event
+                            yield from fail(att, f"worker crashed: {msg[2]}")
                 elif backoff:
                     # Nothing running, everything in backoff: sleep it off.
                     time.sleep(max(0.0, backoff[0][0] - time.monotonic()))
@@ -553,16 +563,12 @@ class SupervisedPool:
                         and slot.deadline is not None
                         and now >= slot.deadline
                     ):
-                        att = slot.task
-                        self._count("exec.worker_deaths")
                         in_flight -= 1
-                        self._respawn(slot, kill=True)
-                        event = fail(
-                            att,
+                        yield from lost(
+                            slot, slot.task,
                             f"unit exceeded its {cfg.unit_timeout:.1f}s deadline; "
                             "worker killed",
+                            kill=True,
                         )
-                        if event is not None:
-                            yield event
         finally:
             self._shutdown()

@@ -355,9 +355,9 @@ class Campaign:
         #: Optional :class:`repro.analyze.PreClassifier`; tests it
         #: proves are recorded as ``predicted`` results without running.
         self.preclassifier = preclassifier
-        #: Snapshot-and-fork serving (:mod:`repro.snapshot`): run the
-        #: fault-free prefix once per point and fork every test from the
-        #: parked state.  Results are bit-identical either way; ``False``
+        #: Snapshot-and-fork serving (:mod:`repro.snapshot`): one
+        #: fault-free run per executor parks at each point in turn and
+        #: every test is forked from the parked state.  Results are bit-identical either way; ``False``
         #: forces classic full replays (also selects the point-major unit
         #: layout when parallel).
         self.snapshot = snapshot
@@ -404,12 +404,13 @@ class Campaign:
         return self.worker_state().runner
 
     def plan(self) -> tuple[str, int]:
-        """The unit plan ``(layout, unit_tests)``: site-major whole-point
-        units (``"s1"``) under snapshot serving — one prefix park serves
-        the whole point — and point-major slices (``"p1"``) without.  A
-        stopper forces whole-point units under either layout: its
-        decision consumes the ordered per-point test prefix, which only
-        one owner can observe."""
+        """The unit plan ``(layout, unit_tests)``: whole-point units
+        (``"s1"``) under snapshot serving — one park serves the whole
+        point, and one fault-free run per executor walks from park to
+        park — and point-major slices (``"p1"``) without.  A stopper
+        forces whole-point units under either layout: its decision
+        consumes the ordered per-point test prefix, which only one owner
+        can observe."""
         from ..exec.sharding import default_unit_tests
 
         layout = "s1" if self.snapshot else "p1"

@@ -41,7 +41,10 @@ class ProgressSnapshot:
     worker_deaths: int = 0
     retries: int = 0
     quarantined: int = 0
-    #: Snapshot-and-fork engine telemetry (zero when --no-snapshot).
+    #: Snapshot-and-fork engine telemetry (zero when --no-snapshot):
+    #: fault-free runs restored from a cached snapshot (``hits``) and
+    #: started from t=0 (``misses`` — one per executor per ``Campaign.run``
+    #: when nothing restarts), retained snapshot bytes, restore time.
     snapshot_hits: int = 0
     snapshot_misses: int = 0
     snapshot_bytes: int = 0

@@ -76,6 +76,13 @@ class CommProfile:
             mix[c.name] = mix.get(c.name, 0) + 1
         return mix
 
+    def execution_key(self):
+        """Sort key putting injection points in the order a fault-free
+        run reaches them: each one's position in the job's global call
+        order (points the profile never saw sort last)."""
+        index = {(c.rank, c.name, c.site, c.invocation): i for i, c in enumerate(self.calls)}
+        return lambda p: index.get((p.rank, p.collective, p.site, p.invocation), len(index))
+
     def n_invocations(self, rank: int, site_key: tuple[str, str]) -> int:
         return len(self.calls_at(rank, site_key))
 

@@ -154,7 +154,7 @@ def _snapshot_engine_summary(db: CampaignDB, c: sqlite3.Row) -> str:
     return (
         '<p class="muted">snapshot engine: '
         f"{forks} forked tests, {fallbacks} full replays, "
-        f"{hits} snapshot hits / {misses} misses, "
+        f"{misses} fault-free runs from t=0, {hits} restored from a snapshot, "
         f"{nbytes / (1 << 20):.1f} MiB cached, "
         f"{ff_s:.3f}s fast-forwarding, {fork_s:.3f}s in fork+reap</p>"
     )

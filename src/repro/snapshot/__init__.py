@@ -1,47 +1,29 @@
 """Snapshot-and-fork injection serving (prefix amortization).
 
-Every test at one injection point shares a bit-identical fault-free
-prefix; this package runs that prefix once, parks the job at the target
-collective entry, and serves each test by forking the parked parent —
-the ZOFI fork model applied to the simulated-MPI campaign engine, with
-a :class:`SimSnapshot` + deterministic fast-forward restore path (the
-DAVOS ``ColdRestore`` analogue) so re-served points skip the scheduler
-entirely.
+Every test of a campaign shares a bit-identical fault-free run up to
+its injection point; this package makes that run once per executor,
+parks the job at each target collective entry in turn, and serves each
+test by forking the parked parent — the ZOFI fork model applied to the
+simulated-MPI campaign engine, with a :class:`SimSnapshot` +
+deterministic fast-forward restore path (the DAVOS ``ColdRestore``
+analogue) so a re-served point skips the scheduler entirely.
 
 Entry point: :class:`SnapshotEngine` (used by ``Campaign`` and the
 parallel workers whenever ``snapshot=True``, the default).
 """
 
-from .cache import DEFAULT_CACHE_BYTES, SnapshotCache
+from .cache import SnapshotCache
 from .engine import SnapshotEngine, snapshot_supported
 from .mutants import SNAPSHOT_MUTANTS, active_mutant, seeded_snapshot_mutant
-from .snapshot import (
-    FastForwardDiverged,
-    FiberLog,
-    FiberSnap,
-    RestoredJob,
-    SimSnapshot,
-    fast_forward,
-    instrument_fibers,
-    take_snapshot,
-    verify_restored,
-)
+from .snapshot import FastForwardDiverged, SimSnapshot
 
 __all__ = [
-    "DEFAULT_CACHE_BYTES",
     "SNAPSHOT_MUTANTS",
     "FastForwardDiverged",
-    "FiberLog",
-    "FiberSnap",
-    "RestoredJob",
     "SimSnapshot",
     "SnapshotCache",
     "SnapshotEngine",
     "active_mutant",
-    "fast_forward",
-    "instrument_fibers",
     "seeded_snapshot_mutant",
     "snapshot_supported",
-    "take_snapshot",
-    "verify_restored",
 ]

@@ -29,8 +29,6 @@ class SnapshotCache:
         self.max_bytes = max_bytes
         self._entries: OrderedDict[InjectionPoint, SimSnapshot] = OrderedDict()
         self.nbytes = 0
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -42,11 +40,8 @@ class SnapshotCache:
     def get(self, point: InjectionPoint) -> SimSnapshot | None:
         """Return the cached snapshot (refreshing recency), or None."""
         snapshot = self._entries.get(point)
-        if snapshot is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(point)
-        self.hits += 1
+        if snapshot is not None:
+            self._entries.move_to_end(point)
         return snapshot
 
     def put(self, point: InjectionPoint, snapshot: SimSnapshot) -> None:
@@ -70,7 +65,3 @@ class SnapshotCache:
         snapshot = self._entries.pop(point, None)
         if snapshot is not None:
             self.nbytes -= snapshot.nbytes
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.nbytes = 0

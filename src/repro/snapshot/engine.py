@@ -1,29 +1,35 @@
-"""Park-and-fork serving of injection tests sharing a fault-free prefix.
+"""Park-and-fork serving of injection tests sharing a fault-free run.
 
-The engine runs the fault-free prefix **once per injection point**: a
-park instrument stops the job at the target collective entry (exactly
-where the fault injector would fire), and every test at that point is
-then served by ``os.fork()`` — the child arms its injector at the parked
-call, resumes the inherited scheduler stack, classifies its own
-continuation with the *same* :class:`~repro.injection.runner.InjectionRunner`
-classification helpers the from-scratch path uses, and ships the
+The engine pays the fault-free part of a campaign **once per stream of
+units**: a park instrument stops the job at a unit's target collective
+entry (exactly where the fault injector would fire), and every test at
+that point is then served by ``os.fork()`` — the child arms its injector
+at the parked call, resumes the inherited scheduler stack, classifies
+its own continuation with the *same*
+:class:`~repro.injection.runner.InjectionRunner` classification helpers
+the from-scratch path uses, and ships the
 :class:`~repro.injection.runner.TestResult` back over a pipe.  The
 parent's runtime is never perturbed, so forked results are
-fingerprint-identical to from-scratch runs by construction.
+fingerprint-identical to from-scratch runs by construction — and the
+same parent can therefore run on: when a unit is done the next one is
+pulled, and if its point is still ahead the park is re-pointed and the
+job walks forward to it.  Only a point the run has already passed (a
+retried unit, an out-of-order stream) starts a fresh run from t=0.
 
-Tasks are pulled lazily while the job is parked, each only after the
-previous result was delivered, so a caller that decides test *k+1* from
-result *k* (a sequential stopper) still pays one prefix per work unit.
-At park time the parent also captures a :class:`SimSnapshot` into an
-LRU cache; only a *later* ``serve_point`` call on the same point in the
-same process (a retried unit, a second ``Campaign.run`` on one
-``Campaign``) fast-forwards from it instead of replaying from t=0.
+Units and tasks are pulled lazily while the job is parked, each task
+only after the previous result was delivered, so a caller that decides
+test *k+1* from result *k* (a sequential stopper) or unit *k+1* after
+reporting unit *k* (a pool worker) still shares the one run.  At each
+park the parent also captures a :class:`SimSnapshot` into an LRU cache;
+only the *first* target of a later run in the same process fast-forwards
+from it instead of replaying from t=0.
 
 Fallbacks (always to a plain ``runner.run_one`` full replay):
 
 * platforms without ``os.fork`` (the engine reports unsupported);
 * apps flagged ``deterministic = False``;
-* the park never fires (site unreachable) or the prefix itself fails;
+* the park never fires (site unreachable) or the prefix itself fails —
+  that unit alone replays, the next one starts a fresh run;
 * fast-forward divergence (stale snapshot / determinism violation);
 * ``os.fork`` failing, or a forked child dying without a result.
 """
@@ -35,13 +41,14 @@ import pickle
 import time
 from dataclasses import replace
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..injection.models import MODELS, build_injector
 from ..injection.runner import InjectionRunner, TestResult
 from ..injection.space import FaultSpec, InjectionPoint
+from ..obs.metrics import MetricsRegistry
 from ..simmpi.calls import Instrument
 from ..simmpi.errors import SchedulerInterrupt, SimMPIError
 from ..simmpi.runtime import SimMPI
@@ -61,22 +68,26 @@ from .snapshot import (
 Task = tuple[FaultSpec, np.random.Generator]
 
 
+class Unit(NamedTuple):
+    """One unit handed to :meth:`SnapshotEngine.serve`."""
+
+    point: InjectionPoint
+    tasks: Iterable[Task]
+    deliver: Callable[[TestResult], None]
+    done: Callable[[], None]
+    #: Registry of this unit's ``snapshot.*`` counters (None: the engine's).
+    metrics: Any = None
+
+
 def snapshot_supported() -> bool:
     """True when the platform can serve tests by forking a parked job."""
     return hasattr(os, "fork")
 
 
 class _PrefixAbandoned(SchedulerInterrupt):
-    """Parent-side unwind once the task stream is exhausted."""
-
-
-class _FastForwardMismatch(SchedulerInterrupt):
-    """The restored job failed the byte-exact re-park check; the
-    snapshot is stale — rebuild the prefix from t=0."""
-
-
-class _SnapshotUnusable(Exception):
-    """This point cannot be served from a parked prefix; fall back."""
+    """Parent-side unwind of a run that serves no further unit: carries
+    the pulled unit that needs a fresh run (None: the stream is over),
+    or as ``__cause__`` what a caller's callable raised while parked."""
 
 
 class _ParkInstrument(Instrument):
@@ -107,7 +118,7 @@ class _ParkInstrument(Instrument):
 
 
 class SnapshotEngine:
-    """Serves batches of injection tests at one point from one prefix.
+    """Serves units of injection tests, one point each, from one run.
 
     Parameters
     ----------
@@ -118,40 +129,23 @@ class SnapshotEngine:
     cache:
         Snapshot LRU; a fresh default-budget cache when omitted.
     metrics:
-        Default :class:`~repro.obs.metrics.MetricsRegistry` for the
-        ``snapshot.*`` counters (overridable per ``serve_point`` call).
+        :class:`~repro.obs.metrics.MetricsRegistry` of the ``snapshot.*``
+        counters for units that bring none (default: a private one).
     """
 
-    def __init__(
-        self,
-        runner: InjectionRunner,
-        cache: SnapshotCache | None = None,
-        metrics=None,
-    ):
+    def __init__(self, runner: InjectionRunner, cache: SnapshotCache | None = None, metrics=None):
         self.runner = runner
         self.cache = cache if cache is not None else SnapshotCache()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # -- public API ----------------------------------------------------
 
     def serve_point(
         self, point: InjectionPoint, tasks: Iterable[Task], metrics=None, on_result=None
     ) -> list[TestResult]:
-        """Run every task at ``point``, amortizing the fault-free prefix.
-
-        ``tasks`` is any iterable of ``(spec, rng)`` pairs with the
-        fault parameter already drawn — the rng state handed in is
-        exactly what ``run_one`` would receive, and the forked child
-        inherits it bit-for-bit.  It is pulled lazily while the job is
-        parked: the first task before the prefix runs, each later one
-        only after the previous result has been appended to the returned
-        list and passed to ``on_result`` — exactly once, in task order —
-        so a generator may decide from the results so far whether there
-        is a next task; the park lasts until it is exhausted.  Any test
-        the fork path cannot serve is transparently re-run from scratch,
-        resuming at the first undelivered task.
-        """
-        m = metrics if metrics is not None else self.metrics
+        """:meth:`serve` for one unit: run every task at ``point`` and
+        return the results, each also passed to ``on_result`` — exactly
+        once, in task order — before the next task is pulled."""
         results: list[TestResult] = []
 
         def deliver(result: TestResult) -> None:
@@ -159,55 +153,66 @@ class SnapshotEngine:
             if on_result is not None:
                 on_result(result)
 
-        stream = iter(tasks)
-        first = next(stream, None)
-        if first is None:
-            return results
-        stream = chain([first], stream)
-        if (
-            not snapshot_supported()
-            or not getattr(self.runner.app, "deterministic", True)
-            # Wire, rank, and timeline faults are not single-site
-            # parameter corruptions: the fault-free-prefix assumption
-            # the fork amortization rests on does not hold.
-            or not MODELS[getattr(first[0], "model", "bitflip")].snapshot_safe
-        ):
-            self._replay(stream, deliver, m)
-            return results
-
-        park = _ParkInstrument(self._park_point(point))
-        job, snapshot = self._restore(point, park, m)
-        try:
-            try:
-                self._serve(point, park, stream, deliver, job, snapshot, m)
-            except _FastForwardMismatch:
-                # The restored state failed the byte-exact re-park check
-                # (stale snapshot / determinism violation): drop it and
-                # serve from a fresh t=0 prefix.  Raised before the first
-                # pull inside the park, so the stream is still untouched.
-                self.cache.pop(point)
-                self._inc(m, "snapshot.ff_divergence")
-                park = _ParkInstrument(self._park_point(point))
-                self._serve(point, park, stream, deliver, None, None, m)
-        except _SnapshotUnusable:
-            # Prefix aborted or park never fired: nothing pulled yet.
-            self._replay(stream, deliver, m)
-        if m is not None:
-            m.gauge("snapshot.bytes").set(self.cache.nbytes)
+        self.serve([Unit(point, tasks, deliver, lambda: None, metrics)])
         return results
 
-    # -- internals -----------------------------------------------------
+    def serve(self, units: Iterable[Unit]) -> None:
+        """Serve a lazily pulled stream of units from as few fault-free
+        runs as their order allows.
 
-    @staticmethod
-    def _inc(m, name: str) -> None:
-        if m is not None:
-            m.counter(name).inc()
+        A unit's ``tasks`` is any iterable of ``(spec, rng)`` pairs with
+        the fault parameter already drawn — the rng state handed in is
+        exactly what ``run_one`` would receive, and the forked child
+        inherits it bit-for-bit.  The first task is pulled before the
+        job parks at the unit's point, each later one only after the
+        previous result went to ``deliver``, so a generator may decide
+        from the results so far whether there is a next task.  When it
+        ends ``done()`` is called and the next unit pulled: the same run
+        walks on to a point still ahead of it, a point already passed
+        starts a fresh run.  Any test the fork path cannot serve is
+        re-run from scratch, resuming at the first undelivered task.
+        What ``units``, ``tasks``, ``deliver`` or ``done`` raises ends
+        the run and propagates.
+        """
+        units = iter(units)
+        unit = self._pull(units)
+        while unit is not None:
+            unit = self._run(unit, units)
+
+    # -- internals -----------------------------------------------------
 
     def _replay(self, tasks: Iterable[Task], deliver, m) -> None:
         """Counted fallback: ``run_one`` whatever is left of ``tasks``."""
         for spec, rng in tasks:
-            self._inc(m, "snapshot.fallback_tests")
+            m.counter("snapshot.fallback_tests").inc()
             deliver(self.runner.run_one(spec, rng))
+
+    def _pull(self, units: Iterator[Unit]) -> Unit | None:
+        """The next unit a park can serve, its first task peeked (an
+        empty stream costs nothing); units that cannot share a prefix
+        are replayed and finished right here."""
+        for point, tasks, deliver, done, m in units:
+            m = m if m is not None else self.metrics
+            stream = iter(tasks)
+            first = next(stream, None)
+            if first is not None:
+                stream = chain([first], stream)
+                if (
+                    snapshot_supported()
+                    and getattr(self.runner.app, "deterministic", True)
+                    # Wire, rank, and timeline faults are not single-site
+                    # parameter corruptions: the fault-free-prefix
+                    # assumption the fork amortization rests on does not hold.
+                    and MODELS[getattr(first[0], "model", "bitflip")].snapshot_safe
+                ):
+                    return Unit(point, stream, deliver, done, m)
+                self._replay(stream, deliver, m)
+            done()
+        return None
+
+    def _finish(self, unit: Unit) -> None:
+        unit.metrics.gauge("snapshot.bytes").set(self.cache.nbytes)
+        unit.done()
 
     @staticmethod
     def _park_point(point: InjectionPoint) -> InjectionPoint:
@@ -215,72 +220,61 @@ class SnapshotEngine:
             return replace(point, invocation=point.invocation - 1)
         return point
 
-    def _restore(self, point, park, m):
-        """Fast-forward a cached snapshot to the park.
-
-        Returns ``(job, snapshot)`` on success, ``(None, None)`` on a
-        cache miss or a replay-time divergence.
-        """
-        snapshot = self.cache.get(point)
-        if snapshot is None:
-            self._inc(m, "snapshot.misses")
-            return None, None
-        self._inc(m, "snapshot.hits")
-        try:
-            if m is not None:
-                with m.time("snapshot.fastforward_s"):
-                    job = self._fast_forward(snapshot, park)
-            else:
-                job = self._fast_forward(snapshot, park)
-        except FastForwardDiverged:
-            # Stale or wrong snapshot: drop it and rebuild from t=0.
-            self.cache.pop(point)
-            self._inc(m, "snapshot.ff_divergence")
-            return None, None
-        return job, snapshot
-
-    def _fast_forward(self, snapshot, park):
-        runner = self.runner
-        return fast_forward(
-            runner.app.main,
-            snapshot,
-            step_budget=runner.step_budget,
-            algorithms=runner.algorithms,
-            alloc_cap=runner.alloc_cap,
-            instruments=[park],
+    def _run(self, unit: Unit, units: Iterator[Unit]) -> Unit | None:
+        """One fault-free job: park at ``unit``'s point, fork its tests,
+        and walk on to every later unit still ahead.  Returns the pulled
+        unit this run cannot reach (it needs a fresh one), or None once
+        ``units`` is exhausted."""
+        runner, m = self.runner, unit.metrics
+        park = _ParkInstrument(self._park_point(unit.point))
+        config = dict(
+            step_budget=runner.step_budget, algorithms=runner.algorithms, alloc_cap=runner.alloc_cap
         )
-
-    def _serve(self, point, park, stream, deliver, job, snapshot, m) -> None:
-        runner = self.runner
+        # Only a run's first target is looked up in the cache: past it the
+        # live job is already further than any snapshot could put it.
+        job = None
+        restored = self.cache.get(unit.point)
+        m.counter("snapshot.misses" if restored is None else "snapshot.hits").inc()
+        if restored is not None:
+            try:
+                with m.time("snapshot.fastforward_s"):
+                    job = fast_forward(runner.app.main, restored, instruments=[park], **config)
+            except FastForwardDiverged:
+                # Stale or wrong snapshot: drop it and rebuild from t=0.
+                self.cache.pop(unit.point)
+                m.counter("snapshot.ff_divergence").inc()
+                restored = None
+        if job is None:
+            sim = SimMPI(runner.app.nranks, **config)
+            contexts, fibers, scheduler = sim.prepare(runner.app.main, [park])
+            logs = instrument_fibers(fibers)
+        else:
+            contexts, fibers, scheduler, logs = job.contexts, job.fibers, job.scheduler, job.logs
         #: Populated only inside a forked child, between the fork and the
         #: child's classification of its own continuation.
         child: dict[str, Any] = {}
 
-        if job is not None:
-            contexts, fibers = job.contexts, job.fibers
-            scheduler, logs = job.scheduler, job.logs
-        else:
-            sim = SimMPI(
-                runner.app.nranks,
-                step_budget=runner.step_budget,
-                algorithms=runner.algorithms,
-                alloc_cap=runner.alloc_cap,
-            )
-            contexts, fibers, scheduler = sim.prepare(runner.app.main, [park])
-            logs = instrument_fibers(fibers)
-
-        def on_park(ctx, call):
-            if job is not None:
+        def parked():
+            """Parent: serve units at this park; return None once the
+            park is re-pointed at a unit further on.  Child: return the
+            injector to arm."""
+            nonlocal unit, restored
+            if restored is not None:
                 # The restored job is back at the very instant the
                 # snapshot was captured: now the states are comparable.
                 try:
-                    verify_restored(job, snapshot)
-                except FastForwardDiverged as exc:
-                    raise _FastForwardMismatch(str(exc)) from exc
-            elif mutants.active_mutant() is None and point not in self.cache:
+                    verify_restored(job, restored)
+                except FastForwardDiverged:
+                    # Stale snapshot / determinism violation, caught before
+                    # the first pull: drop it, serve the unit from t=0.
+                    self.cache.pop(unit.point)
+                    unit.metrics.counter("snapshot.ff_divergence").inc()
+                    raise _PrefixAbandoned(unit)
+                restored = None
+            elif mutants.active_mutant() is None and unit.point not in self.cache:
                 try:
                     self.cache.put(
-                        point, take_snapshot(point, scheduler, contexts, fibers, logs)
+                        unit.point, take_snapshot(unit.point, scheduler, contexts, fibers, logs)
                     )
                 except Exception:
                     # Capture is an optimisation; serving must not die on it.
@@ -290,41 +284,64 @@ class SnapshotEngine:
                     mem = stale_ctx.memory
                     for seg in mem.segments:
                         mem.raw[seg.addr - mem.base] ^= 1
-            for spec, rng in stream:
-                if mutants.active_mutant() == "snapshot_rng_desync":
-                    rng.integers(0, 1 << 16)
-                injector = build_injector(spec, rng)
-                fork_t0 = time.perf_counter()
-                rfd, wfd = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    # Process limit: no child, both pipe ends are ours.
-                    # Earlier results are delivered; replay from here on.
-                    os.close(rfd)
+            while True:
+                _, stream, deliver, _, m = unit
+                for spec, rng in stream:
+                    if mutants.active_mutant() == "snapshot_rng_desync":
+                        rng.integers(0, 1 << 16)
+                    injector = build_injector(spec, rng)
+                    fork_t0 = time.perf_counter()
+                    rfd, wfd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        # Process limit: no child, both pipe ends are ours.
+                        # Earlier results are delivered; replay from here on.
+                        os.close(rfd)
+                        os.close(wfd)
+                        self._replay(chain([(spec, rng)], stream), deliver, m)
+                        break
+                    if pid == 0:
+                        # -- child: arm the fault at the parked call and
+                        # let the inherited scheduler stack resume.
+                        os.close(rfd)
+                        child.update(wfd=wfd, spec=spec, injector=injector)
+                        return injector
                     os.close(wfd)
-                    self._replay(chain([(spec, rng)], stream), deliver, m)
-                    break
-                if pid == 0:
-                    # -- child: arm the fault at the parked call and let
-                    # the inherited scheduler stack resume.
-                    os.close(rfd)
-                    child.update(wfd=wfd, spec=spec, injector=injector)
-                    injector._inject(ctx, call)
-                    return
-                os.close(wfd)
-                self._inc(m, "snapshot.forks")
-                result = self._reap(pid, rfd)
-                if m is not None:
+                    m.counter("snapshot.forks").inc()
+                    result = self._reap(pid, rfd)
                     m.timer("snapshot.fork_s").record(time.perf_counter() - fork_t0)
-                if result is not None:
-                    deliver(result)
-                else:
-                    # The child died without delivering: full-replay this
-                    # test on the parent's untouched post-draw RNG now —
-                    # the next pull may depend on its result.
-                    self._replay([(spec, rng)], deliver, m)
-            raise _PrefixAbandoned
+                    if result is not None:
+                        deliver(result)
+                    else:
+                        # The child died without delivering: full-replay this
+                        # test on the parent's untouched post-draw RNG now —
+                        # the next pull may depend on its result.
+                        self._replay([(spec, rng)], deliver, m)
+                self._finish(unit)
+                unit = self._pull(units)
+                target = unit and self._park_point(unit.point)
+                if unit is None or (
+                    contexts[target.rank]._site_counters.get(target.site_key, 0)
+                    > target.invocation
+                ):
+                    raise _PrefixAbandoned(unit)  # no more units, or one behind us
+                if mutants.active_mutant() != "snapshot_walk_stale_target":
+                    # Still ahead: let the same parent job run on to it.
+                    park.point, park.armed = target, True
+                    return None
+
+        def on_park(ctx, call):
+            try:
+                injector = parked()
+            except SchedulerInterrupt:
+                raise
+            except BaseException as exc:
+                # Not the prefix's failure: carry it past the scheduler,
+                # which would report it as a crashed fiber.
+                raise _PrefixAbandoned from exc
+            if injector is not None:
+                injector._inject(ctx, call)
 
         park.on_park = on_park
         try:
@@ -332,16 +349,16 @@ class SnapshotEngine:
             # arithmetic (run_one does the same for scratch runs).
             with np.errstate(all="ignore"):
                 run_results = scheduler.run()
-        except _PrefixAbandoned:
-            pass  # parent: stream exhausted, every result delivered
+        except _PrefixAbandoned as stop:
+            if stop.__cause__ is not None:
+                raise stop.__cause__
+            return stop.args[0]  # every unit pulled before that one is done
         except SimMPIError as exc:
             if child:
                 self._child_exit(child, runner.classify_error, exc)
-            raise _SnapshotUnusable(f"fault-free prefix aborted: {exc!r}") from exc
         except Exception as exc:
             if child:
                 self._child_exit(child, runner.classify_harness_error, exc)
-            raise _SnapshotUnusable(f"prefix run failed in the harness: {exc!r}") from exc
         except BaseException:
             if child:  # pragma: no cover - interrupt containment
                 os._exit(1)
@@ -349,9 +366,12 @@ class SnapshotEngine:
         else:
             if child:
                 self._child_exit(child, runner.classify_completion, run_results)
-            # Parent, and the park never fired: the site is unreachable
-            # under this configuration.
-            raise _SnapshotUnusable(f"injection site never reached: {point}")
+        # The prefix aborted, or ended with the park never fired (site
+        # unreachable under this configuration): nothing of this unit was
+        # pulled past the peek — it alone replays, the next starts afresh.
+        self._replay(unit.tasks, unit.deliver, unit.metrics)
+        self._finish(unit)
+        return self._pull(units)
 
     @staticmethod
     def _child_exit(child: dict, classify, ending) -> None:

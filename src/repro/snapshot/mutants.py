@@ -8,9 +8,10 @@ internal divergence checks — a bug those checks catch is silently
 repaired by the full-replay fallback and proves nothing about the
 oracle.
 
-Activation is a module-level flag consulted by the engine at the three
+Activation is a module-level flag consulted by the engine at the four
 places a real implementation bug would live: the per-test RNG handoff,
-the parked prefix state, and the park-site match.
+the parked prefix state, the park-site match, and the walk from one
+unit's park to the next.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ SNAPSHOT_MUTANTS: dict[str, SnapshotMutant] = {
             description=(
                 "the engine parks one invocation early at the target site, "
                 "so forked faults fire at the wrong dynamic call"
+            ),
+            detected_by="fork-equivalence fingerprint (verify phase 5)",
+        ),
+        SnapshotMutant(
+            name="snapshot_walk_stale_target",
+            description=(
+                "walking on to the next unit, the park is re-armed but not "
+                "re-pointed, so that unit's tests fork at the previous site"
             ),
             detected_by="fork-equivalence fingerprint (verify phase 5)",
         ),

@@ -287,7 +287,6 @@ def fast_forward(
     step_budget: int,
     algorithms: dict[str, str] | None = None,
     alloc_cap: int | None = None,
-    arena_size: int | None = None,
     instruments=(),
 ) -> RestoredJob:
     """Restore a snapshot into a fresh runtime by deterministic replay.
@@ -298,12 +297,9 @@ def fast_forward(
     :class:`FastForwardDiverged` and the partially-built job is
     discarded.
     """
-    kwargs: dict[str, Any] = dict(
-        step_budget=step_budget, algorithms=algorithms, alloc_cap=alloc_cap
+    sim = SimMPI(
+        snapshot.nranks, step_budget=step_budget, algorithms=algorithms, alloc_cap=alloc_cap
     )
-    if arena_size is not None:
-        kwargs["arena_size"] = arena_size
-    sim = SimMPI(snapshot.nranks, **kwargs)
     contexts, fibers, scheduler = sim.prepare(app_fn, instruments)
     logs = instrument_fibers(fibers)
 

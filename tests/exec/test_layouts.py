@@ -3,8 +3,9 @@ checkpoint compatibility across the ``--snapshot`` default flip.
 
 Three facts are pinned here:
 
-* ``"s1"`` (site-major) orders one-unit-per-point batches by static call
-  site, which is what the snapshot engine amortises over;
+* ``"s1"`` enumerates one-unit-per-point batches site-major — the unit
+  set and layout tag the digest covers; dispatch order is execution
+  order, chosen where ``run_campaign`` builds its pending list;
 * ``"p1"`` digests are byte-identical to digests computed before the
   layout tag existed, so every pre-existing checkpoint still resumes;
 * a p1 <-> s1 mismatch fails loudly, and the error says the layout (and

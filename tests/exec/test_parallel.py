@@ -238,6 +238,82 @@ class TestStopperDrivenUnit:
             assert counters["snapshot.forks"] == stop - 2
 
 
+class TestWalk:
+    """The executor hands the engine its units as one lazily pulled
+    stream in execution order, so the fault-free run is paid once per
+    executor per ``Campaign.run`` — with results ≡ scratch."""
+
+    TESTS = 10
+    stopper = SequentialStopper(ci_width=0.9, min_tests=5)
+
+    @pytest.fixture(scope="class")
+    def spread(self, lu_profile):
+        """Six points spread over the job, in ``enumerate_points`` order."""
+        space = enumerate_points(lu_profile)
+        return space[:: len(space) // 6][:6]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_campaign_pays_one_fault_free_run_per_executor(
+        self, scratch_reference, lu_app, lu_profile, spread, jobs
+    ):
+        reference = scratch_reference(lu_app, lu_profile, spread, 4, 11, "all")
+        metrics = MetricsRegistry()
+        campaign = Campaign(
+            lu_app, lu_profile, tests_per_point=4, param_policy="all", seed=11,
+            jobs=jobs, metrics=metrics,
+        )
+        assert campaign_signature(campaign.run(spread)) == campaign_signature(reference)
+        counters = metrics.to_dict()["counters"]
+        assert 1 <= counters["snapshot.misses"] <= jobs
+        assert counters["snapshot.forks"] == counters["campaign.tests"] == 6 * 4
+        assert "snapshot.hits" not in counters and "snapshot.fallback_tests" not in counters
+        if jobs == 1:
+            # A second batch on the same Campaign is a second run — not a
+            # restart per point — and a retried point comes off the cache.
+            campaign.run(spread[:3])
+            counters = metrics.to_dict()["counters"]
+            assert counters["snapshot.misses"] + counters["snapshot.hits"] == 2
+            # exec.unit_s spans pull-to-done: the walk between parks is
+            # inside some unit's sample.
+            assert metrics.timer("exec.unit_s").count == 9
+
+    def test_stopper_truncates_a_middle_unit_without_leaving_the_run(
+        self, scratch_reference, lu_app, lu_profile, spread
+    ):
+        """Each unit's stream is cut where the scratch stream is, result
+        *k* is seen before test *k+1* is drawn, and the units after a
+        truncated one are still served by the same fault-free run."""
+        reference = scratch_reference(lu_app, lu_profile, spread, self.TESTS, 11, "all")
+        reached = lu_profile.comm.execution_key()
+        walk = sorted(range(6), key=lambda i: reached(spread[i]))
+        state = WorkerState(lu_app, lu_profile, "all", 11, None, True, stopper=self.stopper)
+        done = []
+        state.run(
+            ((WorkUnit(i, 0, self.TESTS), spread[i]) for i in walk),
+            lambda *completed: done.append(completed),
+        )
+        assert [unit_id for unit_id, _, _ in done] == [f"p{i}:t0-{self.TESTS}" for i in walk]
+        cuts = []
+        for i, (_, tests, _) in zip(walk, done):
+            scratch = reference.points[spread[i]].tests
+            stop = next(
+                (n for n in range(1, self.TESTS) if self.stopper.should_stop(scratch[:n])),
+                self.TESTS,
+            )
+            cuts.append(stop)
+            assert [(t.spec, t.outcome, t.detail) for t in tests] == [
+                (t.spec, t.outcome, t.detail) for t in scratch[:stop]
+            ]
+        assert any(stop < self.TESTS for stop in cuts[1:-1])
+        merged = MetricsRegistry()
+        for _, _, registry in done:
+            merged.merge(registry)
+        counters = merged.to_dict()["counters"]
+        assert counters["snapshot.misses"] == 1
+        assert counters["snapshot.forks"] == counters["campaign.tests"] == sum(cuts)
+        assert counters["campaign.tests_saved"] == 6 * self.TESTS - sum(cuts)
+
+
 class TestResume:
     def test_interrupted_campaign_resumes_to_identical_result(
         self, tmp_path, lu_app, lu_profile, lu_points, serial_result
@@ -271,7 +347,7 @@ class TestResume:
         counters = second.to_dict()["counters"]
         # The resumed run replayed the persisted units instead of re-running.
         assert counters["exec.units_resumed"] >= units_before_crash
-        # Site-major layout (snapshot serving, the default): one unit per
+        # Whole-point units (snapshot serving, the default): one unit per
         # point carrying all 6 tests.
         assert counters["exec.units"] + counters["exec.units_resumed"] == 4
         # Merged metrics still add up to the full campaign.

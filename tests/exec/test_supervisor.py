@@ -126,6 +126,36 @@ class TestWorkerDeath:
         assert counters["exec.retries"] == 1
         assert "exec.worker_deaths" not in counters
 
+    @pytest.mark.parametrize("mode", ["exit", "raise"])
+    def test_chaos_on_a_mid_walk_unit_heals(
+        self, monkeypatch, scratch_reference, lu_app, lu_profile, mode
+    ):
+        """Snapshot serving: each worker walks one fault-free run through
+        the units it is handed.  A harness fault on the 4th unit in
+        execution order hits a worker parked mid-walk — while it pulls
+        the unit, after the previous one was reported — and costs that
+        unit one retry: nothing reported is lost, nothing else reruns."""
+        space = enumerate_points(lu_profile)
+        points = space[:: len(space) // 6][:6]
+        reached = lu_profile.comm.execution_key()
+        victim = sorted(range(6), key=lambda i: reached(points[i]))[3]
+        monkeypatch.setenv("FASTFIT_CHAOS_MODE", mode)
+        monkeypatch.setenv("FASTFIT_CHAOS_UNITS", f"p{victim}:t0-4")
+        monkeypatch.setenv("FASTFIT_CHAOS_ATTEMPTS", "1")
+        metrics = MetricsRegistry()
+        result = _engine(
+            lu_app, lu_profile, tests_per_point=4, snapshot=True, metrics=metrics
+        ).run(points)
+        reference = scratch_reference(lu_app, lu_profile, points, 4, 11, "all")
+        assert campaign_signature(result) == campaign_signature(reference)
+        counters = metrics.to_dict()["counters"]
+        assert counters["exec.retries"] == 1
+        assert counters.get("exec.worker_deaths", 0) == (1 if mode == "exit" else 0)
+        assert "exec.quarantined" not in counters
+        assert counters["exec.units"] == 6
+        assert counters["snapshot.forks"] == counters["campaign.tests"] == 6 * 4
+        assert "snapshot.fallback_tests" not in counters
+
     def test_wedged_worker_is_killed_at_the_deadline(
         self, monkeypatch, lu_app, lu_profile, lu_points, serial_result
     ):

@@ -50,10 +50,11 @@ def test_oracle_reports_identical_streams(lu_app, lu_profile):
     assert report.identical, report.describe()
     assert report.ok
     assert report.mismatches == []
-    # Cold park, cache-hit fast-forward and the lazily pulled stream that
-    # stopper-driven units use are each compared with scratch.
+    # Cold park, cache-hit fast-forward, the lazily pulled stream that
+    # stopper-driven units use and the one-run walk over all points (in
+    # execution order and reversed) are each compared with scratch.
     assert set(report.forked_fingerprints.values()) == {report.scratch_fingerprint}
-    assert tuple(report.forked_fingerprints) == PASSES == ("cold", "fast-forward", "lazy")
+    assert tuple(report.forked_fingerprints) == PASSES == ("cold", "fast-forward", "lazy", "walk")
 
 
 def test_serial_snapshot_campaign_bit_identical(
@@ -103,8 +104,12 @@ def test_seeded_engine_mutants_are_detected(lu_app, lu_profile, mutant):
         lu_app, profile=lu_profile, seed=3, tests_per_point=3, mutant=mutant
     )
     assert not report.identical, report.describe()
-    assert report.ok
-    assert report.diverged == list(PASSES)  # caught on the lazy path too
+    assert report.ok and report.missed == []
+    if mutant == "snapshot_walk_stale_target":
+        # A defect in the step between units needs a stream of them.
+        assert report.diverged == ["walk"]
+    else:
+        assert report.diverged == list(PASSES)  # every serving path sees it
 
 
 def test_mutant_spread_includes_late_invocations(lu_profile):
