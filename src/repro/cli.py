@@ -513,6 +513,15 @@ def cmd_migrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_snapshot_line(metrics: dict) -> None:
+    """The report's snapshot-engine line, when the engine served a test."""
+    from .report.builder import snapshot_engine_line
+
+    line = snapshot_engine_line(metrics)
+    if line:
+        print(f"\n{line}")
+
+
 def _stats_from_db(args: argparse.Namespace) -> int:
     """The ``stats --db`` path: recompute aggregates from the store."""
     from .store import CampaignDB
@@ -575,6 +584,7 @@ def _stats_from_db(args: argparse.Namespace) -> int:
         }
         print(render_bars(fractions, title="response types (stored)"))
         if metrics:
+            _print_snapshot_line(metrics)
             timers = metrics.get("timers", {})
             rows = [
                 [name, t["count"], f"{t['total']:.3f}", f"{t['mean']:.3f}"]
@@ -628,6 +638,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if n_predicted:
         print(f"static prune: {n_predicted} of {n_tests} tests statically "
               f"proven ({n_predicted / n_tests:.1%} skipped)")
+    _print_snapshot_line(data)
 
     print()
     print(

@@ -134,30 +134,43 @@ def _summary_section(db: CampaignDB, c: sqlite3.Row) -> str:
     )
 
 
-def _snapshot_engine_summary(db: CampaignDB, c: sqlite3.Row) -> str:
-    """One-line snapshot-and-fork telemetry (empty when --no-snapshot or
-    no final metrics were stored)."""
-    metrics = db.metrics_snapshot(c["id"], "final")
-    if not metrics:
-        return ""
+def snapshot_engine_line(metrics: dict) -> str:
+    """One line of snapshot-and-fork telemetry from a registry dict
+    (empty when the engine served no test); also what ``fastfit stats``
+    prints."""
     counters = metrics.get("counters", {})
     forks = counters.get("snapshot.forks", 0)
+    replays = counters.get("snapshot.replayed_tests", 0)
     fallbacks = counters.get("snapshot.fallback_tests", 0)
-    if not forks and not fallbacks:
+    if not forks and not replays and not fallbacks:
         return ""
     hits = counters.get("snapshot.hits", 0)
     misses = counters.get("snapshot.misses", 0)
     nbytes = metrics.get("gauges", {}).get("snapshot.bytes", 0)
     timers = metrics.get("timers", {})
-    ff_s = timers.get("snapshot.fastforward_s", {}).get("total", 0.0)
-    fork_s = timers.get("snapshot.fork_s", {}).get("total", 0.0)
+
+    def timer(name: str, field: str) -> float:
+        return timers.get(f"snapshot.{name}", {}).get(field, 0)
+
     return (
-        '<p class="muted">snapshot engine: '
-        f"{forks} forked tests, {fallbacks} full replays, "
+        f"snapshot engine: {forks} forked tests "
+        f"({timer('fork_overhead_s', 'mean') * 1e3:.1f} ms fork overhead each), "
+        f"{replays} replayed in the park, their prefix cheaper than a fork "
+        f"({timer('prefix_s', 'mean') * 1e3:.1f} ms mean prefix over "
+        f"{timer('prefix_s', 'count')} parks), "
+        f"{fallbacks} fallback replays, "
         f"{misses} fault-free runs from t=0, {hits} restored from a snapshot, "
         f"{nbytes / (1 << 20):.1f} MiB cached, "
-        f"{ff_s:.3f}s fast-forwarding, {fork_s:.3f}s in fork+reap</p>"
+        f"{timer('fastforward_s', 'total'):.3f}s fast-forwarding, "
+        f"{timer('fork_s', 'total'):.3f}s in fork+reap"
     )
+
+
+def _snapshot_engine_summary(db: CampaignDB, c: sqlite3.Row) -> str:
+    """:func:`snapshot_engine_line` of the stored final metrics (empty
+    when --no-snapshot or no final metrics were stored)."""
+    line = snapshot_engine_line(db.metrics_snapshot(c["id"], "final") or {})
+    return f'<p class="muted">{line}</p>' if line else ""
 
 
 def _timeline_section(db: CampaignDB, c: sqlite3.Row) -> str:

@@ -24,7 +24,12 @@ park the parent also captures a :class:`SimSnapshot` into an LRU cache;
 only the *first* target of a later run in the same process fast-forwards
 from it instead of replaying from t=0.
 
-Fallbacks (always to a plain ``runner.run_one`` full replay):
+Chosen replay: a fork costs a fixed overhead (fork + pipe + reap, ~3 ms)
+whatever the prefix, so at a park whose prefix was cheaper to run than
+that, tests are served by ``runner.run_one`` right where the job stands
+(:meth:`SnapshotEngine.fork_pays`, ``snapshot.replayed_tests``).
+
+Fallbacks (``snapshot.fallback_tests``, the same ``run_one`` full replay):
 
 * platforms without ``os.fork`` (the engine reports unsupported);
 * apps flagged ``deterministic = False``;
@@ -48,7 +53,7 @@ import numpy as np
 from ..injection.models import MODELS, build_injector
 from ..injection.runner import InjectionRunner, TestResult
 from ..injection.space import FaultSpec, InjectionPoint
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, Timer
 from ..simmpi.calls import Instrument
 from ..simmpi.errors import SchedulerInterrupt, SimMPIError
 from ..simmpi.runtime import SimMPI
@@ -137,8 +142,18 @@ class SnapshotEngine:
         self.runner = runner
         self.cache = cache if cache is not None else SnapshotCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Fork overhead of every reaped child: ``snapshot.fork_s`` minus
+        #: the child's own continuation time.
+        self._overhead = Timer()
 
     # -- public API ----------------------------------------------------
+
+    def fork_pays(self, prefix_s: float) -> bool:
+        """The park-or-replay decision: fork a test unless re-running the
+        ``prefix_s`` seconds up to this park costs less than the fork
+        overhead seen so far.  That is the minimum of at least 3 samples
+        (a process's first fork is cold); erring low only forks."""
+        return self._overhead.count < 3 or prefix_s >= self._overhead.min
 
     def serve_point(
         self, point: InjectionPoint, tasks: Iterable[Task], metrics=None, on_result=None
@@ -245,20 +260,25 @@ class SnapshotEngine:
                 m.counter("snapshot.ff_divergence").inc()
                 restored = None
         if job is None:
+            started = time.perf_counter()
             sim = SimMPI(runner.app.nranks, **config)
             contexts, fibers, scheduler = sim.prepare(runner.app.main, [park])
             logs = instrument_fibers(fibers)
         else:
+            started = float("-inf")  # what a replay would cost is unknown: always fork
             contexts, fibers, scheduler, logs = job.contexts, job.fibers, job.scheduler, job.logs
         #: Populated only inside a forked child, between the fork and the
         #: child's classification of its own continuation.
         child: dict[str, Any] = {}
 
-        def parked():
-            """Parent: serve units at this park; return None once the
-            park is re-pointed at a unit further on.  Child: return the
-            injector to arm."""
+        def parked(prefix_s: float):
+            """Parent: serve units at this park, ``prefix_s`` seconds of
+            fault-free run from t=0; return None once the park is
+            re-pointed at a unit further on.  Child: return the injector
+            to arm."""
             nonlocal unit, restored
+            if prefix_s < float("inf"):
+                unit.metrics.timer("snapshot.prefix_s").record(prefix_s)
             if restored is not None:
                 # The restored job is back at the very instant the
                 # snapshot was captured: now the states are comparable.
@@ -286,7 +306,15 @@ class SnapshotEngine:
                         mem.raw[seg.addr - mem.base] ^= 1
             while True:
                 _, stream, deliver, _, m = unit
+                result = None
                 for spec, rng in stream:
+                    if not self.fork_pays(prefix_s):
+                        # Replaying this prefix is cheaper than a fork from it.
+                        m.counter("snapshot.replayed_tests").inc()
+                        if result is None or mutants.active_mutant() != "snapshot_replay_wrong_slot":
+                            result = runner.run_one(spec, rng)
+                        deliver(result)
+                        continue
                     if mutants.active_mutant() == "snapshot_rng_desync":
                         rng.integers(0, 1 << 16)
                     injector = build_injector(spec, rng)
@@ -305,13 +333,17 @@ class SnapshotEngine:
                         # -- child: arm the fault at the parked call and
                         # let the inherited scheduler stack resume.
                         os.close(rfd)
-                        child.update(wfd=wfd, spec=spec, injector=injector)
+                        child.update(wfd=wfd, spec=spec, injector=injector, t0=time.perf_counter())
                         return injector
                     os.close(wfd)
                     m.counter("snapshot.forks").inc()
-                    result = self._reap(pid, rfd)
-                    m.timer("snapshot.fork_s").record(time.perf_counter() - fork_t0)
-                    if result is not None:
+                    reaped = self._reap(pid, rfd)
+                    fork_s = time.perf_counter() - fork_t0
+                    m.timer("snapshot.fork_s").record(fork_s)
+                    if reaped is not None:
+                        result, continuation_s = reaped
+                        for timer in (self._overhead, m.timer("snapshot.fork_overhead_s")):
+                            timer.record(max(0.0, fork_s - continuation_s))
                         deliver(result)
                     else:
                         # The child died without delivering: full-replay this
@@ -332,14 +364,17 @@ class SnapshotEngine:
                     return None
 
         def on_park(ctx, call):
+            nonlocal started
+            parked_at = time.perf_counter()
             try:
-                injector = parked()
+                injector = parked(parked_at - started)
             except SchedulerInterrupt:
                 raise
             except BaseException as exc:
                 # Not the prefix's failure: carry it past the scheduler,
                 # which would report it as a crashed fiber.
                 raise _PrefixAbandoned from exc
+            started += time.perf_counter() - parked_at  # serving is not prefix
             if injector is not None:
                 injector._inject(ctx, call)
 
@@ -380,7 +415,8 @@ class SnapshotEngine:
         teardown (``os._exit``)."""
         try:
             result = classify(child["spec"], child["injector"], ending)
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            continuation_s = time.perf_counter() - child["t0"]
+            payload = pickle.dumps((result, continuation_s), protocol=pickle.HIGHEST_PROTOCOL)
             view = memoryview(payload)
             wfd = child["wfd"]
             while view:
@@ -391,8 +427,9 @@ class SnapshotEngine:
             os._exit(1)
 
     @staticmethod
-    def _reap(pid: int, rfd: int) -> TestResult | None:
-        """Collect one child's pickled result; None on any failure."""
+    def _reap(pid: int, rfd: int) -> tuple[TestResult, float] | None:
+        """Collect one child's pickled ``(result, continuation seconds)``;
+        None on any failure."""
         chunks = []
         try:
             while True:
@@ -408,7 +445,7 @@ class SnapshotEngine:
         if not chunks:
             return None
         try:
-            result = pickle.loads(b"".join(chunks))
+            result, continuation_s = pickle.loads(b"".join(chunks))
         except Exception:
             return None
-        return result if isinstance(result, TestResult) else None
+        return (result, continuation_s) if isinstance(result, TestResult) else None

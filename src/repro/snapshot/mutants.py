@@ -8,10 +8,10 @@ internal divergence checks — a bug those checks catch is silently
 repaired by the full-replay fallback and proves nothing about the
 oracle.
 
-Activation is a module-level flag consulted by the engine at the four
+Activation is a module-level flag consulted by the engine at the five
 places a real implementation bug would live: the per-test RNG handoff,
-the parked prefix state, the park-site match, and the walk from one
-unit's park to the next.
+the parked prefix state, the park-site match, the walk from one
+unit's park to the next, and the in-park replay of a test.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ SNAPSHOT_MUTANTS: dict[str, SnapshotMutant] = {
             description=(
                 "walking on to the next unit, the park is re-armed but not "
                 "re-pointed, so that unit's tests fork at the previous site"
+            ),
+            detected_by="fork-equivalence fingerprint (verify phase 5)",
+        ),
+        SnapshotMutant(
+            name="snapshot_replay_wrong_slot",
+            description=(
+                "a test the engine chose to replay in the park is not run: "
+                "the previous test's result is delivered into its slot"
             ),
             detected_by="fork-equivalence fingerprint (verify phase 5)",
         ),

@@ -28,19 +28,44 @@ from ..snapshot import SnapshotEngine, seeded_snapshot_mutant
 from .replay import fingerprint
 
 
-#: The four ways every point is served: ``cold`` — a list on an empty
+class _Forking(SnapshotEngine):
+    """The engine with its park-or-replay decision pinned to "fork":
+    what the oracle checks is the fork path, on however shallow a point."""
+
+    def fork_pays(self, prefix_s: float) -> bool:
+        return True
+
+
+class _Alternating(SnapshotEngine):
+    """Fork, replay, fork, ... test by test, whatever the prefix cost."""
+
+    forked = False
+
+    def fork_pays(self, prefix_s: float) -> bool:
+        self.forked = not self.forked
+        return self.forked
+
+
+#: The five ways every point is served: ``cold`` — a list on an empty
 #: cache (park + capture); ``fast-forward`` — the same list again (cache
 #: hit; under a mutant nothing is cached, so a second cold park);
 #: ``lazy`` — a generator on a fresh engine that yields test *k+1* only
 #: once result *k* was delivered, which is how stopper-driven (adaptive)
 #: work units are served; ``walk`` — all points as one unit stream, which
 #: is how a campaign is served: in execution order (one fault-free run
-#: walks from park to park) and reversed (every unit restarts).
-PASSES = ("cold", "fast-forward", "lazy", "walk")
+#: walks from park to park) and reversed (every unit restarts).  Those
+#: four fork every test (:class:`_Forking`); ``mixed`` is the lazy pass
+#: on an engine that alternates fork and in-park replay test by test
+#: (:class:`_Alternating`), as a park whose prefix costs about one fork does.
+PASSES = ("cold", "fast-forward", "lazy", "walk", "mixed")
 
 #: Mutants only some passes can see (default: every pass must diverge):
-#: a defect in the step from one unit to the next needs two units.
-_VISIBLE_TO = {"snapshot_walk_stale_target": ("walk",)}
+#: a defect in the step from one unit to the next needs two units, one
+#: in the in-park replay needs a test that is replayed.
+_VISIBLE_TO = {
+    "snapshot_walk_stale_target": ("walk",),
+    "snapshot_replay_wrong_slot": ("mixed",),
+}
 
 
 def _test_signature(t: TestResult) -> tuple:
@@ -168,21 +193,22 @@ def fork_equivalence(
             yield draw_task(points[pi], seed, pi, len(delivered), policy=param_policy)
 
     def serve_all() -> dict[str, list[list[TestResult]]]:
-        batch, lazy = SnapshotEngine(runner), SnapshotEngine(runner)
+        batch, lazy, mixed = _Forking(runner), _Forking(runner), _Alternating(runner)
         out: dict[str, list[list[TestResult]]] = {name: [] for name in PASSES}
         for pi, point in enumerate(points):
             out["cold"].append(batch.serve_point(point, tasks_for(pi)))
             out["fast-forward"].append(batch.serve_point(point, tasks_for(pi)))
-            delivered: list[TestResult] = []
-            lazy.serve_point(point, lazily(pi, delivered), on_result=delivered.append)
-            out["lazy"].append(delivered)
+            for name, engine in (("lazy", lazy), ("mixed", mixed)):
+                delivered: list[TestResult] = []
+                engine.serve_point(point, lazily(pi, delivered), on_result=delivered.append)
+                out[name].append(delivered)
         # A point's walk stream is what the execution-order stream served
         # there, followed by the reversed stream's results if they differ.
         reached = profile.comm.execution_key()
         walk = sorted(range(len(points)), key=lambda pi: reached(points[pi]))
         for sequence in (walk, walk[::-1]):
             served: list[list[TestResult]] = [[] for _ in points]
-            SnapshotEngine(runner).serve(
+            _Forking(runner).serve(
                 (points[pi], tasks_for(pi), served[pi].append, lambda: None, None)
                 for pi in sequence
             )

@@ -42,6 +42,17 @@ def scratch_reference():
     return reference
 
 
+@pytest.fixture
+def always_fork(monkeypatch):
+    """Pin the snapshot engine's park-or-replay decision to "fork", for
+    tests of the fork path that count ``snapshot.forks`` on points whose
+    prefix is cheaper than a fork.  Pool workers are forked from this
+    process, so they inherit the patch."""
+    from repro.snapshot import SnapshotEngine
+
+    monkeypatch.setattr(SnapshotEngine, "fork_pays", lambda self, prefix_s: True)
+
+
 @pytest.fixture(scope="session")
 def lu_app():
     return make_app("lu", "T")

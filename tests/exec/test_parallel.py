@@ -143,6 +143,7 @@ class _Oracle:
         )
 
 
+@pytest.mark.usefixtures("always_fork")  # snapshot.forks == tests on a shallow point
 class TestStopperDrivenUnit:
     """A stopper-driven whole-point unit is the batch unit cut short:
     same generator, one park, one fork per executed test."""
@@ -238,6 +239,7 @@ class TestStopperDrivenUnit:
             assert counters["snapshot.forks"] == stop - 2
 
 
+@pytest.mark.usefixtures("always_fork")  # snapshot.forks == tests on shallow points
 class TestWalk:
     """The executor hands the engine its units as one lazily pulled
     stream in execution order, so the fault-free run is paid once per

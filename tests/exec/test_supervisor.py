@@ -128,7 +128,7 @@ class TestWorkerDeath:
 
     @pytest.mark.parametrize("mode", ["exit", "raise"])
     def test_chaos_on_a_mid_walk_unit_heals(
-        self, monkeypatch, scratch_reference, lu_app, lu_profile, mode
+        self, monkeypatch, always_fork, scratch_reference, lu_app, lu_profile, mode
     ):
         """Snapshot serving: each worker walks one fault-free run through
         the units it is handed.  A harness fault on the 4th unit in

@@ -57,9 +57,16 @@ def test_summary_reflects_campaign_config(report):
     assert str(total) in html
 
 
-def test_summary_carries_snapshot_engine_line(report):
+def test_summary_carries_snapshot_engine_line(report, campaign_db):
     _, html, result = report
-    assert f"{len(result.all_tests())} forked tests" in html
+    with CampaignDB(campaign_db[0]) as db:
+        counters = db.metrics_snapshot(db.campaign()["id"], "final")["counters"]
+    forks, replays = counters["snapshot.forks"], counters.get("snapshot.replayed_tests", 0)
+    assert forks + replays == len(result.all_tests())
+    # Chosen replays are told apart from tests the fork path could not serve.
+    assert f"{forks} forked tests" in html and "ms fork overhead each" in html
+    assert f"{replays} replayed in the park" in html and "0 fallback replays" in html
+    assert "ms mean prefix over 5 parks" in html
     assert "s in fork+reap" in html
 
 

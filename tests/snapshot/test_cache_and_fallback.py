@@ -135,6 +135,7 @@ def _serve_stream(engine, point, tasks, stop_at):
     return results
 
 
+@pytest.mark.usefixtures("always_fork")  # exact snapshot.forks counts below
 class TestEngineFallbacks:
     def test_ff_divergence_falls_back_to_fresh_prefix(self, runner, late_point):
         """Tamper with the cached snapshot: the byte-exact re-park check
@@ -195,6 +196,7 @@ class TestEngineFallbacks:
         assert m.timer("snapshot.fork_s").count == 6
 
 
+@pytest.mark.usefixtures("always_fork")  # exact snapshot.forks counts below
 class TestLazyStream:
     def test_list_and_generator_equal_scratch_from_one_park(self, runner, late_point):
         scratch = _sig(_scratch(runner, late_point, n=5))

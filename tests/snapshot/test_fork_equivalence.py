@@ -51,10 +51,13 @@ def test_oracle_reports_identical_streams(lu_app, lu_profile):
     assert report.ok
     assert report.mismatches == []
     # Cold park, cache-hit fast-forward, the lazily pulled stream that
-    # stopper-driven units use and the one-run walk over all points (in
-    # execution order and reversed) are each compared with scratch.
+    # stopper-driven units use, the one-run walk over all points (in
+    # execution order and reversed) and the stream that alternates fork
+    # and in-park replay are each compared with scratch.
     assert set(report.forked_fingerprints.values()) == {report.scratch_fingerprint}
-    assert tuple(report.forked_fingerprints) == PASSES == ("cold", "fast-forward", "lazy", "walk")
+    assert tuple(report.forked_fingerprints) == PASSES == (
+        "cold", "fast-forward", "lazy", "walk", "mixed",
+    )
 
 
 def test_serial_snapshot_campaign_bit_identical(
@@ -108,6 +111,9 @@ def test_seeded_engine_mutants_are_detected(lu_app, lu_profile, mutant):
     if mutant == "snapshot_walk_stale_target":
         # A defect in the step between units needs a stream of them.
         assert report.diverged == ["walk"]
+    elif mutant == "snapshot_replay_wrong_slot":
+        # A defect in the in-park replay needs a test that is replayed.
+        assert report.diverged == ["mixed"]
     else:
         assert report.diverged == list(PASSES)  # every serving path sees it
 

@@ -5,7 +5,9 @@ one fault-free job for as long as each next point is still ahead of it;
 only a point already passed starts a fresh run.  Every case below pins
 both halves of that contract: the results equal scratch ``run_one``
 streams, and ``snapshot.misses`` counts exactly the runs started from
-t=0.
+t=0.  The park-or-replay decision is pinned to "fork" (``always_fork``),
+so ``snapshot.forks`` counts exactly the tests a park served; what the
+unpinned decision does is ``test_park_or_replay.py``'s subject.
 """
 
 import dataclasses
@@ -19,9 +21,10 @@ from repro.snapshot import SnapshotCache, SnapshotEngine, snapshot_supported
 
 from tests.snapshot.test_cache_and_fallback import _scratch, _sig, _tasks
 
-pytestmark = pytest.mark.skipif(
-    not snapshot_supported(), reason="snapshot-and-fork needs os.fork"
-)
+pytestmark = [
+    pytest.mark.skipif(not snapshot_supported(), reason="snapshot-and-fork needs os.fork"),
+    pytest.mark.usefixtures("always_fork"),
+]
 
 
 @pytest.fixture(scope="module")
