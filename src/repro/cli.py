@@ -18,7 +18,7 @@ Usage (``python -m repro`` or the ``fastfit`` entry point)::
     fastfit stats    --app is     --tests 5 --max-points 8
     fastfit stats    --db campaigns.sqlite
     fastfit report   --db campaigns.sqlite --out report/
-    fastfit migrate  --checkpoint-dir ck/ --db campaigns.sqlite
+    fastfit migrate  --checkpoint-dir old-ck/ --db old-ck/campaign.db
 
 Every subcommand prints ASCII tables in the style of the paper's
 evaluation section; ``trace --json`` and ``stats --json`` emit
@@ -44,7 +44,6 @@ from .analysis import (
 )
 from .analyze import StaticPruneError
 from .apps import APPLICATIONS, make_app
-from .exec.checkpoint import CheckpointMismatch
 from .fastfit import FastFIT
 from .store import CampaignStoreError, MigrationError
 from .injection.campaign import Campaign
@@ -87,14 +86,14 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="persist completed work units here so an interrupted campaign "
-        "can be resumed",
+        help="same as --db DIR/campaign.db",
     )
     p.add_argument(
         "--db", default=None, metavar="PATH",
-        help="SQLite campaign database: persists completed units (resumable "
-        "like --checkpoint-dir), queryable per-test rows, and progress "
-        "telemetry; feeds 'fastfit report' and 'fastfit stats --db'",
+        help="SQLite campaign database: persists completed units (so an "
+        "interrupted campaign can be resumed), queryable per-test rows, "
+        "and progress telemetry; feeds 'fastfit report' and "
+        "'fastfit stats --db'",
     )
     p.add_argument(
         "--resume", action="store_true",
@@ -160,8 +159,7 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
         "--adaptive", action="store_true",
         help="adaptive steering: inject in uncertainty-sampled batches "
         "with per-point sequential stopping (campaign/run only; "
-        "incompatible with --scenario, --static-prune, and "
-        "--checkpoint-dir)",
+        "incompatible with --scenario and --static-prune)",
     )
     p.add_argument(
         "--ci-width", type=float, default=None, metavar="W",
@@ -498,7 +496,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:
-    """Convert a pickle checkpoint directory into the SQLite schema."""
+    """Convert a legacy pickle checkpoint directory into the SQLite schema."""
     from .store import migrate_checkpoint
 
     summary = migrate_checkpoint(
@@ -565,7 +563,7 @@ def _stats_from_db(args: argparse.Namespace) -> int:
             return 0
 
         # Config fields are unknown ("?") for campaigns migrated from
-        # pickle checkpoints, whose headers carry only the digest.
+        # legacy pickle checkpoints, whose headers carry only the digest.
         cfg = {k: "?" if c[k] is None else c[k]
                for k in ("app", "n_points", "tests_per_point", "param_policy", "seed")}
         print(
@@ -1263,12 +1261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser(
-        "migrate", help="convert a pickle checkpoint directory into the SQLite schema",
+        "migrate",
+        help="convert a legacy pickle checkpoint directory into the SQLite schema",
         parents=[verbosity],
     )
     p.add_argument(
         "--checkpoint-dir", required=True, metavar="DIR",
-        help="pickle checkpoint directory to convert",
+        help="legacy pickle checkpoint directory to convert",
     )
     p.add_argument("--db", required=True, metavar="PATH", help="target campaign database")
     p.add_argument(
@@ -1377,13 +1376,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if getattr(args, "checkpoint_dir", None):
-            print(
-                "--adaptive persists through --db only, not "
-                "--checkpoint-dir (steering rounds need the store)",
-                file=sys.stderr,
-            )
-            return 2
         ci_width = getattr(args, "ci_width", None)
         if ci_width is not None and not 0.0 < ci_width <= 1.0:
             print(f"--ci-width must be in (0, 1], got {ci_width}",
@@ -1419,10 +1411,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (
-        CheckpointMismatch, CampaignStoreError, MigrationError,
-        StaticPruneError, ScenarioError,
+        CampaignStoreError, MigrationError, StaticPruneError, ScenarioError,
     ) as exc:
-        # A stale/foreign checkpoint, locked database, or unconvertible
+        # A legacy checkpoint directory, locked database, or unconvertible
         # directory is an operator error, not a crash: one line, exit 2,
         # no traceback.
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,9 @@ not, and the assembled
 Layers:
 
 * :mod:`repro.exec.sharding` — deterministic work-unit enumeration;
-* :mod:`repro.exec.checkpoint` — campaign digests and the atomic,
-  fsync-durable checkpoint/resume store;
+* :mod:`repro.exec.checkpoint` — the campaign digest, the identity a
+  stored campaign is resumed by (the store itself is
+  :mod:`repro.store`);
 * :mod:`repro.exec.supervisor` — the unit executor
   (:class:`WorkerState`) and the fault-contained worker pool around it
   (death/wedge detection, respawn, retries, quarantine);
@@ -23,14 +24,12 @@ Layers:
   metrics merging, quarantine synthesis, deterministic assembly).
 """
 
-from .checkpoint import CheckpointMismatch, CheckpointStore, campaign_digest
+from .checkpoint import campaign_digest
 from .parallel import run_campaign
 from .sharding import WorkUnit, default_unit_tests, make_units, units_of_point
 from .supervisor import SupervisedPool, SupervisorConfig, UnitFailedError, WorkerState
 
 __all__ = [
-    "CheckpointMismatch",
-    "CheckpointStore",
     "SupervisedPool",
     "SupervisorConfig",
     "UnitFailedError",

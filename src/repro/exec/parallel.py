@@ -35,18 +35,16 @@ snapshot that the engine merges (`campaign.tests`, `campaign.outcome.*`,
 `campaign.point_error_rate`) are recorded at assembly time, so the
 merged registry is the same for every ``jobs``.
 
-A store is opened only when one is configured.  With a checkpoint
-directory attached, every successfully completed unit
-is persisted through :class:`~repro.exec.checkpoint.CheckpointStore`;
-with ``db_path`` set, through the SQLite-backed
-:class:`~repro.store.DBCheckpointStore` instead (same lifecycle, same
-torn-tail tolerance, plus queryable per-test rows, per-point tallies,
-and progress telemetry).  Quarantined units are deliberately *not*
-persisted: a later ``resume=True`` run retries them from scratch —
-self-healing across restarts when the fault was environmental.
-``KeyboardInterrupt`` tears the pool down, flushes the checkpoint
-manifest, and re-raises, so an interrupted campaign is always
-resumable.
+A store is opened only when one is configured (``db_path``; a
+``checkpoint_dir`` is resolved to ``DIR/campaign.db`` by the campaign).
+Every successfully completed unit is committed atomically through the
+SQLite-backed :class:`~repro.store.DBCheckpointStore`, together with
+queryable per-test rows, per-point tallies, and progress telemetry.
+Quarantined units are deliberately *not* persisted: a later
+``resume=True`` run retries them from scratch — self-healing across
+restarts when the fault was environmental.  ``KeyboardInterrupt`` tears
+the pool down, records the campaign row as incomplete, and re-raises,
+so an interrupted campaign is always resumable.
 
 Progress telemetry: when any :class:`~repro.obs.progress.ProgressSink`
 is attached (explicitly, or implicitly by the campaign database), the
@@ -69,7 +67,6 @@ from ..injection.runner import TestResult
 from ..injection.space import InjectionPoint
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressTracker
-from .checkpoint import CheckpointStore
 from .sharding import WorkUnit, make_units, units_of_point
 from .supervisor import SupervisedPool, SupervisorConfig
 
@@ -137,41 +134,40 @@ def run_campaign(
     total_tests = len(points) * campaign.tests_per_point
     campaign.quarantined = []
 
+    known = {u.unit_id for u in units}
     store = None
     results: dict[str, list[TestResult]] = {}
-    if campaign.checkpoint_dir is not None or campaign.db_path is not None:
-        if digest is None:
-            digest = campaign.digest(points)
-        if campaign.db_path is not None:
-            # Lazy import: repro.store depends on repro.exec.sharding.
-            from ..store import DBCheckpointStore
+    if campaign.db_path is not None:
+        # Lazy import: repro.store depends on repro.exec.sharding.
+        from ..store import DBCheckpointStore
 
-            store = DBCheckpointStore(
-                campaign.db_path,
-                digest,
-                campaign_info=dict(
-                    app=campaign.app.name,
-                    nranks=campaign.app.nranks,
-                    seed=campaign.seed,
-                    tests_per_point=campaign.tests_per_point,
-                    param_policy=campaign.param_policy,
-                    unit_tests=unit_tests,
-                    algorithms=campaign.algorithms,
-                    code_version=__version__,
-                    n_points=len(points),
-                    total_units=len(units),
-                ),
-            )
-        else:
-            store = CheckpointStore(campaign.checkpoint_dir, digest, layout=layout)
+        store = DBCheckpointStore(
+            campaign.db_path,
+            digest if digest is not None else campaign.digest(points),
+            campaign_info=dict(
+                app=campaign.app.name,
+                nranks=campaign.app.nranks,
+                seed=campaign.seed,
+                tests_per_point=campaign.tests_per_point,
+                param_policy=campaign.param_policy,
+                unit_tests=unit_tests,
+                algorithms=campaign.algorithms,
+                code_version=__version__,
+                n_points=len(points),
+                total_units=len(units),
+            ),
+        )
         for unit_id, (tests, registry) in store.load(resume=campaign.resume).items():
+            # A batch driver's row also holds other batches' units: only
+            # this call's units are resumed (and their metrics merged).
+            if unit_id not in known:
+                continue
             results[unit_id] = tests
-            if metrics is not None and registry is not None:
-                metrics.merge(registry)
             if metrics is not None:
+                if registry is not None:
+                    metrics.merge(registry)
                 metrics.counter("exec.units_resumed").inc()
 
-    known = {u.unit_id for u in units}
     # Handed out in execution order (stable: a point's slices stay in
     # test order), so each executor's one fault-free run walks forward
     # from park to park — any subsequence of the list is monotone too.
@@ -180,12 +176,12 @@ def run_campaign(
         ((u, point_of[u.point_index]) for u in units if u.unit_id not in results),
         key=lambda task: reached(task[1]),
     )
-    done_tests = sum(len(results[uid]) for uid in results if uid in known)
+    done_tests = sum(len(tests) for tests in results.values())
     done_units = 0
     last_reported = -1
 
     sinks = list(campaign.progress_sinks)
-    if campaign.db_path is not None:
+    if store is not None:
         sinks.append(store.progress_sink())
     tracker: ProgressTracker | None = None
     if sinks:
@@ -197,9 +193,8 @@ def run_campaign(
             workers=campaign.jobs,
             metrics=metrics,
         )
-        for unit_id, tests in results.items():
-            if unit_id in known:
-                tracker.seed(tests)
+        for tests in results.values():
+            tracker.seed(tests)
 
     def report(force: bool = False) -> None:
         nonlocal last_reported
@@ -283,8 +278,8 @@ def run_campaign(
                 events.close()
     except BaseException:
         # Interrupted or failed: the pool is already down (generator
-        # close above); emit the final telemetry snapshot and flush a
-        # resumable manifest before propagating.
+        # close above); emit the final telemetry snapshot and mark the
+        # campaign row resumable before propagating.
         if tracker is not None:
             tracker.finish()
         if store is not None and not store.closed:
@@ -326,10 +321,10 @@ def run_campaign(
         store.record_point_tallies(tallies)
         if metrics is not None:
             store.record_metrics("final", metrics)
-        finished = all(u.unit_id in store.completed for u in units)
         store.write_manifest(
             total_units=len(units),
-            complete=finished,
+            # Every unit was resumed, executed, or quarantined.
+            complete=not campaign.quarantined,
             quarantined=campaign.quarantined,
         )
         store.close()

@@ -3,9 +3,9 @@
 A *work unit* is a contiguous slice of test indices at one injection
 point: ``(point_index, test_start, test_stop)``.  The unit layout is a
 pure function of ``(n_points, tests_per_point, unit_tests, layout)`` —
-it never depends on the worker count — so checkpoints written by a
-4-worker run resume cleanly under 1 worker and vice versa, and unit ids
-are stable keys for the checkpoint store.
+it never depends on the worker count — so a campaign stored by a
+4-worker run resumes cleanly under 1 worker and vice versa, and unit ids
+are stable keys for the campaign database (:mod:`repro.store`).
 
 Two layouts exist, named by a version tag that participates in the
 campaign digest (:func:`repro.exec.checkpoint.campaign_digest`):
@@ -23,7 +23,7 @@ campaign digest (:func:`repro.exec.checkpoint.campaign_digest`):
 
 Unit *ids* are layout-independent (``p<i>:t<a>-<b>``); only the slicing
 and ordering differ, which is why the tag must be part of the digest —
-resuming a ``p1`` checkpoint under ``s1`` would silently mix unit
+resuming a ``p1`` campaign under ``s1`` would silently mix unit
 geometries.
 """
 
@@ -51,7 +51,7 @@ class WorkUnit:
 
     @property
     def unit_id(self) -> str:
-        """Stable string key used by the checkpoint store."""
+        """Stable string key used by the campaign database."""
         return f"p{self.point_index}:t{self.test_start}-{self.test_stop}"
 
     @classmethod

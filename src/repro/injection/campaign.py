@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from ..apps.base import Application
@@ -229,13 +230,14 @@ class Campaign:
         Emit the ``progress`` callback (and telemetry snapshots) at most
         every N completed work units; the final update always fires.
     checkpoint_dir:
-        Directory for periodic campaign checkpoints; with ``resume=True``
-        a matching interrupted campaign restarts where it left off.
+        Shorthand for ``db_path=checkpoint_dir / "campaign.db"`` (the
+        directory is created if missing); mutually exclusive with
+        ``db_path``.
     db_path:
-        SQLite campaign database (mutually exclusive with
-        ``checkpoint_dir``): completed units are persisted through
-        :class:`repro.store.DBCheckpointStore` — same resume semantics,
-        plus queryable per-test rows and progress telemetry.
+        SQLite campaign database: completed units are committed through
+        :class:`repro.store.DBCheckpointStore`, with queryable per-test
+        rows and progress telemetry; with ``resume=True`` an interrupted
+        campaign with the same digest restarts where it left off.
     progress_sinks:
         :class:`~repro.obs.progress.ProgressSink` consumers receiving
         periodic :class:`~repro.obs.progress.ProgressSnapshot` telemetry
@@ -317,9 +319,15 @@ class Campaign:
                 "static pruning (preclassifier) only understands the "
                 "single-bit 'bitflip' fault model"
             )
-        if preclassifier is not None and (
-            jobs != 1 or checkpoint_dir is not None or db_path is not None
-        ):
+        if checkpoint_dir is not None:
+            checkpoint_dir = Path(checkpoint_dir)
+            checkpoint_dir.mkdir(parents=True, exist_ok=True)
+            db_path = checkpoint_dir / "campaign.db"
+            if resume and not db_path.exists():
+                from ..store.migrate import refuse_legacy_checkpoint
+
+                refuse_legacy_checkpoint(checkpoint_dir, db_path)
+        if preclassifier is not None and (jobs != 1 or db_path is not None):
             # The pool payload does not carry the preclassifier and the
             # store schema has no predicted rows yet: static pruning runs
             # on the in-process executor only, and silently dropping it
@@ -340,7 +348,6 @@ class Campaign:
             )
         self.jobs = jobs
         self.progress_every = progress_every
-        self.checkpoint_dir = checkpoint_dir
         self.db_path = db_path
         self.resume = resume
         #: Extra :class:`~repro.obs.progress.ProgressSink` consumers
@@ -454,10 +461,9 @@ class Campaign:
         adaptive steering) reproduces exactly the tests a full campaign
         would have run at those points.  Default: ``0..len(points)-1``.
 
-        ``digest`` overrides the store identity for checkpoint/database
-        runs; batch drivers pass one :meth:`digest` computed over the
-        *full* candidate list so every batch lands in the same campaign
-        row.
+        ``digest`` overrides the store identity for database runs;
+        batch drivers pass one :meth:`digest` computed over the *full*
+        candidate list so every batch lands in the same campaign row.
         """
         from ..exec.parallel import run_campaign
 

@@ -1,21 +1,22 @@
-"""The SQLite campaign store.
+"""The SQLite campaign store — the only persistence backend.
 
 :class:`CampaignDB` owns one database file (any number of campaigns,
 keyed by digest) and the low-level query surface; :class:`DBCheckpointStore`
-is the :class:`~repro.exec.checkpoint.CheckpointStore`-shaped adapter the
-campaign engines drive — same ``load``/``record``/``write_manifest``
-lifecycle, same torn-tail tolerance, but resume is a query instead of a
-pickle replay, and every recorded unit is simultaneously denormalised
-into queryable per-test ``results`` rows.
+is the adapter the campaign engine drives — a ``load``/``record``/
+``write_manifest``/``close`` lifecycle where each unit is committed
+atomically, resume is a query, and every recorded unit is
+simultaneously denormalised into queryable per-test ``results`` rows.
+``--checkpoint-dir DIR`` is this store at ``DIR/campaign.db``.
 
-Unlike the pickle store, a digest mismatch is impossible here: the
-database keys campaigns *by* digest, so resuming a changed configuration
-simply starts (or continues) a different campaign row in the same file.
+A digest mismatch is impossible here: the database keys campaigns *by*
+digest, so resuming a changed configuration simply starts (or
+continues) a different campaign row in the same file.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import pickle
 import sqlite3
@@ -31,6 +32,8 @@ from .schema import SCHEMA, SCHEMA_VERSION
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.progress import ProgressSnapshot
 
+logger = logging.getLogger(__name__)
+
 
 class CampaignStoreError(RuntimeError):
     """The campaign database could not be opened or written (typically a
@@ -45,8 +48,7 @@ class CampaignDB:
     """One campaign database file: connection, schema, queries.
 
     The connection runs in WAL mode with ``synchronous=FULL`` so a
-    committed unit survives host power loss — the same durability bar
-    the fsync-per-unit pickle store sets.
+    committed unit survives host power loss.
     """
 
     def __init__(self, path: str | os.PathLike, timeout: float = 30.0):
@@ -171,8 +173,8 @@ class CampaignDB:
         """Get-or-create the campaign row for ``digest``; returns its id.
 
         ``fresh=True`` drops any prior row (and, via cascade, all its
-        units/results/telemetry) first — the DB analogue of starting a
-        new pickle stream without ``--resume``.
+        units/results/telemetry) first — what a run without
+        ``--resume`` does.
         """
         now = time.time()
         try:
@@ -256,8 +258,7 @@ class CampaignDB:
         denormalised per-test rows, atomically.
 
         A process killed inside this call loses the whole unit (the
-        transaction rolls back) and nothing else — the same guarantee the
-        pickle store's torn-tail drop provides, without the scan.
+        transaction rolls back) and nothing else.
         """
         unit = WorkUnit.from_unit_id(unit_id)
         rows = []
@@ -532,15 +533,15 @@ class _Transaction:
 
 
 class DBCheckpointStore:
-    """A :class:`~repro.exec.checkpoint.CheckpointStore`-shaped adapter
-    over :class:`CampaignDB` — what ``--db`` plugs into the campaign
-    engines.
+    """The campaign engine's store: one campaign row of a
+    :class:`CampaignDB` — what ``--db`` and ``--checkpoint-dir`` plug
+    into the campaign engine.
 
-    Same lifecycle (``load`` → ``record``\\* → ``write_manifest`` →
-    ``close``), same torn-tail tolerance (a unit is committed atomically
-    or not at all), but many campaigns share one file and resume is a
-    query.  Extra hooks (:meth:`record_metrics`, :meth:`progress_sink`)
-    feed the report builder's forensics and timeline sections.
+    Lifecycle: ``load`` → ``record``\\* → ``write_manifest`` →
+    ``close``.  A unit is committed atomically or not at all, many
+    campaigns share one file, and resume is a query.  Extra hooks
+    (:meth:`record_metrics`, :meth:`progress_sink`) feed the report
+    builder's forensics and timeline sections.
     """
 
     def __init__(
@@ -555,14 +556,13 @@ class DBCheckpointStore:
         self.digest = digest
         self.campaign_info = dict(campaign_info or {})
         self.campaign_id: int | None = None
-        self.completed: dict[str, tuple[list[TestResult], MetricsRegistry | None]] = {}
         self._quarantine_reasons: dict[str, str] = {}
 
     @property
     def path(self) -> Path:
         return self.db.path
 
-    # -- CheckpointStore interface ---------------------------------------
+    # -- engine interface ---------------------------------------------------
 
     def load(
         self, resume: bool
@@ -571,14 +571,20 @@ class DBCheckpointStore:
 
         ``resume=False`` drops any existing campaign with this digest and
         starts clean; ``resume=True`` returns its recorded units — there
-        is no mismatch case, because the digest *is* the key.
+        is no mismatch case, because the digest *is* the key.  Resuming
+        a digest the file does not hold (a changed configuration) logs
+        one WARNING and starts a new row.
         """
         self.db.open()
+        if resume and self.db.campaign_id(self.digest) is None:
+            logger.warning(
+                "no campaign with digest %s in %s; starting fresh",
+                self.digest[:12], self.path,
+            )
         self.campaign_id = self.db.create_campaign(
             self.digest, fresh=not resume, **self.campaign_info
         )
-        self.completed = self.db.load_units(self.campaign_id) if resume else {}
-        return self.completed
+        return self.db.load_units(self.campaign_id) if resume else {}
 
     def record(
         self,
@@ -588,7 +594,6 @@ class DBCheckpointStore:
     ) -> None:
         if self.campaign_id is None:
             raise RuntimeError("DBCheckpointStore.load() must be called before record()")
-        self.completed[unit_id] = (tests, metrics)
         self.db.record_unit(self.campaign_id, unit_id, tests, metrics)
 
     def write_manifest(
@@ -613,12 +618,6 @@ class DBCheckpointStore:
 
     def close(self) -> None:
         self.db.close()
-
-    def __enter__(self) -> "DBCheckpointStore":  # pragma: no cover - convenience
-        return self
-
-    def __exit__(self, *exc) -> None:  # pragma: no cover - convenience
-        self.close()
 
     # -- store-only extensions --------------------------------------------
 

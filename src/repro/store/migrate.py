@@ -1,12 +1,12 @@
-"""Pickle checkpoint directory → SQLite campaign database.
+"""Legacy pickle checkpoint directory → SQLite campaign database.
 
-Old campaigns checkpointed through the pickle
-:class:`~repro.exec.checkpoint.CheckpointStore` stay analyzable: this
-reads the ``units.pkl`` stream (torn tail dropped, exactly like a
-resume) plus the JSON manifest, and replays every unit through the
-database writer — so the migrated campaign has the same queryable
-``results`` rows, quarantine records, and completion state a ``--db``
-run would have produced.
+Before the campaign database became the only store, ``--checkpoint-dir``
+wrote an append-only pickle stream (``units.pkl``) plus a JSON manifest.
+Those directories stay analyzable: this reads the stream (torn tail
+dropped) plus the manifest, and replays every unit through the database
+writer — so the migrated campaign has the same queryable ``results``
+rows, quarantine records, and completion state a ``--db`` run would have
+produced.  Nothing else in the package reads or writes the old format.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import os
 import pickle
 from pathlib import Path
 
-from ..exec.checkpoint import MANIFEST_FILE, UNITS_FILE
-from .db import CampaignDB
+from .db import CampaignDB, CampaignStoreError
+
+UNITS_FILE = "units.pkl"
+MANIFEST_FILE = "manifest.json"
 
 
 class MigrationError(RuntimeError):
@@ -30,7 +32,7 @@ def migrate_checkpoint(
     *,
     overwrite: bool = False,
 ) -> dict:
-    """Convert one pickle checkpoint directory into ``db_path``.
+    """Convert one legacy pickle checkpoint directory into ``db_path``.
 
     Returns a summary dict: ``digest``, ``units``, ``tests``,
     ``quarantined``, ``complete``.  ``overwrite=True`` replaces an
@@ -103,3 +105,16 @@ def migrate_checkpoint(
         "quarantined": len(quarantined),
         "complete": bool(manifest.get("complete", False)),
     }
+
+
+def refuse_legacy_checkpoint(
+    checkpoint_dir: str | os.PathLike, db_path: str | os.PathLike
+) -> None:
+    """Raise :class:`CampaignStoreError` when ``checkpoint_dir`` holds a
+    legacy stream: resuming would silently start over beside it."""
+    if (Path(checkpoint_dir) / UNITS_FILE).exists():
+        raise CampaignStoreError(
+            f"{checkpoint_dir} holds a legacy pickle checkpoint; convert it "
+            f"first: fastfit migrate --checkpoint-dir {checkpoint_dir} "
+            f"--db {db_path}"
+        )

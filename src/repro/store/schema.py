@@ -1,9 +1,8 @@
 """The campaign database schema.
 
 One SQLite file holds any number of campaigns, keyed by the existing
-:func:`~repro.exec.checkpoint.campaign_digest` — the same hash the
-pickle checkpoint store uses, so ``--resume`` against the database is
-the same identity check, just spelled as a query.
+:func:`~repro.exec.checkpoint.campaign_digest`, so ``--resume`` is an
+identity check spelled as a query.
 
 Tables
 ------
@@ -14,7 +13,7 @@ Tables
 ``units``
     One row per *completed* work unit.  ``payload``/``metrics`` are the
     pickled ``TestResult`` list and worker ``MetricsRegistry`` snapshot
-    — the byte-exact resume source of truth, mirroring ``units.pkl``.
+    — the byte-exact resume source of truth.
 ``results``
     One row per individual injection test, denormalised from the unit
     payloads at record time so campaigns are queryable with plain SQL
@@ -44,8 +43,7 @@ Tables
 Durability model: the connection runs in WAL mode and every
 ``record()`` is one transaction, so a unit is either fully present
 (its row *and* all its result rows) or absent.  A process killed
-mid-write — the pickle store's "torn tail" — simply loses the
-uncommitted transaction; everything previously committed survives.
+mid-write simply loses the uncommitted transaction; everything previously committed survives.
 """
 
 from __future__ import annotations

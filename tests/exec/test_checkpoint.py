@@ -1,14 +1,16 @@
-"""Checkpoint store: digests, round trips, torn tails, mismatches."""
+"""Campaign identity and resume through the campaign database: digests,
+round trips, torn writes, and resumes under a changed configuration."""
 
-import pickle
+import logging
 
 import pytest
 
 from repro.apps import make_app
-from repro.exec.checkpoint import CheckpointMismatch, CheckpointStore, campaign_digest
+from repro.exec.checkpoint import campaign_digest
 from repro.injection import FaultSpec, InjectionPoint, Outcome
 from repro.injection import TestResult as InjectionTestResult
 from repro.obs.metrics import MetricsRegistry
+from repro.store import CampaignDB, DBCheckpointStore
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,10 @@ def _digest(app, **over):
     return campaign_digest(app, **kwargs)
 
 
+def _store(tmp_path, digest):
+    return DBCheckpointStore(tmp_path / "ck" / "campaign.db", digest)
+
+
 def test_digest_sensitive_to_every_config_axis(app):
     base = _digest(app)
     assert _digest(app) == base  # stable
@@ -51,7 +57,7 @@ def test_digest_sensitive_to_every_config_axis(app):
 def test_round_trip_preserves_tests_and_metrics(tmp_path, app):
     digest = _digest(app)
     point = _points()[0]
-    store = CheckpointStore(tmp_path / "ck", digest)
+    store = _store(tmp_path, digest)
     assert store.load(resume=False) == {}
     reg = MetricsRegistry()
     reg.counter("campaign.tests").inc(3)
@@ -59,7 +65,7 @@ def test_round_trip_preserves_tests_and_metrics(tmp_path, app):
     store.record("p0:t2-4", _tests(point, 2), None)
     store.close()
 
-    again = CheckpointStore(tmp_path / "ck", digest)
+    again = _store(tmp_path, digest)
     loaded = again.load(resume=True)
     again.close()
     assert set(loaded) == {"p0:t0-2", "p0:t2-4"}
@@ -69,123 +75,118 @@ def test_round_trip_preserves_tests_and_metrics(tmp_path, app):
     assert loaded["p0:t2-4"][1] is None
 
 
+class _Unpicklable:
+    def __reduce__(self):
+        raise RuntimeError("simulated torn write")
+
+
 def test_torn_final_record_is_dropped(tmp_path, app):
+    """A unit whose record fails mid-transaction is absent on resume;
+    every unit committed before it survives."""
     digest = _digest(app)
     point = _points()[0]
-    store = CheckpointStore(tmp_path / "ck", digest)
+    store = _store(tmp_path, digest)
     store.load(resume=False)
     store.record("p0:t0-2", _tests(point, 2), None)
-    store.record("p0:t2-4", _tests(point, 2), None)
+    with pytest.raises(RuntimeError, match="torn write"):
+        store.record("p0:t2-4", _tests(point, 2), _Unpicklable())
     store.close()
-    path = tmp_path / "ck" / "units.pkl"
-    data = path.read_bytes()
-    path.write_bytes(data[:-7])  # tear the last record mid-write
 
-    again = CheckpointStore(tmp_path / "ck", digest)
+    again = _store(tmp_path, digest)
     loaded = again.load(resume=True)
     again.close()
     assert set(loaded) == {"p0:t0-2"}
 
 
-def test_resume_with_wrong_digest_raises(tmp_path, app):
-    store = CheckpointStore(tmp_path / "ck", _digest(app))
+def test_resume_with_wrong_digest_starts_fresh(tmp_path, app, caplog):
+    """A changed configuration has a different digest, so resuming it
+    opens a new campaign row (with one WARNING) and leaves the old row
+    untouched."""
+    store = _store(tmp_path, _digest(app))
     store.load(resume=False)
     store.record("p0:t0-2", _tests(_points()[0], 2), None)
     store.close()
 
-    other = CheckpointStore(tmp_path / "ck", _digest(app, seed=99))
-    with pytest.raises(CheckpointMismatch):
-        other.load(resume=True)
+    other = _store(tmp_path, _digest(app, seed=99))
+    with caplog.at_level(logging.WARNING, logger="repro.store.db"):
+        assert other.load(resume=True) == {}
+    other.close()
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "starting fresh" in warnings[0].getMessage()
+
+    again = _store(tmp_path, _digest(app))
+    assert set(again.load(resume=True)) == {"p0:t0-2"}
+    again.close()
 
 
 def test_fresh_start_discards_existing_checkpoint(tmp_path, app):
-    store = CheckpointStore(tmp_path / "ck", _digest(app))
+    """``resume=False`` drops this digest's units, and only this
+    digest's: other campaigns in the file are untouched."""
+    point = _points()[0]
+    store = _store(tmp_path, _digest(app))
     store.load(resume=False)
-    store.record("p0:t0-2", _tests(_points()[0], 2), None)
+    store.record("p0:t0-2", _tests(point, 2), None)
     store.close()
+    other = _store(tmp_path, _digest(app, seed=99))
+    other.load(resume=False)
+    other.record("p0:t0-2", _tests(point, 2), None)
+    other.close()
 
-    # Different digest but resume=False: old stream is overwritten.
-    fresh = CheckpointStore(tmp_path / "ck", _digest(app, seed=99))
+    fresh = _store(tmp_path, _digest(app))
     assert fresh.load(resume=False) == {}
     fresh.close()
-    with (tmp_path / "ck" / "units.pkl").open("rb") as fh:
-        header = pickle.load(fh)
-    assert header["digest"] == _digest(app, seed=99)
+    again = _store(tmp_path, _digest(app, seed=99))
+    assert set(again.load(resume=True)) == {"p0:t0-2"}
+    again.close()
 
 
 def test_manifest_written_atomically(tmp_path, app):
+    """``write_manifest`` updates the campaign row in one transaction;
+    a second connection sees the new totals."""
     digest = _digest(app)
-    store = CheckpointStore(tmp_path / "ck", digest, flush_every=1)
+    store = _store(tmp_path, digest)
     store.load(resume=False)
     store.record("p0:t0-2", _tests(_points()[0], 2), None)
     store.write_manifest(total_units=4, complete=False)
-    store.close()
-    import json
-
-    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    assert manifest["digest"] == digest
-    assert manifest["completed"] == ["p0:t0-2"]
-    assert manifest["total_units"] == 4
-    assert manifest["complete"] is False
-    assert not (tmp_path / "ck" / "manifest.json.tmp").exists()
-
-
-def test_truncate_mid_record_resumes_from_durable_prefix(tmp_path, app):
-    """Crash-consistency: chop a resumed stream *in the middle* of its
-    final record (not just the tail bytes) — every earlier unit, which
-    was fsynced at record() time, must survive."""
-    digest = _digest(app)
-    point = _points()[0]
-    store = CheckpointStore(tmp_path / "ck", digest)
-    store.load(resume=False)
-    sizes = []
-    path = tmp_path / "ck" / "units.pkl"
-    for uid in ("p0:t0-2", "p0:t2-4", "p1:t0-2"):
-        store.record(uid, _tests(point, 2), None)
-        sizes.append(path.stat().st_size)
+    with CampaignDB(store.path) as db:
+        row = db.campaign(digest)
+        assert row["total_units"] == 4
+        assert row["complete"] == 0
+        assert not db.conn.in_transaction
     store.close()
 
-    # Cut halfway into the third record's bytes.
-    cut = sizes[1] + (sizes[2] - sizes[1]) // 2
-    path.write_bytes(path.read_bytes()[:cut])
 
-    again = CheckpointStore(tmp_path / "ck", digest)
-    loaded = again.load(resume=True)
-    again.close()
-    assert set(loaded) == {"p0:t0-2", "p0:t2-4"}
-
-
-def test_record_fsyncs_the_stream(tmp_path, app, monkeypatch):
-    """Each completed unit is pushed to stable storage, not just to the
-    OS page cache."""
-    import os
-
-    synced = []
-    real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
-    store = CheckpointStore(tmp_path / "ck", _digest(app), flush_every=100)
+def test_record_is_durable_synchronous_full(tmp_path, app):
+    """Each recorded unit is committed in WAL mode with
+    ``synchronous=FULL``, so it survives host power loss."""
+    store = _store(tmp_path, _digest(app))
     store.load(resume=False)
-    before = len(synced)
     store.record("p0:t0-2", _tests(_points()[0], 2), None)
+    conn = store.db.conn
+    assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+    assert conn.execute("PRAGMA synchronous").fetchone()[0] == 2  # FULL
+    assert not conn.in_transaction
     store.close()
-    assert len(synced) > before
 
 
 def test_manifest_records_quarantined_units(tmp_path, app):
-    import json
-
-    store = CheckpointStore(tmp_path / "ck", _digest(app))
+    digest = _digest(app)
+    store = _store(tmp_path, digest)
     store.load(resume=False)
     store.record("p0:t0-2", _tests(_points()[0], 2), None)
     store.write_manifest(total_units=4, complete=False, quarantined=["p1:t0-2"])
     store.close()
-    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    assert manifest["quarantined"] == ["p1:t0-2"]
-    assert "p1:t0-2" not in manifest["completed"]
+
+    again = _store(tmp_path, digest)
+    assert set(again.load(resume=True)) == {"p0:t0-2"}
+    rows = again.db.quarantine_records(again.campaign_id)
+    assert [r["unit_id"] for r in rows] == ["p1:t0-2"]
+    again.close()
 
 
 def test_closed_property(tmp_path, app):
-    store = CheckpointStore(tmp_path / "ck", _digest(app))
+    store = _store(tmp_path, _digest(app))
     assert store.closed
     store.load(resume=False)
     assert not store.closed

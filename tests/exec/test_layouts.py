@@ -1,5 +1,5 @@
 """Unit-layout versioning: site-major ordering, digest stability, and
-checkpoint compatibility across the ``--snapshot`` default flip.
+resume compatibility across the ``--snapshot`` default flip.
 
 Three facts are pinned here:
 
@@ -7,17 +7,18 @@ Three facts are pinned here:
   set and layout tag the digest covers; dispatch order is execution
   order, chosen where ``run_campaign`` builds its pending list;
 * ``"p1"`` digests are byte-identical to digests computed before the
-  layout tag existed, so every pre-existing checkpoint still resumes;
-* a p1 <-> s1 mismatch fails loudly, and the error says the layout (and
-  the flag that selects it) instead of a bare digest diff.
+  layout tag existed, so every pre-existing stored campaign still resumes;
+* resuming under the other layout opens a fresh campaign row and never
+  touches (or reuses) the other layout's units.
 """
 
 import pytest
 
-from repro.exec.checkpoint import CheckpointMismatch, CheckpointStore, campaign_digest
+from repro.exec.checkpoint import campaign_digest
 from repro.exec.sharding import LAYOUTS, make_units
 from repro.injection import enumerate_points
 from repro.injection.space import InjectionPoint
+from repro.store import DBCheckpointStore
 
 
 def _points():
@@ -89,40 +90,34 @@ def test_s1_digest_differs(digest_inputs):
 
 
 def test_pre_layout_checkpoint_resumes_under_p1(tmp_path, digest_inputs):
-    """A stream written before the layout tag existed (header has no
-    ``layout`` key) resumes cleanly under the classic layout."""
-    digest = campaign_digest(**digest_inputs)
-    import pickle
-
-    with (tmp_path / "units.pkl").open("wb") as fh:
-        pickle.dump({"digest": digest, "format": 1}, fh)  # pre-layout header
-        pickle.dump({"type": "unit", "unit_id": "p0:t0-1", "tests": []}, fh)
-
-    store = CheckpointStore(tmp_path, digest, layout="p1")
-    completed = store.load(resume=True)
-    store.close()
-    assert set(completed) == {"p0:t0-1"}
-
-
-def test_layout_mismatch_error_names_the_layout(tmp_path, digest_inputs):
-    """Resuming a p1 checkpoint with snapshot serving on (s1) must fail
-    with a message pointing at --snapshot/--no-snapshot, not a bare
-    digest mismatch."""
-    p1_digest = campaign_digest(**digest_inputs)
-    store = CheckpointStore(tmp_path, p1_digest, layout="p1")
+    """A campaign stored under the digest computed before the layout
+    tag existed resumes cleanly under the classic layout."""
+    digest = campaign_digest(**digest_inputs)  # pre-layout payload
+    store = DBCheckpointStore(tmp_path / "campaign.db", digest)
     store.load(resume=False)
     store.record("p0:t0-1", [])
     store.close()
 
-    s1_digest = campaign_digest(**digest_inputs, layout="s1")
-    with pytest.raises(CheckpointMismatch, match="--snapshot/--no-snapshot"):
-        CheckpointStore(tmp_path, s1_digest, layout="s1").load(resume=True)
+    p1 = DBCheckpointStore(
+        tmp_path / "campaign.db", campaign_digest(**digest_inputs, layout="p1")
+    )
+    assert set(p1.load(resume=True)) == {"p0:t0-1"}
+    p1.close()
 
 
-def test_plain_digest_mismatch_keeps_generic_hint(tmp_path, digest_inputs):
-    digest = campaign_digest(**digest_inputs)
-    store = CheckpointStore(tmp_path, digest, layout="p1")
+def test_layout_change_starts_fresh_row(tmp_path, digest_inputs):
+    """Resuming a p1 campaign with snapshot serving on (s1) opens a new
+    row: no p1 unit is reused, and the p1 row stays intact."""
+    path = tmp_path / "campaign.db"
+    p1_digest = campaign_digest(**digest_inputs)
+    store = DBCheckpointStore(path, p1_digest)
     store.load(resume=False)
+    store.record("p0:t0-1", [])
     store.close()
-    with pytest.raises(CheckpointMismatch, match="delete it or run without --resume"):
-        CheckpointStore(tmp_path, "deadbeef", layout="p1").load(resume=True)
+
+    s1 = DBCheckpointStore(path, campaign_digest(**digest_inputs, layout="s1"))
+    assert s1.load(resume=True) == {}
+    s1.close()
+    again = DBCheckpointStore(path, p1_digest)
+    assert set(again.load(resume=True)) == {"p0:t0-1"}
+    again.close()

@@ -406,19 +406,33 @@ class TestResume:
         assert "exec.units" not in counters  # nothing executed
         assert counters["campaign.tests"] == 4 * 6
 
-    def test_config_change_refuses_stale_checkpoint(self, tmp_path, lu_app, lu_profile, lu_points):
-        from repro.exec import CheckpointMismatch
+    def test_other_snapshot_setting_starts_fresh_row(
+        self, tmp_path, lu_app, lu_profile, lu_points, serial_result
+    ):
+        """--snapshot selects the unit layout, which is part of the
+        digest: resuming under the other setting runs a new campaign row
+        from scratch and leaves the original row intact."""
+        from repro.store import CampaignDB
 
         ckdir = tmp_path / "ck"
         Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
             checkpoint_dir=ckdir,
         ).run(lu_points)
-        with pytest.raises(CheckpointMismatch):
-            Campaign(
-                lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=12,
-                checkpoint_dir=ckdir, resume=True,
-            ).run(lu_points)
+        registry = MetricsRegistry()
+        other = Campaign(
+            lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
+            checkpoint_dir=ckdir, snapshot=False, resume=True, metrics=registry,
+        ).run(lu_points)
+        assert campaign_signature(other) == campaign_signature(serial_result)
+        counters = registry.to_dict()["counters"]
+        assert counters.get("exec.units_resumed", 0) == 0
+        assert counters["exec.units"] == 12
+        with CampaignDB(ckdir / "campaign.db") as db:
+            rows = db.campaigns()
+            assert len(rows) == 2
+            assert all(r["complete"] for r in rows)
+            assert sorted(len(db.load_units(r["id"])) for r in rows) == [4, 12]
 
 
 def test_campaign_rejects_bad_jobs(lu_app, lu_profile):

@@ -6,8 +6,6 @@ hooks read inside worker processes (see
 monkeypatched environment propagates into freshly spawned workers.
 """
 
-import json
-
 import pytest
 
 from repro.exec.sharding import make_units
@@ -15,6 +13,7 @@ from repro.exec.supervisor import SupervisorConfig, UnitFailedError
 from repro.injection import Campaign, Outcome, enumerate_points
 from repro.obs.events import Tracer
 from repro.obs.metrics import MetricsRegistry
+from repro.store import CampaignDB
 
 
 def campaign_signature(result):
@@ -260,6 +259,18 @@ class TestQuarantine:
         assert err.value.unit_id == "p0:t0-2"
 
 
+def _stored(ckpt):
+    """Completion flag, completed and quarantined unit ids of the one
+    campaign stored in checkpoint directory ``ckpt``."""
+    with CampaignDB(ckpt / "campaign.db") as db:
+        row = db.campaign()
+        return {
+            "complete": bool(row["complete"]),
+            "completed": sorted(db.load_units(row["id"])),
+            "quarantined": [r["unit_id"] for r in db.quarantine_records(row["id"])],
+        }
+
+
 class TestQuarantineResume:
     def test_quarantined_unit_is_retried_on_resume(
         self, monkeypatch, tmp_path, lu_app, lu_profile, lu_points, serial_result
@@ -276,10 +287,10 @@ class TestQuarantineResume:
         first.run(lu_points)
         assert first.quarantined == ["p2:t0-2"]
 
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        assert manifest["quarantined"] == ["p2:t0-2"]
-        assert manifest["complete"] is False
-        assert "p2:t0-2" not in manifest["completed"]
+        stored = _stored(ckpt)
+        assert stored["quarantined"] == ["p2:t0-2"]
+        assert stored["complete"] is False
+        assert "p2:t0-2" not in stored["completed"]
 
         # The environmental fault clears; resume retries only that unit.
         monkeypatch.delenv("FASTFIT_CHAOS_MODE")
@@ -294,17 +305,17 @@ class TestQuarantineResume:
         n_units = len(make_units(len(lu_points), 6))
         assert counters["exec.units_resumed"] == n_units - 1
         assert counters["exec.units"] == 1
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        assert manifest["complete"] is True
-        assert manifest["quarantined"] == []
+        stored = _stored(ckpt)
+        assert stored["complete"] is True
+        assert stored["quarantined"] == []
 
 
 class TestKeyboardInterrupt:
     def test_interrupt_flushes_checkpoint_and_reraises(
         self, tmp_path, lu_app, lu_profile, lu_points
     ):
-        """Ctrl-C mid-campaign: the pool is torn down, the manifest is
-        flushed, and the checkpoint resumes cleanly afterwards."""
+        """Ctrl-C mid-campaign: the pool is torn down, the campaign row
+        is marked incomplete, and the run resumes cleanly afterwards."""
         ckpt = tmp_path / "ckpt"
         fired = []
 
@@ -320,13 +331,12 @@ class TestKeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
             engine.run(lu_points)
 
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        assert manifest["complete"] is False
-        assert manifest["n_completed"] >= 1
+        stored = _stored(ckpt)
+        assert stored["complete"] is False
+        assert len(stored["completed"]) >= 1
 
         resumed = _engine(
             lu_app, lu_profile, checkpoint_dir=ckpt, resume=True
         ).run(lu_points)
         assert resumed.n_tests() == len(lu_points) * 6
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        assert manifest["complete"] is True
+        assert _stored(ckpt)["complete"] is True

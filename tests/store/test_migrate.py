@@ -1,5 +1,6 @@
-"""Pickle-checkpoint -> SQLite migration (``fastfit migrate``)."""
+"""Legacy pickle checkpoint -> SQLite migration (``fastfit migrate``)."""
 
+import json
 import pickle
 
 import pytest
@@ -11,6 +12,30 @@ TESTS_PER_POINT = 4
 SEED = 11
 
 
+def write_legacy_checkpoint(db_path, ckdir):
+    """Rewrite the one campaign stored in ``db_path`` as a legacy pickle
+    checkpoint directory: a ``units.pkl`` stream (digest header, then one
+    record per unit) plus its ``manifest.json``."""
+    with CampaignDB(db_path) as db:
+        row = db.campaign()
+        units = db.load_units(row["id"])
+    ckdir.mkdir(parents=True, exist_ok=True)
+    with (ckdir / "units.pkl").open("wb") as fh:
+        pickle.dump({"digest": row["digest"], "format": 1}, fh)
+        for unit_id, (tests, metrics) in sorted(units.items()):
+            pickle.dump(
+                {"type": "unit", "unit_id": unit_id, "tests": tests, "metrics": metrics},
+                fh,
+            )
+    (ckdir / "manifest.json").write_text(json.dumps({
+        "digest": row["digest"],
+        "completed": sorted(units),
+        "n_completed": len(units),
+        "complete": bool(row["complete"]),
+        "total_units": row["total_units"],
+    }))
+
+
 @pytest.fixture(scope="module")
 def points(lu_profile):
     return enumerate_points(lu_profile)[:4]
@@ -18,13 +43,14 @@ def points(lu_profile):
 
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory, lu_app, lu_profile, points):
-    """A completed pickle checkpoint plus its campaign result."""
-    ckdir = tmp_path_factory.mktemp("migrate") / "ck"
+    """A completed legacy pickle checkpoint plus its campaign result."""
+    root = tmp_path_factory.mktemp("migrate")
     result = Campaign(
         lu_app, lu_profile, tests_per_point=TESTS_PER_POINT,
-        param_policy="all", seed=SEED, checkpoint_dir=ckdir,
+        param_policy="all", seed=SEED, db_path=root / "src.db",
     ).run(points)
-    return ckdir, result
+    write_legacy_checkpoint(root / "src.db", root / "ck")
+    return root / "ck", result
 
 
 def test_migrate_roundtrip(checkpoint, tmp_path):

@@ -252,8 +252,8 @@ class TestErrorHygiene:
         assert "--max-retries must be >= 0" in capsys.readouterr().err
 
     def test_checkpoint_mismatch_is_one_line(self, tmp_path, capsys):
-        """A foreign checkpoint directory produces exit 2 and a single
-        explanatory line, not a traceback."""
+        """A legacy pickle checkpoint directory produces exit 2 and a
+        single line naming the migrate command, not a traceback."""
         import pickle
 
         ck = tmp_path / "ck"
@@ -268,7 +268,8 @@ class TestErrorHygiene:
         )
         err = capsys.readouterr().err
         assert rc == 2
-        assert "different campaign" in err
+        assert "fastfit migrate" in err
+        assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
 

@@ -7,6 +7,7 @@ import sqlite3
 import pytest
 
 from repro.cli import main
+from tests.store.test_migrate import write_legacy_checkpoint
 
 CAMPAIGN_ARGS = [
     "--app", "lu", "--problem-class", "T", "--tests", "3", "--max-points", "4",
@@ -85,9 +86,11 @@ def test_progress_jsonl_flag(tmp_path, capsys):
 
 
 def test_migrate_command(tmp_path, capsys):
-    ckdir = tmp_path / "ck"
-    assert main(["campaign", *CAMPAIGN_ARGS, "--checkpoint-dir", str(ckdir)]) == 0
+    src = tmp_path / "src.sqlite"
+    assert main(["campaign", *CAMPAIGN_ARGS, "--db", str(src)]) == 0
     capsys.readouterr()
+    ckdir = tmp_path / "ck"
+    write_legacy_checkpoint(src, ckdir)
 
     db = tmp_path / "migrated.sqlite"
     assert main(["migrate", "--checkpoint-dir", str(ckdir), "--db", str(db)]) == 0
@@ -97,6 +100,66 @@ def test_migrate_command(tmp_path, capsys):
     # stored stats and the report work on the migrated database
     assert main(["stats", "--db", str(db)]) == 0
     assert "response types (stored)" in capsys.readouterr().out
+
+
+def test_checkpoint_dir_is_a_campaign_database(tmp_path, capsys):
+    """``--checkpoint-dir DIR`` writes ``DIR/campaign.db``, which
+    ``stats --db`` and ``report --db`` read without a migrate step."""
+    ckdir = tmp_path / "ck"
+    assert main(["campaign", *CAMPAIGN_ARGS, "--checkpoint-dir", str(ckdir)]) == 0
+    capsys.readouterr()
+    db = ckdir / "campaign.db"
+    assert db.is_file()
+    assert not (ckdir / "units.pkl").exists()
+
+    assert main(["stats", "--db", str(db), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["campaign"]["complete"] is True
+    assert data["campaign"]["recorded_tests"] == 4 * 3
+    assert main(["report", "--db", str(db), "--out", str(tmp_path / "report")]) == 0
+    assert (tmp_path / "report" / "index.html").exists()
+
+
+def test_legacy_checkpoint_dir_resumes_after_migrate(tmp_path, capsys):
+    """Resuming from a directory that holds only a legacy pickle stream
+    exits 2 with one line naming the migrate command; after that command
+    the resume executes nothing."""
+    src = tmp_path / "src.sqlite"
+    assert main(["campaign", *CAMPAIGN_ARGS, "--db", str(src)]) == 0
+    ckdir = tmp_path / "ck"
+    write_legacy_checkpoint(src, ckdir)
+    capsys.readouterr()
+
+    resume = ["stats", *CAMPAIGN_ARGS, "--checkpoint-dir", str(ckdir), "--resume", "--json"]
+    assert main(resume) == 2
+    err = capsys.readouterr().err
+    db = ckdir / "campaign.db"
+    assert f"fastfit migrate --checkpoint-dir {ckdir} --db {db}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not db.exists()
+
+    assert main(["migrate", "--checkpoint-dir", str(ckdir), "--db", str(db)]) == 0
+    capsys.readouterr()
+    assert main(resume) == 0
+    counters = json.loads(capsys.readouterr().out)["counters"]
+    assert counters.get("exec.units", 0) == 0
+    assert counters["exec.units_resumed"] == 4
+    assert counters["campaign.tests"] == 4 * 3
+
+
+def test_adaptive_records_rounds_in_checkpoint_dir(tmp_path, capsys):
+    """``--adaptive`` persists through ``--checkpoint-dir`` like
+    ``--db``: the steering rounds land in ``DIR/campaign.db``."""
+    from repro.store import CampaignDB
+
+    ckdir = tmp_path / "ck"
+    assert main(
+        ["campaign", *CAMPAIGN_ARGS, "--adaptive", "--checkpoint-dir", str(ckdir)]
+    ) == 0
+    capsys.readouterr()
+    with CampaignDB(ckdir / "campaign.db") as db:
+        assert db.steering_rounds(db.campaign()["id"])
 
 
 class TestErrorHygiene:

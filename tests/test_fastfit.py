@@ -53,3 +53,21 @@ def test_campaign_over_custom_points(ff):
     points = ff.prune().representative_points[:3]
     result = ff.campaign(points=points, tests_per_point=3)
     assert len(result.points) == 3
+
+
+def test_store_backed_steer_counts_each_round_once(tmp_path):
+    """Later steering rounds resume the same campaign row; the units an
+    earlier round stored are not this round's, so they are neither
+    re-merged nor counted as resumed."""
+    from repro.apps import make_app
+
+    ff = FastFIT(
+        make_app("lammps"), seed=2015, tests_per_point=8,
+        db_path=tmp_path / "steer.db",
+    )
+    res = ff.steer(accuracy_target=0.65, budget=150)
+    tests_run = sum(r.tests_run for r in res.rounds)
+    assert len(res.rounds) > 1
+    counters = ff.metrics.to_dict()["counters"]
+    assert counters["campaign.tests"] == tests_run
+    assert counters.get("exec.units_resumed", 0) == 0
