@@ -140,6 +140,7 @@ class WorkerState:
         fault_model: str = "bitflip",
         scenario=None,
         stopper=None,
+        jobs: int = 1,
         preclassifier=None,
     ):
         self.param_policy = param_policy
@@ -161,9 +162,11 @@ class WorkerState:
         self.engine = None
         if snapshot:
             # Lazy import: repro.snapshot depends on repro.injection.
-            from ..snapshot import SnapshotEngine
+            from ..snapshot.engine import SnapshotEngine, cpu_count
 
-            self.engine = SnapshotEngine(self.runner)
+            # The ``jobs`` executors share the cores: each overlaps up to
+            # its share of forked children at a park.
+            self.engine = SnapshotEngine(self.runner, width=max(1, cpu_count() // jobs))
 
     def _predict(
         self, point: InjectionPoint, point_index: int, test_index: int
@@ -212,15 +215,24 @@ class WorkerState:
 
     def _unit(self, unit: WorkUnit, point: InjectionPoint, complete) -> tuple:
         """``unit`` as the engine's ``(point, tasks, deliver, done,
-        metrics)``.  In test order, a statically predicted test takes its
-        slot without executing, any other is drawn and yielded; the
-        consumer appends each result to ``tests`` before pulling again,
-        so a stopper sees result *k* before test *k+1* is drawn and ends
-        the stream at the same index under every scheduling.
+        metrics)``.  Without a stopper or preclassifier every draw is a
+        pure function of ``(seed, point, test)``, so ``tasks`` is the
+        list of them and the engine may overlap their forks.  Otherwise
+        it is a generator: in test order, a statically predicted test
+        takes its slot without executing, any other is drawn and yielded;
+        the consumer appends each result to ``tests`` before pulling
+        again, so a stopper sees result *k* before test *k+1* is drawn
+        and ends the stream at the same index under every scheduling.
         ``exec.unit_s`` spans the unit from this pull to ``complete``."""
         registry = MetricsRegistry()
         tests: list[TestResult] = []
         pulled = time.perf_counter()
+
+        def draw(t: int):
+            return draw_task(
+                point, self.seed, unit.point_index, t, policy=self.param_policy,
+                model=self.fault_model, scenario=self.scenario,
+            )
 
         def tasks():
             for t in range(unit.test_start, unit.test_stop):
@@ -228,10 +240,7 @@ class WorkerState:
                     return
                 test = self._predict(point, unit.point_index, t)
                 if test is None:
-                    yield draw_task(
-                        point, self.seed, unit.point_index, t, policy=self.param_policy,
-                        model=self.fault_model, scenario=self.scenario,
-                    )
+                    yield draw(t)
                 else:
                     tests.append(test)
 
@@ -248,6 +257,9 @@ class WorkerState:
                 registry.counter(f"campaign.outcome.{test.outcome.name}").inc()
             complete(unit.unit_id, tests, registry)
 
+        if self.stopper is None and self.preclassifier is None:
+            drawn = [draw(t) for t in range(unit.test_start, unit.test_stop)]
+            return point, drawn, tests.append, done, registry
         return point, tasks(), tests.append, done, registry
 
 

@@ -392,7 +392,7 @@ class Campaign:
         return (
             self.app, self.profile, self.param_policy, self.seed,
             self.algorithms, self.snapshot,
-            self.fault_model, self.scenario, self.stopper,
+            self.fault_model, self.scenario, self.stopper, self.jobs,
         )
 
     def worker_state(self):
@@ -402,7 +402,7 @@ class Campaign:
         if self._state is None:
             from ..exec.supervisor import WorkerState
 
-            self._state = WorkerState(*self.worker_args(), self.preclassifier)
+            self._state = WorkerState(*self.worker_args(), preclassifier=self.preclassifier)
         return self._state
 
     @property

@@ -146,7 +146,10 @@ def snapshot_engine_line(metrics: dict) -> str:
         return ""
     hits = counters.get("snapshot.hits", 0)
     misses = counters.get("snapshot.misses", 0)
-    nbytes = metrics.get("gauges", {}).get("snapshot.bytes", 0)
+    gauges = metrics.get("gauges", {})
+    nbytes = gauges.get("snapshot.bytes", 0)
+    # Absent from campaigns stored before forks could overlap: one at a time.
+    width = gauges.get("snapshot.width", 1)
     timers = metrics.get("timers", {})
 
     def timer(name: str, field: str) -> float:
@@ -154,7 +157,8 @@ def snapshot_engine_line(metrics: dict) -> str:
 
     return (
         f"snapshot engine: {forks} forked tests "
-        f"({timer('fork_overhead_s', 'mean') * 1e3:.1f} ms fork overhead each), "
+        f"({timer('fork_overhead_s', 'mean') * 1e3:.1f} ms fork overhead each, "
+        f"up to {width:.0f} {'child' if width == 1 else 'children'} in flight), "
         f"{replays} replayed in the park, their prefix cheaper than a fork "
         f"({timer('prefix_s', 'mean') * 1e3:.1f} ms mean prefix over "
         f"{timer('prefix_s', 'count')} parks), "

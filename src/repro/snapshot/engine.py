@@ -19,7 +19,10 @@ retried unit, an out-of-order stream) starts a fresh run from t=0.
 Units and tasks are pulled lazily while the job is parked, each task
 only after the previous result was delivered, so a caller that decides
 test *k+1* from result *k* (a sequential stopper) or unit *k+1* after
-reporting unit *k* (a pool worker) still shares the one run.  At each
+reporting unit *k* (a pool worker) still shares the one run.  A unit
+whose tasks come as a *list* has nothing left to decide: test *k+1* is
+forked before test *k* is reaped, up to ``width`` children in flight,
+and results are still delivered strictly in task order.  At each
 park the parent also captures a :class:`SimSnapshot` into an LRU cache;
 only the *first* target of a later run in the same process fast-forwards
 from it instead of replaying from t=0.
@@ -43,7 +46,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
+import struct
 import time
+from collections import deque
 from dataclasses import replace
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -71,6 +77,34 @@ from .snapshot import (
 #: (``FaultSpec`` or any model's ``ModelSpec``, parameter already drawn)
 #: and the post-draw RNG that will pick the bit.
 Task = tuple[FaultSpec, np.random.Generator]
+
+#: Reaped children before an engine forks more than one at a time: their
+#: overhead samples calibrate :meth:`SnapshotEngine.fork_pays`.
+CALIBRATION_FORKS = 3
+
+#: What a child writes after its pickled result: the ``perf_counter``
+#: (CLOCK_MONOTONIC, shared across ``fork``) at its start, and once the
+#: result is written.
+_STAMPS = struct.Struct("=dd")
+
+
+def cpu_count() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else every core."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _InFlight(NamedTuple):
+    """A forked child the parent has not reaped yet."""
+
+    pid: int
+    rfd: int
+    fork_t0: float
+    spec: FaultSpec
+    rng: np.random.Generator
 
 
 class Unit(NamedTuple):
@@ -136,14 +170,25 @@ class SnapshotEngine:
     metrics:
         :class:`~repro.obs.metrics.MetricsRegistry` of the ``snapshot.*``
         counters for units that bring none (default: a private one).
+    width:
+        Most forked children in flight at a park whose tasks are a list
+        (default: every core this process may run on, :func:`cpu_count`).
     """
 
-    def __init__(self, runner: InjectionRunner, cache: SnapshotCache | None = None, metrics=None):
+    def __init__(
+        self,
+        runner: InjectionRunner,
+        cache: SnapshotCache | None = None,
+        metrics=None,
+        width: int | None = None,
+    ):
         self.runner = runner
         self.cache = cache if cache is not None else SnapshotCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Fork overhead of every reaped child: ``snapshot.fork_s`` minus
-        #: the child's own continuation time.
+        self.width = max(1, width if width is not None else cpu_count())
+        #: Fork overhead of every reaped child: from the fork to the
+        #: child's first instruction, plus from the child's end (or the
+        #: parent turning to it, if later) to the reap.
         self._overhead = Timer()
 
     # -- public API ----------------------------------------------------
@@ -153,14 +198,15 @@ class SnapshotEngine:
         ``prefix_s`` seconds up to this park costs less than the fork
         overhead seen so far.  That is the minimum of at least 3 samples
         (a process's first fork is cold); erring low only forks."""
-        return self._overhead.count < 3 or prefix_s >= self._overhead.min
+        return self._overhead.count < CALIBRATION_FORKS or prefix_s >= self._overhead.min
 
     def serve_point(
         self, point: InjectionPoint, tasks: Iterable[Task], metrics=None, on_result=None
     ) -> list[TestResult]:
         """:meth:`serve` for one unit: run every task at ``point`` and
         return the results, each also passed to ``on_result`` — exactly
-        once, in task order — before the next task is pulled."""
+        once, in task order, and before the next task is pulled unless
+        ``tasks`` is a list."""
         results: list[TestResult] = []
 
         def deliver(result: TestResult) -> None:
@@ -181,7 +227,9 @@ class SnapshotEngine:
         inherits it bit-for-bit.  The first task is pulled before the
         job parks at the unit's point, each later one only after the
         previous result went to ``deliver``, so a generator may decide
-        from the results so far whether there is a next task.  When it
+        from the results so far whether there is a next task.  A list
+        decides nothing: its tests overlap, up to ``width`` forked
+        children at a time, and are delivered in list order.  When it
         ends ``done()`` is called and the next unit pulled: the same run
         walks on to a point still ahead of it, a point already passed
         starts a fresh run.  Any test the fork path cannot serve is
@@ -205,13 +253,14 @@ class SnapshotEngine:
     def _pull(self, units: Iterator[Unit]) -> Unit | None:
         """The next unit a park can serve, its first task peeked (an
         empty stream costs nothing); units that cannot share a prefix
-        are replayed and finished right here."""
+        are replayed and finished right here.  A list stays a list: it
+        is how the serving loop knows every task is drawn already."""
         for point, tasks, deliver, done, m in units:
             m = m if m is not None else self.metrics
             stream = iter(tasks)
             first = next(stream, None)
             if first is not None:
-                stream = chain([first], stream)
+                stream = tasks if isinstance(tasks, list) else chain([first], stream)
                 if (
                     snapshot_supported()
                     and getattr(self.runner.app, "deterministic", True)
@@ -305,51 +354,65 @@ class SnapshotEngine:
                     for seg in mem.segments:
                         mem.raw[seg.addr - mem.base] ^= 1
             while True:
-                _, stream, deliver, _, m = unit
-                result = None
-                for spec, rng in stream:
-                    if not self.fork_pays(prefix_s):
-                        # Replaying this prefix is cheaper than a fork from it.
-                        m.counter("snapshot.replayed_tests").inc()
-                        if result is None or mutants.active_mutant() != "snapshot_replay_wrong_slot":
-                            result = runner.run_one(spec, rng)
-                        deliver(result)
-                        continue
-                    if mutants.active_mutant() == "snapshot_rng_desync":
-                        rng.integers(0, 1 << 16)
-                    injector = build_injector(spec, rng)
-                    fork_t0 = time.perf_counter()
-                    rfd, wfd = os.pipe()
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        # Process limit: no child, both pipe ends are ours.
-                        # Earlier results are delivered; replay from here on.
-                        os.close(rfd)
+                _, tasks, deliver, _, m = unit
+                # A list's tasks are all drawn: test k+1 may fork before
+                # test k is reaped.  Any other stream may draw k+1 from
+                # result k (a stopper), so it is served one child at a time.
+                width = self.width if isinstance(tasks, list) else 1
+                m.gauge("snapshot.width").set(width)
+                stream = iter(tasks)
+                inflight: deque[_InFlight] = deque()
+                result = None  # the last result delivered
+                try:
+                    for spec, rng in stream:
+                        if not self.fork_pays(prefix_s):
+                            # Replaying this prefix is cheaper than a fork from it.
+                            result = self._drain(inflight, deliver, m, result)
+                            m.counter("snapshot.replayed_tests").inc()
+                            if (
+                                result is None
+                                or mutants.active_mutant() != "snapshot_replay_wrong_slot"
+                            ):
+                                result = runner.run_one(spec, rng)
+                            deliver(result)
+                            continue
+                        if mutants.active_mutant() == "snapshot_rng_desync":
+                            rng.integers(0, 1 << 16)
+                        injector = build_injector(spec, rng)
+                        fork_t0 = time.perf_counter()
+                        rfd, wfd = os.pipe()
+                        try:
+                            pid = os.fork()
+                        except OSError:
+                            # Process limit: no child, both pipe ends are ours.
+                            # Earlier results are delivered; replay from here on.
+                            os.close(rfd)
+                            os.close(wfd)
+                            self._drain(inflight, deliver, m, result)
+                            self._replay(chain([(spec, rng)], stream), deliver, m)
+                            break
+                        if pid == 0:
+                            # -- child: arm the fault at the parked call and
+                            # let the inherited scheduler stack resume.
+                            child.update(
+                                wfd=wfd, spec=spec, injector=injector, t0=time.perf_counter()
+                            )
+                            os.close(rfd)
+                            for sibling in inflight:
+                                os.close(sibling.rfd)
+                            return injector
                         os.close(wfd)
-                        self._replay(chain([(spec, rng)], stream), deliver, m)
-                        break
-                    if pid == 0:
-                        # -- child: arm the fault at the parked call and
-                        # let the inherited scheduler stack resume.
-                        os.close(rfd)
-                        child.update(wfd=wfd, spec=spec, injector=injector, t0=time.perf_counter())
-                        return injector
-                    os.close(wfd)
-                    m.counter("snapshot.forks").inc()
-                    reaped = self._reap(pid, rfd)
-                    fork_s = time.perf_counter() - fork_t0
-                    m.timer("snapshot.fork_s").record(fork_s)
-                    if reaped is not None:
-                        result, continuation_s = reaped
-                        for timer in (self._overhead, m.timer("snapshot.fork_overhead_s")):
-                            timer.record(max(0.0, fork_s - continuation_s))
-                        deliver(result)
-                    else:
-                        # The child died without delivering: full-replay this
-                        # test on the parent's untouched post-draw RNG now —
-                        # the next pull may depend on its result.
-                        self._replay([(spec, rng)], deliver, m)
+                        m.counter("snapshot.forks").inc()
+                        inflight.append(_InFlight(pid, rfd, fork_t0, spec, rng))
+                        # The calibrating forks run solo.
+                        limit = width if self._overhead.count >= CALIBRATION_FORKS else 1
+                        while len(inflight) >= limit:
+                            result = self._collect(inflight, deliver, m)
+                    self._drain(inflight, deliver, m, result)
+                except BaseException:
+                    if not child:  # a forked child never owns its siblings
+                        self._abandon(inflight)
+                    raise
                 self._finish(unit)
                 unit = self._pull(units)
                 target = unit and self._park_point(unit.point)
@@ -408,28 +471,76 @@ class SnapshotEngine:
         self._finish(unit)
         return self._pull(units)
 
+    def _collect(self, inflight: deque[_InFlight], deliver, m) -> TestResult:
+        """Reap the oldest in-flight child and deliver its result; a
+        child that died without one has its test replayed in its slot,
+        on the parent's untouched post-draw RNG.  Returns what was
+        delivered."""
+        if len(inflight) > 1 and mutants.active_mutant() == "snapshot_pipeline_reorder":
+            pid, rfd, fork_t0, spec, rng = inflight.pop()
+        else:
+            pid, rfd, fork_t0, spec, rng = inflight.popleft()
+        waiting = time.perf_counter()
+        reaped = self._reap(pid, rfd)
+        reaped_at = time.perf_counter()
+        m.timer("snapshot.fork_s").record(reaped_at - fork_t0)
+        if reaped is None:
+            m.counter("snapshot.fallback_tests").inc()
+            result = self.runner.run_one(spec, rng)
+        else:
+            result, child_start, child_end = reaped
+            # Fork to the child's first instruction, plus its exit and
+            # reap — counted from when the parent turned to this child,
+            # so time spent on older siblings is not its overhead.
+            overhead = (child_start - fork_t0) + (reaped_at - max(child_end, waiting))
+            for timer in (self._overhead, m.timer("snapshot.fork_overhead_s")):
+                timer.record(max(0.0, overhead))
+        deliver(result)
+        return result
+
+    def _drain(self, inflight: deque[_InFlight], deliver, m, result):
+        """:meth:`_collect` every in-flight child, oldest first; returns
+        the last result delivered (``result`` if none was in flight)."""
+        while inflight:
+            result = self._collect(inflight, deliver, m)
+        return result
+
+    @staticmethod
+    def _abandon(inflight: deque[_InFlight]) -> None:
+        """Kill, reap and close every in-flight child: none outlives the
+        park it was forked at."""
+        while inflight:
+            child = inflight.popleft()
+            os.close(child.rfd)
+            os.kill(child.pid, signal.SIGKILL)
+            os.waitpid(child.pid, 0)
+
     @staticmethod
     def _child_exit(child: dict, classify, ending) -> None:
-        """Classify how the continuation ended, ship the result to the
-        parent, and exit the child without running any inherited
-        teardown (``os._exit``)."""
+        """Classify how the continuation ended, ship the result and the
+        child's start and end stamps to the parent, and exit the child
+        without running any inherited teardown (``os._exit``)."""
         try:
             result = classify(child["spec"], child["injector"], ending)
-            continuation_s = time.perf_counter() - child["t0"]
-            payload = pickle.dumps((result, continuation_s), protocol=pickle.HIGHEST_PROTOCOL)
-            view = memoryview(payload)
             wfd = child["wfd"]
-            while view:
-                view = view[os.write(wfd, view):]
+
+            def write(payload: bytes) -> None:
+                view = memoryview(payload)
+                while view:
+                    view = view[os.write(wfd, view):]
+
+            write(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+            write(_STAMPS.pack(child["t0"], time.perf_counter()))
             os.close(wfd)
             os._exit(0)
         except BaseException:  # pragma: no cover - child containment
             os._exit(1)
 
     @staticmethod
-    def _reap(pid: int, rfd: int) -> tuple[TestResult, float] | None:
-        """Collect one child's pickled ``(result, continuation seconds)``;
-        None on any failure."""
+    def _reap(pid: int, rfd: int) -> tuple[TestResult, float, float] | None:
+        """Collect one child's ``(result, start, end)``; None on any
+        failure.  The child is waited for however the read ends — and
+        killed first if the read is interrupted."""
         chunks = []
         try:
             while True:
@@ -437,15 +548,21 @@ class SnapshotEngine:
                 if not block:
                     break
                 chunks.append(block)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
         finally:
             os.close(rfd)
-        _, status = os.waitpid(pid, 0)
+            _, status = os.waitpid(pid, 0)
         if not (os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0):
             return None
-        if not chunks:
+        data = b"".join(chunks)
+        if len(data) <= _STAMPS.size:
             return None
         try:
-            result, continuation_s = pickle.loads(b"".join(chunks))
+            result = pickle.loads(data[: -_STAMPS.size])
         except Exception:
             return None
-        return (result, continuation_s) if isinstance(result, TestResult) else None
+        if not isinstance(result, TestResult):
+            return None
+        return (result, *_STAMPS.unpack(data[-_STAMPS.size:]))

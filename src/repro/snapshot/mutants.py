@@ -8,10 +8,11 @@ internal divergence checks — a bug those checks catch is silently
 repaired by the full-replay fallback and proves nothing about the
 oracle.
 
-Activation is a module-level flag consulted by the engine at the five
+Activation is a module-level flag consulted by the engine at the six
 places a real implementation bug would live: the per-test RNG handoff,
 the parked prefix state, the park-site match, the walk from one
-unit's park to the next, and the in-park replay of a test.
+unit's park to the next, the in-park replay of a test, and the order
+in which overlapped children are reaped.
 """
 
 from __future__ import annotations
@@ -72,6 +73,14 @@ SNAPSHOT_MUTANTS: dict[str, SnapshotMutant] = {
             description=(
                 "a test the engine chose to replay in the park is not run: "
                 "the previous test's result is delivered into its slot"
+            ),
+            detected_by="fork-equivalence fingerprint (verify phase 5)",
+        ),
+        SnapshotMutant(
+            name="snapshot_pipeline_reorder",
+            description=(
+                "with more than one forked child in flight, the newest is "
+                "reaped and delivered first, so results leave task order"
             ),
             detected_by="fork-equivalence fingerprint (verify phase 5)",
         ),

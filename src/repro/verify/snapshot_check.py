@@ -46,7 +46,18 @@ class _Alternating(SnapshotEngine):
         return self.forked
 
 
-#: The five ways every point is served: ``cold`` — a list on an empty
+class _ThreeForksThenReplay(SnapshotEngine):
+    """Fork, fork, fork, replay, ... test by test over the engine's life,
+    so a replay lands after forks still in flight."""
+
+    decisions = 0
+
+    def fork_pays(self, prefix_s: float) -> bool:
+        self.decisions += 1
+        return self.decisions % 4 != 0
+
+
+#: The six ways every point is served: ``cold`` — a list on an empty
 #: cache (park + capture); ``fast-forward`` — the same list again (cache
 #: hit; under a mutant nothing is cached, so a second cold park);
 #: ``lazy`` — a generator on a fresh engine that yields test *k+1* only
@@ -57,14 +68,21 @@ class _Alternating(SnapshotEngine):
 #: four fork every test (:class:`_Forking`); ``mixed`` is the lazy pass
 #: on an engine that alternates fork and in-park replay test by test
 #: (:class:`_Alternating`), as a park whose prefix costs about one fork does.
-PASSES = ("cold", "fast-forward", "lazy", "walk", "mixed")
+#: All five run one child at a time (``width=1``) on any core count, so
+#: each checks one thing.  ``pipelined`` serves the lists on one engine
+#: with three children in flight that forks three tests and replays the
+#: fourth (:class:`_ThreeForksThenReplay`): a replay waits for the
+#: children before it.
+PASSES = ("cold", "fast-forward", "lazy", "walk", "mixed", "pipelined")
 
 #: Mutants only some passes can see (default: every pass must diverge):
 #: a defect in the step from one unit to the next needs two units, one
-#: in the in-park replay needs a test that is replayed.
+#: in the in-park replay needs a test that is replayed, one in the
+#: reaping order needs two children in flight.
 _VISIBLE_TO = {
     "snapshot_walk_stale_target": ("walk",),
-    "snapshot_replay_wrong_slot": ("mixed",),
+    "snapshot_replay_wrong_slot": ("mixed", "pipelined"),
+    "snapshot_pipeline_reorder": ("pipelined",),
 }
 
 
@@ -193,7 +211,8 @@ def fork_equivalence(
             yield draw_task(points[pi], seed, pi, len(delivered), policy=param_policy)
 
     def serve_all() -> dict[str, list[list[TestResult]]]:
-        batch, lazy, mixed = _Forking(runner), _Forking(runner), _Alternating(runner)
+        batch, lazy = _Forking(runner, width=1), _Forking(runner, width=1)
+        mixed, pipelined = _Alternating(runner, width=1), _ThreeForksThenReplay(runner, width=3)
         out: dict[str, list[list[TestResult]]] = {name: [] for name in PASSES}
         for pi, point in enumerate(points):
             out["cold"].append(batch.serve_point(point, tasks_for(pi)))
@@ -202,13 +221,14 @@ def fork_equivalence(
                 delivered: list[TestResult] = []
                 engine.serve_point(point, lazily(pi, delivered), on_result=delivered.append)
                 out[name].append(delivered)
+            out["pipelined"].append(pipelined.serve_point(point, tasks_for(pi)))
         # A point's walk stream is what the execution-order stream served
         # there, followed by the reversed stream's results if they differ.
         reached = profile.comm.execution_key()
         walk = sorted(range(len(points)), key=lambda pi: reached(points[pi]))
         for sequence in (walk, walk[::-1]):
             served: list[list[TestResult]] = [[] for _ in points]
-            _Forking(runner).serve(
+            _Forking(runner, width=1).serve(
                 (points[pi], tasks_for(pi), served[pi].append, lambda: None, None)
                 for pi in sequence
             )

@@ -5,6 +5,7 @@ import pytest
 from repro.injection import Campaign, enumerate_points
 from repro.obs.metrics import MetricsRegistry
 from repro.report import SECTIONS, build_report
+from repro.snapshot.engine import cpu_count
 from repro.store import CampaignDB, CampaignStoreError
 
 
@@ -60,8 +61,12 @@ def test_summary_reflects_campaign_config(report):
 def test_summary_carries_snapshot_engine_line(report, campaign_db):
     _, html, result = report
     with CampaignDB(campaign_db[0]) as db:
-        counters = db.metrics_snapshot(db.campaign()["id"], "final")["counters"]
+        final = db.metrics_snapshot(db.campaign()["id"], "final")
+    counters = final["counters"]
     forks, replays = counters["snapshot.forks"], counters.get("snapshot.replayed_tests", 0)
+    # One executor (jobs=1) overlaps up to one forked child per core.
+    assert final["gauges"]["snapshot.width"] == cpu_count()
+    assert f"up to {cpu_count()} child" in html and " in flight)" in html
     assert forks + replays == len(result.all_tests())
     # Chosen replays are told apart from tests the fork path could not serve.
     assert f"{forks} forked tests" in html and "ms fork overhead each" in html

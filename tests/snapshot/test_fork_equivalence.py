@@ -52,11 +52,12 @@ def test_oracle_reports_identical_streams(lu_app, lu_profile):
     assert report.mismatches == []
     # Cold park, cache-hit fast-forward, the lazily pulled stream that
     # stopper-driven units use, the one-run walk over all points (in
-    # execution order and reversed) and the stream that alternates fork
-    # and in-park replay are each compared with scratch.
+    # execution order and reversed), the stream that alternates fork
+    # and in-park replay, and lists served three children at a time are
+    # each compared with scratch.
     assert set(report.forked_fingerprints.values()) == {report.scratch_fingerprint}
     assert tuple(report.forked_fingerprints) == PASSES == (
-        "cold", "fast-forward", "lazy", "walk", "mixed",
+        "cold", "fast-forward", "lazy", "walk", "mixed", "pipelined",
     )
 
 
@@ -113,7 +114,10 @@ def test_seeded_engine_mutants_are_detected(lu_app, lu_profile, mutant):
         assert report.diverged == ["walk"]
     elif mutant == "snapshot_replay_wrong_slot":
         # A defect in the in-park replay needs a test that is replayed.
-        assert report.diverged == ["mixed"]
+        assert report.diverged == ["mixed", "pipelined"]
+    elif mutant == "snapshot_pipeline_reorder":
+        # A defect in the reaping order needs two children in flight.
+        assert report.diverged == ["pipelined"]
     else:
         assert report.diverged == list(PASSES)  # every serving path sees it
 
