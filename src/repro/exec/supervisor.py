@@ -44,6 +44,7 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -149,8 +150,9 @@ class WorkerState:
         self.scenario = scenario
         #: Optional :class:`~repro.steer.SequentialStopper`.  Units then
         #: carry a whole point each (the unit plan guarantees it) and
-        #: the stopper is consulted before each test is drawn, truncating
-        #: the stream at the same index any other scheduling would.
+        #: only tests the stopper is certain to run are handed out,
+        #: truncating the stream at the same index any other scheduling
+        #: would.
         self.stopper = stopper
         #: Optional :class:`repro.analyze.PreClassifier` (in-process
         #: executor only): tests it proves are recorded as ``predicted``
@@ -189,8 +191,8 @@ class WorkerState:
         calling ``complete(unit_id, tests, registry)`` as each finishes —
         the one executor of the in-process loop and of a pool worker.
 
-        A unit is a lazily pulled task stream (:meth:`_unit`); its
-        consumer is the snapshot engine or a plain ``run_one`` loop.  The
+        A unit is a slot source (:meth:`_unit`); its consumer is the
+        snapshot engine or a plain ``run_one`` loop.  The
         engine pulls the next unit while the finished one is still parked
         and walks its one fault-free run on whenever that point is still
         ahead, so a stream in execution order costs one run plus one fork
@@ -201,9 +203,9 @@ class WorkerState:
         if self.engine is not None:
             self.engine.serve(stream)
             return
-        for _, tasks, deliver, done, _ in stream:
-            for spec, rng in tasks:
-                deliver(self.runner.run_one(spec, rng))
+        for _, take, deliver, done, _ in stream:
+            for slot in chain.from_iterable(iter(lambda: take(1), [])):
+                deliver(slot if isinstance(slot, TestResult) else self.runner.run_one(*slot))
             done()
 
     def execute(self, unit: WorkUnit, point: InjectionPoint) -> tuple:
@@ -214,35 +216,51 @@ class WorkerState:
         return out[0]
 
     def _unit(self, unit: WorkUnit, point: InjectionPoint, complete) -> tuple:
-        """``unit`` as the engine's ``(point, tasks, deliver, done,
-        metrics)``.  Without a stopper or preclassifier every draw is a
-        pure function of ``(seed, point, test)``, so ``tasks`` is the
-        list of them and the engine may overlap their forks.  Otherwise
-        it is a generator: in test order, a statically predicted test
-        takes its slot without executing, any other is drawn and yielded;
-        the consumer appends each result to ``tests`` before pulling
-        again, so a stopper sees result *k* before test *k+1* is drawn
-        and ends the stream at the same index under every scheduling.
+        """``unit`` as the engine's ``(point, take, deliver, done,
+        metrics)``.  A test's slot is a pure function of ``(seed, point,
+        test)``: its statically predicted result, else its drawn task.
+        ``take(limit)`` hands out the next slots in test order up to a
+        horizon: the unit's end, or, with a stopper, the tests it is
+        certain to run whatever the results still undelivered are.  So
+        no slot past the cut a serial loop makes is ever handed out, and
+        the stream ends at the same index under every scheduling.
         ``exec.unit_s`` spans the unit from this pull to ``complete``."""
+        overreach = False
+        if self.engine is not None:
+            from ..snapshot.mutants import active_mutant
+
+            overreach = active_mutant() == "snapshot_horizon_overreach"
         registry = MetricsRegistry()
         tests: list[TestResult] = []
         pulled = time.perf_counter()
+        drawn: deque = deque()  # slots certain to run, not yet handed out
+        after = unit.test_start  # the first test not drawn
 
-        def draw(t: int):
+        def slot(t: int):
+            predicted = self._predict(point, unit.point_index, t)
+            if predicted is not None:
+                return predicted
             return draw_task(
                 point, self.seed, unit.point_index, t, policy=self.param_policy,
                 model=self.fault_model, scenario=self.scenario,
             )
 
-        def tasks():
-            for t in range(unit.test_start, unit.test_stop):
-                if self.stopper is not None and self.stopper.should_stop(tests):
-                    return
-                test = self._predict(point, unit.point_index, t)
-                if test is None:
-                    yield draw(t)
-                else:
-                    tests.append(test)
+        def take(limit: int) -> list:
+            nonlocal after
+            if not drawn:
+                # Every slot certain to run is drawn in one go, most of
+                # them at the engine's peek, before any child shares the
+                # parent's pages: allocating next to live children costs
+                # the parent a copy-on-write fault per page it touches.
+                stop = unit.test_stop
+                if self.stopper is not None:
+                    delivered = unit.test_start + len(tests)
+                    stop = delivered + self.stopper.certain(tests, stop - delivered)
+                    if overreach:
+                        stop = min(unit.test_stop, stop + 1)
+                drawn.extend(slot(t) for t in range(after, stop))
+                after = max(after, stop)
+            return [drawn.popleft() for _ in range(min(limit, len(drawn)))]
 
         def done() -> None:
             registry.timer("exec.unit_s").record(time.perf_counter() - pulled)
@@ -257,10 +275,7 @@ class WorkerState:
                 registry.counter(f"campaign.outcome.{test.outcome.name}").inc()
             complete(unit.unit_id, tests, registry)
 
-        if self.stopper is None and self.preclassifier is None:
-            drawn = [draw(t) for t in range(unit.test_start, unit.test_stop)]
-            return point, drawn, tests.append, done, registry
-        return point, tasks(), tests.append, done, registry
+        return point, take, tests.append, done, registry
 
 
 @dataclass(frozen=True)

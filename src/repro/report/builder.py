@@ -140,6 +140,7 @@ def snapshot_engine_line(metrics: dict) -> str:
     prints."""
     counters = metrics.get("counters", {})
     forks = counters.get("snapshot.forks", 0)
+    overlapped = counters.get("snapshot.overlapped_forks", 0)
     replays = counters.get("snapshot.replayed_tests", 0)
     fallbacks = counters.get("snapshot.fallback_tests", 0)
     if not forks and not replays and not fallbacks:
@@ -158,6 +159,7 @@ def snapshot_engine_line(metrics: dict) -> str:
     return (
         f"snapshot engine: {forks} forked tests "
         f"({timer('fork_overhead_s', 'mean') * 1e3:.1f} ms fork overhead each, "
+        f"{overlapped} of {forks} forks overlapped, "
         f"up to {width:.0f} {'child' if width == 1 else 'children'} in flight), "
         f"{replays} replayed in the park, their prefix cheaper than a fork "
         f"({timer('prefix_s', 'mean') * 1e3:.1f} ms mean prefix over "

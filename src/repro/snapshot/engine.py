@@ -16,13 +16,15 @@ pulled, and if its point is still ahead the park is re-pointed and the
 job walks forward to it.  Only a point the run has already passed (a
 retried unit, an out-of-order stream) starts a fresh run from t=0.
 
-Units and tasks are pulled lazily while the job is parked, each task
-only after the previous result was delivered, so a caller that decides
-test *k+1* from result *k* (a sequential stopper) or unit *k+1* after
-reporting unit *k* (a pool worker) still shares the one run.  A unit
-whose tasks come as a *list* has nothing left to decide: test *k+1* is
-forked before test *k* is reaped, up to ``width`` children in flight,
-and results are still delivered strictly in task order.  At each
+Units are pulled lazily while the job is parked, so a caller that
+decides unit *k+1* after reporting unit *k* (a pool worker) still shares
+the one run.  A unit's tests come from a *slot source*, ``take(limit)``,
+that hands the engine only slots certain to run whatever the results
+still undelivered turn out to be — a list's every task, a sequential
+stopper's tests up to its certain horizon.  So test *k+1* may be forked
+before test *k* is reaped, up to ``width`` children in flight, and
+results are still delivered strictly in slot order; no child is ever
+forked past the cut a serial loop would make.  At each
 park the parent also captures a :class:`SimSnapshot` into an LRU cache;
 only the *first* target of a later run in the same process fast-forwards
 from it instead of replaying from t=0.
@@ -51,8 +53,8 @@ import struct
 import time
 from collections import deque
 from dataclasses import replace
-from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,6 +79,15 @@ from .snapshot import (
 #: (``FaultSpec`` or any model's ``ModelSpec``, parameter already drawn)
 #: and the post-draw RNG that will pick the bit.
 Task = tuple[FaultSpec, np.random.Generator]
+
+#: One slot of a unit: a task to run, or a result already known (a
+#: statically predicted test), delivered in its slot without running.
+Slot = Task | TestResult
+
+#: A unit's slot source: ``take(limit)`` returns at most ``limit`` next
+#: slots that are certain to run; ``[]`` with nothing in flight ends the
+#: unit.  The engine calls it again after each delivery.
+Take = Callable[[int], list[Slot]]
 
 #: Reaped children before an engine forks more than one at a time: their
 #: overhead samples calibrate :meth:`SnapshotEngine.fork_pays`.
@@ -111,11 +122,56 @@ class Unit(NamedTuple):
     """One unit handed to :meth:`SnapshotEngine.serve`."""
 
     point: InjectionPoint
-    tasks: Iterable[Task]
+    take: Take
     deliver: Callable[[TestResult], None]
     done: Callable[[], None]
     #: Registry of this unit's ``snapshot.*`` counters (None: the engine's).
     metrics: Any = None
+
+
+def task_slots(tasks: Iterable[Task], delivered: Sequence[TestResult]) -> Take:
+    """The slot source of plain tasks whose results go to ``delivered``.
+
+    A sequence is one batch: every task is drawn, so every one is certain
+    to run.  Any other iterable may draw its next task from the results
+    so far, so it hands out one task at a time, and only once every
+    earlier one is in ``delivered``."""
+    handed = 0
+    stream = None if isinstance(tasks, Sequence) else iter(tasks)
+
+    def take(limit: int) -> list[Slot]:
+        nonlocal handed
+        if stream is None:
+            out = list(tasks[handed: handed + limit])
+        else:
+            out = list(islice(stream, min(limit, 1))) if handed == len(delivered) else []
+        handed += len(out)
+        return out
+
+    return take
+
+
+def slots_of(take: Take) -> Iterator[Slot]:
+    """Every slot ``take`` has left, pulled one at a time: the next only
+    once the previous one was consumed."""
+    return chain.from_iterable(iter(lambda: take(1), []))
+
+
+def _children(inflight: Iterable[_InFlight | TestResult]) -> Iterator[_InFlight]:
+    """The forked children among ``inflight``."""
+    return (entry for entry in inflight if isinstance(entry, _InFlight))
+
+
+def _held(first: Slot, take: Take) -> Take:
+    """``take`` with ``first``, already pulled, handed out again first."""
+    held = [first]
+
+    def take_again(limit: int) -> list[Slot]:
+        if held:
+            return [held.pop()]
+        return take(limit)
+
+    return take_again
 
 
 def snapshot_supported() -> bool:
@@ -171,8 +227,8 @@ class SnapshotEngine:
         :class:`~repro.obs.metrics.MetricsRegistry` of the ``snapshot.*``
         counters for units that bring none (default: a private one).
     width:
-        Most forked children in flight at a park whose tasks are a list
-        (default: every core this process may run on, :func:`cpu_count`).
+        Most forked children in flight at a park (default: every core
+        this process may run on, :func:`cpu_count`).
     """
 
     def __init__(
@@ -206,7 +262,7 @@ class SnapshotEngine:
         """:meth:`serve` for one unit: run every task at ``point`` and
         return the results, each also passed to ``on_result`` — exactly
         once, in task order, and before the next task is pulled unless
-        ``tasks`` is a list."""
+        ``tasks`` is a sequence (:func:`task_slots`)."""
         results: list[TestResult] = []
 
         def deliver(result: TestResult) -> None:
@@ -214,27 +270,29 @@ class SnapshotEngine:
             if on_result is not None:
                 on_result(result)
 
-        self.serve([Unit(point, tasks, deliver, lambda: None, metrics)])
+        self.serve([Unit(point, task_slots(tasks, results), deliver, lambda: None, metrics)])
         return results
 
     def serve(self, units: Iterable[Unit]) -> None:
         """Serve a lazily pulled stream of units from as few fault-free
         runs as their order allows.
 
-        A unit's ``tasks`` is any iterable of ``(spec, rng)`` pairs with
-        the fault parameter already drawn — the rng state handed in is
-        exactly what ``run_one`` would receive, and the forked child
-        inherits it bit-for-bit.  The first task is pulled before the
-        job parks at the unit's point, each later one only after the
-        previous result went to ``deliver``, so a generator may decide
-        from the results so far whether there is a next task.  A list
-        decides nothing: its tests overlap, up to ``width`` forked
-        children at a time, and are delivered in list order.  When it
-        ends ``done()`` is called and the next unit pulled: the same run
-        walks on to a point still ahead of it, a point already passed
-        starts a fresh run.  Any test the fork path cannot serve is
-        re-run from scratch, resuming at the first undelivered task.
-        What ``units``, ``tasks``, ``deliver`` or ``done`` raises ends
+        A unit's ``take`` is its slot source (:data:`Take`): each slot is
+        a ``(spec, rng)`` pair with the fault parameter already drawn —
+        the rng state handed in is exactly what ``run_one`` would
+        receive, and the forked child inherits it bit-for-bit — or a
+        result already known, delivered in its slot.  The first slot is
+        pulled before the job parks at the unit's point; after that the
+        engine asks for as many as it has room for (``width`` minus the
+        children in flight) after each delivery.  A source hands out
+        only slots certain to run, so the engine forks whatever it is
+        given, overlapping up to ``width`` children, and delivers in
+        slot order.  When ``take`` returns nothing with nothing in
+        flight ``done()`` is called and the next unit pulled: the same
+        run walks on to a point still ahead of it, a point already
+        passed starts a fresh run.  Any test the fork path cannot serve
+        is re-run from scratch, resuming at the first undelivered slot.
+        What ``units``, ``take``, ``deliver`` or ``done`` raises ends
         the run and propagates.
         """
         units = iter(units)
@@ -244,33 +302,37 @@ class SnapshotEngine:
 
     # -- internals -----------------------------------------------------
 
-    def _replay(self, tasks: Iterable[Task], deliver, m) -> None:
-        """Counted fallback: ``run_one`` whatever is left of ``tasks``."""
-        for spec, rng in tasks:
-            m.counter("snapshot.fallback_tests").inc()
-            deliver(self.runner.run_one(spec, rng))
+    def _replay(self, slots: Iterable[Slot], deliver, m) -> None:
+        """Counted fallback: ``run_one`` every task left in ``slots``; a
+        known result is delivered as it is."""
+        for slot in slots:
+            if not isinstance(slot, TestResult):
+                m.counter("snapshot.fallback_tests").inc()
+                slot = self.runner.run_one(*slot)
+            deliver(slot)
 
     def _pull(self, units: Iterator[Unit]) -> Unit | None:
-        """The next unit a park can serve, its first task peeked (an
-        empty stream costs nothing); units that cannot share a prefix
-        are replayed and finished right here.  A list stays a list: it
-        is how the serving loop knows every task is drawn already."""
-        for point, tasks, deliver, done, m in units:
+        """The next unit a park can serve, its first slot peeked with
+        ``take(1)`` and held for the park (an empty source costs
+        nothing); units that cannot share a prefix are replayed and
+        finished right here."""
+        for point, take, deliver, done, m in units:
             m = m if m is not None else self.metrics
-            stream = iter(tasks)
-            first = next(stream, None)
-            if first is not None:
-                stream = tasks if isinstance(tasks, list) else chain([first], stream)
+            peeked = take(1)
+            if peeked:
+                first = peeked[0]
+                spec = first.spec if isinstance(first, TestResult) else first[0]
+                take = _held(first, take)
                 if (
                     snapshot_supported()
                     and getattr(self.runner.app, "deterministic", True)
                     # Wire, rank, and timeline faults are not single-site
                     # parameter corruptions: the fault-free-prefix
                     # assumption the fork amortization rests on does not hold.
-                    and MODELS[getattr(first[0], "model", "bitflip")].snapshot_safe
+                    and MODELS[getattr(spec, "model", "bitflip")].snapshot_safe
                 ):
-                    return Unit(point, stream, deliver, done, m)
-                self._replay(stream, deliver, m)
+                    return Unit(point, take, deliver, done, m)
+                self._replay(slots_of(take), deliver, m)
             done()
         return None
 
@@ -354,17 +416,35 @@ class SnapshotEngine:
                     for seg in mem.segments:
                         mem.raw[seg.addr - mem.base] ^= 1
             while True:
-                _, tasks, deliver, _, m = unit
-                # A list's tasks are all drawn: test k+1 may fork before
-                # test k is reaped.  Any other stream may draw k+1 from
-                # result k (a stopper), so it is served one child at a time.
-                width = self.width if isinstance(tasks, list) else 1
-                m.gauge("snapshot.width").set(width)
-                stream = iter(tasks)
-                inflight: deque[_InFlight] = deque()
+                _, take, deliver, _, m = unit
+                m.gauge("snapshot.width").set(self.width)
+                #: Forked children and known results, in slot order.
+                inflight: deque[_InFlight | TestResult] = deque()
+                pending: deque[Slot] = deque()  # taken, not yet served
                 result = None  # the last result delivered
                 try:
-                    for spec, rng in stream:
+                    while True:
+                        if not pending:
+                            # The calibrating forks run solo.
+                            limit = self.width if self._overhead.count >= CALIBRATION_FORKS else 1
+                            if len(inflight) < limit:
+                                pending.extend(take(limit - len(inflight)))
+                            if not pending:
+                                if not inflight:
+                                    break  # nothing left to run
+                                result = self._collect(inflight, deliver, m)
+                                continue
+                        slot = pending.popleft()
+                        if isinstance(slot, TestResult):
+                            # Known without running: it waits for the
+                            # slots before it, like a child.
+                            if inflight:
+                                inflight.append(slot)
+                            else:
+                                deliver(slot)
+                                result = slot
+                            continue
+                        spec, rng = slot
                         if not self.fork_pays(prefix_s):
                             # Replaying this prefix is cheaper than a fork from it.
                             result = self._drain(inflight, deliver, m, result)
@@ -389,7 +469,7 @@ class SnapshotEngine:
                             os.close(rfd)
                             os.close(wfd)
                             self._drain(inflight, deliver, m, result)
-                            self._replay(chain([(spec, rng)], stream), deliver, m)
+                            self._replay(chain([slot], pending, slots_of(take)), deliver, m)
                             break
                         if pid == 0:
                             # -- child: arm the fault at the parked call and
@@ -398,16 +478,14 @@ class SnapshotEngine:
                                 wfd=wfd, spec=spec, injector=injector, t0=time.perf_counter()
                             )
                             os.close(rfd)
-                            for sibling in inflight:
+                            for sibling in _children(inflight):
                                 os.close(sibling.rfd)
                             return injector
                         os.close(wfd)
                         m.counter("snapshot.forks").inc()
+                        if any(_children(inflight)):
+                            m.counter("snapshot.overlapped_forks").inc()
                         inflight.append(_InFlight(pid, rfd, fork_t0, spec, rng))
-                        # The calibrating forks run solo.
-                        limit = width if self._overhead.count >= CALIBRATION_FORKS else 1
-                        while len(inflight) >= limit:
-                            result = self._collect(inflight, deliver, m)
                     self._drain(inflight, deliver, m, result)
                 except BaseException:
                     if not child:  # a forked child never owns its siblings
@@ -467,19 +545,23 @@ class SnapshotEngine:
         # The prefix aborted, or ended with the park never fired (site
         # unreachable under this configuration): nothing of this unit was
         # pulled past the peek — it alone replays, the next starts afresh.
-        self._replay(unit.tasks, unit.deliver, unit.metrics)
+        self._replay(slots_of(unit.take), unit.deliver, unit.metrics)
         self._finish(unit)
         return self._pull(units)
 
-    def _collect(self, inflight: deque[_InFlight], deliver, m) -> TestResult:
-        """Reap the oldest in-flight child and deliver its result; a
-        child that died without one has its test replayed in its slot,
-        on the parent's untouched post-draw RNG.  Returns what was
-        delivered."""
+    def _collect(self, inflight: deque[_InFlight | TestResult], deliver, m) -> TestResult:
+        """Reap the oldest in-flight child and deliver its result (or
+        deliver the oldest known result); a child that died without one
+        has its test replayed in its slot, on the parent's untouched
+        post-draw RNG.  Returns what was delivered."""
         if len(inflight) > 1 and mutants.active_mutant() == "snapshot_pipeline_reorder":
-            pid, rfd, fork_t0, spec, rng = inflight.pop()
+            entry = inflight.pop()
         else:
-            pid, rfd, fork_t0, spec, rng = inflight.popleft()
+            entry = inflight.popleft()
+        if isinstance(entry, TestResult):
+            deliver(entry)
+            return entry
+        pid, rfd, fork_t0, spec, rng = entry
         waiting = time.perf_counter()
         reaped = self._reap(pid, rfd)
         reaped_at = time.perf_counter()
@@ -498,7 +580,7 @@ class SnapshotEngine:
         deliver(result)
         return result
 
-    def _drain(self, inflight: deque[_InFlight], deliver, m, result):
+    def _drain(self, inflight: deque[_InFlight | TestResult], deliver, m, result):
         """:meth:`_collect` every in-flight child, oldest first; returns
         the last result delivered (``result`` if none was in flight)."""
         while inflight:
@@ -506,14 +588,14 @@ class SnapshotEngine:
         return result
 
     @staticmethod
-    def _abandon(inflight: deque[_InFlight]) -> None:
+    def _abandon(inflight: deque[_InFlight | TestResult]) -> None:
         """Kill, reap and close every in-flight child: none outlives the
         park it was forked at."""
-        while inflight:
-            child = inflight.popleft()
+        for child in _children(inflight):
             os.close(child.rfd)
             os.kill(child.pid, signal.SIGKILL)
             os.waitpid(child.pid, 0)
+        inflight.clear()
 
     @staticmethod
     def _child_exit(child: dict, classify, ending) -> None:

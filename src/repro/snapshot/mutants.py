@@ -8,11 +8,12 @@ internal divergence checks — a bug those checks catch is silently
 repaired by the full-replay fallback and proves nothing about the
 oracle.
 
-Activation is a module-level flag consulted by the engine at the six
+Activation is a module-level flag consulted by the engine at the seven
 places a real implementation bug would live: the per-test RNG handoff,
 the parked prefix state, the park-site match, the walk from one
-unit's park to the next, the in-park replay of a test, and the order
-in which overlapped children are reaped.
+unit's park to the next, the in-park replay of a test, the order in
+which overlapped children are reaped, and the horizon up to which a
+stopper-driven unit hands out tests (in ``WorkerState._unit``).
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ SNAPSHOT_MUTANTS: dict[str, SnapshotMutant] = {
             description=(
                 "with more than one forked child in flight, the newest is "
                 "reaped and delivered first, so results leave task order"
+            ),
+            detected_by="fork-equivalence fingerprint (verify phase 5)",
+        ),
+        SnapshotMutant(
+            name="snapshot_horizon_overreach",
+            description=(
+                "a stopper-driven unit hands out one test past the ones the "
+                "stopper is certain to run, so a test past the serial cut is "
+                "forked and delivered"
             ),
             detected_by="fork-equivalence fingerprint (verify phase 5)",
         ),

@@ -113,17 +113,43 @@ class SequentialStopper:
         Counts application responses only (``TOOL_ERROR`` excluded from
         both ``n`` and ``k``), matching ``PointResult.error_rate``.
         """
-        n = k = 0
-        for t in tests:
-            if not t.outcome.is_application_response:
-                continue
-            n += 1
-            if t.outcome.is_error:
-                k += 1
-        if n < self.min_tests:
-            return False
-        return wilson_width(k, n, self.z) <= self.ci_width
+        return self._stops(*_responses(tests))
+
+    def certain(self, tests: Sequence[TestResult], most: int) -> int:
+        """How many of the next tests (at most ``most``) run whatever the
+        results not yet in ``tests`` turn out to be.
+
+        With ``n`` responses and ``k`` errors so far, test ``j`` from now
+        runs unless some prefix of the ``j`` results before it stops the
+        stream: ``j`` results reach every ``(n + a, k + b)`` with
+        ``0 <= b <= a <= j`` (a ``TOOL_ERROR`` leaves ``a`` where it is).
+        So the count is the first ``j`` at which one of those stops.
+        Each ``j`` adds only the states with ``a = j``, so a call that
+        returns ``j`` costs O(``j``²) whatever ``most`` is.
+        """
+        n, k = _responses(tests)
+        for j in range(most):
+            if any(self._stops(n + j, k + b) for b in range(j + 1)):
+                return j
+        return most
+
+    def _stops(self, n: int, k: int) -> bool:
+        """The stopping rule on ``k`` errors in ``n`` responses."""
+        return n >= self.min_tests and wilson_width(k, n, self.z) <= self.ci_width
 
     def fingerprint(self) -> dict:
         """JSON-serialisable identity, for the campaign digest."""
         return {"ci_width": self.ci_width, "min_tests": self.min_tests, "z": self.z}
+
+
+def _responses(tests: Sequence[TestResult]) -> tuple[int, int]:
+    """``(n, k)``: the application responses among ``tests`` and the
+    errors among those."""
+    n = k = 0
+    for t in tests:
+        if not t.outcome.is_application_response:
+            continue
+        n += 1
+        if t.outcome.is_error:
+            k += 1
+    return n, k

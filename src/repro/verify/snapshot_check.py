@@ -20,11 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..apps.base import Application
+from ..exec.sharding import WorkUnit
+from ..exec.supervisor import WorkerState
 from ..injection.models import draw_task
 from ..injection.runner import InjectionRunner, TestResult
 from ..injection.space import FaultSpec, InjectionPoint, enumerate_points
 from ..profiling.profiler import ApplicationProfile, profile_application
 from ..snapshot import SnapshotEngine, seeded_snapshot_mutant
+from ..snapshot.engine import task_slots
+from ..steer.stopping import SequentialStopper
 from .replay import fingerprint
 
 
@@ -57,32 +61,44 @@ class _ThreeForksThenReplay(SnapshotEngine):
         return self.decisions % 4 != 0
 
 
-#: The six ways every point is served: ``cold`` — a list on an empty
+#: The seven ways every point is served: ``cold`` — a list on an empty
 #: cache (park + capture); ``fast-forward`` — the same list again (cache
 #: hit; under a mutant nothing is cached, so a second cold park);
 #: ``lazy`` — a generator on a fresh engine that yields test *k+1* only
-#: once result *k* was delivered, which is how stopper-driven (adaptive)
-#: work units are served; ``walk`` — all points as one unit stream, which
-#: is how a campaign is served: in execution order (one fault-free run
-#: walks from park to park) and reversed (every unit restarts).  Those
-#: four fork every test (:class:`_Forking`); ``mixed`` is the lazy pass
-#: on an engine that alternates fork and in-park replay test by test
+#: once result *k* was delivered, so an engine that pulls ahead of its
+#: deliveries redraws a test; ``walk`` — all points as one unit stream,
+#: which is how a campaign is served: in execution order (one fault-free
+#: run walks from park to park) and reversed (every unit restarts).
+#: Those four fork every test (:class:`_Forking`); ``mixed`` is the lazy
+#: pass on an engine that alternates fork and in-park replay test by test
 #: (:class:`_Alternating`), as a park whose prefix costs about one fork does.
 #: All five run one child at a time (``width=1``) on any core count, so
 #: each checks one thing.  ``pipelined`` serves the lists on one engine
 #: with three children in flight that forks three tests and replays the
 #: fourth (:class:`_ThreeForksThenReplay`): a replay waits for the
-#: children before it.
-PASSES = ("cold", "fast-forward", "lazy", "walk", "mixed", "pipelined")
+#: children before it.  ``stopped`` serves each point as a work unit with
+#: a sequential stopper (:data:`STOPPER`) through
+#: :meth:`~repro.exec.supervisor.WorkerState.execute` on a forking engine
+#: with three children in flight, and is compared with scratch cut where
+#: a serial loop consulting the stopper stops.
+PASSES = ("cold", "fast-forward", "lazy", "walk", "mixed", "pipelined", "stopped")
 
-#: Mutants only some passes can see (default: every pass must diverge):
-#: a defect in the step from one unit to the next needs two units, one
-#: in the in-park replay needs a test that is replayed, one in the
-#: reaping order needs two children in flight.
+#: The ``stopped`` pass's stopper: it stops a point whose first two
+#: responses agree, so an oracle point is cut before its last test
+#: whenever there are three or more per point, and it is certain of two
+#: tests from the start, so their forks overlap.
+STOPPER = SequentialStopper(ci_width=0.7, min_tests=2)
+
+#: Mutants only some passes can see (default: every pass must diverge),
+#: and the only passes served under them: a defect in the step from one
+#: unit to the next needs two units, one in the in-park replay needs a
+#: test that is replayed, one in the reaping order needs two children
+#: in flight, one in a stopper's horizon needs a stopper.
 _VISIBLE_TO = {
     "snapshot_walk_stale_target": ("walk",),
     "snapshot_replay_wrong_slot": ("mixed", "pipelined"),
     "snapshot_pipeline_reorder": ("pipelined",),
+    "snapshot_horizon_overreach": ("stopped",),
 }
 
 
@@ -110,19 +126,28 @@ class ForkEquivalenceReport:
     n_tests: int
     scratch_fingerprint: str
     #: Forked-stream fingerprint of each serving pass, by name (see
-    #: :data:`PASSES`).
+    #: :data:`PASSES`; under a mutant only the passes that can see it).
     forked_fingerprints: dict[str, str]
+    #: Scratch cut where a serial loop consulting :data:`STOPPER`
+    #: stops: what the ``stopped`` pass is compared with.
+    stopped_fingerprint: str = ""
+    #: Points that scratch cut is before their last test.
+    n_cut: int = 0
     #: Armed engine defect, or None for the plain equivalence check.
     mutant: str | None = None
     #: Human-readable divergences (first few points that differ).
     mismatches: list[str] = field(default_factory=list)
+
+    def reference(self, name: str) -> str:
+        """The scratch fingerprint pass ``name`` must equal."""
+        return self.stopped_fingerprint if name == "stopped" else self.scratch_fingerprint
 
     @property
     def diverged(self) -> list[str]:
         """The passes whose forked stream differs from scratch."""
         return [
             name for name, fp in self.forked_fingerprints.items()
-            if fp != self.scratch_fingerprint
+            if fp != self.reference(name)
         ]
 
     @property
@@ -180,7 +205,8 @@ def fork_equivalence(
     Points are a deterministic spread over the enumerated space (first,
     last, and evenly between — early and late invocations both
     represented).  Every point is served by every pass (:data:`PASSES`)
-    and each pass is compared with scratch on its own.
+    and each pass is compared with scratch on its own.  Under a mutant
+    only the passes that can see it are served (:data:`_VISIBLE_TO`).
     """
     if profile is None:
         profile = profile_application(app)
@@ -204,53 +230,75 @@ def fork_equivalence(
     ]
 
     def lazily(pi: int, delivered: list[TestResult]):
-        # What a stopper-driven work unit hands the engine: the next test
-        # is drawn when pulled, from what has been delivered by then — an
-        # engine pulling ahead of its deliveries redraws a test and diverges.
+        # The next test is drawn when pulled, from what has been delivered
+        # by then — an engine pulling ahead of its deliveries redraws a
+        # test and diverges.
         for _ in range(tests_per_point):
             yield draw_task(points[pi], seed, pi, len(delivered), policy=param_policy)
 
-    def serve_all() -> dict[str, list[list[TestResult]]]:
+    def cut(tests: list[TestResult]) -> list[TestResult]:
+        """``tests`` up to where a serial loop consulting STOPPER stops."""
+        return next(
+            (tests[:n] for n in range(len(tests)) if STOPPER.should_stop(tests[:n])), tests
+        )
+
+    def serve_all(passes) -> dict[str, list[list[TestResult]]]:
         batch, lazy = _Forking(runner, width=1), _Forking(runner, width=1)
         mixed, pipelined = _Alternating(runner, width=1), _ThreeForksThenReplay(runner, width=3)
-        out: dict[str, list[list[TestResult]]] = {name: [] for name in PASSES}
+        stopped = WorkerState(app, profile, param_policy, seed, None, stopper=STOPPER)
+        stopped.engine = _Forking(stopped.runner, width=3)
+        out: dict[str, list[list[TestResult]]] = {name: [] for name in passes}
         for pi, point in enumerate(points):
-            out["cold"].append(batch.serve_point(point, tasks_for(pi)))
-            out["fast-forward"].append(batch.serve_point(point, tasks_for(pi)))
+            if "cold" in out:
+                out["cold"].append(batch.serve_point(point, tasks_for(pi)))
+            if "fast-forward" in out:
+                out["fast-forward"].append(batch.serve_point(point, tasks_for(pi)))
             for name, engine in (("lazy", lazy), ("mixed", mixed)):
-                delivered: list[TestResult] = []
-                engine.serve_point(point, lazily(pi, delivered), on_result=delivered.append)
-                out[name].append(delivered)
-            out["pipelined"].append(pipelined.serve_point(point, tasks_for(pi)))
-        # A point's walk stream is what the execution-order stream served
-        # there, followed by the reversed stream's results if they differ.
-        reached = profile.comm.execution_key()
-        walk = sorted(range(len(points)), key=lambda pi: reached(points[pi]))
-        for sequence in (walk, walk[::-1]):
-            served: list[list[TestResult]] = [[] for _ in points]
-            _Forking(runner, width=1).serve(
-                (points[pi], tasks_for(pi), served[pi].append, lambda: None, None)
-                for pi in sequence
-            )
-            out["walk"] = [
-                kept if _stream_signature([kept]) == _stream_signature([tests]) else kept + tests
-                for kept, tests in zip(out["walk"] or served, served)
-            ]
+                if name in out:
+                    delivered: list[TestResult] = []
+                    engine.serve_point(point, lazily(pi, delivered), on_result=delivered.append)
+                    out[name].append(delivered)
+            if "pipelined" in out:
+                out["pipelined"].append(pipelined.serve_point(point, tasks_for(pi)))
+            if "stopped" in out:
+                out["stopped"].append(
+                    stopped.execute(WorkUnit(pi, 0, tests_per_point), point)[1]
+                )
+        if "walk" in out:
+            # A point's walk stream is what the execution-order stream
+            # served there, followed by the reversed stream's results if
+            # they differ.
+            reached = profile.comm.execution_key()
+            walk = sorted(range(len(points)), key=lambda pi: reached(points[pi]))
+            for sequence in (walk, walk[::-1]):
+                served: list[list[TestResult]] = [[] for _ in points]
+                _Forking(runner, width=1).serve(
+                    (points[pi], task_slots(tasks_for(pi), served[pi]), served[pi].append,
+                     lambda: None, None)
+                    for pi in sequence
+                )
+                out["walk"] = [
+                    kept if _stream_signature([kept]) == _stream_signature([tests])
+                    else kept + tests
+                    for kept, tests in zip(out["walk"] or served, served)
+                ]
         return out
 
     if mutant is not None:
         with seeded_snapshot_mutant(mutant):
-            forked = serve_all()
+            forked = serve_all(_VISIBLE_TO.get(mutant, PASSES))
     else:
-        forked = serve_all()
+        forked = serve_all(PASSES)
 
+    stopped = [cut(tests) for tests in scratch]
+    stopped_sig = _stream_signature(stopped)
     scratch_sig = _stream_signature(scratch)
     forked_sigs = {name: _stream_signature(stream) for name, stream in forked.items()}
     mismatches = [
         f"{points[pi]}: {name} forked stream differs from scratch"
         for name, sig in forked_sigs.items()
         for pi in range(len(points))
-        if scratch_sig[pi] != sig[pi]
+        if (stopped_sig if name == "stopped" else scratch_sig)[pi] != sig[pi]
     ]
     return ForkEquivalenceReport(
         app_name=app.name,
@@ -258,6 +306,8 @@ def fork_equivalence(
         n_tests=tests_per_point,
         scratch_fingerprint=fingerprint(scratch_sig),
         forked_fingerprints={name: fingerprint(sig) for name, sig in forked_sigs.items()},
+        stopped_fingerprint=fingerprint(stopped_sig),
+        n_cut=sum(len(kept) < len(tests) for kept, tests in zip(stopped, scratch)),
         mutant=mutant,
         mismatches=mismatches,
     )

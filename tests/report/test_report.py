@@ -70,6 +70,10 @@ def test_summary_carries_snapshot_engine_line(report, campaign_db):
     assert forks + replays == len(result.all_tests())
     # Chosen replays are told apart from tests the fork path could not serve.
     assert f"{forks} forked tests" in html and "ms fork overhead each" in html
+    # Forks made while a sibling was in flight, out of all forks.
+    overlapped = counters.get("snapshot.overlapped_forks", 0)
+    assert f"{overlapped} of {forks} forks overlapped, up to" in html
+    assert overlapped <= max(0, forks - 1)
     assert f"{replays} replayed in the park" in html and "0 fallback replays" in html
     assert "ms mean prefix over 5 parks" in html
     assert "s in fork+reap" in html

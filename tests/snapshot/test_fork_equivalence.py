@@ -50,15 +50,21 @@ def test_oracle_reports_identical_streams(lu_app, lu_profile):
     assert report.identical, report.describe()
     assert report.ok
     assert report.mismatches == []
-    # Cold park, cache-hit fast-forward, the lazily pulled stream that
-    # stopper-driven units use, the one-run walk over all points (in
-    # execution order and reversed), the stream that alternates fork
-    # and in-park replay, and lists served three children at a time are
-    # each compared with scratch.
-    assert set(report.forked_fingerprints.values()) == {report.scratch_fingerprint}
+    # Cold park, cache-hit fast-forward, a lazily pulled stream, the
+    # one-run walk over all points (in execution order and reversed),
+    # the stream that alternates fork and in-park replay, and lists
+    # served three children at a time are each compared with scratch;
+    # stopper-driven work units with scratch cut where the stopper cuts.
+    fingerprints = dict(report.forked_fingerprints)
+    assert fingerprints.pop("stopped") == report.stopped_fingerprint
+    assert set(fingerprints.values()) == {report.scratch_fingerprint}
     assert tuple(report.forked_fingerprints) == PASSES == (
-        "cold", "fast-forward", "lazy", "walk", "mixed", "pipelined",
+        "cold", "fast-forward", "lazy", "walk", "mixed", "pipelined", "stopped",
     )
+    # The stopped pass cuts a point before its last test, so a horizon
+    # that reaches past the cut has a test to deliver there.
+    assert report.n_cut >= 1
+    assert report.stopped_fingerprint != report.scratch_fingerprint
 
 
 def test_serial_snapshot_campaign_bit_identical(
@@ -118,6 +124,9 @@ def test_seeded_engine_mutants_are_detected(lu_app, lu_profile, mutant):
     elif mutant == "snapshot_pipeline_reorder":
         # A defect in the reaping order needs two children in flight.
         assert report.diverged == ["pipelined"]
+    elif mutant == "snapshot_horizon_overreach":
+        # A defect in a stopper's horizon needs a stopper.
+        assert report.diverged == ["stopped"]
     else:
         assert report.diverged == list(PASSES)  # every serving path sees it
 

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.apps.npb.lu_kernel import LUKernel
+from repro.exec import supervisor
 from repro.exec.sharding import WorkUnit
 from repro.exec.supervisor import WorkerState
 from repro.injection import Campaign, enumerate_points
@@ -141,26 +142,27 @@ class TestReplaySideKeepsTheStreamContract:
     def test_stopper_sees_each_result_before_the_next_draw(
         self, monkeypatch, reference, lu_app, lu_profile, spread
     ):
-        """A stopper-driven unit served by replays alone: the stopper is
-        asked with 0, 1, 2, ... delivered results and cuts the stream at
-        the index the scratch stream is cut at."""
+        """A stopper-driven unit served by replays alone cuts the stream
+        at the index the scratch stream is cut at, and no test at or past
+        that index is ever drawn."""
         pin(monkeypatch, then=False)
-        stopper, seen = self.stopper, []
+        stopper, drawn = self.stopper, []
 
-        class Watching:
-            def should_stop(self, tests):
-                seen.append(len(tests))
-                return stopper.should_stop(tests)
+        def draw_task(*args, **kwargs):
+            drawn.append(args[3])  # the test index
+            return real_draw(*args, **kwargs)
 
+        real_draw = supervisor.draw_task
+        monkeypatch.setattr(supervisor, "draw_task", draw_task)
         scratch = reference.points[spread[2]].tests
         stop = next(n for n in range(1, TESTS + 1) if stopper.should_stop(scratch[:n]))
         assert stop < TESTS
-        state = WorkerState(lu_app, lu_profile, "all", SEED, None, True, stopper=Watching())
+        state = WorkerState(lu_app, lu_profile, "all", SEED, None, True, stopper=stopper)
         _, tests, registry = state.execute(WorkUnit(2, 0, TESTS), spread[2])
         assert [(t.spec, t.outcome, t.detail) for t in tests] == [
             (t.spec, t.outcome, t.detail) for t in scratch[:stop]
         ]
-        assert seen == list(range(stop + 1))
+        assert drawn == list(range(stop))
         assert counts(registry) == (0, stop, 0)
 
     def test_what_deliver_raises_during_a_replay_propagates_as_itself(

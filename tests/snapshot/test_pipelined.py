@@ -1,17 +1,20 @@
-"""Overlapped forks at a park: a list's tests keep several children in flight.
+"""Overlapped forks at a park: a unit's certain tests keep several children in flight.
 
-When every task of a unit is drawn before the park (a list), the engine
-forks test *k+1* before it reaps test *k*, up to ``width`` children at a
-time, and still delivers strictly in task order.  Every case pins the
-width explicitly, so nothing depends on the machine's core count: the
-results equal scratch test for test under every width, a failed fork or
-a killed child costs only its own slot, no child outlives its park, and
-a stream that may decide test *k+1* from result *k* (a generator, a
-stopper, a preclassifier) never has two children in flight.
+A unit's slot source hands the engine only tests certain to run (a
+list's every task, a stopper's tests up to its certain horizon), so the
+engine forks test *k+1* before it reaps test *k*, up to ``width``
+children at a time, and still delivers strictly in slot order.  Every
+case pins the width explicitly, so nothing depends on the machine's core
+count: the results equal scratch test for test under every width, a
+failed fork or a killed child costs only its own slot, no child outlives
+its park, worker units overlap whether or not a stopper or a
+preclassifier decides them, and only a plain generator — which may
+decide test *k+1* from result *k* — never has two children in flight.
 """
 
 import os
 import signal
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,10 +22,11 @@ from repro.exec.sharding import WorkUnit
 from repro.exec.supervisor import WorkerState
 from repro.injection import Campaign, enumerate_points
 from repro.injection.models import draw_task
+from repro.injection.outcome import Outcome
 from repro.injection.runner import InjectionRunner
 from repro.obs.metrics import MetricsRegistry
 from repro.snapshot import SnapshotEngine, snapshot_supported
-from repro.snapshot.engine import CALIBRATION_FORKS
+from repro.snapshot.engine import CALIBRATION_FORKS, task_slots
 from repro.steer import SequentialStopper
 
 from tests.snapshot.test_cache_and_fallback import _scratch, _sig, _tasks
@@ -114,7 +118,8 @@ class TestListsOverlap:
         m = MetricsRegistry()
         served = [[] for _ in points]
         SnapshotEngine(runner, metrics=m, width=width).serve(
-            (point, [draw_task(point, SEED, i, t, policy="all") for t in range(TESTS)],
+            (point, task_slots([draw_task(point, SEED, i, t, policy="all") for t in range(TESTS)],
+                               served[i]),
              served[i].append, lambda: None, None)
             for i, point in enumerate(points)
         )
@@ -238,6 +243,18 @@ class _NeverProves:
         return None
 
 
+class _ProvesOdd:
+    """A preclassifier that proves every odd test SEG_FAULT."""
+
+    def predict(self, point, point_index, test_index):
+        if test_index % 2:
+            return SimpleNamespace(
+                param="buffer", bit=test_index, outcome=Outcome.SEG_FAULT,
+                rule="odd", detail=f"test {test_index}",
+            )
+        return None
+
+
 @pytest.mark.usefixtures("always_fork")
 class TestStreamsThatDecideStaySerial:
     def test_generator_input(self, runner, late_point, spy):
@@ -248,8 +265,10 @@ class TestStreamsThatDecideStaySerial:
 
     @pytest.mark.parametrize("decided_by", ["none", "stopper", "preclassifier"])
     def test_worker_units(self, lu_app, lu_profile, late_point, spy, decided_by):
-        """Only a unit with neither a stopper nor a preclassifier is a
-        list; the other two are drawn test by test, one child at a time."""
+        """Every worker unit hands out the tests certain to run: with no
+        stopper all of them, with this stopper (it cannot close before
+        the unit ends) all of them too, and a preclassifier's slots are
+        a pure function of the test index.  All three overlap."""
         kwargs = {
             "none": {},
             "stopper": {"stopper": SequentialStopper(ci_width=0.01, min_tests=TESTS)},
@@ -259,12 +278,26 @@ class TestStreamsThatDecideStaySerial:
         state.engine = calibrated(SnapshotEngine(state.runner, width=3))
         _, tests, registry = state.execute(WorkUnit(0, 0, TESTS), late_point)
         assert len(tests) == TESTS
-        if decided_by == "none":
-            assert most_in_flight(spy) == 3
-            assert registry.gauge("snapshot.width").value == 3
-        else:
-            assert spy == ["fork", "reap"] * TESTS
-            assert registry.gauge("snapshot.width").value == 1
+        assert most_in_flight(spy) == 3
+        assert registry.gauge("snapshot.width").value == 3
+        # Every fork but the first had a sibling in flight.
+        assert registry.counter("snapshot.overlapped_forks").value == TESTS - 1
+
+    def test_predicted_slots_wait_their_turn_between_children(
+        self, lu_app, lu_profile, late_point, spy
+    ):
+        """Proven tests are delivered in their slots, between forked
+        ones, without forking; the forked ones still overlap."""
+        plain = WorkerState(lu_app, lu_profile, "all", SEED, None, False)
+        _, reference, _ = plain.execute(WorkUnit(0, 0, TESTS), late_point)
+        state = WorkerState(lu_app, lu_profile, "all", SEED, None, True, preclassifier=_ProvesOdd())
+        state.engine = calibrated(SnapshotEngine(state.runner, width=3))
+        _, tests, registry = state.execute(WorkUnit(0, 0, TESTS), late_point)
+        assert [t.predicted for t in tests] == [t % 2 == 1 for t in range(TESTS)]
+        assert _sig(tests[::2]) == _sig(reference[::2])
+        assert [t.spec.bit for t in tests[1::2]] == list(range(1, TESTS, 2))
+        assert spy.count("fork") == TESTS // 2 and most_in_flight(spy) >= 2
+        assert registry.counter("campaign.tests_predicted").value == TESTS // 2
 
 
 class TestWidthFromCores:

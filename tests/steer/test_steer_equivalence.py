@@ -11,6 +11,7 @@ and compare full trajectories, not just summaries.
 import pytest
 
 from repro.injection.space import enumerate_points
+from repro.obs.metrics import MetricsRegistry
 from repro.steer import adaptive_campaign
 
 TESTS_PER_POINT = 12
@@ -84,6 +85,27 @@ class KillerSink:
 
     def close(self):
         pass
+
+
+def test_snapshot_free_matches_serial(serial_trajectory, lu_app, lu_profile, lu_points):
+    # Every test replayed from scratch, one at a time, by the plain loop.
+    scratch = run_adaptive(lu_app, lu_profile, lu_points, snapshot=False)
+    assert trajectory(scratch) == serial_trajectory
+
+
+@pytest.mark.usefixtures("always_fork")
+def test_three_children_in_flight_matches_serial(
+    serial_trajectory, monkeypatch, lu_app, lu_profile, lu_points
+):
+    # A park forks up to three of the tests the stopper is certain to
+    # run before it reaps one, and never one past its cut.
+    monkeypatch.setattr("repro.snapshot.engine.cpu_count", lambda: 3)
+    metrics = MetricsRegistry()
+    wide = run_adaptive(lu_app, lu_profile, lu_points, metrics=metrics)
+    assert trajectory(wide) == serial_trajectory
+    counters = metrics.to_dict()["counters"]
+    assert counters["snapshot.overlapped_forks"] > 0
+    assert counters["snapshot.forks"] == counters["campaign.tests"]
 
 
 def test_parallel_matches_serial(serial_trajectory, lu_app, lu_profile, lu_points):

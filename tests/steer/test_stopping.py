@@ -9,6 +9,7 @@ its test streams — fails here with explicit numbers.
 
 import math
 import pickle
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -207,3 +208,59 @@ class TestSequentialStopper:
         assert json.loads(json.dumps(fp)) == {
             "ci_width": 0.25, "min_tests": 6, "z": DEFAULT_Z,
         }
+
+
+#: One error, one non-error response, and a harness verdict that is no
+#: response at all.
+ALPHABET = tuple(_test(o) for o in (Outcome.SEG_FAULT, Outcome.SUCCESS, Outcome.TOOL_ERROR))
+
+
+def _fewest_runs(stopper, prefix, most) -> int:
+    """The fewest tests a serial loop that consults ``stopper`` before
+    each test runs after ``prefix`` was delivered, over every
+    continuation of up to ``most`` results."""
+    if most == 0 or stopper.should_stop(prefix):
+        return 0
+    return 1 + min(_fewest_runs(stopper, prefix + [t], most - 1) for t in ALPHABET)
+
+
+class TestCertain:
+    """``certain(prefix, most)``: how many next tests run whatever the
+    undelivered results are — what a slot source may hand the engine
+    before any of them is reaped."""
+
+    MOST = 4
+
+    @pytest.mark.parametrize("ci_width, min_tests", [(0.4, 6), (0.7, 2), (0.5, 3)])
+    def test_safe_and_tight_over_every_prefix(self, ci_width, min_tests):
+        """Over every delivered prefix up to 6 long: every continuation
+        runs at least ``certain`` more tests (safe), and some runs
+        exactly that many (no larger value is safe)."""
+        stopper = SequentialStopper(ci_width=ci_width, min_tests=min_tests)
+        for length in range(7):
+            for prefix in product(ALPHABET, repeat=length):
+                prefix = list(prefix)
+                fewest = _fewest_runs(stopper, prefix, self.MOST)
+                for most in range(self.MOST + 1):
+                    # A continuation runs at least this many of its first
+                    # ``most`` tests, and some runs exactly this many.
+                    assert stopper.certain(prefix, most) == min(fewest, most), (prefix, most)
+
+    def test_lammps_adaptive_pins(self):
+        stopper = SequentialStopper(ci_width=0.4, min_tests=6)
+        # Below min_tests nothing can stop; at six responses all alike
+        # it can.
+        assert stopper.certain([], 8) == 6
+        # One error and one non-error response keep the interval wide
+        # through all of the point's 8 tests, whatever the rest are.
+        mixed = [_test(Outcome.SEG_FAULT), _test(Outcome.SUCCESS)]
+        assert stopper.certain(mixed, 6) == 6
+        stopped = [_test(Outcome.SUCCESS)] * 6
+        assert stopper.should_stop(stopped)
+        assert stopper.certain(stopped, 2) == 0
+
+    def test_should_stop_is_certain_of_nothing(self):
+        stopper = SequentialStopper(ci_width=0.7, min_tests=2)
+        for prefix in product(ALPHABET, repeat=3):
+            tests = list(prefix)
+            assert (stopper.certain(tests, 1) == 0) == stopper.should_stop(tests)
