@@ -20,8 +20,10 @@ from . import analysis, apps, injection, ml, obs, profiling, pruning, simmpi
 from . import exec as exec_  # noqa: F401 - also importable as repro.exec
 from . import report, store
 from .fastfit import FastFIT, FastFITReport, PruningReport
+from .injection.campaign import CampaignConfig
 
 __all__ = [
+    "CampaignConfig",
     "FastFIT",
     "FastFITReport",
     "PruningReport",

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import Field, fields
 from typing import Sequence
 
 from .analysis import (
@@ -46,8 +47,9 @@ from .analyze import StaticPruneError
 from .apps import APPLICATIONS, make_app
 from .fastfit import FastFIT
 from .store import CampaignStoreError, MigrationError
-from .injection.campaign import Campaign
-from .injection.models import SELECTABLE_MODELS, task_rng
+from .injection.campaign import Campaign, CampaignConfig
+from .injection.config import ConfigError
+from .injection.models import task_rng
 from .injection.outcome import OUTCOME_ORDER, Outcome
 from .injection.scenario import ScenarioError, load_scenario
 from .injection.space import FaultSpec
@@ -61,6 +63,26 @@ from .obs import (
 )
 
 
+#: Each campaign option's ``fastfit`` flag, for config error messages.
+_FLAGS = {f.name: f.metadata["flag"] for f in fields(CampaignConfig)}
+
+
+def _add_option(p: argparse.ArgumentParser, f: Field) -> None:
+    """Declare one :class:`CampaignConfig` field's flag from its metadata,
+    with the field's default and name (as ``dest``)."""
+    kwargs = dict(f.metadata["argparse"])
+    if isinstance(f.default, bool):
+        if not f.default:
+            kwargs["action"] = "store_true"
+        elif f.metadata["flag"].startswith("--no-"):
+            kwargs["action"] = "store_false"
+        else:
+            kwargs["action"] = argparse.BooleanOptionalAction
+    p.add_argument(
+        f.metadata["flag"], dest=f.name, default=f.default, help=f.metadata["help"], **kwargs
+    )
+
+
 def _add_app_args(
     p: argparse.ArgumentParser, required: bool = True, default: str | None = None
 ) -> None:
@@ -68,87 +90,20 @@ def _add_app_args(
         "--app", required=required, default=default, choices=sorted(APPLICATIONS)
     )
     p.add_argument("--problem-class", default="T", choices=("T", "S", "A"))
-    p.add_argument("--seed", type=int, default=0)
+    _add_option(p, CampaignConfig.__dataclass_fields__["seed"])
 
 
 def _add_campaign_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tests", type=int, default=20, help="tests per injection point")
-    p.add_argument(
-        "--policy",
-        default="buffer",
-        help='fault target policy: "buffer", "all", or a parameter name',
-    )
+    # Every CampaignConfig field is a flag; --seed is an app argument
+    # (every subcommand replays from a seed), declared with --app.
+    for f in fields(CampaignConfig):
+        if f.name != "seed":
+            _add_option(p, f)
     p.add_argument("--max-points", type=int, default=None, help="cap representative points")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the campaign (results are bit-identical "
-        "to --jobs 1; default 1)",
-    )
-    p.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="same as --db DIR/campaign.db",
-    )
-    p.add_argument(
-        "--db", default=None, metavar="PATH",
-        help="SQLite campaign database: persists completed units (so an "
-        "interrupted campaign can be resumed), queryable per-test rows, "
-        "and progress telemetry; feeds 'fastfit report' and "
-        "'fastfit stats --db'",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume a matching interrupted campaign from --checkpoint-dir "
-        "or --db",
-    )
     p.add_argument(
         "--progress-jsonl", default=None, metavar="PATH",
         help="append live progress snapshots (tests/sec, outcome histogram, "
         "worker health, ETA) as JSON lines to this file",
-    )
-    p.add_argument(
-        "--progress-every", type=int, default=1, metavar="N",
-        help="emit progress (callbacks and telemetry snapshots) at most "
-        "every N completed work units (default 1)",
-    )
-    p.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock deadline per work-unit attempt; a worker that "
-        "blows it is killed and the unit retried (parallel runs only)",
-    )
-    p.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="re-dispatches granted to a work unit whose worker died, "
-        "wedged, or crashed (default 2)",
-    )
-    p.add_argument(
-        "--no-quarantine", dest="quarantine", action="store_false",
-        help="abort the campaign when a unit exhausts its retries instead "
-        "of quarantining it with TOOL_ERROR verdicts",
-    )
-    p.add_argument(
-        "--static-prune", action="store_true",
-        help="skip tests whose outcome the static pre-classifier proves "
-        "(see 'fastfit analyze'); serial in-memory campaigns only — "
-        "incompatible with --jobs > 1, --db, and --checkpoint-dir",
-    )
-    p.add_argument(
-        "--snapshot", action=argparse.BooleanOptionalAction, default=True,
-        help="snapshot-and-fork serving: one fault-free run per worker "
-        "parks at each injection point in turn and every test is forked "
-        "from the parked state "
-        "(bit-identical results, default on); --no-snapshot forces "
-        "classic full replays and the point-major unit layout",
-    )
-    p.add_argument(
-        "--fault-model", default="bitflip", metavar="NAME",
-        help="fault model drawn at every test (default 'bitflip'; one of: "
-        + ", ".join(SELECTABLE_MODELS) + ")",
-    )
-    p.add_argument(
-        "--scenario", default=None, metavar="PATH",
-        help="timeline-driven multi-fault scenario file (JSON); replaces "
-        "the per-point fault draw with the scenario's task list — "
-        "incompatible with --fault-model and --static-prune",
     )
     p.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
@@ -180,36 +135,26 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _config(args: argparse.Namespace) -> CampaignConfig:
+    """The campaign config from every option flag the subcommand
+    declares (``dest`` = field name); raises :class:`ConfigError`."""
+    given = vars(args)
+    values = {f.name: given[f.name] for f in fields(CampaignConfig) if f.name in given}
+    if values.get("scenario") is not None:
+        # ScenarioError (malformed file, bad task list) propagates to
+        # main()'s operator-error handler: one line, exit 2.
+        values["scenario"] = load_scenario(values["scenario"])
+    return CampaignConfig(**values)
+
+
 def _tool(args: argparse.Namespace) -> FastFIT:
+    config = _config(args)
     sinks = []
-    if getattr(args, "progress_jsonl", None):
+    if vars(args).get("progress_jsonl"):
         from .obs.progress import JsonlProgressSink
 
         sinks.append(JsonlProgressSink(args.progress_jsonl))
-    scenario = None
-    if getattr(args, "scenario", None):
-        # ScenarioError (malformed file, bad task list) propagates to
-        # main()'s operator-error handler: one line, exit 2.
-        scenario = load_scenario(args.scenario)
-    return FastFIT(
-        make_app(args.app, args.problem_class),
-        seed=args.seed,
-        tests_per_point=getattr(args, "tests", 20),
-        param_policy=getattr(args, "policy", "buffer"),
-        jobs=getattr(args, "jobs", 1),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        db_path=getattr(args, "db", None),
-        resume=getattr(args, "resume", False),
-        unit_timeout=getattr(args, "unit_timeout", None),
-        max_retries=getattr(args, "max_retries", 2),
-        quarantine=getattr(args, "quarantine", True),
-        progress_sinks=sinks,
-        progress_every=getattr(args, "progress_every", 1),
-        static_prune=getattr(args, "static_prune", False),
-        snapshot=getattr(args, "snapshot", True),
-        fault_model=getattr(args, "fault_model", "bitflip"),
-        scenario=scenario,
-    )
+    return FastFIT(make_app(args.app, args.problem_class), config, progress_sinks=sinks)
 
 
 def cmd_apps(_args: argparse.Namespace) -> int:
@@ -315,9 +260,9 @@ def _cmd_adaptive(args: argparse.Namespace, ff: FastFIT) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     ff = _tool(args)
-    if getattr(args, "adaptive", False):
+    if args.adaptive:
         return _cmd_adaptive(args, ff)
-    if ff.scenario is not None:
+    if ff.config.scenario is not None:
         # A scenario brings its own timeline; pruning the parameter
         # fault space would be meaningless.  FastFIT.campaign() resolves
         # the scenario's anchor point when given no point list.
@@ -331,11 +276,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     print(
         render_bars(
             {o.value: f for o, f in campaign.outcome_fractions().items()},
-            title=f"response types ({len(points)} points × {args.tests} tests, policy={args.policy})",
+            title=f"response types ({len(points)} points × {ff.config.tests_per_point} "
+            f"tests, policy={ff.config.param_policy})",
         )
     )
-    if args.static_prune:
-        total = len(points) * args.tests
+    if ff.config.static_prune:
+        total = len(points) * ff.config.tests_per_point
         skipped = campaign.predicted_count()
         frac = skipped / total if total else 0.0
         print(
@@ -524,15 +470,15 @@ def _stats_from_db(args: argparse.Namespace) -> int:
     """The ``stats --db`` path: recompute aggregates from the store."""
     from .store import CampaignDB
 
-    if args.db is None:
+    if args.db_path is None:
         print("stats requires --app (live run) or --db (stored campaign)",
               file=sys.stderr)
         return 2
-    with CampaignDB(args.db) as db:
+    with CampaignDB(args.db_path) as db:
         c = db.campaign(args.digest)
         if c is None:
             what = f"digest {args.digest!r}" if args.digest else "campaigns"
-            print(f"error: no {what} in {args.db}", file=sys.stderr)
+            print(f"error: no {what} in {args.db_path}", file=sys.stderr)
             return 2
         hist = db.outcome_histogram(c["id"])
         total = sum(hist.values())
@@ -606,7 +552,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.app is None:
         return _stats_from_db(args)
     ff = _tool(args)
-    if ff.scenario is not None:
+    if ff.config.scenario is not None:
         campaign = ff.campaign()
         points = list(campaign.points)
     else:
@@ -1282,69 +1228,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     setup_logging(verbose=getattr(args, "verbose", 0), quiet=getattr(args, "quiet", False))
-    if getattr(args, "resume", False) and not (
-        getattr(args, "checkpoint_dir", None) or getattr(args, "db", None)
-    ):
+    # Flag combinations the facade never sees; every campaign option is
+    # checked by CampaignConfig when the subcommand builds its tool.
+    if getattr(args, "resume", False) and not (args.checkpoint_dir or args.db_path):
         print("--resume requires --checkpoint-dir or --db", file=sys.stderr)
         return 2
-    if (
-        args.command != "migrate"
-        and getattr(args, "checkpoint_dir", None)
-        and getattr(args, "db", None)
-    ):
-        print("--checkpoint-dir and --db are mutually exclusive", file=sys.stderr)
-        return 2
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        print(f"--jobs must be >= 1, got {jobs}", file=sys.stderr)
-        return 2
-    if getattr(args, "static_prune", False) and (
-        jobs != 1
-        or getattr(args, "db", None)
-        or getattr(args, "checkpoint_dir", None)
+    if getattr(args, "scenario", None) and (
+        args.command == "learn" or (args.command == "study" and not args.no_ml)
     ):
         print(
-            "--static-prune requires a serial in-memory campaign "
-            "(incompatible with --jobs > 1, --db, and --checkpoint-dir)",
-            file=sys.stderr,
-        )
-        return 2
-    fault_model = getattr(args, "fault_model", "bitflip")
-    if fault_model not in SELECTABLE_MODELS:
-        print(
-            f"unknown fault model {fault_model!r}; choices: "
-            + ", ".join(SELECTABLE_MODELS),
-            file=sys.stderr,
-        )
-        return 2
-    if getattr(args, "scenario", None):
-        if args.command == "learn" or (
-            args.command == "study" and not args.no_ml
-        ):
-            print(
-                "--scenario runs under one anchor point, which leaves the "
-                "ML stage nothing to learn (use 'campaign' or 'study --no-ml')",
-                file=sys.stderr,
-            )
-            return 2
-        if getattr(args, "static_prune", False):
-            print(
-                "--scenario is incompatible with --static-prune: the "
-                "pre-classifier only understands single-bit parameter flips",
-                file=sys.stderr,
-            )
-            return 2
-        if fault_model != "bitflip":
-            print(
-                "--scenario and --fault-model are mutually exclusive "
-                "(the scenario's tasks name their own models)",
-                file=sys.stderr,
-            )
-            return 2
-    if fault_model != "bitflip" and getattr(args, "static_prune", False):
-        print(
-            f"--static-prune only understands the single-bit 'bitflip' "
-            f"fault model, not {fault_model!r}",
+            "--scenario runs under one anchor point, which leaves the "
+            "ML stage nothing to learn (use 'campaign' or 'study --no-ml')",
             file=sys.stderr,
         )
         return 2
@@ -1365,30 +1259,27 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if getattr(args, "scenario", None):
+        if args.scenario:
             print("--adaptive and --scenario are mutually exclusive",
                   file=sys.stderr)
             return 2
-        if getattr(args, "static_prune", False):
+        if args.static_prune:
             print(
                 "--adaptive is incompatible with --static-prune "
                 "(sequential stopping needs every test slot executed)",
                 file=sys.stderr,
             )
             return 2
-        ci_width = getattr(args, "ci_width", None)
-        if ci_width is not None and not 0.0 < ci_width <= 1.0:
-            print(f"--ci-width must be in (0, 1], got {ci_width}",
+        if args.ci_width is not None and not 0.0 < args.ci_width <= 1.0:
+            print(f"--ci-width must be in (0, 1], got {args.ci_width}",
                   file=sys.stderr)
             return 2
-        budget = getattr(args, "budget", None)
-        if budget is not None and budget < 1:
-            print(f"--budget must be >= 1 test, got {budget}", file=sys.stderr)
+        if args.budget is not None and args.budget < 1:
+            print(f"--budget must be >= 1 test, got {args.budget}", file=sys.stderr)
             return 2
-        accuracy_target = getattr(args, "accuracy_target", None)
-        if accuracy_target is not None and not 0.0 < accuracy_target <= 1.0:
+        if args.accuracy_target is not None and not 0.0 < args.accuracy_target <= 1.0:
             print(
-                f"--accuracy-target must be in (0, 1], got {accuracy_target}",
+                f"--accuracy-target must be in (0, 1], got {args.accuracy_target}",
                 file=sys.stderr,
             )
             return 2
@@ -1396,20 +1287,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if batch_size is not None and batch_size < 1:
         print(f"--batch-size must be >= 1, got {batch_size}", file=sys.stderr)
         return 2
-    unit_timeout = getattr(args, "unit_timeout", None)
-    if unit_timeout is not None and unit_timeout <= 0:
-        print(f"--unit-timeout must be > 0 seconds, got {unit_timeout}", file=sys.stderr)
-        return 2
-    max_retries = getattr(args, "max_retries", 2)
-    if max_retries < 0:
-        print(f"--max-retries must be >= 0, got {max_retries}", file=sys.stderr)
-        return 2
-    progress_every = getattr(args, "progress_every", 1)
-    if progress_every < 1:
-        print(f"--progress-every must be >= 1, got {progress_every}", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
+    except ConfigError as exc:
+        print(exc.render(_FLAGS), file=sys.stderr)
+        return 2
     except (
         CampaignStoreError, MigrationError, StaticPruneError, ScenarioError,
     ) as exc:

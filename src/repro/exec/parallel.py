@@ -81,12 +81,13 @@ def _synthesize_quarantined(
     were abandoned — only the verdicts are synthetic.
     """
     tests: list[TestResult] = []
+    cfg = campaign.config
     for t in range(unit.test_start, unit.test_stop):
         spec, _rng = draw_task(
-            point, campaign.seed, unit.point_index, t,
-            policy=campaign.param_policy,
-            model=campaign.fault_model,
-            scenario=campaign.scenario,
+            point, cfg.seed, unit.point_index, t,
+            policy=cfg.param_policy,
+            model=cfg.fault_model,
+            scenario=cfg.scenario,
         )
         tests.append(
             TestResult(
@@ -107,7 +108,7 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute ``campaign`` over ``points`` — the body of
     :meth:`Campaign.run <repro.injection.campaign.Campaign.run>`."""
-    metrics = campaign.metrics
+    metrics, cfg = campaign.metrics, campaign.config
     points = list(points)
     # Global point indices: drive the SeedSequence spawn keys and the
     # unit ids, so a batch driver running a subset gets exactly the
@@ -127,29 +128,29 @@ def run_campaign(
     units = [
         WorkUnit(point_indices[u.point_index], u.test_start, u.test_stop)
         for u in make_units(
-            len(points), campaign.tests_per_point, unit_tests,
+            len(points), cfg.tests_per_point, unit_tests,
             points=points, layout=layout,
         )
     ]
-    total_tests = len(points) * campaign.tests_per_point
+    total_tests = len(points) * cfg.tests_per_point
     campaign.quarantined = []
 
     known = {u.unit_id for u in units}
     store = None
     results: dict[str, list[TestResult]] = {}
-    if campaign.db_path is not None:
+    if cfg.store_path is not None:
         # Lazy import: repro.store depends on repro.exec.sharding.
         from ..store import DBCheckpointStore
 
         store = DBCheckpointStore(
-            campaign.db_path,
+            cfg.store_path,
             digest if digest is not None else campaign.digest(points),
             campaign_info=dict(
                 app=campaign.app.name,
                 nranks=campaign.app.nranks,
-                seed=campaign.seed,
-                tests_per_point=campaign.tests_per_point,
-                param_policy=campaign.param_policy,
+                seed=cfg.seed,
+                tests_per_point=cfg.tests_per_point,
+                param_policy=cfg.param_policy,
                 unit_tests=unit_tests,
                 algorithms=campaign.algorithms,
                 code_version=__version__,
@@ -157,7 +158,7 @@ def run_campaign(
                 total_units=len(units),
             ),
         )
-        for unit_id, (tests, registry) in store.load(resume=campaign.resume).items():
+        for unit_id, (tests, registry) in store.load(resume=cfg.resume).items():
             # A batch driver's row also holds other batches' units: only
             # this call's units are resumed (and their metrics merged).
             if unit_id not in known:
@@ -189,8 +190,8 @@ def run_campaign(
             total_tests,
             len(units),
             sinks=sinks,
-            every_units=campaign.progress_every,
-            workers=campaign.jobs,
+            every_units=cfg.progress_every,
+            workers=cfg.jobs,
             metrics=metrics,
         )
         for tests in results.values():
@@ -200,7 +201,7 @@ def run_campaign(
         nonlocal last_reported
         if campaign.progress is None:
             return
-        if force or done_units % campaign.progress_every == 0:
+        if force or done_units % cfg.progress_every == 0:
             if done_tests != last_reported:
                 campaign.progress(done_tests, total_tests)
                 last_reported = done_tests
@@ -217,7 +218,7 @@ def run_campaign(
             # Counted here, not in the executor's snapshot, so replaying a
             # checkpointed unit never inflates the executed-unit count.
             metrics.counter("exec.units").inc()
-            if campaign.jobs == 1:
+            if cfg.jobs == 1:
                 # In-process unit time under its old name: frozen
                 # perf/child.py derives ``steer.driver_self_s`` from it.
                 metrics.timer("campaign.point_s").record(registry.timer("exec.unit_s").total)
@@ -250,16 +251,16 @@ def run_campaign(
         report()
 
     try:
-        if pending and campaign.jobs == 1:
+        if pending and cfg.jobs == 1:
             campaign.worker_state().run(pending, complete)
         elif pending:
             pool = SupervisedPool(
                 pickle.dumps(campaign.worker_args(), protocol=pickle.HIGHEST_PROTOCOL),
-                jobs=min(campaign.jobs, len(pending)),
+                jobs=min(cfg.jobs, len(pending)),
                 config=SupervisorConfig(
-                    unit_timeout=campaign.unit_timeout,
-                    max_retries=campaign.max_retries,
-                    quarantine=campaign.quarantine,
+                    unit_timeout=cfg.unit_timeout,
+                    max_retries=cfg.max_retries,
+                    quarantine=cfg.quarantine,
                 ),
                 metrics=metrics,
                 tracer=campaign.tracer,
@@ -293,9 +294,7 @@ def run_campaign(
     report(force=True)
 
     # -- deterministic assembly: point order, then test order ----------
-    result = CampaignResult(
-        campaign.app.name, campaign.tests_per_point, campaign.param_policy
-    )
+    result = CampaignResult(campaign.app.name, cfg.tests_per_point, cfg.param_policy)
     grouped = units_of_point(units)
     tallies: list[tuple] = []
     for g, point in zip(point_indices, points):

@@ -16,13 +16,13 @@ Typical use::
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .analysis.reports import render_table
 from .apps.base import Application
 from .apps.registry import make_app
-from .injection.campaign import Campaign, CampaignResult
+from .injection.campaign import Campaign, CampaignConfig, CampaignResult
 from .injection.space import InjectionPoint, enumerate_points
 from .obs.metrics import MetricsRegistry
 from .profiling.profiler import ApplicationProfile, profile_application
@@ -116,69 +116,38 @@ class FastFIT:
     def __init__(
         self,
         app: Application,
-        seed: int = 0,
-        tests_per_point: int = 40,
-        param_policy: str = "buffer",
+        config: CampaignConfig | None = None,
+        *,
         metrics: MetricsRegistry | None = None,
-        jobs: int = 1,
-        checkpoint_dir=None,
-        db_path=None,
-        resume: bool = False,
-        unit_timeout: float | None = None,
-        max_retries: int = 2,
-        quarantine: bool = True,
         tracer=None,
         progress_sinks=None,
-        progress_every: int = 1,
-        static_prune: bool = False,
-        snapshot: bool = True,
-        fault_model: str = "bitflip",
-        scenario=None,
+        **fields,
     ):
         self.app = app
-        self.seed = seed
-        self.tests_per_point = tests_per_point
-        self.param_policy = param_policy
+        #: Every campaign option (:class:`CampaignConfig`): ``config``
+        #: with ``fields`` replaced, validated once here.
+        self.config = replace(config or CampaignConfig(), **fields)
         #: Every phase records into this registry (``phase.*`` timers,
         #: ``prune.*``/``campaign.*``/``ml.*`` from the stages, plus the
         #: supervision counters ``exec.retries``/``exec.worker_deaths``/
         #: ``exec.quarantined``).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Worker processes for campaign execution (1 = in-process
-        #: executor); campaigns shard across workers with bit-identical
-        #: results (see :mod:`repro.exec`).
-        self.jobs = jobs
-        self.checkpoint_dir = checkpoint_dir
-        #: SQLite campaign database (``--db``): persists completed units,
-        #: queryable per-test rows, and progress telemetry.
-        self.db_path = db_path
-        self.resume = resume
+        #: Optional :class:`~repro.obs.events.Tracer` for supervision events.
+        self.tracer = tracer
         #: :class:`~repro.obs.progress.ProgressSink` consumers fed live
         #: campaign telemetry.
         self.progress_sinks = list(progress_sinks or [])
-        self.progress_every = progress_every
-        #: Supervision policy for parallel campaigns (see
-        #: :class:`~repro.exec.supervisor.SupervisorConfig`).
-        self.unit_timeout = unit_timeout
-        self.max_retries = max_retries
-        self.quarantine = quarantine
-        self.tracer = tracer
-        #: Skip tests whose outcome the static pre-classifier proves
-        #: (``jobs == 1`` in-memory campaigns only; see :mod:`repro.analyze`).
-        self.static_prune = static_prune
-        #: Snapshot-and-fork serving (:mod:`repro.snapshot`): amortise
-        #: the fault-free prefix across every test at an injection point.
-        self.snapshot = snapshot
-        #: Fault model applied to every campaign test (see
-        #: :data:`repro.injection.models.MODELS`).
-        self.fault_model = fault_model
-        #: Optional :class:`~repro.injection.Scenario` timeline; a
-        #: scenario campaign runs under the scenario's synthetic anchor
-        #: point instead of profiled/pruned injection points.
-        self.scenario = scenario
         self._profile: ApplicationProfile | None = None
         self._pruning: PruningReport | None = None
         self._preclassifier = None
+
+    def __getattr__(self, name: str):
+        # Campaign options read through the config: ``ff.seed``,
+        # ``ff.tests_per_point``, ``ff.jobs`` …
+        config = self.__dict__.get("config")
+        if config is not None and name in CampaignConfig.__dataclass_fields__:
+            return getattr(config, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
     def for_app(cls, name: str, problem_class: str = "T", **kwargs) -> "FastFIT":
@@ -239,33 +208,18 @@ class FastFIT:
                         f"analyze' for the full report"
                     )
                 self._preclassifier = PreClassifier(
-                    skeleton, seed=self.seed, param_policy=self.param_policy
+                    skeleton, seed=self.config.seed, param_policy=self.config.param_policy
                 )
         return self._preclassifier
 
-    def _campaign_options(self) -> dict:
-        """Every campaign option set on the facade, as ``Campaign``
-        keywords — the one list :meth:`campaign`, :meth:`learn` and
-        :meth:`steer` all forward, so none of them can drop an option."""
+    def _runtime(self) -> dict:
+        """The runtime objects every campaign of this facade carries
+        (its options travel as :attr:`config`)."""
         return dict(
-            tests_per_point=self.tests_per_point,
-            param_policy=self.param_policy,
-            seed=self.seed,
             metrics=self.metrics,
-            jobs=self.jobs,
-            checkpoint_dir=self.checkpoint_dir,
-            db_path=self.db_path,
-            resume=self.resume,
-            unit_timeout=self.unit_timeout,
-            max_retries=self.max_retries,
-            quarantine=self.quarantine,
             tracer=self.tracer,
             progress_sinks=self.progress_sinks,
-            progress_every=self.progress_every,
-            preclassifier=self.preclassifier() if self.static_prune else None,
-            snapshot=self.snapshot,
-            fault_model=self.fault_model,
-            scenario=self.scenario,
+            preclassifier=self.preclassifier() if self.config.static_prune else None,
         )
 
     def campaign(
@@ -273,20 +227,20 @@ class FastFIT:
     ) -> CampaignResult:
         """A traditional campaign over ``points`` (default: the pruned
         representatives)."""
+        config = self.config
         if points is None:
-            if self.scenario is not None:
-                points = [self.scenario.anchor_point()]
+            if config.scenario is not None:
+                points = [config.scenario.anchor_point()]
             else:
                 points = self.prune().representative_points
-        options = self._campaign_options()
         if tests_per_point:
-            options["tests_per_point"] = tests_per_point
-        runner = Campaign(self.app, self.profile(), **options)
+            config = replace(config, tests_per_point=tests_per_point)
+        runner = Campaign(self.app, self.profile(), config, **self._runtime())
         logger.info(
             "campaign: %d points x %d tests (%d jobs)",
             len(list(points)),
-            runner.tests_per_point,
-            self.jobs,
+            config.tests_per_point,
+            config.jobs,
         )
         with self.metrics.time("phase.campaign_s"):
             return runner.run(points)
@@ -309,7 +263,8 @@ class FastFIT:
                 label_names=label_names,
                 threshold=threshold,
                 batch_size=batch_size,
-                **self._campaign_options(),
+                config=self.config,
+                **self._runtime(),
             )
 
     def steer(
@@ -346,7 +301,8 @@ class FastFIT:
                 label_names=label_names,
                 batch_size=batch_size,
                 min_tests=min_tests,
-                **self._campaign_options(),
+                config=self.config,
+                **self._runtime(),
             )
 
     # -- one-shot studies ----------------------------------------------------

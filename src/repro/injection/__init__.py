@@ -8,7 +8,7 @@ rank crash/stall, and timeline-driven multi-fault scenarios.
 """
 
 from .bitflip import flip_array_element, flip_int32, flip_int64, random_buffer_bit
-from .campaign import Campaign, CampaignResult, PointResult
+from .campaign import Campaign, CampaignConfig, CampaignResult, PointResult
 from .config import ConfigError, InjectionConfig
 from .injector import FaultInjector, InjectionRecord, buffer_extent_bytes
 from .models import (
@@ -46,6 +46,7 @@ from .wire import WireFaultInjector
 __all__ = [
     "BurstInjector",
     "Campaign",
+    "CampaignConfig",
     "CampaignResult",
     "ConfigError",
     "FaultInjector",

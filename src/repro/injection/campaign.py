@@ -20,18 +20,21 @@ The per-test recipe itself lives in
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from ..apps.base import Application
 from ..profiling.profiler import ApplicationProfile
 from .outcome import OUTCOME_ORDER, Outcome
-from .models import MODELS
+from .config import ConfigError
+from .models import MODELS, SELECTABLE_MODELS
 from .runner import InjectionRunner, TestResult
 from .scenario import Scenario
 from .space import InjectionPoint
+from .targets import is_policy
 
 
 @dataclass
@@ -214,129 +217,250 @@ class CampaignResult:
         return samples
 
 
+def _option(default, flag: str, help: str | None = None, **argparse_kwargs):
+    """A :class:`CampaignConfig` field carrying its CLI spelling: the
+    ``fastfit`` flag, its help text, and any further ``add_argument``
+    keywords (``type``, ``metavar``)."""
+    return field(
+        default=default,
+        metadata={"flag": flag, "help": help, "argparse": argparse_kwargs},
+    )
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Every campaign option, declared, defaulted and validated once.
+
+    :class:`Campaign`, the :class:`~repro.FastFIT` facade, both batch
+    drivers and the ``fastfit`` CLI (whose campaign flags are generated
+    from the field metadata) all take their options from one instance,
+    so they cannot drift apart.  Runtime objects — metrics registry,
+    tracer, progress sinks and callback, algorithm table, stopper,
+    preclassifier — are constructor arguments of :class:`Campaign`
+    instead: they are not options a user sets, and none of them is
+    part of the store digest.
+    """
+
+    # A field's help text documents it; ``#:`` comments add API detail.
+    tests_per_point: int = _option(
+        20, "--tests", "tests per injection point", type=int, metavar="TESTS",
+    )
+    #: See :mod:`repro.injection.targets`.
+    param_policy: str = _option(
+        "buffer", "--policy", 'fault target policy: "buffer", "all", or a parameter name',
+        metavar="POLICY",
+    )
+    #: Every test's RNG derives from it (:func:`repro.injection.models.task_rng`).
+    seed: int = _option(0, "--seed", type=int)
+    jobs: int = _option(
+        1, "--jobs",
+        "worker processes for the campaign (results are bit-identical "
+        "to --jobs 1; default 1)",
+        type=int,
+    )
+    #: The campaign creates the directory (see :attr:`store_path`).
+    checkpoint_dir: str | os.PathLike | None = _option(
+        None, "--checkpoint-dir", "same as --db DIR/campaign.db", metavar="DIR",
+    )
+    db_path: str | os.PathLike | None = _option(
+        None, "--db",
+        "SQLite campaign database: persists completed units (so an "
+        "interrupted campaign can be resumed), queryable per-test rows, "
+        "and progress telemetry; feeds 'fastfit report' and "
+        "'fastfit stats --db'",
+        metavar="PATH",
+    )
+    resume: bool = _option(
+        False, "--resume",
+        "resume a matching interrupted campaign from --checkpoint-dir or --db",
+    )
+    #: ``None`` = no deadline; ignored when ``jobs == 1``.
+    unit_timeout: float | None = _option(
+        None, "--unit-timeout",
+        "wall-clock deadline per work-unit attempt; a worker that "
+        "blows it is killed and the unit retried (parallel runs only)",
+        type=float, metavar="SECONDS",
+    )
+    max_retries: int = _option(
+        2, "--max-retries",
+        "re-dispatches granted to a work unit whose worker died, "
+        "wedged, or crashed (default 2)",
+        type=int, metavar="N",
+    )
+    #: ``False`` aborts with :class:`~repro.exec.supervisor.UnitFailedError`.
+    quarantine: bool = _option(
+        True, "--no-quarantine",
+        "abort the campaign when a unit exhausts its retries instead "
+        "of quarantining it with TOOL_ERROR verdicts",
+    )
+    progress_every: int = _option(
+        1, "--progress-every",
+        "emit progress (callbacks and telemetry snapshots) at most "
+        "every N completed work units (default 1)",
+        type=int, metavar="N",
+    )
+    #: The facade builds the :class:`repro.analyze.PreClassifier`.
+    static_prune: bool = _option(
+        False, "--static-prune",
+        "skip tests whose outcome the static pre-classifier proves "
+        "(see 'fastfit analyze'); serial in-memory campaigns only — "
+        "incompatible with --jobs > 1, --db, and --checkpoint-dir",
+    )
+    #: See :mod:`repro.snapshot`.
+    snapshot: bool = _option(
+        True, "--snapshot",
+        "snapshot-and-fork serving: one fault-free run per worker "
+        "parks at each injection point in turn and every test is forked "
+        "from the parked state "
+        "(bit-identical results, default on); --no-snapshot forces "
+        "classic full replays and the point-major unit layout",
+    )
+    #: A name from :data:`repro.injection.models.MODELS`.
+    fault_model: str = _option(
+        "bitflip", "--fault-model",
+        "fault model drawn at every test (default 'bitflip'; one of: "
+        + ", ".join(SELECTABLE_MODELS) + ")",
+        metavar="NAME",
+    )
+    #: A :class:`~repro.injection.scenario.Scenario`; the CLI loads it
+    #: from the file its flag names.
+    scenario: Scenario | None = _option(
+        None, "--scenario",
+        "timeline-driven multi-fault scenario file (JSON); replaces "
+        "the per-point fault draw with the scenario's task list — "
+        "incompatible with --fault-model and --static-prune",
+        metavar="PATH",
+    )
+
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+            ("tests_per_point", self.tests_per_point >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("jobs", self.jobs >= 1, ">= 1"),
+            ("progress_every", self.progress_every >= 1, ">= 1"),
+            ("unit_timeout", self.unit_timeout is None or self.unit_timeout > 0, "> 0 seconds"),
+            ("max_retries", self.max_retries >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(
+                    name, "{%s} must be %s, got {value}" % (name, rule),
+                    value=getattr(self, name),
+                )
+        if not is_policy(self.param_policy):
+            raise ConfigError(
+                "param_policy",
+                "{param_policy} {value!r} is not 'buffer', 'all', or a "
+                "parameter of any collective",
+                value=self.param_policy,
+            )
+        if self.checkpoint_dir is not None and self.db_path is not None:
+            raise ConfigError(
+                "checkpoint_dir", "{checkpoint_dir} and {db_path} are mutually exclusive"
+            )
+        if self.fault_model not in SELECTABLE_MODELS:
+            raise ConfigError(
+                "fault_model", "unknown fault model {value!r}; choices: {choices}",
+                value=self.fault_model, choices=", ".join(SELECTABLE_MODELS),
+            )
+        if self.scenario is not None and self.static_prune:
+            raise ConfigError(
+                "scenario",
+                "{scenario} is incompatible with {static_prune}: the "
+                "pre-classifier only understands single-bit parameter flips",
+            )
+        if self.scenario is not None and self.fault_model != "bitflip":
+            raise ConfigError(
+                "scenario",
+                "{scenario} and {fault_model} are mutually exclusive "
+                "(the scenario's tasks name their own models)",
+            )
+        if self.static_prune and not MODELS[self.fault_model].preclassifiable:
+            # The static rules reason about single-bit parameter
+            # corruption only; declining richer models keeps predictions
+            # honest (see repro.analyze).
+            raise ConfigError(
+                "static_prune",
+                "{static_prune} only understands the single-bit 'bitflip' "
+                "fault model, not {value!r}",
+                value=self.fault_model,
+            )
+        if self.static_prune and (
+            self.jobs != 1 or self.db_path is not None or self.checkpoint_dir is not None
+        ):
+            # The pool payload does not carry the preclassifier and the
+            # store schema has no predicted rows yet: static pruning runs
+            # on the in-process executor only, and silently dropping it
+            # would change which tests execute.
+            raise ConfigError(
+                "static_prune",
+                "{static_prune} requires a serial in-memory campaign "
+                "(incompatible with {jobs} > 1, {db_path}, and {checkpoint_dir})",
+            )
+
+    @property
+    def store_path(self) -> Path | None:
+        """The campaign database, with ``checkpoint_dir`` resolved to
+        ``DIR/campaign.db`` (``None`` = in-memory campaign)."""
+        if self.checkpoint_dir is not None:
+            return Path(self.checkpoint_dir) / "campaign.db"
+        return None if self.db_path is None else Path(self.db_path)
+
+
 class Campaign:
     """Drives injection tests over a set of points.
 
-    Parameters
-    ----------
-    jobs:
-        Worker processes for the campaign.  ``1`` (the default) executes
-        the work units in this process; anything else shards them across
-        a supervised pool (:mod:`repro.exec`) with bit-identical results.
+    ``Campaign(app, profile, config, **fields)`` runs ``config`` (default
+    :class:`CampaignConfig()`) with any ``fields`` replaced —
+    ``Campaign(app, profile, tests_per_point=8, jobs=2)`` works too.
+    The remaining keywords are the runtime objects the campaign carries:
+
     progress:
         ``progress(done_tests, total_tests)`` callback, for every
         ``jobs``.
-    progress_every:
-        Emit the ``progress`` callback (and telemetry snapshots) at most
-        every N completed work units; the final update always fires.
-    checkpoint_dir:
-        Shorthand for ``db_path=checkpoint_dir / "campaign.db"`` (the
-        directory is created if missing); mutually exclusive with
-        ``db_path``.
-    db_path:
-        SQLite campaign database: completed units are committed through
-        :class:`repro.store.DBCheckpointStore`, with queryable per-test
-        rows and progress telemetry; with ``resume=True`` an interrupted
-        campaign with the same digest restarts where it left off.
+    algorithms:
+        Collective algorithm selection for the simulated job.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`; the
+        campaign records test/outcome tallies and per-unit timing under
+        ``campaign.*`` / ``exec.*``.
+    tracer:
+        Optional :class:`~repro.obs.events.Tracer` receiving supervision
+        events (``unit_retry``/``unit_quarantined``).
     progress_sinks:
         :class:`~repro.obs.progress.ProgressSink` consumers receiving
         periodic :class:`~repro.obs.progress.ProgressSnapshot` telemetry
         (tests/sec, outcome histogram, worker health, ETA).
-    unit_timeout:
-        Wall-clock seconds a parallel work unit may run per dispatch
-        attempt before its worker is declared wedged and killed
-        (``None`` = no deadline; ignored when ``jobs == 1``).
-    max_retries:
-        Re-dispatches granted to a unit whose worker died, wedged, or
-        crashed before it is given up on.
-    quarantine:
-        When a unit exhausts its retries: ``True`` records synthetic
-        ``TOOL_ERROR`` results and the campaign continues; ``False``
-        aborts with :class:`~repro.exec.supervisor.UnitFailedError`.
+    preclassifier:
+        Optional :class:`repro.analyze.PreClassifier`; tests it proves
+        are recorded as ``predicted`` results without running.  Passing
+        one sets ``static_prune``, so its guards apply.
+    stopper:
+        Optional :class:`~repro.steer.SequentialStopper`: end each
+        point's test stream early once its Wilson interval closes.  The
+        decision is a pure function of the ordered test prefix, so
+        stopped campaigns stay bit-identical across schedulings.
     """
 
     def __init__(
         self,
         app: Application,
         profile: ApplicationProfile,
-        tests_per_point: int = 100,
-        param_policy: str = "buffer",
-        seed: int = 0,
+        config: CampaignConfig | None = None,
+        *,
         progress: Callable[[int, int], None] | None = None,
         algorithms: dict[str, str] | None = None,
         metrics=None,
-        jobs: int = 1,
-        progress_every: int = 1,
-        checkpoint_dir=None,
-        db_path=None,
-        resume: bool = False,
-        unit_timeout: float | None = None,
-        max_retries: int = 2,
-        quarantine: bool = True,
         tracer=None,
         progress_sinks=None,
         preclassifier=None,
-        snapshot: bool = True,
-        fault_model: str = "bitflip",
-        scenario: Scenario | None = None,
         stopper=None,
+        **fields,
     ):
-        self.app = app
-        self.profile = profile
-        self.tests_per_point = tests_per_point
-        self.param_policy = param_policy
-        self.seed = seed
-        self.progress = progress
-        self.algorithms = algorithms
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when set
-        #: the campaign records test/outcome tallies and per-point timing
-        #: under ``campaign.*``.
-        self.metrics = metrics
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if progress_every < 1:
-            raise ValueError(f"progress_every must be >= 1, got {progress_every}")
-        if unit_timeout is not None and unit_timeout <= 0:
-            raise ValueError(f"unit_timeout must be > 0 seconds, got {unit_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if checkpoint_dir is not None and db_path is not None:
-            raise ValueError("checkpoint_dir and db_path are mutually exclusive")
-        if fault_model not in MODELS or fault_model == "scenario":
-            raise ValueError(
-                f"unknown fault model {fault_model!r}; "
-                f"choices: {', '.join(n for n in MODELS if n != 'scenario')}"
-            )
-        if scenario is not None and fault_model != "bitflip":
-            raise ValueError("scenario and fault_model are mutually exclusive")
-        if preclassifier is not None and (
-            scenario is not None or not MODELS[fault_model].preclassifiable
-        ):
-            # The static rules reason about single-bit parameter
-            # corruption only; declining richer models keeps predictions
-            # honest (see repro.analyze).
-            raise ValueError(
-                "static pruning (preclassifier) only understands the "
-                "single-bit 'bitflip' fault model"
-            )
-        if checkpoint_dir is not None:
-            checkpoint_dir = Path(checkpoint_dir)
-            checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            db_path = checkpoint_dir / "campaign.db"
-            if resume and not db_path.exists():
-                from ..store.migrate import refuse_legacy_checkpoint
-
-                refuse_legacy_checkpoint(checkpoint_dir, db_path)
-        if preclassifier is not None and (jobs != 1 or db_path is not None):
-            # The pool payload does not carry the preclassifier and the
-            # store schema has no predicted rows yet: static pruning runs
-            # on the in-process executor only, and silently dropping it
-            # would change which tests execute.
-            raise ValueError(
-                "static pruning (preclassifier) is incompatible with "
-                "jobs>1, checkpoint_dir, and db_path"
-            )
-        if stopper is not None and preclassifier is not None:
+        if preclassifier is not None:
+            fields["static_prune"] = True
+        #: The campaign's options (:class:`CampaignConfig`).
+        self.config = replace(config or CampaignConfig(), **fields)
+        if stopper is not None and self.config.static_prune:
             # Statically resolved slots never execute, so the stopper's
             # ordered-prefix contract (test 0, 1, 2, … of *executed*
             # results) would depend on which slots the preclassifier
@@ -346,39 +470,20 @@ class Campaign:
                 "sequential stopping (stopper) is incompatible with "
                 "static pruning (preclassifier)"
             )
-        self.jobs = jobs
-        self.progress_every = progress_every
-        self.db_path = db_path
-        self.resume = resume
-        #: Extra :class:`~repro.obs.progress.ProgressSink` consumers
-        #: receiving periodic telemetry snapshots.
-        self.progress_sinks = list(progress_sinks or [])
-        self.unit_timeout = unit_timeout
-        self.max_retries = max_retries
-        self.quarantine = quarantine
-        #: Optional :class:`~repro.obs.events.Tracer` receiving
-        #: supervision events (``unit_retry``/``unit_quarantined``).
+        if self.config.checkpoint_dir is not None:
+            Path(self.config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
+            if self.config.resume and not self.config.store_path.exists():
+                from ..store.migrate import refuse_legacy_checkpoint
+
+                refuse_legacy_checkpoint(self.config.checkpoint_dir, self.config.store_path)
+        self.app = app
+        self.profile = profile
+        self.progress = progress
+        self.algorithms = algorithms
+        self.metrics = metrics
         self.tracer = tracer
-        #: Optional :class:`repro.analyze.PreClassifier`; tests it
-        #: proves are recorded as ``predicted`` results without running.
+        self.progress_sinks = list(progress_sinks or [])
         self.preclassifier = preclassifier
-        #: Snapshot-and-fork serving (:mod:`repro.snapshot`): one
-        #: fault-free run per executor parks at each point in turn and
-        #: every test is forked from the parked state.  Results are bit-identical either way; ``False``
-        #: forces classic full replays (also selects the point-major unit
-        #: layout when parallel).
-        self.snapshot = snapshot
-        #: Fault-model name from :data:`repro.injection.models.MODELS`
-        #: applied to every test ("bitflip" = the paper's model).
-        self.fault_model = fault_model
-        #: Optional :class:`~repro.injection.scenario.Scenario`; when
-        #: set, every test replays the timeline (under its synthetic
-        #: anchor point) instead of drawing single faults.
-        self.scenario = scenario
-        #: Optional :class:`~repro.steer.SequentialStopper`: end each
-        #: point's test stream early once its Wilson interval closes.
-        #: The decision is a pure function of the ordered test prefix,
-        #: so stopped campaigns stay bit-identical across schedulings.
         self.stopper = stopper
         #: Unit ids given up on during the last :meth:`run` (their tests
         #: carry synthetic ``TOOL_ERROR`` verdicts).
@@ -389,10 +494,11 @@ class Campaign:
         """The executor configuration: the positional arguments of
         :class:`~repro.exec.supervisor.WorkerState`, and (pickled) the
         payload every pool worker is initialised with."""
+        cfg = self.config
         return (
-            self.app, self.profile, self.param_policy, self.seed,
-            self.algorithms, self.snapshot,
-            self.fault_model, self.scenario, self.stopper, self.jobs,
+            self.app, self.profile, cfg.param_policy, cfg.seed,
+            self.algorithms, cfg.snapshot,
+            cfg.fault_model, cfg.scenario, self.stopper, cfg.jobs,
         )
 
     def worker_state(self):
@@ -420,10 +526,11 @@ class Campaign:
         can observe."""
         from ..exec.sharding import default_unit_tests
 
-        layout = "s1" if self.snapshot else "p1"
+        tests = self.config.tests_per_point
+        layout = "s1" if self.config.snapshot else "p1"
         if layout == "s1" or self.stopper is not None:
-            return layout, max(1, self.tests_per_point)
-        return layout, default_unit_tests(self.tests_per_point)
+            return layout, max(1, tests)
+        return layout, default_unit_tests(tests)
 
     def digest(self, points: Sequence[InjectionPoint], extra: dict | None = None) -> str:
         """The store identity of this campaign over ``points``.
@@ -432,18 +539,19 @@ class Campaign:
         the campaign axes (``{"ml": …}`` / ``{"steer": …}``)."""
         from ..exec.checkpoint import campaign_digest
 
+        cfg = self.config
         layout, unit_tests = self.plan()
         return campaign_digest(
             self.app,
-            self.seed,
-            self.tests_per_point,
-            self.param_policy,
+            cfg.seed,
+            cfg.tests_per_point,
+            cfg.param_policy,
             unit_tests,
             list(points),
             algorithms=self.algorithms,
             layout=layout,
-            fault_model=self.fault_model,
-            scenario_fp=None if self.scenario is None else self.scenario.fingerprint(),
+            fault_model=cfg.fault_model,
+            scenario_fp=None if cfg.scenario is None else cfg.scenario.fingerprint(),
             extra=extra,
         )
 

@@ -36,16 +36,45 @@ _FIELDS: tuple[tuple[str, int | None], ...] = (
 )
 
 
+class _Spelled(dict):
+    """Format mapping that spells an unnamed option as itself."""
+
+    def __missing__(self, key: str) -> str:
+        return key
+
+
 class ConfigError(ValueError):
-    """Raised for malformed FastFIT configuration values."""
+    """Raised for malformed FastFIT configuration values.
+
+    ``field`` names the offending option.  The message is a template
+    over option names plus the keyword ``values``
+    (``"{jobs} must be >= 1, got {value}"``): ``str(exc)`` spells each
+    option as its name, :meth:`render` as the caller likes — the CLI
+    passes every campaign option's flag, so it prints ``--jobs must be
+    >= 1, got 0``."""
+
+    def __init__(self, field: str, template: str, **values):
+        self.field = field
+        self.template = template
+        self.values = values
+        super().__init__(self.render({}))
+
+    def render(self, names: Mapping[str, str]) -> str:
+        """The message with every option ``o`` spelled ``names.get(o, o)``."""
+        return self.template.format_map(_Spelled({**names, **self.values}))
 
 
 def _parse(name: str, raw: str, width: int | None) -> int:
     raw = raw.strip()
     if not raw.lstrip("-").isdigit():
-        raise ConfigError(f"{name} must be an integer, got {raw!r}")
+        raise ConfigError(
+            name.lower(), "{name} must be an integer, got {raw!r}", name=name, raw=raw
+        )
     if width is not None and len(raw.lstrip("-")) > width:
-        raise ConfigError(f"{name} exceeds its width of {width} digits: {raw!r}")
+        raise ConfigError(
+            name.lower(), "{name} exceeds its width of {width} digits: {raw!r}",
+            name=name, width=width, raw=raw,
+        )
     return int(raw)
 
 
@@ -64,16 +93,18 @@ class InjectionConfig:
     param_id: int = 0
 
     def __post_init__(self):
-        if self.num_inj < 0:
-            raise ConfigError(f"NUM_INJ must be non-negative, got {self.num_inj}")
         for label, value in (
+            ("NUM_INJ", self.num_inj),
             ("INV_ID", self.inv_id),
             ("CALL_ID", self.call_id),
             ("RANK_ID", self.rank_id),
             ("PARAM_ID", self.param_id),
         ):
             if value < 0:
-                raise ConfigError(f"{label} must be non-negative, got {value}")
+                raise ConfigError(
+                    label.lower(), "{label} must be non-negative, got {value}",
+                    label=label, value=value,
+                )
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "InjectionConfig":

@@ -40,6 +40,14 @@ def all_targets(collective: str) -> tuple[str, ...]:
     return COLLECTIVE_PARAMS[collective]
 
 
+def is_policy(policy: str) -> bool:
+    """Whether ``policy`` is ``"all"``, ``"buffer"``, or a parameter of
+    some collective."""
+    return policy in ("all", "buffer") or any(
+        policy in params for params in COLLECTIVE_PARAMS.values()
+    )
+
+
 def targets_for_policy(collective: str, policy: str) -> tuple[str, ...]:
     """Resolve a policy string to the concrete parameter tuple."""
     if policy == "all":

@@ -10,14 +10,14 @@ traditional campaign, exactly as the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..analysis.sensitivity import QUARTILE_LEVELS, LevelScheme
 from ..apps.base import Application
-from ..injection.campaign import Campaign, PointResult
+from ..injection.campaign import Campaign, CampaignConfig, PointResult
 from ..injection.outcome import OUTCOME_ORDER
 from ..injection.space import InjectionPoint
 from ..ml.features import features_matrix
@@ -79,9 +79,7 @@ def ml_driven_campaign(
     threshold: float = 0.65,
     batch_size: int | None = None,
     n_estimators: int = 24,
-    tests_per_point: int = 40,
-    seed: int = 0,
-    metrics=None,
+    config: CampaignConfig | None = None,
     **campaign_options,
 ) -> MLDrivenResult:
     """Run the inject → learn → verify loop of FastFIT's learning phase.
@@ -93,10 +91,10 @@ def ml_driven_campaign(
     inner campaign also records ``campaign.*``).
 
     The loop is a scheduler over one
-    :class:`~repro.injection.campaign.Campaign`, built from
-    ``tests_per_point``/``seed``/``metrics`` plus every other
-    ``campaign_options`` keyword forwarded verbatim (``jobs``,
-    ``db_path``, ``resume``, ``snapshot``, ``fault_model``, …).  Batches
+    :class:`~repro.injection.campaign.Campaign`, built as
+    ``Campaign(app, profile, config, **campaign_options)`` — option
+    fields (``tests_per_point``, ``seed``, ``jobs``, ``db_path``, …) and
+    runtime objects (``metrics``, …) alike.  Batches
     carry their global point indices (the ``SeedSequence`` contract) and
     share one digest computed over the full candidate list, so results
     are bit-identical under any ``jobs`` and a killed-and-resumed run
@@ -108,6 +106,8 @@ def ml_driven_campaign(
     if label_names is None:
         raise ValueError("label_names required when passing a custom labeler")
 
+    campaign = Campaign(app, profile, config, **campaign_options)
+    seed, metrics = campaign.config.seed, campaign.metrics
     rng = np.random.default_rng(seed)
     points = list(points)
     order = list(rng.permutation(len(points)))
@@ -115,11 +115,6 @@ def ml_driven_campaign(
     if batch_size is None:
         batch_size = max(4, len(shuffled) // 8)
 
-    campaign = Campaign(
-        app, profile,
-        tests_per_point=tests_per_point, seed=seed, metrics=metrics,
-        **campaign_options,
-    )
     digest = campaign.digest(
         points,
         extra={
@@ -147,7 +142,7 @@ def ml_driven_campaign(
         # batches in one store campaign row (when a store is configured).
         measured = campaign.run(batch, point_indices=batch_indices, digest=digest).points
         # Later batches must join that row, not cascade-wipe it.
-        campaign.resume = True
+        campaign.config = replace(campaign.config, resume=True)
 
         if model is not None:
             # Verification: predict the fresh batch, compare to reality.

@@ -46,13 +46,13 @@ identical trajectory from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from ..apps.base import Application
-from ..injection.campaign import Campaign, PointResult
+from ..injection.campaign import Campaign, CampaignConfig, PointResult
 from ..injection.space import InjectionPoint
 from ..ml.features import features_matrix
 from ..ml.metrics import accuracy
@@ -158,9 +158,7 @@ def adaptive_campaign(
     min_tests: int = 6,
     z: float = DEFAULT_Z,
     sampler_mode: str = "margin",
-    tests_per_point: int = 40,
-    seed: int = 0,
-    metrics=None,
+    config: CampaignConfig | None = None,
     **campaign_options,
 ) -> SteeringResult:
     """Run the adaptive inject → verify → retrain → steer loop.
@@ -178,9 +176,9 @@ def adaptive_campaign(
 
     The loop is a scheduler over one
     :class:`~repro.injection.campaign.Campaign` carrying the stopper,
-    built from ``tests_per_point``/``seed``/``metrics`` plus every other
-    ``campaign_options`` keyword forwarded verbatim (``jobs``,
-    ``db_path``, ``resume``, ``snapshot``, ``fault_model``, …).
+    built as ``Campaign(app, profile, config, **campaign_options)`` —
+    option fields (``tests_per_point``, ``seed``, ``jobs``, ``db_path``,
+    …) and runtime objects (``metrics``, …) alike.
     """
     if labeler is None:
         labeler, label_names = level_labeler()
@@ -206,15 +204,12 @@ def adaptive_campaign(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
     stopper = SequentialStopper(ci_width=ci_width, min_tests=min_tests, z=z)
+    campaign = Campaign(app, profile, config, stopper=stopper, **campaign_options)
+    seed, metrics = campaign.config.seed, campaign.metrics
+    tests_per_point = campaign.config.tests_per_point
     rng = np.random.default_rng(seed)
     order = [int(i) for i in rng.permutation(len(points))]
 
-    campaign = Campaign(
-        app, profile,
-        tests_per_point=tests_per_point, seed=seed, metrics=metrics,
-        stopper=stopper,
-        **campaign_options,
-    )
     # One digest for the whole steering run, over the FULL candidate
     # list plus the steering knobs — every batch joins the same
     # campaign row, and a differently-steered run cannot collide.
@@ -288,7 +283,7 @@ def adaptive_campaign(
             digest=digest,
         )
         # Batches after the first must join the store row, not wipe it.
-        campaign.resume = True
+        campaign.config = replace(campaign.config, resume=True)
         measured = sub.points
         round_tests = sub.n_tests()
         spent += round_tests
@@ -315,7 +310,7 @@ def adaptive_campaign(
                 mean_uncertainty=mean_unc,
             )
         )
-        _record_round(campaign.db_path, digest, result.rounds[-1], spent, "")
+        _record_round(campaign.config.store_path, digest, result.rounds[-1], spent, "")
 
         if acc is not None and acc >= accuracy_target:
             result.reached_target = True
@@ -331,7 +326,7 @@ def adaptive_campaign(
     result.model = model
     if result.rounds:
         _record_round(
-            campaign.db_path, digest, result.rounds[-1], spent, result.stop_reason
+            campaign.config.store_path, digest, result.rounds[-1], spent, result.stop_reason
         )
     if unexplored and model is not None:
         preds = model.predict(X_all[np.array(unexplored)])

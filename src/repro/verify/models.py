@@ -18,10 +18,8 @@ self-test requires the witness sweep to fail under each.
 
 from __future__ import annotations
 
-import importlib
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, ContextManager
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from ..injection.models import build_injector
 from ..injection.scenario import parse_scenario
 from ..injection.space import FaultSpec, InjectionPoint, ModelSpec
 from ..simmpi import Instrument, SimMPIError, run_app
+from .mutants import installed_mutant
 
 #: Generous deadline for the tiny witness apps; stalls charge past it.
 WITNESS_STEP_BUDGET = 20_000
@@ -328,23 +327,6 @@ MODEL_MUTANTS: dict[str, ModelMutant] = {
 }
 
 
-@contextmanager
-def seeded_model_mutant(name: str) -> Iterator[ModelMutant]:
+def seeded_model_mutant(name: str) -> ContextManager[ModelMutant]:
     """Install the named fault-model mutant for the ``with`` block."""
-    try:
-        mutant = MODEL_MUTANTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown model mutant {name!r}; choices: {', '.join(sorted(MODEL_MUTANTS))}"
-        ) from None
-    saved: list[tuple[Any, str, Any]] = []
-    try:
-        for module_name, attr, factory in mutant.patches:
-            module = importlib.import_module(module_name)
-            original = getattr(module, attr)
-            saved.append((module, attr, original))
-            setattr(module, attr, factory(original))
-        yield mutant
-    finally:
-        for module, attr, original in reversed(saved):
-            setattr(module, attr, original)
+    return installed_mutant(MODEL_MUTANTS, name, kind="model mutant")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import importlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, ContextManager, Iterator
 
 
 def _ring_wrong_block(rank: int, n: int) -> list[tuple[int, int, int, int, int]]:
@@ -126,13 +126,17 @@ MUTANTS: dict[str, Mutant] = {
 
 
 @contextmanager
-def seeded_mutant(name: str) -> Iterator[Mutant]:
-    """Install the named mutant for the duration of the ``with`` block."""
+def installed_mutant(registry: dict, name: str, kind: str = "mutant") -> Iterator:
+    """Look ``name`` up in ``registry`` and install its ``(module, attr,
+    factory)`` patches for the duration of the ``with`` block, restoring
+    every original on exit — the one patch installer behind
+    :func:`seeded_mutant` and
+    :func:`repro.verify.models.seeded_model_mutant`."""
     try:
-        mutant = MUTANTS[name]
+        mutant = registry[name]
     except KeyError:
         raise ValueError(
-            f"unknown mutant {name!r}; choices: {', '.join(sorted(MUTANTS))}"
+            f"unknown {kind} {name!r}; choices: {', '.join(sorted(registry))}"
         ) from None
     saved: list[tuple[Any, str, Any]] = []
     try:
@@ -145,3 +149,8 @@ def seeded_mutant(name: str) -> Iterator[Mutant]:
     finally:
         for module, attr, original in reversed(saved):
             setattr(module, attr, original)
+
+
+def seeded_mutant(name: str) -> ContextManager[Mutant]:
+    """Install the named mutant for the duration of the ``with`` block."""
+    return installed_mutant(MUTANTS, name)

@@ -84,11 +84,11 @@ def test_predicted_results_are_marked(campaigns):
 
 def test_preclassifier_refused_with_parallel_or_store(is_app, is_profile, tmp_path):
     pre = PreClassifier(extract_skeleton(is_app), seed=0)
-    with pytest.raises(ValueError, match="static pruning"):
+    with pytest.raises(ValueError, match="static_prune requires a serial in-memory campaign"):
         Campaign(is_app, is_profile, preclassifier=pre, jobs=2)
-    with pytest.raises(ValueError, match="static pruning"):
+    with pytest.raises(ValueError, match="static_prune requires a serial in-memory campaign"):
         Campaign(is_app, is_profile, preclassifier=pre, db_path=tmp_path / "c.sqlite")
-    with pytest.raises(ValueError, match="static pruning"):
+    with pytest.raises(ValueError, match="static_prune requires a serial in-memory campaign"):
         Campaign(is_app, is_profile, preclassifier=pre, checkpoint_dir=tmp_path / "ck")
 
 

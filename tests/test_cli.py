@@ -251,6 +251,23 @@ class TestErrorHygiene:
         assert main(["campaign", "--app", "lu", "--max-retries", "-1"]) == 2
         assert "--max-retries must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tests", "-2"], "--tests must be >= 0, got -2"),
+            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["--policy", "bogus"], "--policy 'bogus' is not 'buffer', 'all', or a parameter"),
+        ],
+    )
+    def test_bad_campaign_option_is_one_line(self, flags, message, capsys):
+        """Values the campaign config rejects exit 2 before any work,
+        instead of a traceback from deep inside the first test."""
+        assert main(["campaign", "--app", "is", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_checkpoint_mismatch_is_one_line(self, tmp_path, capsys):
         """A legacy pickle checkpoint directory produces exit 2 and a
         single line naming the migrate command, not a traceback."""

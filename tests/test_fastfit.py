@@ -23,6 +23,30 @@ def test_prune_report(ff):
     assert len(rep.representative_points) <= rep.total_points
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ({"tests_per_point": -2}, "tests_per_point must be >= 0, got -2"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"param_policy": "bogus"}, "param_policy 'bogus' is not"),
+        ({"jobs": 0}, "jobs must be >= 1, got 0"),
+    ],
+)
+def test_invalid_options_rejected_at_construction(lu_app, option, message):
+    """The facade validates its options once, when it is built — not at
+    the first draw of the first test."""
+    with pytest.raises(ValueError, match=message):
+        FastFIT(lu_app, **option)
+
+
+def test_options_read_through_the_config(lu_app):
+    ff2 = FastFIT(lu_app, seed=5, tests_per_point=7, jobs=2)
+    assert (ff2.seed, ff2.tests_per_point, ff2.jobs) == (5, 7, 2)
+    assert ff2.config.param_policy == ff2.param_policy == "buffer"
+    with pytest.raises(AttributeError):
+        ff2.no_such_option
+
+
 def test_for_app_constructor():
     ff2 = FastFIT.for_app("mg", "T", tests_per_point=2)
     assert ff2.app.name == "mg"
