@@ -17,8 +17,6 @@ fault space *before* any simulator execution:
   is validated against live simulator runs; CI fails on one mismatch.
 * :mod:`repro.analyze.lint` — determinism/simulator-safety lint the
   replay log depends on.
-* :mod:`repro.analyze.mutants` — seeded skeleton defects the matching
-  checker must catch (self-test).
 
 CLI: ``fastfit analyze`` (and ``--static-prune`` on ``fastfit run``).
 """
@@ -26,7 +24,6 @@ CLI: ``fastfit analyze`` (and ``--static-prune`` on ``fastfit run``).
 from .crossval import CrossValidation, Mismatch, cross_validate
 from .lint import LINT_RULES, LintFinding, lint_source, lint_tree
 from .matching import Finding, MatchReport, check_skeleton
-from .mutants import ANALYZE_MUTANTS, MutantCheck, SkeletonMutant, run_mutant
 from .preclassify import (
     PRECLASSIFY_RULES,
     PreClassifier,
@@ -46,7 +43,6 @@ from .skeleton import (
 )
 
 __all__ = [
-    "ANALYZE_MUTANTS",
     "CrossValidation",
     "Finding",
     "HandleTable",
@@ -54,13 +50,11 @@ __all__ = [
     "LintFinding",
     "MatchReport",
     "Mismatch",
-    "MutantCheck",
     "PRECLASSIFY_RULES",
     "PreClassifier",
     "Prediction",
     "Skeleton",
     "SkeletonExtractionError",
-    "SkeletonMutant",
     "SkeletonOp",
     "StaticPruneError",
     "check_skeleton",
@@ -71,6 +65,5 @@ __all__ = [
     "mutate_op",
     "predict_tests",
     "replace_skeleton",
-    "run_mutant",
     "snapshot_tables",
 ]

@@ -795,7 +795,7 @@ def extract_skeleton(
 
 
 def mutate_op(skeleton: Skeleton, rank: int, index: int, **changes: Any) -> Skeleton:
-    """Return a copy of ``skeleton`` with one op replaced (mutant helper)."""
+    """Return a copy of ``skeleton`` with one op replaced."""
     ranks = [list(seq) for seq in skeleton.ranks]
     ranks[rank][index] = replace(ranks[rank][index], **changes)
     return replace_skeleton(skeleton, ranks)
@@ -814,3 +814,61 @@ def replace_skeleton(skeleton: Skeleton, ranks: list[list[SkeletonOp]]) -> Skele
         ranks=ranks,
         results=list(skeleton.results),
     )
+
+
+# -- seeded defects: the cross-rank bugs the matching checker must catch
+# (wired in as ``extract_skeleton`` patches by :mod:`repro.verify.mutants`)
+
+def swap_adjacent_collectives(sk: Skeleton) -> Skeleton:
+    """Rank 1 issues two adjacent collectives in the opposite order."""
+    seq = list(sk.ranks[1])
+    for i in range(len(seq) - 1):
+        a, b = seq[i], seq[i + 1]
+        if a.name != b.name and a.comm_context == b.comm_context:
+            seq[i] = replace(b, seq=a.seq)
+            seq[i + 1] = replace(a, seq=b.seq)
+            ranks = list(sk.ranks)
+            ranks[1] = seq
+            return replace_skeleton(sk, ranks)
+    raise RuntimeError("app has no adjacent differing collectives to swap")
+
+
+def shift_root(sk: Skeleton) -> Skeleton:
+    """Rank 1 believes a rooted collective is rooted one rank over."""
+    for i, op in enumerate(sk.ranks[1]):
+        if op.root_world is not None:
+            return mutate_op(sk, 1, i, root_world=(op.root_world + 1) % sk.nranks)
+    raise RuntimeError("app issues no rooted collectives")
+
+
+def widen_dtype(sk: Skeleton) -> Skeleton:
+    """Rank 0 posts the same element count of a twice-as-wide datatype —
+    element counts agree, byte volumes don't."""
+    for i, op in enumerate(sk.ranks[0]):
+        if op.dtype is not None and op.name in (
+            "Bcast", "Reduce", "Allreduce", "Scan", "Exscan",
+            "Scatter", "Gather", "Allgather", "Alltoall", "Reduce_scatter",
+        ):
+            return mutate_op(
+                sk, 0, i,
+                dtype="MPI_DOUBLE" if op.dtype != "MPI_DOUBLE" else "MPI_FLOAT",
+                dtype_size=op.dtype_size * 2,
+            )
+    raise RuntimeError("app issues no fixed-count typed collectives")
+
+
+def drop_last_call(sk: Skeleton) -> Skeleton:
+    """Rank 0 returns early, skipping its final collective."""
+    if not sk.ranks[0]:
+        raise RuntimeError("rank 0 issues no collectives")
+    ranks = list(sk.ranks)
+    ranks[0] = list(sk.ranks[0][:-1])
+    return replace_skeleton(sk, ranks)
+
+
+def swap_reduce_op(sk: Skeleton) -> Skeleton:
+    """Rank 1 reduces with a different operation than its peers."""
+    for i, op in enumerate(sk.ranks[1]):
+        if op.op is not None:
+            return mutate_op(sk, 1, i, op="MPI_MAX" if op.op != "MPI_MAX" else "MPI_SUM")
+    raise RuntimeError("app issues no reductions")

@@ -11,7 +11,7 @@ Usage (``python -m repro`` or the ``fastfit`` entry point)::
     fastfit run      --adaptive --ci-width 0.25 --budget 2000 --jobs 4
     fastfit analyze  --app lu     --tests 10 --sample 0.2
     fastfit analyze  --lint-only
-    fastfit analyze  --mutant wrong_root
+    fastfit verify   --mutant wrong_root
     fastfit learn    --app lammps --threshold 0.65
     fastfit study    --app lammps --threshold 0.65
     fastfit trace    --app lu     --find-outcome INF_LOOP
@@ -617,32 +617,47 @@ def cmd_verify(args: argparse.Namespace) -> int:
     campaign determinism, snapshot fork-equivalence.  Exit 0 only when
     every phase is clean."""
     from .injection import enumerate_points
-    from .snapshot import SNAPSHOT_MUTANTS
     from .verify import (
-        MODEL_MUTANTS,
+        FUZZED_COLLECTIVES,
         MUTANTS,
         fork_equivalence,
         model_conformance,
         record_run,
         replay_run,
         run_conformance,
+        run_mutant,
         sanitize_sweep,
     )
 
     if args.list_mutants:
-        rows = [[m.name, ", ".join(m.detected_by), m.description] for m in MUTANTS.values()]
-        rows += [[m.name, m.detected_by, m.description] for m in SNAPSHOT_MUTANTS.values()]
-        rows += [[m.name, ", ".join(m.detected_by), m.description] for m in MODEL_MUTANTS.values()]
-        print(render_table(["mutant", "detected by", "description"], rows, title="seeded mutants"))
+        rows = [
+            [m.name, m.layer, ", ".join(m.detected_by), m.description]
+            for m in MUTANTS.values()
+        ]
+        print(render_table(
+            ["mutant", "layer", "detected by", "description"], rows, title="seeded mutants"
+        ))
         return 0
-    if (
-        args.mutant is not None
-        and args.mutant not in MUTANTS
-        and args.mutant not in SNAPSHOT_MUTANTS
-        and args.mutant not in MODEL_MUTANTS
-    ):
-        choices = ", ".join(sorted(MUTANTS) + sorted(SNAPSHOT_MUTANTS) + sorted(MODEL_MUTANTS))
-        print(f"unknown mutant {args.mutant!r}; choices: {choices}", file=sys.stderr)
+    # -- operator-error hygiene (exit 2, one line, no traceback) --------
+    errors = [
+        f"{flag} must be >= {least}, got {value}"
+        for flag, value, least in (
+            ("--seed", args.seed, 0), ("--draws", args.draws, 1),
+            ("--tests", args.tests, 1), ("--max-points", args.max_points, 1),
+        )
+        if value < least
+    ]
+    errors += [
+        f"unknown collective {name!r}; choices: {', '.join(FUZZED_COLLECTIVES)}"
+        for name in args.collective or ()
+        if name not in FUZZED_COLLECTIVES
+    ]
+    if args.mutant is not None and args.mutant not in MUTANTS:
+        errors.append(f"unknown mutant {args.mutant!r}; choices: {', '.join(sorted(MUTANTS))}")
+    if args.mutant is not None and args.collective:
+        errors.append("--collective does not apply with --mutant: its check picks its own")
+    if errors:
+        print(errors[0], file=sys.stderr)
         return 2
 
     summary: dict = {"ok": True, "phases": {}}
@@ -651,75 +666,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
         summary["phases"][name] = {"ok": ok, **payload}
         summary["ok"] = summary["ok"] and ok
 
-    # A fault-model mutant routes straight to the witness sweep (phase
-    # 6): the defect lives in the delivery helpers and only the
-    # witnesses exercise them with known expectations.
-    if args.mutant in MODEL_MUTANTS:
-        report = model_conformance(seed=args.seed, mutant=args.mutant)
-        expected = set(MODEL_MUTANTS[args.mutant].detected_by)
-        failed = {r.witness for r in report.failures}
-        detected = expected <= failed
-        phase("models", detected, {
-            "mutant": args.mutant, "detected": detected,
-            "failed_witnesses": sorted(failed),
-        })
-        if args.json:
-            print(json.dumps(summary, sort_keys=True))
-        else:
-            print(report.describe())
-            print(
-                f"mutant {args.mutant!r}: "
-                + ("DETECTED (witnesses have teeth)" if detected else "NOT DETECTED — harness failure")
-            )
-        return 0 if summary["ok"] else 1
-
-    # A snapshot mutant routes straight to the fork-equivalence oracle
-    # (phase 5): the other phases never touch the snapshot engine and
-    # could not possibly observe the defect.
-    if args.mutant in SNAPSHOT_MUTANTS:
-        report = fork_equivalence(
-            make_app(args.app, args.problem_class),
-            seed=args.seed, tests_per_point=args.tests,
-            max_points=args.max_points, mutant=args.mutant,
+    # A seeded mutant runs its layer's check only, with the mutant
+    # installed and without it: the check must flip every name the
+    # mutant lists, and pass without it.
+    if args.mutant is not None:
+        run = run_mutant(
+            args.mutant, seed=args.seed, draws=args.draws,
+            app=make_app(args.app, args.problem_class),
+            tests=args.tests, max_points=args.max_points,
         )
-        phase("snapshot", report.ok, {
-            "mutant": args.mutant, "detected": report.ok,
-            "points": report.n_points, "tests": report.n_tests,
+        mutant = run.mutant
+        phase(mutant.layer, run.detected, {
+            "mutant": mutant.name, "detected": run.detected, "clean": run.clean,
+            "expected": list(mutant.detected_by), "found": list(run.found),
         })
-        if args.json:
-            print(json.dumps(summary, sort_keys=True))
-        else:
-            print(report.describe())
+        print(json.dumps(summary, sort_keys=True) if args.json else run.describe())
         return 0 if summary["ok"] else 1
 
-    # 1. differential conformance (optionally with a seeded mutant, in
-    # which case the harness is expected to FAIL — see --mutant help).
+    # 1. differential conformance.
     conf = run_conformance(
         seed=args.seed,
         draws_per_collective=args.draws,
         collectives=args.collective or None,
-        mutant=args.mutant,
     )
-    if args.mutant is not None:
-        ok = not conf.ok  # a mutant the harness cannot see is the failure
-        phase("conformance", ok, {"mutant": args.mutant, "detected": not conf.ok,
-                                  "failures": [f.describe() for f in conf.failures[:20]]})
-        if not args.json:
-            print(conf.describe())
-            print(
-                f"mutant {args.mutant!r}: "
-                + ("DETECTED (harness has teeth)" if not conf.ok else "NOT DETECTED — harness failure")
-            )
-    else:
-        phase("conformance", conf.ok, {
-            "cases": conf.total_cases, "checks": conf.total_checks,
-            "failures": [f.describe() for f in conf.failures[:20]],
-        })
-        if not args.json:
-            print(conf.describe())
+    phase("conformance", conf.ok, {
+        "cases": conf.total_cases, "checks": conf.total_checks,
+        "failures": [f.describe() for f in conf.failures[:20]],
+    })
+    if not args.json:
+        print(conf.describe())
 
     # 2. sanitizer soak over the registered workloads.
-    if not args.skip_sanitize and args.mutant is None:
+    if not args.skip_sanitize:
         sweep = sanitize_sweep()
         ok = all(r.ok for r in sweep)
         phase("sanitize", ok, {"apps": {r.app: r.ok for r in sweep},
@@ -730,7 +708,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print("sanitize: " + r.describe())
 
     # 3. deterministic replay of golden application runs.
-    if not args.skip_replay and args.mutant is None:
+    if not args.skip_replay:
         replay_info, ok = {}, True
         for name in ("is", "lu"):
             app = make_app(name, "T")
@@ -744,7 +722,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # 4. campaign determinism: the same small campaign, serial then
     # sharded, must produce bit-identical TestResult streams.
-    if not args.skip_campaign and args.mutant is None:
+    if not args.skip_campaign:
         ff = _tool(args)
         points = enumerate_points(ff.profile())[: args.max_points]
         sigs = []
@@ -767,13 +745,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # 5. snapshot fork-equivalence: tests served by forking a parked
     # fault-free prefix must fingerprint identically to full replays.
-    if not args.skip_snapshot and args.mutant is None:
+    if not args.skip_snapshot:
         report = fork_equivalence(
             make_app(args.app, args.problem_class),
             seed=args.seed, tests_per_point=args.tests,
             max_points=args.max_points,
         )
-        phase("snapshot", report.ok, {
+        phase("snapshot", report.identical, {
             "app": args.app, "points": report.n_points,
             "tests": report.n_tests, "identical": report.identical,
             "mismatches": report.mismatches[:10],
@@ -783,7 +761,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # 6. fault-model conformance: every composable fault model must
     # produce its expected Table-I response on its witness app.
-    if not args.skip_models and args.mutant is None:
+    if not args.skip_models:
         report = model_conformance(seed=args.seed)
         phase("models", report.ok, {
             "witnesses": {r.witness: r.ok for r in report.results},
@@ -833,59 +811,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from collections import Counter
 
     from .analyze import (
-        ANALYZE_MUTANTS,
         PreClassifier,
         check_skeleton,
         cross_validate,
         extract_skeleton,
         lint_tree,
         predict_tests,
-        run_mutant,
     )
     from .injection import enumerate_points
     from .profiling import profile_application
 
     # -- operator-error hygiene (exit 2, one line, no traceback) --------
-    if args.mutant is not None and args.mutant not in ANALYZE_MUTANTS:
-        print(
-            f"unknown mutant {args.mutant!r}; choices: "
-            f"{', '.join(sorted(ANALYZE_MUTANTS))}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.lint_only and (args.mutant is not None or args.list_mutants):
-        print("--lint-only and --mutant/--list-mutants are mutually exclusive",
-              file=sys.stderr)
-        return 2
     if args.sample is not None and not 0.0 < args.sample <= 1.0:
         print(f"--sample must be in (0, 1], got {args.sample}", file=sys.stderr)
         return 2
-    if args.sample is not None and (args.lint_only or args.mutant is not None):
+    if args.sample is not None and args.lint_only:
         print("--sample only applies to the full analysis", file=sys.stderr)
         return 2
-
-    if args.list_mutants:
-        rows = [
-            [m.name, ", ".join(m.detected_by), m.description]
-            for m in ANALYZE_MUTANTS.values()
-        ]
-        print(render_table(["mutant", "detected by", "description"], rows,
-                           title="seeded skeleton mutants"))
-        return 0
-
-    if args.mutant is not None:
-        # Self-test: plant the defect, require the checker to flag it.
-        app = make_app(args.app, args.problem_class) if args.app else None
-        check = run_mutant(args.mutant, app)
-        if args.json:
-            print(json.dumps({
-                "mutant": check.name, "detected": check.detected,
-                "expected": list(check.expected), "found": list(check.found),
-                "clean_before": check.clean_before,
-            }))
-        else:
-            print(check.describe())
-        return 0 if check.detected else 1
 
     lint_findings = lint_tree()
     if args.lint_only:
@@ -902,8 +844,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 1 if lint_findings else 0
 
     if args.app is None:
-        print("analyze requires --app (unless --lint-only or --list-mutants)",
-              file=sys.stderr)
+        print("analyze requires --app (unless --lint-only)", file=sys.stderr)
         return 2
 
     app = make_app(args.app, args.problem_class)
@@ -1078,15 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the determinism/simulator-safety lint over the "
         "repro package",
     )
-    p.add_argument(
-        "--mutant", default=None, metavar="NAME",
-        help="plant a seeded skeleton defect and require the matching "
-        "checker to catch it (exit 0 = detected); see --list-mutants",
-    )
-    p.add_argument(
-        "--list-mutants", action="store_true",
-        help="list seeded skeleton mutants and exit",
-    )
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     p.set_defaults(fn=cmd_analyze)
 
@@ -1148,8 +1080,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mutant", default=None, metavar="NAME",
-        help="install a seeded defect and require the harness to catch it "
-        "(exit 0 = detected); see --list-mutants",
+        help="install a seeded defect and require its layer's check to catch "
+        "it (exit 0 = detected); see --list-mutants",
     )
     p.add_argument(
         "--list-mutants", action="store_true", help="list seeded mutants and exit"

@@ -225,11 +225,6 @@ class WorkerState:
         no slot past the cut a serial loop makes is ever handed out, and
         the stream ends at the same index under every scheduling.
         ``exec.unit_s`` spans the unit from this pull to ``complete``."""
-        overreach = False
-        if self.engine is not None:
-            from ..snapshot.mutants import active_mutant
-
-            overreach = active_mutant() == "snapshot_horizon_overreach"
         registry = MetricsRegistry()
         tests: list[TestResult] = []
         pulled = time.perf_counter()
@@ -256,8 +251,6 @@ class WorkerState:
                 if self.stopper is not None:
                     delivered = unit.test_start + len(tests)
                     stop = delivered + self.stopper.certain(tests, stop - delivered)
-                    if overreach:
-                        stop = min(unit.test_stop, stop + 1)
                 drawn.extend(slot(t) for t in range(after, stop))
                 after = max(after, stop)
             return [drawn.popleft() for _ in range(min(limit, len(drawn)))]

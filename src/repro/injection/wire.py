@@ -11,11 +11,10 @@ failure; stall charges the scheduler's deadline budget so detection
 rides the existing ``INF_LOOP`` machinery).
 
 The tiny delivery helpers (:func:`drop_payloads` & co.) are module-level
-on purpose: the seeded fault-model mutants
-(:mod:`repro.verify.models`) patch them to plant plausible defects — a
-drop that silently retries, a reorder that preserves FIFO, a stall
-shorter than the deadline — and the conformance harness must catch each
-one.
+on purpose: the seeded ``models`` mutants (:mod:`repro.verify.mutants`)
+patch them to plant plausible defects — a drop that silently retries, a
+reorder that preserves FIFO, a stall shorter than the deadline — and the
+model witnesses (:mod:`repro.verify.models`) must catch each one.
 """
 
 from __future__ import annotations

@@ -14,16 +14,12 @@ parallel workers whenever ``snapshot=True``, the default).
 
 from .cache import SnapshotCache
 from .engine import SnapshotEngine, snapshot_supported
-from .mutants import SNAPSHOT_MUTANTS, active_mutant, seeded_snapshot_mutant
 from .snapshot import FastForwardDiverged, SimSnapshot
 
 __all__ = [
-    "SNAPSHOT_MUTANTS",
     "FastForwardDiverged",
     "SimSnapshot",
     "SnapshotCache",
     "SnapshotEngine",
-    "active_mutant",
-    "seeded_snapshot_mutant",
     "snapshot_supported",
 ]

@@ -52,7 +52,6 @@ import signal
 import struct
 import time
 from collections import deque
-from dataclasses import replace
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -65,7 +64,6 @@ from ..obs.metrics import MetricsRegistry, Timer
 from ..simmpi.calls import Instrument
 from ..simmpi.errors import SchedulerInterrupt, SimMPIError
 from ..simmpi.runtime import SimMPI
-from . import mutants
 from .cache import SnapshotCache
 from .snapshot import (
     FastForwardDiverged,
@@ -340,19 +338,13 @@ class SnapshotEngine:
         unit.metrics.gauge("snapshot.bytes").set(self.cache.nbytes)
         unit.done()
 
-    @staticmethod
-    def _park_point(point: InjectionPoint) -> InjectionPoint:
-        if mutants.active_mutant() == "snapshot_wrong_invocation" and point.invocation > 0:
-            return replace(point, invocation=point.invocation - 1)
-        return point
-
     def _run(self, unit: Unit, units: Iterator[Unit]) -> Unit | None:
         """One fault-free job: park at ``unit``'s point, fork its tests,
         and walk on to every later unit still ahead.  Returns the pulled
         unit this run cannot reach (it needs a fresh one), or None once
         ``units`` is exhausted."""
         runner, m = self.runner, unit.metrics
-        park = _ParkInstrument(self._park_point(unit.point))
+        park = _ParkInstrument(unit.point)
         config = dict(
             step_budget=runner.step_budget, algorithms=runner.algorithms, alloc_cap=runner.alloc_cap
         )
@@ -383,10 +375,9 @@ class SnapshotEngine:
         child: dict[str, Any] = {}
 
         def parked(prefix_s: float):
-            """Parent: serve units at this park, ``prefix_s`` seconds of
-            fault-free run from t=0; return None once the park is
-            re-pointed at a unit further on.  Child: return the injector
-            to arm."""
+            """Parent: serve the unit at this park, ``prefix_s`` seconds of
+            fault-free run from t=0, then re-point the park at the next
+            unit and return None.  Child: return the injector to arm."""
             nonlocal unit, restored
             if prefix_s < float("inf"):
                 unit.metrics.timer("snapshot.prefix_s").record(prefix_s)
@@ -402,7 +393,7 @@ class SnapshotEngine:
                     unit.metrics.counter("snapshot.ff_divergence").inc()
                     raise _PrefixAbandoned(unit)
                 restored = None
-            elif mutants.active_mutant() is None and unit.point not in self.cache:
+            elif unit.point not in self.cache:
                 try:
                     self.cache.put(
                         unit.point, take_snapshot(unit.point, scheduler, contexts, fibers, logs)
@@ -410,99 +401,82 @@ class SnapshotEngine:
                 except Exception:
                     # Capture is an optimisation; serving must not die on it.
                     pass
-            if mutants.active_mutant() == "snapshot_stale_prefix":
-                for stale_ctx in contexts:
-                    mem = stale_ctx.memory
-                    for seg in mem.segments:
-                        mem.raw[seg.addr - mem.base] ^= 1
-            while True:
-                _, take, deliver, _, m = unit
-                m.gauge("snapshot.width").set(self.width)
-                #: Forked children and known results, in slot order.
-                inflight: deque[_InFlight | TestResult] = deque()
-                pending: deque[Slot] = deque()  # taken, not yet served
-                result = None  # the last result delivered
-                try:
-                    while True:
+            _, take, deliver, _, m = unit
+            m.gauge("snapshot.width").set(self.width)
+            #: Forked children and known results, in slot order.
+            inflight: deque[_InFlight | TestResult] = deque()
+            pending: deque[Slot] = deque()  # taken, not yet served
+            try:
+                while True:
+                    if not pending:
+                        # The calibrating forks run solo.
+                        limit = self.width if self._overhead.count >= CALIBRATION_FORKS else 1
+                        if len(inflight) < limit:
+                            pending.extend(take(limit - len(inflight)))
                         if not pending:
-                            # The calibrating forks run solo.
-                            limit = self.width if self._overhead.count >= CALIBRATION_FORKS else 1
-                            if len(inflight) < limit:
-                                pending.extend(take(limit - len(inflight)))
-                            if not pending:
-                                if not inflight:
-                                    break  # nothing left to run
-                                result = self._collect(inflight, deliver, m)
-                                continue
-                        slot = pending.popleft()
-                        if isinstance(slot, TestResult):
-                            # Known without running: it waits for the
-                            # slots before it, like a child.
-                            if inflight:
-                                inflight.append(slot)
-                            else:
-                                deliver(slot)
-                                result = slot
+                            if not inflight:
+                                break  # nothing left to run
+                            self._collect(inflight, deliver, m)
                             continue
-                        spec, rng = slot
-                        if not self.fork_pays(prefix_s):
-                            # Replaying this prefix is cheaper than a fork from it.
-                            result = self._drain(inflight, deliver, m, result)
-                            m.counter("snapshot.replayed_tests").inc()
-                            if (
-                                result is None
-                                or mutants.active_mutant() != "snapshot_replay_wrong_slot"
-                            ):
-                                result = runner.run_one(spec, rng)
-                            deliver(result)
-                            continue
-                        if mutants.active_mutant() == "snapshot_rng_desync":
-                            rng.integers(0, 1 << 16)
-                        injector = build_injector(spec, rng)
-                        fork_t0 = time.perf_counter()
-                        rfd, wfd = os.pipe()
-                        try:
-                            pid = os.fork()
-                        except OSError:
-                            # Process limit: no child, both pipe ends are ours.
-                            # Earlier results are delivered; replay from here on.
-                            os.close(rfd)
-                            os.close(wfd)
-                            self._drain(inflight, deliver, m, result)
-                            self._replay(chain([slot], pending, slots_of(take)), deliver, m)
-                            break
-                        if pid == 0:
-                            # -- child: arm the fault at the parked call and
-                            # let the inherited scheduler stack resume.
-                            child.update(
-                                wfd=wfd, spec=spec, injector=injector, t0=time.perf_counter()
-                            )
-                            os.close(rfd)
-                            for sibling in _children(inflight):
-                                os.close(sibling.rfd)
-                            return injector
+                    slot = pending.popleft()
+                    if isinstance(slot, TestResult):
+                        # Known without running: it waits for the
+                        # slots before it, like a child.
+                        if inflight:
+                            inflight.append(slot)
+                        else:
+                            deliver(slot)
+                        continue
+                    spec, rng = slot
+                    if not self.fork_pays(prefix_s):
+                        # Replaying this prefix is cheaper than a fork from it.
+                        self._drain(inflight, deliver, m)
+                        m.counter("snapshot.replayed_tests").inc()
+                        deliver(runner.run_one(spec, rng))
+                        continue
+                    injector = build_injector(spec, rng)
+                    fork_t0 = time.perf_counter()
+                    rfd, wfd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        # Process limit: no child, both pipe ends are ours.
+                        # Earlier results are delivered; replay from here on.
+                        os.close(rfd)
                         os.close(wfd)
-                        m.counter("snapshot.forks").inc()
-                        if any(_children(inflight)):
-                            m.counter("snapshot.overlapped_forks").inc()
-                        inflight.append(_InFlight(pid, rfd, fork_t0, spec, rng))
-                    self._drain(inflight, deliver, m, result)
-                except BaseException:
-                    if not child:  # a forked child never owns its siblings
-                        self._abandon(inflight)
-                    raise
-                self._finish(unit)
-                unit = self._pull(units)
-                target = unit and self._park_point(unit.point)
-                if unit is None or (
-                    contexts[target.rank]._site_counters.get(target.site_key, 0)
-                    > target.invocation
-                ):
-                    raise _PrefixAbandoned(unit)  # no more units, or one behind us
-                if mutants.active_mutant() != "snapshot_walk_stale_target":
-                    # Still ahead: let the same parent job run on to it.
-                    park.point, park.armed = target, True
-                    return None
+                        self._drain(inflight, deliver, m)
+                        self._replay(chain([slot], pending, slots_of(take)), deliver, m)
+                        break
+                    if pid == 0:
+                        # -- child: arm the fault at the parked call and
+                        # let the inherited scheduler stack resume.
+                        child.update(
+                            wfd=wfd, spec=spec, injector=injector, t0=time.perf_counter()
+                        )
+                        os.close(rfd)
+                        for sibling in _children(inflight):
+                            os.close(sibling.rfd)
+                        return injector
+                    os.close(wfd)
+                    m.counter("snapshot.forks").inc()
+                    if any(_children(inflight)):
+                        m.counter("snapshot.overlapped_forks").inc()
+                    inflight.append(_InFlight(pid, rfd, fork_t0, spec, rng))
+                self._drain(inflight, deliver, m)
+            except BaseException:
+                if not child:  # a forked child never owns its siblings
+                    self._abandon(inflight)
+                raise
+            self._finish(unit)
+            unit = self._pull(units)
+            if unit is None or (
+                contexts[unit.point.rank]._site_counters.get(unit.point.site_key, 0)
+                > unit.point.invocation
+            ):
+                raise _PrefixAbandoned(unit)  # no more units, or one behind us
+            # Still ahead: let the same parent job run on to it.
+            park.point, park.armed = unit.point, True
+            return None
 
         def on_park(ctx, call):
             nonlocal started
@@ -549,18 +523,15 @@ class SnapshotEngine:
         self._finish(unit)
         return self._pull(units)
 
-    def _collect(self, inflight: deque[_InFlight | TestResult], deliver, m) -> TestResult:
+    def _collect(self, inflight: deque[_InFlight | TestResult], deliver, m) -> None:
         """Reap the oldest in-flight child and deliver its result (or
         deliver the oldest known result); a child that died without one
         has its test replayed in its slot, on the parent's untouched
-        post-draw RNG.  Returns what was delivered."""
-        if len(inflight) > 1 and mutants.active_mutant() == "snapshot_pipeline_reorder":
-            entry = inflight.pop()
-        else:
-            entry = inflight.popleft()
+        post-draw RNG."""
+        entry = inflight.popleft()
         if isinstance(entry, TestResult):
             deliver(entry)
-            return entry
+            return
         pid, rfd, fork_t0, spec, rng = entry
         waiting = time.perf_counter()
         reaped = self._reap(pid, rfd)
@@ -578,14 +549,11 @@ class SnapshotEngine:
             for timer in (self._overhead, m.timer("snapshot.fork_overhead_s")):
                 timer.record(max(0.0, overhead))
         deliver(result)
-        return result
 
-    def _drain(self, inflight: deque[_InFlight | TestResult], deliver, m, result):
-        """:meth:`_collect` every in-flight child, oldest first; returns
-        the last result delivered (``result`` if none was in flight)."""
+    def _drain(self, inflight: deque[_InFlight | TestResult], deliver, m) -> None:
+        """:meth:`_collect` every in-flight child, oldest first."""
         while inflight:
-            result = self._collect(inflight, deliver, m)
-        return result
+            self._collect(inflight, deliver, m)
 
     @staticmethod
     def _abandon(inflight: deque[_InFlight | TestResult]) -> None:

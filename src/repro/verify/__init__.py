@@ -11,16 +11,14 @@ compatible:
   every algorithm variant against the reference;
 * :mod:`repro.verify.replay` — deterministic scheduler replay logs and
   a bit-identical replayer;
-* :mod:`repro.verify.mutants` — seeded defects proving the harness has
-  teeth (a verifier that cannot fail a broken simulator verifies
-  nothing);
 * :mod:`repro.verify.models` — model-conformance witnesses pinning every
-  composable fault model to its expected Table-I response, plus seeded
-  delivery-layer mutants the witness sweep must catch;
+  composable fault model to its expected Table-I response;
 * :mod:`repro.verify.snapshot_check` — the fork-equivalence oracle for
   the snapshot-and-fork engine (forked test streams must fingerprint
-  identically to from-scratch replays; seeded engine mutants must be
-  caught);
+  identically to from-scratch replays);
+* :mod:`repro.verify.mutants` — the one registry of seeded defects
+  proving each of those checks, and the skeleton checker, has teeth (a
+  verifier that cannot fail a broken simulator verifies nothing);
 * sanitizers live in :mod:`repro.simmpi.sanitize` (they are wired
   through the runtime) and are re-exported here.
 """
@@ -34,17 +32,14 @@ from .conformance import (
     run_conformance,
 )
 from .models import (
-    MODEL_MUTANTS,
     WITNESSES,
     ModelConformanceReport,
-    ModelMutant,
     ModelWitness,
     WitnessResult,
     model_conformance,
     run_witness,
-    seeded_model_mutant,
 )
-from .mutants import MUTANTS, seeded_mutant
+from .mutants import MUTANTS, installed_mutant, run_mutant
 from .replay import ReplayLog, ReplayReport, record_run, replay_run
 from .sanitize_sweep import SweepResult, sanitize_sweep
 from .snapshot_check import ForkEquivalenceReport, fork_equivalence
@@ -55,10 +50,8 @@ __all__ = [
     "CollectiveReport",
     "ConformanceReport",
     "FUZZED_COLLECTIVES",
-    "MODEL_MUTANTS",
     "MUTANTS",
     "ModelConformanceReport",
-    "ModelMutant",
     "ModelWitness",
     "ReplayLog",
     "ReplayReport",
@@ -69,12 +62,12 @@ __all__ = [
     "WITNESSES",
     "WitnessResult",
     "fork_equivalence",
+    "installed_mutant",
     "model_conformance",
     "record_run",
     "replay_run",
     "run_conformance",
+    "run_mutant",
     "run_witness",
     "sanitize_sweep",
-    "seeded_model_mutant",
-    "seeded_mutant",
 ]

@@ -21,7 +21,6 @@ a real divergence behind.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -101,7 +100,6 @@ class ConformanceReport:
 
     seed: int
     draws_per_collective: int
-    mutant: str | None
     reports: dict[str, CollectiveReport] = field(default_factory=dict)
 
     @property
@@ -121,10 +119,7 @@ class ConformanceReport:
         return [f for r in self.reports.values() for f in r.failures]
 
     def describe(self) -> str:
-        head = f"conformance seed={self.seed} draws={self.draws_per_collective}"
-        if self.mutant:
-            head += f" mutant={self.mutant}"
-        lines = [head]
+        lines = [f"conformance seed={self.seed} draws={self.draws_per_collective}"]
         for name, rep in self.reports.items():
             status = "ok" if rep.ok else f"{len(rep.failures) + rep.suppressed} FAILURES"
             lines.append(f"  {name:<16} {rep.cases:>4} cases {rep.checks:>6} checks  {status}")
@@ -136,7 +131,6 @@ class ConformanceReport:
         return {
             "seed": self.seed,
             "draws_per_collective": self.draws_per_collective,
-            "mutant": self.mutant,
             "ok": self.ok,
             "total_cases": self.total_cases,
             "total_checks": self.total_checks,
@@ -634,19 +628,14 @@ def run_conformance(
     seed: int = 0,
     draws_per_collective: int = 200,
     collectives: Sequence[str] | None = None,
-    mutant: str | None = None,
     progress: Callable[[str, CollectiveReport], None] | None = None,
 ) -> ConformanceReport:
     """Fuzz every collective (or the named subset) against the reference.
 
     Each draw derives its RNG from ``SeedSequence(seed, spawn_key=
     (collective_index, draw))``, so any failing case can be re-run in
-    isolation.  ``mutant`` installs a named seeded defect (see
-    :mod:`repro.verify.mutants`) for the duration of the sweep — the
-    self-test that proves the harness can fail.
+    isolation.
     """
-    from .mutants import seeded_mutant  # local to keep module deps one-way
-
     names = list(collectives) if collectives is not None else list(FUZZED_COLLECTIVES)
     for name in names:
         if name not in _CASES:
@@ -654,25 +643,21 @@ def run_conformance(
                 f"unknown collective {name!r}; choices: {', '.join(FUZZED_COLLECTIVES)}"
             )
 
-    report = ConformanceReport(
-        seed=seed, draws_per_collective=draws_per_collective, mutant=mutant
-    )
-    guard = seeded_mutant(mutant) if mutant else nullcontext()
-    with guard:
-        for name in names:
-            ci = FUZZED_COLLECTIVES.index(name)
-            rep = CollectiveReport(name=name)
-            for draw in range(draws_per_collective):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(ci, draw))
-                )
-                case = _CASES[name](rng)
-                for label, algorithms in case.variants:
-                    rep.cases += 1
-                    _run_one(name, label, draw, case, algorithms, rep)
-            report.reports[name] = rep
-            if progress is not None:
-                progress(name, rep)
+    report = ConformanceReport(seed=seed, draws_per_collective=draws_per_collective)
+    for name in names:
+        ci = FUZZED_COLLECTIVES.index(name)
+        rep = CollectiveReport(name=name)
+        for draw in range(draws_per_collective):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(ci, draw))
+            )
+            case = _CASES[name](rng)
+            for label, algorithms in case.variants:
+                rep.cases += 1
+                _run_one(name, label, draw, case, algorithms, rep)
+        report.reports[name] = rep
+        if progress is not None:
+            progress(name, rep)
     return report
 
 

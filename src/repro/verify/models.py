@@ -8,18 +8,18 @@ pins each claim to a purpose-built two-rank *witness* — a micro-app
 whose golden behaviour makes the expected response unambiguous — and
 :func:`model_conformance` runs the full catalog.
 
-Like :mod:`repro.verify.mutants` for the simulator, the witnesses only
-prove something because they can fail: :data:`MODEL_MUTANTS` seeds
-plausible defects into the delivery helpers of
-:mod:`repro.injection.wire` (a drop that silently retries, a reorder
-that preserves FIFO, a stall shorter than the deadline) and the
-self-test requires the witness sweep to fail under each.
+The witnesses only prove something because they can fail: the
+``models`` mutants of :mod:`repro.verify.mutants` seed plausible defects
+into the delivery helpers of :mod:`repro.injection.wire` (a drop that
+silently retries, a reorder that preserves FIFO, a stall shorter than
+the deadline) and the self-test requires the witness sweep to fail under
+each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from ..injection.models import build_injector
 from ..injection.scenario import parse_scenario
 from ..injection.space import FaultSpec, InjectionPoint, ModelSpec
 from ..simmpi import Instrument, SimMPIError, run_app
-from .mutants import installed_mutant
 
 #: Generous deadline for the tiny witness apps; stalls charge past it.
 WITNESS_STEP_BUDGET = 20_000
@@ -274,59 +273,8 @@ def run_witness(witness: ModelWitness, seed: int = 0) -> WitnessResult:
     )
 
 
-def model_conformance(seed: int = 0, mutant: str | None = None) -> ModelConformanceReport:
-    """Sweep every witness; with ``mutant`` the defect is installed first
-    (the sweep is then *expected* to fail — see ``fastfit verify``)."""
-    if mutant is not None:
-        with seeded_model_mutant(mutant):
-            return model_conformance(seed)
+def model_conformance(seed: int = 0) -> ModelConformanceReport:
+    """Sweep every witness."""
     return ModelConformanceReport(
         tuple(run_witness(w, seed) for w in WITNESSES.values())
     )
-
-
-# -- seeded fault-model mutants -----------------------------------------
-
-@dataclass(frozen=True)
-class ModelMutant:
-    """One installable fault-model defect (patched into
-    :mod:`repro.injection.wire`'s delivery helpers)."""
-
-    name: str
-    description: str
-    patches: tuple[tuple[str, str, Callable[[Any], Any]], ...]
-    #: Witnesses whose sweep must fail under this mutant.
-    detected_by: tuple[str, ...]
-
-
-MODEL_MUTANTS: dict[str, ModelMutant] = {
-    m.name: m
-    for m in (
-        ModelMutant(
-            "wire_drop_retries",
-            "msg_drop silently retries: the dropped message is delivered anyway",
-            (("repro.injection.wire", "drop_payloads",
-              lambda orig: (lambda payload: [payload])),),
-            detected_by=("msg_drop", "scenario_drop"),
-        ),
-        ModelMutant(
-            "wire_reorder_fifo",
-            "msg_reorder preserves FIFO: held message released in order",
-            (("repro.injection.wire", "reorder_release",
-              lambda orig: (lambda held, new: [held, new])),),
-            detected_by=("msg_reorder",),
-        ),
-        ModelMutant(
-            "stall_under_deadline",
-            "rank_stall charges one step instead of blowing the deadline",
-            (("repro.injection.wire", "resolve_stall_weight",
-              lambda orig: (lambda explicit, step_budget: 1)),),
-            detected_by=("rank_stall",),
-        ),
-    )
-}
-
-
-def seeded_model_mutant(name: str) -> ContextManager[ModelMutant]:
-    """Install the named fault-model mutant for the ``with`` block."""
-    return installed_mutant(MODEL_MUTANTS, name, kind="model mutant")

@@ -7,15 +7,17 @@ same batch of tests both ways, reduces each stream to a content
 fingerprint (every fault spec, outcome, injection record, and detail
 string participates), and compares.
 
-With a seeded snapshot mutant armed (:mod:`repro.snapshot.mutants`) the
-expectation inverts — the defect must *change* the forked fingerprint,
-proving the oracle can see a broken engine.  A mutant the comparison
-cannot detect is itself a verification failure.
+With a seeded ``snapshot`` mutant (:mod:`repro.verify.mutants`)
+installed around the serving, the expectation inverts — the defect must
+*change* the forked fingerprint of every pass it names, proving the
+oracle can see a broken engine.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from ..injection.models import draw_task
 from ..injection.runner import InjectionRunner, TestResult
 from ..injection.space import FaultSpec, InjectionPoint, enumerate_points
 from ..profiling.profiler import ApplicationProfile, profile_application
-from ..snapshot import SnapshotEngine, seeded_snapshot_mutant
+from ..snapshot import SnapshotCache, SnapshotEngine
 from ..snapshot.engine import task_slots
 from ..steer.stopping import SequentialStopper
 from .replay import fingerprint
@@ -63,7 +65,8 @@ class _ThreeForksThenReplay(SnapshotEngine):
 
 #: The seven ways every point is served: ``cold`` — a list on an empty
 #: cache (park + capture); ``fast-forward`` — the same list again (cache
-#: hit; under a mutant nothing is cached, so a second cold park);
+#: hit; under a mutant nothing is cached, so a second cold park: a
+#: snapshot captured before a defect struck would hide it);
 #: ``lazy`` — a generator on a fresh engine that yields test *k+1* only
 #: once result *k* was delivered, so an engine that pulls ahead of its
 #: deliveries redraws a test; ``walk`` — all points as one unit stream,
@@ -89,18 +92,6 @@ PASSES = ("cold", "fast-forward", "lazy", "walk", "mixed", "pipelined", "stopped
 #: tests from the start, so their forks overlap.
 STOPPER = SequentialStopper(ci_width=0.7, min_tests=2)
 
-#: Mutants only some passes can see (default: every pass must diverge),
-#: and the only passes served under them: a defect in the step from one
-#: unit to the next needs two units, one in the in-park replay needs a
-#: test that is replayed, one in the reaping order needs two children
-#: in flight, one in a stopper's horizon needs a stopper.
-_VISIBLE_TO = {
-    "snapshot_walk_stale_target": ("walk",),
-    "snapshot_replay_wrong_slot": ("mixed", "pipelined"),
-    "snapshot_pipeline_reorder": ("pipelined",),
-    "snapshot_horizon_overreach": ("stopped",),
-}
-
 
 def _test_signature(t: TestResult) -> tuple:
     rec = t.record
@@ -125,16 +116,14 @@ class ForkEquivalenceReport:
     n_points: int
     n_tests: int
     scratch_fingerprint: str
-    #: Forked-stream fingerprint of each serving pass, by name (see
-    #: :data:`PASSES`; under a mutant only the passes that can see it).
+    #: Forked-stream fingerprint of each pass served, by name (see
+    #: :data:`PASSES`).
     forked_fingerprints: dict[str, str]
     #: Scratch cut where a serial loop consulting :data:`STOPPER`
     #: stops: what the ``stopped`` pass is compared with.
     stopped_fingerprint: str = ""
     #: Points that scratch cut is before their last test.
     n_cut: int = 0
-    #: Armed engine defect, or None for the plain equivalence check.
-    mutant: str | None = None
     #: Human-readable divergences (first few points that differ).
     mismatches: list[str] = field(default_factory=list)
 
@@ -154,32 +143,11 @@ class ForkEquivalenceReport:
     def identical(self) -> bool:
         return not self.diverged
 
-    @property
-    def missed(self) -> list[str]:
-        """The passes an armed mutant should have changed and did not."""
-        visible = _VISIBLE_TO.get(self.mutant, self.forked_fingerprints)
-        return [name for name in visible if name not in self.diverged]
-
-    @property
-    def ok(self) -> bool:
-        """Clean run ⇒ every pass must match scratch; mutant run ⇒
-        every pass that can see the defect must differ."""
-        if self.mutant is None:
-            return self.identical
-        return not self.missed
-
     def describe(self) -> str:
         base = (
             f"fork-equivalence: {self.app_name}, {self.n_points} points × "
             f"{self.n_tests} tests"
         )
-        if self.mutant is not None:
-            verdict = (
-                f"NOT DETECTED on {self.missed} — oracle failure"
-                if self.missed
-                else "DETECTED (oracle has teeth)"
-            )
-            return f"{base}, mutant {self.mutant!r}: {verdict}"
         verdict = (
             f"forked == scratch (bit-identical; {', '.join(self.forked_fingerprints)})"
             if self.identical
@@ -197,6 +165,7 @@ def fork_equivalence(
     tests_per_point: int = 4,
     max_points: int = 4,
     param_policy: str = "buffer",
+    passes: Sequence[str] = PASSES,
     mutant: str | None = None,
     profile: ApplicationProfile | None = None,
 ) -> ForkEquivalenceReport:
@@ -204,10 +173,16 @@ def fork_equivalence(
 
     Points are a deterministic spread over the enumerated space (first,
     last, and evenly between — early and late invocations both
-    represented).  Every point is served by every pass (:data:`PASSES`)
-    and each pass is compared with scratch on its own.  Under a mutant
-    only the passes that can see it are served (:data:`_VISIBLE_TO`).
+    represented).  Every point is served by each of ``passes`` (default
+    all of :data:`PASSES`) and each pass is compared with scratch on its
+    own.  ``mutant`` names a seeded defect installed while the passes are
+    served (scratch runs without it), on engines that cache no snapshot.
     """
+    from .mutants import installed_mutant  # local: the registry imports PASSES
+
+    unknown = sorted(set(passes) - set(PASSES))
+    if unknown:
+        raise ValueError(f"unknown passes {unknown}; choices: {', '.join(PASSES)}")
     if profile is None:
         profile = profile_application(app)
     runner = InjectionRunner(app, profile)
@@ -242,11 +217,15 @@ def fork_equivalence(
             (tests[:n] for n in range(len(tests)) if STOPPER.should_stop(tests[:n])), tests
         )
 
-    def serve_all(passes) -> dict[str, list[list[TestResult]]]:
-        batch, lazy = _Forking(runner, width=1), _Forking(runner, width=1)
-        mixed, pipelined = _Alternating(runner, width=1), _ThreeForksThenReplay(runner, width=3)
+    def new_engine(kind, runner, width: int) -> SnapshotEngine:
+        return kind(runner, cache=SnapshotCache(0) if mutant else None, width=width)
+
+    def serve_all() -> dict[str, list[list[TestResult]]]:
+        batch, lazy = new_engine(_Forking, runner, 1), new_engine(_Forking, runner, 1)
+        mixed = new_engine(_Alternating, runner, 1)
+        pipelined = new_engine(_ThreeForksThenReplay, runner, 3)
         stopped = WorkerState(app, profile, param_policy, seed, None, stopper=STOPPER)
-        stopped.engine = _Forking(stopped.runner, width=3)
+        stopped.engine = new_engine(_Forking, stopped.runner, 3)
         out: dict[str, list[list[TestResult]]] = {name: [] for name in passes}
         for pi, point in enumerate(points):
             if "cold" in out:
@@ -272,7 +251,7 @@ def fork_equivalence(
             walk = sorted(range(len(points)), key=lambda pi: reached(points[pi]))
             for sequence in (walk, walk[::-1]):
                 served: list[list[TestResult]] = [[] for _ in points]
-                _Forking(runner, width=1).serve(
+                new_engine(_Forking, runner, 1).serve(
                     (points[pi], task_slots(tasks_for(pi), served[pi]), served[pi].append,
                      lambda: None, None)
                     for pi in sequence
@@ -284,11 +263,8 @@ def fork_equivalence(
                 ]
         return out
 
-    if mutant is not None:
-        with seeded_snapshot_mutant(mutant):
-            forked = serve_all(_VISIBLE_TO.get(mutant, PASSES))
-    else:
-        forked = serve_all(PASSES)
+    with installed_mutant(mutant) if mutant else nullcontext():
+        forked = serve_all()
 
     stopped = [cut(tests) for tests in scratch]
     stopped_sig = _stream_signature(stopped)
@@ -308,6 +284,5 @@ def fork_equivalence(
         forked_fingerprints={name: fingerprint(sig) for name, sig in forked_sigs.items()},
         stopped_fingerprint=fingerprint(stopped_sig),
         n_cut=sum(len(kept) < len(tests) for kept, tests in zip(stopped, scratch)),
-        mutant=mutant,
         mismatches=mismatches,
     )

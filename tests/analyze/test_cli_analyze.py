@@ -40,18 +40,6 @@ def test_analyze_lint_only(capsys):
     assert "lint: clean" in capsys.readouterr().out
 
 
-def test_analyze_mutant_detected_exits_zero(capsys):
-    assert main(["analyze", "--mutant", "wrong_root"]) == 0
-    assert "DETECTED" in capsys.readouterr().out
-
-
-def test_analyze_list_mutants(capsys):
-    assert main(["analyze", "--list-mutants"]) == 0
-    out = capsys.readouterr().out
-    for name in ("order_swap", "wrong_root", "dtype_counts"):
-        assert name in out
-
-
 class TestOperatorErrors:
     """Misuse is one stderr line and exit 2, never a traceback."""
 
@@ -61,7 +49,8 @@ class TestOperatorErrors:
         assert exc.value.code == 2
 
     def test_unknown_mutant(self, capsys):
-        assert main(["analyze", "--mutant", "nosuch"]) == 2
+        """Skeleton mutants run through ``fastfit verify --mutant``."""
+        assert main(["verify", "--mutant", "nosuch"]) == 2
         assert "unknown mutant" in capsys.readouterr().err
 
     def test_missing_app(self, capsys):
@@ -72,10 +61,6 @@ class TestOperatorErrors:
     def test_bad_sample(self, sample, capsys):
         assert main(["analyze", "--app", "is", "--sample", sample]) == 2
         assert "--sample" in capsys.readouterr().err
-
-    def test_lint_only_conflicts_with_mutant(self, capsys):
-        assert main(["analyze", "--lint-only", "--mutant", "wrong_root"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_sample_conflicts_with_lint_only(self, capsys):
         assert main(["analyze", "--lint-only", "--sample", "0.5"]) == 2

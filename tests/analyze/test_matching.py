@@ -1,5 +1,6 @@
-"""Collective-matching checker: clean on correct apps, and the seeded
-mutant self-tests (a defect the checker cannot see is the failure)."""
+"""Collective-matching checker: clean on correct apps, and the
+registry's seeded ``analyze`` mutants (a defect the checker cannot see
+is the failure)."""
 
 from __future__ import annotations
 
@@ -8,14 +9,10 @@ import dataclasses
 import pytest
 
 from repro.apps import make_app
-from repro.analyze import (
-    ANALYZE_MUTANTS,
-    check_skeleton,
-    extract_skeleton,
-    mutate_op,
-    replace_skeleton,
-    run_mutant,
-)
+from repro.analyze import check_skeleton, extract_skeleton, mutate_op, replace_skeleton
+from repro.analyze.skeleton import shift_root, swap_reduce_op
+
+from tests.verify.test_mutant_selftest import caught_then_cured, layer
 
 
 @pytest.mark.parametrize("name", ["is", "ft", "lu"])
@@ -26,13 +23,9 @@ def test_registered_apps_are_clean(name):
     assert report.n_comms >= 1
 
 
-@pytest.mark.parametrize("name", sorted(ANALYZE_MUTANTS))
+@pytest.mark.parametrize("name", layer("analyze"))
 def test_every_seeded_mutant_is_detected(name):
-    check = run_mutant(name)
-    assert check.clean_before, "mutant baseline skeleton must be clean"
-    assert check.detected, check.describe()
-    for rule in check.expected:
-        assert rule in check.found
+    caught_then_cured(name, app=make_app("is", "T"))
 
 
 def test_root_disagreement_is_flagged():
@@ -74,7 +67,7 @@ def test_count_volume_disagreement_is_flagged():
 
 def test_findings_carry_rank_attribution():
     sk = extract_skeleton(make_app("is", "T"))
-    mutated = ANALYZE_MUTANTS["wrong_root"].apply(sk)
+    mutated = shift_root(sk)
     report = check_skeleton(mutated)
     flagged = [f for f in report.errors if f.rule == "root_mismatch"]
     assert flagged and any(1 in f.ranks for f in flagged)
@@ -84,5 +77,5 @@ def test_mutants_are_value_preserving():
     """Applying a mutant must not corrupt the shared baseline skeleton."""
     sk = extract_skeleton(make_app("is", "T"))
     before = [dataclasses.replace(op) for op in sk.ranks[1]]
-    ANALYZE_MUTANTS["op_swap"].apply(sk)
+    swap_reduce_op(sk)
     assert sk.ranks[1] == before

@@ -5,19 +5,20 @@ served by forking a parked fault-free prefix is indistinguishable —
 spec, outcome, injection record, detail string — from the same test
 replayed from t=0.  Checked through every integration layer: the
 fork-equivalence oracle itself, serial campaigns, ``--jobs 4``, and a
-killed-then-resumed DB-backed campaign, plus the seeded engine mutants
-that prove the oracle can fail.
+killed-then-resumed DB-backed campaign, plus the registry's seeded
+``snapshot`` mutants that prove the oracle can fail.
 """
 
 import pytest
 
 from repro.injection import Campaign, enumerate_points
-from repro.snapshot import SNAPSHOT_MUTANTS, snapshot_supported
+from repro.snapshot import snapshot_supported
 from repro.store import CampaignDB
 from repro.verify import fork_equivalence
 from repro.verify.snapshot_check import PASSES
 
 from tests.store.test_equivalence import stream_signature
+from tests.verify.test_mutant_selftest import caught_then_cured, layer
 
 pytestmark = pytest.mark.skipif(
     not snapshot_supported(), reason="snapshot-and-fork needs os.fork"
@@ -48,7 +49,6 @@ def scratch_reference(lu_app, lu_profile, points):
 def test_oracle_reports_identical_streams(lu_app, lu_profile):
     report = fork_equivalence(lu_app, profile=lu_profile, seed=3, tests_per_point=3)
     assert report.identical, report.describe()
-    assert report.ok
     assert report.mismatches == []
     # Cold park, cache-hit fast-forward, a lazily pulled stream, the
     # one-run walk over all points (in execution order and reversed),
@@ -108,27 +108,31 @@ def test_killed_then_resumed_snapshot_campaign_bit_identical(
     assert stream_signature(resumed) == stream_signature(scratch_reference)
 
 
-@pytest.mark.parametrize("mutant", sorted(SNAPSHOT_MUTANTS))
+@pytest.mark.parametrize("mutant", layer("snapshot"))
 def test_seeded_engine_mutants_are_detected(lu_app, lu_profile, mutant):
-    report = fork_equivalence(
-        lu_app, profile=lu_profile, seed=3, tests_per_point=3, mutant=mutant
-    )
-    assert not report.identical, report.describe()
-    assert report.ok and report.missed == []
-    if mutant == "snapshot_walk_stale_target":
-        # A defect in the step between units needs a stream of them.
-        assert report.diverged == ["walk"]
-    elif mutant == "snapshot_replay_wrong_slot":
-        # A defect in the in-park replay needs a test that is replayed.
-        assert report.diverged == ["mixed", "pipelined"]
-    elif mutant == "snapshot_pipeline_reorder":
-        # A defect in the reaping order needs two children in flight.
-        assert report.diverged == ["pipelined"]
-    elif mutant == "snapshot_horizon_overreach":
-        # A defect in a stopper's horizon needs a stopper.
-        assert report.diverged == ["stopped"]
-    else:
-        assert report.diverged == list(PASSES)  # every serving path sees it
+    """Each flips exactly the passes it names (only those are served): a
+    defect in the step between units needs a stream of them (``walk``),
+    one in the in-park replay a replayed test (``mixed``,
+    ``pipelined``), one in the reaping order two children in flight
+    (``pipelined``), one in a stopper's horizon a stopper (``stopped``);
+    the rest are seen by every pass."""
+    caught_then_cured(mutant, app=lu_app, profile=lu_profile, seed=3, tests=3)
+
+
+def test_engine_mutant_pass_sets():
+    """What each engine mutant must flip, pinned: narrowing a
+    ``detected_by`` would quietly weaken the self-test."""
+    from repro.verify import MUTANTS
+
+    assert {name: MUTANTS[name].detected_by for name in layer("snapshot")} == {
+        "snapshot_rng_desync": PASSES,
+        "snapshot_stale_prefix": PASSES,
+        "snapshot_wrong_invocation": PASSES,
+        "snapshot_walk_stale_target": ("walk",),
+        "snapshot_replay_wrong_slot": ("mixed", "pipelined"),
+        "snapshot_pipeline_reorder": ("pipelined",),
+        "snapshot_horizon_overreach": ("stopped",),
+    }
 
 
 def test_mutant_spread_includes_late_invocations(lu_profile):

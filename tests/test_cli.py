@@ -268,6 +268,30 @@ class TestErrorHygiene:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--draws", "0"], "--draws must be >= 1, got 0"),
+            (["--tests", "0"], "--tests must be >= 1, got 0"),
+            (["--max-points", "0"], "--max-points must be >= 1, got 0"),
+            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["--collective", "Nosuch"], "unknown collective 'Nosuch'"),
+            (["--mutant", "ring_wrong_block", "--draws", "0"], "--draws must be >= 1"),
+            (["--mutant", "snapshot_rng_desync", "--tests", "0"], "--tests must be >= 1"),
+            (["--mutant", "ring_wrong_block", "--collective", "Bcast"],
+             "--collective does not apply with --mutant"),
+            (["--mutant", "nosuch"], "unknown mutant 'nosuch'"),
+        ],
+    )
+    def test_bad_verify_input_is_one_line(self, flags, message, capsys):
+        """Inputs that would make a verify check vacuous (zero draws,
+        tests or points) or crash it exit 2 before any check runs."""
+        assert main(["verify", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_checkpoint_mismatch_is_one_line(self, tmp_path, capsys):
         """A legacy pickle checkpoint directory produces exit 2 and a
         single line naming the migrate command, not a traceback."""

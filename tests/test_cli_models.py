@@ -1,5 +1,5 @@
 """CLI plumbing for the fault-model layer: ``--fault-model``,
-``--scenario``, the verify routing for model mutants, and the exit-2
+``--scenario``, ``fastfit verify --mutant`` for every layer, and the exit-2
 operator-error hygiene around all of them."""
 
 import json
@@ -96,7 +96,25 @@ class TestVerifyRouting:
         summary = json.loads(capsys.readouterr().out)
         assert summary["ok"] is True
         assert summary["phases"]["models"]["detected"] is True
-        assert "msg_reorder" in summary["phases"]["models"]["failed_witnesses"]
+        assert summary["phases"]["models"]["expected"] == ["msg_reorder"]
+        assert summary["phases"]["models"]["found"] == ["msg_reorder"]
+
+    @pytest.mark.parametrize(
+        "mutant, layer", [("bcast_shifted_root", "conformance"), ("wrong_root", "analyze")]
+    )
+    def test_every_layer_runs_through_verify(self, mutant, layer, capsys):
+        assert main(["verify", "--mutant", mutant, "--draws", "15", "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert list(summary["phases"]) == [layer]
+        result = summary["phases"][layer]
+        assert result["ok"] and result["detected"] and result["clean"]
+        assert result["found"] == result["expected"]
+
+    def test_all_layers_are_listed(self, capsys):
+        assert main(["verify", "--list-mutants"]) == 0
+        out = capsys.readouterr().out
+        for name in ("ring_wrong_block", "snapshot_stale_prefix", "wrong_root"):
+            assert name in out
 
     def test_models_phase_runs_in_full_verify(self, capsys):
         assert main([

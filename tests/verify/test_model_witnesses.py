@@ -9,14 +9,9 @@ mid-collective is ``MPI_ERR``, an absorbed duplicate is ``SUCCESS``.
 
 import pytest
 
-from repro.injection import wire
-from repro.verify import (
-    MODEL_MUTANTS,
-    WITNESSES,
-    model_conformance,
-    run_witness,
-    seeded_model_mutant,
-)
+from repro.verify import WITNESSES, model_conformance, run_witness
+
+from tests.verify.test_mutant_selftest import caught_then_cured, layer
 
 
 @pytest.mark.parametrize("name", sorted(WITNESSES))
@@ -40,29 +35,34 @@ def test_clean_sweep_is_ok():
     assert "all expected responses observed" in report.describe()
 
 
-@pytest.mark.parametrize("name", sorted(MODEL_MUTANTS))
+@pytest.mark.parametrize("name", layer("models"))
 def test_mutant_is_detected(name):
-    report = model_conformance(seed=0, mutant=name)
-    failed = {r.witness for r in report.failures}
-    assert set(MODEL_MUTANTS[name].detected_by) <= failed, (
-        f"mutant {name} escaped: only {sorted(failed)} failed"
-    )
+    caught_then_cured(name, seed=0)
 
 
 def test_mutant_patches_are_restored():
+    """The delivery-layer mutants patch ``repro.injection.wire``; leaving
+    the block puts every patched function back."""
+    from repro.injection import wire
+    from repro.verify import MUTANTS, installed_mutant
+
     originals = {
-        attr: getattr(wire, attr)
-        for m in MODEL_MUTANTS.values()
-        for _, attr, _ in m.patches
+        target: getattr(wire, target)
+        for name in layer("models")
+        for module, target, _ in MUTANTS[name].patches
     }
-    for name in MODEL_MUTANTS:
-        with seeded_model_mutant(name):
+    assert originals
+    for name in layer("models"):
+        with installed_mutant(name):
             pass
-    for attr, original in originals.items():
-        assert getattr(wire, attr) is original
+    for target, original in originals.items():
+        assert getattr(wire, target) is original
 
 
 def test_unknown_mutant_rejected():
-    with pytest.raises(ValueError, match="unknown model mutant"):
-        with seeded_model_mutant("nope"):
+    """There is one registry: a name outside it is no witness mutant."""
+    from repro.verify import installed_mutant
+
+    with pytest.raises(ValueError, match="unknown mutant 'nope'"):
+        with installed_mutant("nope"):
             pass  # pragma: no cover
