@@ -1,7 +1,8 @@
 """Adaptive steering vs ML-driven injection: budget and fidelity.
 
-The adaptive driver (``repro.steer``) claims two things over the plain
-ML-driven campaign of § III-C:
+Uncertainty sampling with sequential stopping claims two things over
+the plain ML-driven loop of § III-C (the same driver, ``repro.steer``,
+under the seeded ``"order"`` sampler with full test streams):
 
 * **budget** — uncertainty sampling plus sequential per-point stopping
   reaches the same accuracy target in at most half the injection tests
@@ -28,7 +29,6 @@ import common
 from repro.apps.npb.lu_kernel import LUKernel
 from repro.injection import Campaign, enumerate_points
 from repro.profiling import profile_application
-from repro.pruning import ml_driven_campaign
 from repro.steer import adaptive_campaign
 
 N_POINTS = int(os.environ.get("FASTFIT_STEER_POINTS", "24"))
@@ -85,11 +85,13 @@ def bench_ml_driven_baseline(benchmark):
     app, profile, pool = _get_setup()
     result = common.once(
         benchmark,
-        lambda: ml_driven_campaign(
+        lambda: adaptive_campaign(
             app,
             profile,
             pool,
-            threshold=ACCURACY_TARGET,
+            sampler_mode="order",
+            ci_width=None,
+            accuracy_target=ACCURACY_TARGET,
             tests_per_point=TESTS_PER_POINT,
             param_policy="all",
             seed=SEED,
@@ -102,7 +104,7 @@ def bench_ml_driven_baseline(benchmark):
         n_tests=tests,
         tested_points=len(result.tested),
         predicted_points=len(result.predicted),
-        reached_threshold=result.reached_threshold,
+        reached_threshold=result.reached_target,
     )
 
 

@@ -11,7 +11,7 @@ import common
 import numpy as np
 
 from repro.analysis import render_table
-from repro.pruning import ml_driven_campaign
+from repro.steer import adaptive_campaign
 
 THRESHOLDS = (0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75)
 
@@ -33,11 +33,13 @@ def bench_fig06_threshold_tradeoff(benchmark):
             # trajectory is noisy at this miniature scale.
             samples = []
             for seed in (6, 7, 8):
-                result = ml_driven_campaign(
+                result = adaptive_campaign(
                     app,
                     profile,
                     points,
-                    threshold=threshold,
+                    sampler_mode="order",
+                    ci_width=None,
+                    accuracy_target=threshold,
                     tests_per_point=8,
                     batch_size=5,
                     param_policy="all",

@@ -3,8 +3,8 @@
 Paper numbers (32 ranks): semantic ("MPI") 96.09–97.24 %; context
 ("App") 40.00–95.24 %; ML 53.33 % (LAMMPS only, NA for NPB); total
 97.81–99.84 %.  Pruning is pure profiling, so this benchmark runs at
-the paper's full 32 ranks; the ML column comes from an ML-driven
-campaign on the smaller class (injection cost).
+the paper's full 32 ranks; the ML column comes from the learning loop
+(seeded order, full test streams) on the smaller class (injection cost).
 
 Expected shapes: semantic reduction >90 % at 32 ranks; totals >95 %;
 LAMMPS context reduction large (same-stack timestep loops).
@@ -15,7 +15,7 @@ import common
 from repro import FastFIT
 from repro.analysis import render_table
 from repro.apps import NPB_NAMES, make_app
-from repro.pruning import ml_driven_campaign
+from repro.steer import adaptive_campaign
 
 
 def bench_table3_reduction(benchmark):
@@ -41,11 +41,13 @@ def bench_table3_reduction(benchmark):
         from repro.pruning import select_semantic
 
         survivors = select_semantic(profile).selected_points_list
-        ml = ml_driven_campaign(
+        ml = adaptive_campaign(
             app,
             profile,
             survivors,
-            threshold=0.65,
+            sampler_mode="order",
+            ci_width=None,
+            accuracy_target=0.65,
             tests_per_point=10,
             batch_size=6,
             param_policy="buffer",

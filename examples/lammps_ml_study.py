@@ -36,7 +36,8 @@ def main() -> None:
         f"{len(pruning.representative_points)} representatives"
     )
 
-    # The ML-driven campaign: inject -> learn -> verify -> predict.
+    # The learning loop: inject -> verify -> retrain -> predict, walking
+    # the seeded point order with every test stream in full.
     ml = ff.learn(threshold=args.threshold, batch_size=4)
     print(f"accuracy trajectory: {[f'{a:.0%}' for a in ml.accuracy_history]}")
     print(

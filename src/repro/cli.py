@@ -209,21 +209,15 @@ def cmd_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_adaptive(args: argparse.Namespace, ff: FastFIT) -> int:
-    """The ``--adaptive`` branch of campaign/run: steer, then report the
-    per-round trajectory and the accuracy-vs-budget summary."""
+def _points(args: argparse.Namespace, ff: FastFIT) -> list:
+    """The pruned representatives, capped at ``--max-points``."""
     points = ff.prune().representative_points
-    if args.max_points is not None:
-        points = points[: args.max_points]
-    res = ff.steer(
-        accuracy_target=(
-            0.65 if args.accuracy_target is None else args.accuracy_target
-        ),
-        ci_width=0.25 if args.ci_width is None else args.ci_width,
-        budget=args.budget,
-        batch_size=args.batch_size,
-        points=points,
-    )
+    return points if args.max_points is None else points[: args.max_points]
+
+
+def _print_rounds(res, n_points: int, title: str) -> None:
+    """Print a learning-loop run: its per-round trajectory and the
+    accuracy-vs-budget summary."""
     rows = []
     spent = 0
     for r in res.rounds:
@@ -241,7 +235,7 @@ def _cmd_adaptive(args: argparse.Namespace, ff: FastFIT) -> int:
         render_table(
             ["round", "points", "tests", "saved", "budget", "accuracy", "uncertainty"],
             rows,
-            title=f"adaptive steering over {len(points)} candidate points",
+            title=f"{title} over {n_points} candidate points",
         )
     )
     print(
@@ -255,6 +249,22 @@ def _cmd_adaptive(args: argparse.Namespace, ff: FastFIT) -> int:
         f"predicted {len(res.predicted)} ({res.test_reduction:.1%} of "
         f"points never injected)"
     )
+
+
+def _cmd_adaptive(args: argparse.Namespace, ff: FastFIT) -> int:
+    """The ``--adaptive`` branch of campaign/run: steer, then report the
+    per-round trajectory and the accuracy-vs-budget summary."""
+    points = _points(args, ff)
+    res = ff.steer(
+        accuracy_target=(
+            0.65 if args.accuracy_target is None else args.accuracy_target
+        ),
+        ci_width=0.25 if args.ci_width is None else args.ci_width,
+        budget=args.budget,
+        batch_size=args.batch_size,
+        points=points,
+    )
+    _print_rounds(res, len(points), "adaptive steering")
     return 0
 
 
@@ -269,9 +279,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         campaign = ff.campaign()
         points = list(campaign.points)
     else:
-        points = ff.prune().representative_points
-        if args.max_points is not None:
-            points = points[: args.max_points]
+        points = _points(args, ff)
         campaign = ff.campaign(points=points)
     print(
         render_bars(
@@ -299,14 +307,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     ff = _tool(args)
-    ml = ff.learn(threshold=args.threshold, batch_size=args.batch_size)
-    print(
-        f"tested {len(ml.tested)} points, predicted {len(ml.predicted)} "
-        f"({ml.test_reduction:.1%} of tests skipped); "
-        f"threshold {'reached' if ml.reached_threshold else 'NOT reached'}"
-    )
-    if ml.accuracy_history:
-        print("verification accuracy per batch: " + ", ".join(f"{a:.0%}" for a in ml.accuracy_history))
+    points = _points(args, ff)
+    res = ff.learn(threshold=args.threshold, batch_size=args.batch_size, points=points)
+    _print_rounds(res, len(points), "ML-driven learning")
     return 0
 
 
@@ -556,9 +559,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         campaign = ff.campaign()
         points = list(campaign.points)
     else:
-        points = ff.prune().representative_points
-        if args.max_points is not None:
-            points = points[: args.max_points]
+        points = _points(args, ff)
         campaign = ff.campaign(points=points)
     registry = ff.metrics
 
@@ -936,7 +937,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_study(args: argparse.Namespace) -> int:
     ff = _tool(args)
     threshold = None if args.no_ml else args.threshold
-    report = ff.run(threshold=threshold)
+    # A scenario brings its own anchor point (study --no-ml only).
+    points = None if ff.config.scenario is not None else _points(args, ff)
+    report = ff.run(threshold=threshold, points=points)
     print(report.describe())
     return 0
 
@@ -1202,18 +1205,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.ci_width is not None and not 0.0 < args.ci_width <= 1.0:
-            print(f"--ci-width must be in (0, 1], got {args.ci_width}",
-                  file=sys.stderr)
-            return 2
         if args.budget is not None and args.budget < 1:
             print(f"--budget must be >= 1 test, got {args.budget}", file=sys.stderr)
             return 2
-        if args.accuracy_target is not None and not 0.0 < args.accuracy_target <= 1.0:
-            print(
-                f"--accuracy-target must be in (0, 1], got {args.accuracy_target}",
-                file=sys.stderr,
-            )
+    for flag, value in (
+        ("--ci-width", getattr(args, "ci_width", None)),
+        ("--accuracy-target", getattr(args, "accuracy_target", None)),
+        ("--threshold", getattr(args, "threshold", None)),
+    ):
+        if value is not None and not 0.0 < value <= 1.0:
+            print(f"{flag} must be in (0, 1], got {value}", file=sys.stderr)
             return 2
     batch_size = getattr(args, "batch_size", None)
     if batch_size is not None and batch_size < 1:

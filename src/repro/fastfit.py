@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .analysis.reports import render_table
 from .apps.base import Application
@@ -27,8 +27,11 @@ from .injection.space import InjectionPoint, enumerate_points
 from .obs.metrics import MetricsRegistry
 from .profiling.profiler import ApplicationProfile, profile_application
 from .pruning.context import ContextSelection, select_context
-from .pruning.mldriven import Labeler, MLDrivenResult, ml_driven_campaign
+from .pruning.mldriven import Labeler
 from .pruning.semantic import SemanticSelection, select_semantic
+
+if TYPE_CHECKING:
+    from .steer import SteeringResult
 
 logger = logging.getLogger("repro.fastfit")
 
@@ -69,7 +72,7 @@ class FastFITReport:
 
     app_name: str
     pruning: PruningReport
-    ml: MLDrivenResult | None = None
+    ml: SteeringResult | None = None
     campaign: CampaignResult | None = None
 
     @property
@@ -128,7 +131,7 @@ class FastFIT:
         #: with ``fields`` replaced, validated once here.
         self.config = replace(config or CampaignConfig(), **fields)
         #: Every phase records into this registry (``phase.*`` timers,
-        #: ``prune.*``/``campaign.*``/``ml.*`` from the stages, plus the
+        #: ``prune.*``/``campaign.*``/``steer.*`` from the stages, plus the
         #: supervision counters ``exec.retries``/``exec.worker_deaths``/
         #: ``exec.quarantined``).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -251,21 +254,18 @@ class FastFIT:
         labeler: Labeler | None = None,
         label_names: tuple[str, ...] | None = None,
         batch_size: int | None = None,
-    ) -> MLDrivenResult:
-        """ML-driven injection over the pruned representatives."""
+        points: Sequence[InjectionPoint] | None = None,
+    ) -> SteeringResult:
+        """ML-driven injection over the pruned representatives (paper
+        § III-C): the learning loop walking the seeded permutation with
+        every test stream in full, until the model verifies at
+        ``threshold``."""
         logger.info("ML-driven campaign: threshold %.2f", threshold)
-        with self.metrics.time("phase.learn_s"):
-            return ml_driven_campaign(
-                self.app,
-                self.profile(),
-                self.prune().representative_points,
-                labeler=labeler,
-                label_names=label_names,
-                threshold=threshold,
-                batch_size=batch_size,
-                config=self.config,
-                **self._runtime(),
-            )
+        return self._loop(
+            "phase.learn_s", points,
+            accuracy_target=threshold, ci_width=None, sampler_mode="order",
+            labeler=labeler, label_names=label_names, batch_size=batch_size,
+        )
 
     def steer(
         self,
@@ -277,45 +277,51 @@ class FastFIT:
         batch_size: int | None = None,
         min_tests: int = 6,
         points: Sequence[InjectionPoint] | None = None,
-    ):
+    ) -> SteeringResult:
         """Adaptive steering over the pruned representatives: uncertainty
-        sampling plus per-point sequential stopping (see
-        :func:`repro.steer.adaptive_campaign`)."""
-        from .steer import adaptive_campaign
-
-        if points is None:
-            points = self.prune().representative_points
+        sampling plus per-point sequential stopping."""
         logger.info(
             "adaptive campaign: target %.2f, ci width %.2f, budget %s",
             accuracy_target, ci_width, budget,
         )
-        with self.metrics.time("phase.steer_s"):
+        return self._loop(
+            "phase.steer_s", points,
+            accuracy_target=accuracy_target, ci_width=ci_width, budget=budget,
+            labeler=labeler, label_names=label_names, batch_size=batch_size,
+            min_tests=min_tests,
+        )
+
+    def _loop(self, timer: str, points, **options) -> SteeringResult:
+        """One run of :func:`repro.steer.adaptive_campaign` over
+        ``points`` (default: the pruned representatives), timed as
+        ``timer``."""
+        from .steer import adaptive_campaign
+
+        if points is None:
+            points = self.prune().representative_points
+        with self.metrics.time(timer):
             return adaptive_campaign(
-                self.app,
-                self.profile(),
-                points,
-                accuracy_target=accuracy_target,
-                ci_width=ci_width,
-                budget=budget,
-                labeler=labeler,
-                label_names=label_names,
-                batch_size=batch_size,
-                min_tests=min_tests,
-                config=self.config,
-                **self._runtime(),
+                self.app, self.profile(), points, config=self.config,
+                **options, **self._runtime(),
             )
 
     # -- one-shot studies ----------------------------------------------------
 
-    def run(self, threshold: float | None = 0.65, **learn_kwargs) -> FastFITReport:
-        """Full study: profile → prune → (ML-driven or plain) campaign.
+    def run(
+        self,
+        threshold: float | None = 0.65,
+        points: Sequence[InjectionPoint] | None = None,
+        **learn_kwargs,
+    ) -> FastFITReport:
+        """Full study: profile → prune → (ML-driven or plain) campaign
+        over ``points`` (default: the pruned representatives).
 
         ``threshold=None`` disables the ML stage (the paper's NPB rows).
         """
         pruning = self.prune()
         report = FastFITReport(self.app.name, pruning)
         if threshold is None:
-            report.campaign = self.campaign()
+            report.campaign = self.campaign(points=points)
         else:
-            report.ml = self.learn(threshold=threshold, **learn_kwargs)
+            report.ml = self.learn(threshold=threshold, points=points, **learn_kwargs)
         return report

@@ -84,10 +84,15 @@ class JsonlProgressSink:
             self._fh: IO[str] = target  # type: ignore[assignment]
             self._owned = False
         else:
+            self._path = target
             self._fh = open(target, "a", encoding="utf-8")
             self._owned = True
 
     def emit(self, snap: ProgressSnapshot) -> None:
+        if self._owned and self._fh.closed:
+            # A batch driver runs one campaign per round, and every
+            # campaign closes its sinks when it finishes.
+            self._fh = open(self._path, "a", encoding="utf-8")
         self._fh.write(snap.to_json() + "\n")
         self._fh.flush()
 

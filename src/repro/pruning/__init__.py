@@ -1,26 +1,20 @@
-"""``repro.pruning`` — FastFIT's three exploration-space reducers.
+"""``repro.pruning`` — FastFIT's exploration-space reducers.
 
-Semantic-driven (§ III-A), application-context-driven (§ III-B), and
-machine-learning-driven (§ III-C) fault injection.
+Semantic-driven (§ III-A) and application-context-driven (§ III-B)
+pruning, plus the point labelers of machine-learning-driven fault
+injection (§ III-C), whose loop is :func:`repro.steer.adaptive_campaign`.
 """
 
 from .context import ContextSelection, select_context
 from .equivalence import equivalence_classes, rank_signature, representative_of
-from .mldriven import (
-    MLDrivenResult,
-    level_labeler,
-    ml_driven_campaign,
-    outcome_labeler,
-)
+from .mldriven import level_labeler, outcome_labeler
 from .semantic import SemanticSelection, select_semantic
 
 __all__ = [
     "ContextSelection",
-    "MLDrivenResult",
     "SemanticSelection",
     "equivalence_classes",
     "level_labeler",
-    "ml_driven_campaign",
     "outcome_labeler",
     "rank_signature",
     "representative_of",

@@ -297,8 +297,9 @@ def _steering_section(db: CampaignDB, c: sqlite3.Row) -> str:
     if not rows:
         return section(
             "steering", "Adaptive steering",
-            '<p class="muted">not an adaptive campaign '
-            "(run with --adaptive --db to record steering rounds)</p>",
+            '<p class="muted">not a learning-loop campaign '
+            "(run learn --db or campaign --adaptive --db to record "
+            "steering rounds)</p>",
         )
     curve = [
         (r["budget_used"], r["accuracy"])

@@ -1,4 +1,4 @@
-"""Adaptive campaign steering (tentpole of the statistical test tier).
+"""The learning loop: batched injection, steered or in seeded order.
 
 Three cooperating pieces, each independently usable:
 
@@ -6,11 +6,13 @@ Three cooperating pieces, each independently usable:
   interval early exit that truncates a point's test stream once its
   outcome histogram has converged.  Plugs into any
   :class:`~repro.injection.campaign.Campaign` via ``stopper=``.
-* :mod:`repro.steer.sampler` — uncertainty scoring and deterministic
-  batch selection over the unexplored point space.
-* :mod:`repro.steer.driver` — :func:`adaptive_campaign`, the
-  inject → verify → retrain → steer loop combining both with the
-  existing random-forest learner, store, and parallel engine.
+* :mod:`repro.steer.sampler` — the samplers: the seeded ``"order"``
+  (the paper's § III-C loop, ``FastFIT.learn``) and uncertainty
+  scoring with deterministic batch selection over the unexplored
+  point space (``FastFIT.steer``).
+* :mod:`repro.steer.driver` — :func:`adaptive_campaign`, the one
+  inject → verify → retrain loop combining both with the
+  random-forest learner, store, and parallel engine.
 
 Everything here is deterministic: trajectories are pure functions of
 ``(app, points, config)`` and bit-identical across serial, ``--jobs N``,

@@ -1,19 +1,23 @@
-"""The adaptive steering loop: uncertainty-sampled injection batches
-with per-point sequential stopping.
+"""The one inject → verify → retrain loop: batched injection with an
+optional per-point sequential stopper.
 
-``ml_driven_campaign`` (paper § III-C) walks the point space in a fixed
-shuffled order and spends the full ``tests_per_point`` budget at every
-point it visits.  :func:`adaptive_campaign` attacks both axes at once:
+:func:`adaptive_campaign` injects a batch of points, verifies the
+incoming model on it, retrains on everything measured so far, and stops
+once the verification accuracy reaches the target — every point never
+injected then gets its sensitivity *predicted*.  Two knobs make it
+either of the repo's learning loops:
 
-* **which points** — after every batch the freshly retrained forest
-  scores the unexplored space and the next batch is the *most
-  uncertain* slice of it (:mod:`repro.steer.sampler`), so the model's
-  decision boundary gets measured first and confidently-predicted
-  regions are deferred (often forever);
-* **how many tests per point** — every point's test stream ends early
-  once the Wilson interval over its outcome histogram closes below
-  ``ci_width`` (:mod:`repro.steer.stopping`), so degenerate points cost
-  ~``z²(1-w)/w`` tests instead of the full budget.
+* **which points** (``sampler_mode``, :mod:`repro.steer.sampler`) —
+  ``"order"`` walks the run's seeded permutation, the paper's § III-C
+  learning phase (``FastFIT.learn``); ``"margin"`` / ``"entropy"`` take
+  the *most uncertain* slice of the unexplored space under the freshly
+  retrained forest, so the model's decision boundary gets measured
+  first and confidently-predicted regions are deferred (often forever);
+* **how many tests per point** (``ci_width``,
+  :mod:`repro.steer.stopping`) — a point's test stream ends early once
+  the Wilson interval over its outcome histogram closes below
+  ``ci_width``, so degenerate points cost ~``z²(1-w)/w`` tests instead
+  of the full budget; ``ci_width=None`` runs every stream in full.
 
 Determinism contract
 --------------------
@@ -28,8 +32,9 @@ round accuracies — is a pure function of ``(app, points, config)``:
   campaign);
 * stopping is a pure function of each point's ordered result prefix
   (see :class:`~repro.steer.stopping.SequentialStopper`);
-* batch selection is a pure sort over model scores, and the model is a
-  pure function of the (deterministic) results it was fitted on.
+* batch selection is the seeded permutation's head or a pure sort over
+  model scores, and the model is a pure function of the
+  (deterministic) results it was fitted on.
 
 Therefore serial, ``jobs=N``, and killed-and-resumed (``--db`` +
 ``resume=True``) runs produce bit-identical trajectories.
@@ -41,7 +46,9 @@ digest is computed once over the *full* candidate list plus the
 steering parameters (via ``Campaign.digest(extra=...)``) and passed to
 every ``Campaign.run`` as an override.  A resumed run recomputes the
 same digest, replays recorded units from the store, and re-derives the
-identical trajectory from them.
+identical trajectory from them.  The ``learn()`` configuration (the
+``"order"`` sampler, no stopper, no budget) keeps the ``{"ml": …}``
+extra its databases were written under.
 """
 
 from __future__ import annotations
@@ -78,7 +85,8 @@ class SteeringRound:
     #: fresh batch; ``None`` for round 0 (no model existed yet).
     accuracy: float | None
     #: Mean acquisition score of the selected batch; ``None`` for the
-    #: seed round (selection was order-based, not model-based).
+    #: seed round and the ``"order"`` sampler (selection was
+    #: order-based, not model-based).
     mean_uncertainty: float | None
 
     @property
@@ -88,10 +96,11 @@ class SteeringRound:
 
 @dataclass
 class SteeringResult:
-    """Outcome of one adaptive steering campaign."""
+    """Outcome of one run of the learning loop."""
 
     accuracy_target: float
-    ci_width: float
+    #: ``None`` when no stopper truncated the test streams.
+    ci_width: float | None
     budget: int | None
     label_names: tuple[str, ...]
     tested: dict[InjectionPoint, PointResult] = field(default_factory=dict)
@@ -125,11 +134,14 @@ class SteeringResult:
         return len(self.predicted) / total if total else 0.0
 
     @property
+    def accuracy_history(self) -> list[float]:
+        """Verification accuracy of every round after the seed round."""
+        return [r.accuracy for r in self.rounds if r.accuracy is not None]
+
+    @property
     def final_accuracy(self) -> float:
-        for r in reversed(self.rounds):
-            if r.accuracy is not None:
-                return r.accuracy
-        return 0.0
+        history = self.accuracy_history
+        return history[-1] if history else 0.0
 
     def curve(self) -> list[tuple[int, float]]:
         """The accuracy-vs-budget curve: ``(cumulative tests, accuracy)``
@@ -151,7 +163,7 @@ def adaptive_campaign(
     labeler: Labeler | None = None,
     label_names: tuple[str, ...] | None = None,
     accuracy_target: float = 0.65,
-    ci_width: float = 0.25,
+    ci_width: float | None = 0.25,
     budget: int | None = None,
     batch_size: int | None = None,
     n_estimators: int = 24,
@@ -161,14 +173,16 @@ def adaptive_campaign(
     config: CampaignConfig | None = None,
     **campaign_options,
 ) -> SteeringResult:
-    """Run the adaptive inject → verify → retrain → steer loop.
+    """Run the inject → verify → retrain loop.
 
+    ``accuracy_target`` stops the loop once the incoming model predicts
+    a fresh batch that well — under an uncertainty sampler a *harder*
+    bar than under ``"order"``, since the batch is adversarially
+    chosen.  ``ci_width`` (with ``min_tests`` and ``z``) configures the
+    sequential stopper; ``None`` runs every test stream in full.
     ``budget`` caps the total number of injected tests; the loop never
     starts a batch it could not afford at the worst case (every stream
     running to ``tests_per_point``), so the cap is never exceeded.
-    ``accuracy_target`` stops the loop once the incoming model predicts
-    a fresh uncertainty-sampled batch that well — a *harder* bar than
-    ``ml_driven_campaign``'s, since the batch is adversarially chosen.
 
     ``metrics`` optionally records round accuracies and the final
     tested/predicted/saved split under ``steer.*`` (the inner campaign
@@ -185,15 +199,12 @@ def adaptive_campaign(
     if label_names is None:
         raise ValueError("label_names required when passing a custom labeler")
     if not 0.0 < accuracy_target <= 1.0:
-        raise ValueError(
-            f"accuracy_target must be in (0, 1], got {accuracy_target}"
-        )
+        raise ValueError(f"accuracy_target must be in (0, 1], got {accuracy_target}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1 test, got {budget}")
     if sampler_mode not in SAMPLER_MODES:
         raise ValueError(
-            f"unknown sampler mode {sampler_mode!r}; "
-            f"choices: {', '.join(SAMPLER_MODES)}"
+            f"unknown sampler mode {sampler_mode!r}; choices: {', '.join(SAMPLER_MODES)}"
         )
     points = list(points)
     if not points:
@@ -203,47 +214,40 @@ def adaptive_campaign(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
-    stopper = SequentialStopper(ci_width=ci_width, min_tests=min_tests, z=z)
+    stopper = None if ci_width is None else SequentialStopper(ci_width, min_tests, z)
     campaign = Campaign(app, profile, config, stopper=stopper, **campaign_options)
     seed, metrics = campaign.config.seed, campaign.metrics
     tests_per_point = campaign.config.tests_per_point
-    rng = np.random.default_rng(seed)
-    order = [int(i) for i in rng.permutation(len(points))]
 
-    # One digest for the whole steering run, over the FULL candidate
-    # list plus the steering knobs — every batch joins the same
-    # campaign row, and a differently-steered run cannot collide.
-    digest = campaign.digest(
-        points,
-        extra={
-            "steer": {
-                "accuracy_target": accuracy_target,
-                "stopper": stopper.fingerprint(),
-                "budget": budget,
-                "batch_size": batch_size,
-                "n_estimators": n_estimators,
-                "sampler": sampler_mode,
-            }
-        },
-    )
+    # One digest for the whole run, over the FULL candidate list plus
+    # the loop's knobs — every batch joins the same campaign row, and a
+    # differently-steered run cannot collide.
+    knobs = {"batch_size": batch_size, "n_estimators": n_estimators}
+    if sampler_mode == "order" and stopper is None and budget is None:
+        # learn()'s identity from before it joined this loop, so its
+        # databases keep resuming.
+        extra = {"ml": {"threshold": accuracy_target, **knobs}}
+    else:
+        extra = {"steer": {
+            "accuracy_target": accuracy_target,
+            "stopper": None if stopper is None else stopper.fingerprint(),
+            "budget": budget,
+            "sampler": sampler_mode,
+            **knobs,
+        }}
+    digest = campaign.digest(points, extra=extra)
 
-    result = SteeringResult(
-        accuracy_target=accuracy_target,
-        ci_width=ci_width,
-        budget=budget,
-        label_names=label_names,
-    )
+    result = SteeringResult(accuracy_target, ci_width, budget, label_names)
     X_all = features_matrix(profile, points)
 
-    def labels_of(
-        prs: dict[InjectionPoint, PointResult],
-    ) -> tuple[list[InjectionPoint], np.ndarray]:
+    def labels_of(prs: dict[InjectionPoint, PointResult]) -> tuple[list[InjectionPoint], np.ndarray]:
         pts = sorted(prs)
         return pts, np.array([labeler(prs[p]) for p in pts], dtype=np.int64)
 
     model: RandomForestClassifier | None = None
-    #: Global indices not injected yet, ascending; shrinks every round.
-    unexplored = list(range(len(points)))
+    #: Global indices not injected yet, in seeded-permutation order;
+    #: shrinks every round.
+    unexplored = [int(i) for i in np.random.default_rng(seed).permutation(len(points))]
     spent = 0
     round_no = 0
     while True:
@@ -261,11 +265,10 @@ def adaptive_campaign(
             break
 
         mean_unc: float | None = None
-        if model is None:
-            # Seed round: no model yet and nothing explored — take the
-            # head of the seeded permutation, exactly like
-            # ml_driven_campaign's first batch.
-            batch = order[:n_take]
+        if model is None or sampler_mode == "order":
+            # The seed round (no model yet) and the order sampler take
+            # the head of the seeded permutation.
+            batch = unexplored[:n_take]
         else:
             scores = uncertainty_scores(
                 model, X_all[np.array(unexplored)], mode=sampler_mode
@@ -293,23 +296,19 @@ def adaptive_campaign(
         acc: float | None = None
         if model is not None:
             # Verify the incoming model on the fresh batch *before*
-            # retraining on it — an honest, adversarially-sampled probe.
+            # retraining on it — an honest probe (an adversarial one
+            # under an uncertainty sampler).
             pts, y_true = labels_of(measured)
             y_pred = model.predict(features_matrix(profile, pts))
             acc = accuracy(y_true, y_pred)
             if metrics is not None:
                 metrics.histogram("steer.round_accuracy").observe(acc)
         result.tested.update(measured)
-        result.rounds.append(
-            SteeringRound(
-                round_no=round_no,
-                point_indices=tuple(batch_sorted),
-                tests_planned=len(batch_sorted) * tests_per_point,
-                tests_run=round_tests,
-                accuracy=acc,
-                mean_uncertainty=mean_unc,
-            )
-        )
+        result.rounds.append(SteeringRound(
+            round_no=round_no, point_indices=tuple(batch_sorted),
+            tests_planned=len(batch_sorted) * tests_per_point, tests_run=round_tests,
+            accuracy=acc, mean_uncertainty=mean_unc,
+        ))
         _record_round(campaign.config.store_path, digest, result.rounds[-1], spent, "")
 
         if acc is not None and acc >= accuracy_target:

@@ -1,8 +1,12 @@
-"""Uncertainty sampling over the unexplored injection-point space.
+"""Batch selection over the unexplored injection-point space.
 
-After each steering round the freshly retrained forest scores every
-point not yet injected; the next batch is the top of that ranking.  Two
-standard acquisition functions are provided:
+Three samplers pick the next batch (:data:`SAMPLER_MODES`).  The
+``"order"`` sampler takes the next unexplored points of the run's
+seeded permutation — the paper's § III-C learning loop, blind to the
+model.  The other two are uncertainty samplers: after each round the
+freshly retrained forest scores every point not yet injected, and the
+next batch is the top of that ranking, under one of two standard
+acquisition functions:
 
 * ``"margin"`` — ``1 - max_c P(c)``: the forest's vote disagreement.
   Zero when every tree agrees, maximal at a uniform vote split.
@@ -28,8 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-#: Recognised acquisition functions.
-SAMPLER_MODES = ("margin", "entropy")
+#: Acquisition functions of the uncertainty samplers.
+UNCERTAINTY_MODES = ("margin", "entropy")
+#: Recognised samplers: the uncertainty samplers plus the seeded order.
+SAMPLER_MODES = (*UNCERTAINTY_MODES, "order")
 
 
 def uncertainty_scores(model, X: np.ndarray, mode: str = "margin") -> np.ndarray:
@@ -38,9 +44,9 @@ def uncertainty_scores(model, X: np.ndarray, mode: str = "margin") -> np.ndarray
     ``model`` needs only ``predict_proba`` (rows summing to 1); the
     score vector aligns with the rows of ``X``.
     """
-    if mode not in SAMPLER_MODES:
+    if mode not in UNCERTAINTY_MODES:
         raise ValueError(
-            f"unknown sampler mode {mode!r}; choices: {', '.join(SAMPLER_MODES)}"
+            f"unknown sampler mode {mode!r}; choices: {', '.join(UNCERTAINTY_MODES)}"
         )
     proba = np.asarray(model.predict_proba(X), dtype=np.float64)
     if proba.ndim != 2:
@@ -77,3 +83,4 @@ def select_batch(
         zip(candidates, scores), key=lambda cs: (-float(cs[1]), int(cs[0]))
     )
     return [int(c) for c, _ in ranked[:batch_size]]
+

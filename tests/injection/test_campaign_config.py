@@ -58,6 +58,28 @@ class TestDigestPins:
         digest = campaign.digest([scenario.anchor_point()])
         assert digest == "8c04324a8d76d474266d62b8b2c3a007d2fef4cc6508714a7d48bdc9d48d7f07"
 
+    def test_learn_loop(self, tmp_path, lu_app, lu_profile):
+        """``learn()``'s loop configuration (the ``"order"`` sampler, no
+        stopper, no budget) keys its row by the ``{"ml": …}`` extra,
+        fault model included — so ``learn --db`` files written before the
+        loop joined the steering driver keep resuming."""
+        from repro.steer import adaptive_campaign
+        from repro.store.db import CampaignDB
+
+        db_path = tmp_path / "learn.db"
+        for fault_model in ("bitflip", "multibit"):
+            adaptive_campaign(
+                lu_app, lu_profile, enumerate_points(lu_profile)[:4],
+                sampler_mode="order", ci_width=None, accuracy_target=1.0,
+                batch_size=4, tests_per_point=2, param_policy="all", seed=3,
+                fault_model=fault_model, db_path=db_path,
+            )
+        with CampaignDB(db_path) as db:
+            assert {c["digest"] for c in db.campaigns()} == {
+                "4dc23feee4048fd400b4e8cfd679717537b896bf98de879ea9fb0efdde6cf0f0",
+                "13e70bac1d664a1cc934cf39996b1f6b850c54b42c8eb7245b6a34649f3549cd",
+            }
+
 
 class TestOneDeclaration:
     def test_every_field_is_a_cli_flag(self):

@@ -9,7 +9,9 @@ statistical wobble.
 
 import pytest
 
+from repro.injection import OUTCOME_ORDER
 from repro.injection.space import enumerate_points
+from repro.pruning import level_labeler, outcome_labeler, select_semantic
 from repro.steer import SteeringResult, adaptive_campaign, tests_to_close
 
 TESTS_PER_POINT = 12
@@ -179,6 +181,56 @@ class TestExhaustion:
             assert len(r.tested) == 8
             assert not r.predicted
         assert set(r.tested) | set(r.predicted) == set(lu_points[:8])
+
+    def test_one_round_over_every_point_predicts_nothing(
+        self, lu_app, lu_profile, lu_points
+    ):
+        # learn()'s configuration with a batch covering the whole pool:
+        # the seed round injects everything, so no model ever verifies.
+        r = adaptive_campaign(
+            lu_app,
+            lu_profile,
+            lu_points[:8],
+            sampler_mode="order",
+            ci_width=None,
+            tests_per_point=4,
+            batch_size=8,
+            seed=0,
+            param_policy="all",
+        )
+        assert len(r.rounds) == 1 and r.stop_reason == "exhausted"
+        assert len(r.tested) == 8 and not r.predicted
+        assert not r.reached_target and r.accuracy_history == []
+        assert r.tests_run == 8 * 4 and r.tests_saved == 0
+
+
+class TestTable3MLColumn:
+    def test_lammps_ml_reduction(self, lammps_app, lammps_profile):
+        """Table III's ML column: the learning loop over the mini-LAMMPS
+        semantic survivors skips 19 of 31 points (61.29 %)."""
+        survivors = select_semantic(lammps_profile).selected_points_list
+        r = adaptive_campaign(
+            lammps_app,
+            lammps_profile,
+            survivors,
+            sampler_mode="order",
+            ci_width=None,
+            accuracy_target=0.65,
+            tests_per_point=10,
+            batch_size=6,
+            param_policy="buffer",
+            seed=33,
+        )
+        assert r.total_points == 31
+        assert r.test_reduction == 19 / 31
+        assert r.reached_target
+
+
+def test_labelers():
+    _, names = level_labeler()
+    assert names == ("low", "medium-low", "medium-high", "high")
+    _, names = outcome_labeler()
+    assert names == tuple(o.value for o in OUTCOME_ORDER)
 
 
 class TestValidation:

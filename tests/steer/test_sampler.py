@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.steer import SAMPLER_MODES, select_batch, uncertainty_scores
+from repro.steer import select_batch, uncertainty_scores
+from repro.steer.sampler import UNCERTAINTY_MODES
 
 SETTINGS = dict(max_examples=60, deadline=None, derandomize=True)
 
@@ -61,8 +62,9 @@ class TestUncertaintyScores:
 
     def test_unknown_mode_rejected(self):
         model = FakeModel([[1.0, 0.0]])
-        with pytest.raises(ValueError, match="unknown sampler mode"):
-            uncertainty_scores(model, np.zeros((1, 1)), "random")
+        for mode in ("random", "order"):
+            with pytest.raises(ValueError, match="unknown sampler mode"):
+                uncertainty_scores(model, np.zeros((1, 1)), mode)
 
     @settings(**SETTINGS)
     @given(
@@ -71,7 +73,7 @@ class TestUncertaintyScores:
             min_size=1,
             max_size=12,
         ),
-        mode=st.sampled_from(SAMPLER_MODES),
+        mode=st.sampled_from(UNCERTAINTY_MODES),
     )
     def test_scores_bounded_and_aligned(self, rows, mode):
         proba = np.array(rows)

@@ -1,6 +1,7 @@
 """CLI tests (the ``fastfit`` entry point)."""
 
 import json
+import re
 
 import pytest
 
@@ -78,6 +79,15 @@ def test_learn_command(capsys):
     assert "tested" in out and "predicted" in out
 
 
+def test_learn_caps_points(capsys):
+    """``learn`` tests at most ``--max-points`` representatives."""
+    assert main(["learn", "--app", "lu", "--tests", "2", "--max-points", "3", "--threshold", "1"]) == 0
+    out = capsys.readouterr().out
+    tested = int(re.search(r"tested (\d+) points", out).group(1))
+    assert 0 < tested <= 3
+    assert "over 3 candidate points" in out
+
+
 def test_study_command_no_ml(capsys):
     assert (
         main(
@@ -89,6 +99,8 @@ def test_study_command_no_ml(capsys):
                 "T",
                 "--tests",
                 "2",
+                "--max-points",
+                "4",
                 "--no-ml",
                 "--policy",
                 "buffer",
@@ -287,6 +299,25 @@ class TestErrorHygiene:
         """Inputs that would make a verify check vacuous (zero draws,
         tests or points) or crash it exit 2 before any check runs."""
         assert main(["verify", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["learn", "--threshold", "1.5"], "--threshold must be in (0, 1], got 1.5"),
+            (["learn", "--threshold", "-1"], "--threshold must be in (0, 1], got -1.0"),
+            (["study", "--threshold", "0"], "--threshold must be in (0, 1], got 0.0"),
+            (["campaign", "--adaptive", "--accuracy-target", "1.5"],
+             "--accuracy-target must be in (0, 1], got 1.5"),
+        ],
+    )
+    def test_bad_accuracy_target_is_one_line(self, argv, message, capsys):
+        """A learning loop's accuracy target is a fraction: out of
+        (0, 1] it would test everything or stop after one batch."""
+        assert main([argv[0], "--app", "lu", *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1

@@ -162,6 +162,29 @@ def test_adaptive_records_rounds_in_checkpoint_dir(tmp_path, capsys):
         assert db.steering_rounds(db.campaign()["id"])
 
 
+def test_learn_db_gets_the_steering_view(tmp_path, capsys):
+    """``learn --db`` records its rounds like ``--adaptive``, and
+    ``report`` renders them; ``--progress-jsonl`` spans every round."""
+    from repro.store import CampaignDB
+
+    db, prog = tmp_path / "learn.db", tmp_path / "prog.jsonl"
+    assert main([
+        "learn", "--app", "lu", "--tests", "2", "--max-points", "8",
+        "--batch-size", "4", "--policy", "all", "--threshold", "0.5",
+        "--db", str(db), "--progress-jsonl", str(prog),
+    ]) == 0
+    assert "ML-driven learning over 8 candidate points" in capsys.readouterr().out
+    with CampaignDB(db) as store:
+        rounds = store.steering_rounds(store.campaign()["id"])
+    assert [r["round"] for r in rounds] == list(range(len(rounds))) and len(rounds) >= 2
+    assert rounds[-1]["stop_reason"] in ("accuracy", "exhausted")
+    assert len(prog.read_text().splitlines()) >= len(rounds)
+    out_dir = tmp_path / "report"
+    assert main(["report", "--db", str(db), "--out", str(out_dir)]) == 0
+    html = (out_dir / "index.html").read_text()
+    assert "stop reason" in html and "not a learning-loop campaign" not in html
+
+
 class TestErrorHygiene:
     """Operator errors exit 2 with one line on stderr, no tracebacks."""
 

@@ -95,3 +95,19 @@ def test_store_backed_steer_counts_each_round_once(tmp_path):
     counters = ff.metrics.to_dict()["counters"]
     assert counters["campaign.tests"] == tests_run
     assert counters.get("exec.units_resumed", 0) == 0
+
+
+def test_learn_injects_the_configured_fault_model(lu_app):
+    """Campaign options set on the facade reach the learning loop:
+    ``FastFIT(fault_model=...).learn()`` injects that model, not the
+    default bit flip."""
+    ff2 = FastFIT(
+        lu_app, seed=0, tests_per_point=2, param_policy="all", fault_model="multibit"
+    )
+    points = ff2.prune().representative_points[:6]
+    # One round covering every point: all tested, none predicted.
+    result = ff2.learn(threshold=1.0, batch_size=len(points), points=points)
+    assert set(result.tested) == set(points) and not result.predicted
+    assert all(
+        t.spec.model == "multibit" for pr in result.tested.values() for t in pr.tests
+    )
