@@ -315,6 +315,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one injection test with full tracing and print/export it."""
+    if args.bit is not None and args.bit < 0:
+        print(f"--bit must be >= 0, got {args.bit}", file=sys.stderr)
+        return 2
     ff = _tool(args)
     points = ff.prune().representative_points
     if not points:

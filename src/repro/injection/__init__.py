@@ -33,7 +33,7 @@ from .scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from .space import FaultSpec, InjectionPoint, ModelSpec, enumerate_points, points_per_site
+from .space import FaultSpec, InjectionPoint, enumerate_points, points_per_site
 from .targets import (
     all_targets,
     buffer_targets,
@@ -57,7 +57,6 @@ __all__ = [
     "InjectionRecord",
     "InjectionRunner",
     "MODELS",
-    "ModelSpec",
     "OUTCOME_ORDER",
     "Outcome",
     "PointResult",

@@ -173,20 +173,44 @@ class FaultInjector(Instrument):
                 skipped=skipped, before=before, after=after,
             )
 
+    def _pick_bit(self, call: CollectiveCall, kind: str, extent: int) -> int | None:
+        """The bit to flip: the spec's pinned bit, or a draw from the
+        test's RNG when none is pinned.  ``None`` when the target is
+        empty or the pinned bit lies outside it; the test then records a
+        skipped injection and the call runs clean."""
+        if kind == "scalar":
+            span = 32
+        elif kind == "handle":
+            span = 64
+        elif kind == "vector":
+            span = len(call.args[self.spec.param]) * 32
+        elif kind == "handle_vector":
+            span = len(call.args[self.spec.param]) * 64
+        elif kind == "buffer":
+            span = extent * 8
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"unknown parameter kind {kind!r}")
+        bit = self.spec.bit
+        if span > 0 and bit is None:
+            return int(self.rng.integers(0, span))
+        if span > 0 and 0 <= bit < span:
+            return bit
+        self._finish(call, kind, -1 if bit is None else bit, extent, skipped=True)
+        return None
+
     def _inject(self, ctx, call: CollectiveCall) -> None:
         param = self.spec.param
         kind = param_kind(param)
-        bit = self.spec.bit
+        extent = buffer_extent_bytes(ctx, call, param) if kind == "buffer" else 0
+        bit = self._pick_bit(call, kind, extent)
+        if bit is None:
+            return
 
         if kind == "scalar":
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, 32))
             before = int(call.args[param])
             call.args[param] = flip_int32(before, bit)
             self._finish(call, kind, bit, before=str(before), after=str(call.args[param]))
         elif kind == "handle":
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, 64))
             before = int(call.args[param])
             call.args[param] = flip_int64(before, bit)
             self._finish(
@@ -194,11 +218,6 @@ class FaultInjector(Instrument):
             )
         elif kind == "vector":
             arr = np.array(call.args[param], dtype=np.int64, copy=True)
-            if arr.size == 0:
-                self._finish(call, kind, -1, skipped=True)
-                return
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, arr.size * 32))
             before = int(arr[bit // 32])
             flip_array_element(arr, bit // 32, bit % 32)
             call.args[param] = arr
@@ -208,11 +227,6 @@ class FaultInjector(Instrument):
             )
         elif kind == "handle_vector":
             arr = np.array([int(h) for h in call.args[param]], dtype=np.int64)
-            if arr.size == 0:
-                self._finish(call, kind, -1, skipped=True)
-                return
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, arr.size * 64))
             before = int(arr[bit // 64])
             arr[bit // 64] = flip_int64(before, bit % 64)
             call.args[param] = arr
@@ -220,13 +234,7 @@ class FaultInjector(Instrument):
                 call, kind, bit,
                 before=f"[{bit // 64}]={before:#x}", after=f"[{bit // 64}]={int(arr[bit // 64]):#x}",
             )
-        elif kind == "buffer":
-            extent = buffer_extent_bytes(ctx, call, param)
-            if extent <= 0:
-                self._finish(call, kind, -1, extent, skipped=True)
-                return
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, extent * 8))
+        else:  # buffer
             addr = int(call.args[param])
             byte_addr = addr + bit // 8
             before = ctx.memory.read(byte_addr, 1)[0] if ctx.memory.in_arena(byte_addr) else None
@@ -237,5 +245,3 @@ class FaultInjector(Instrument):
                 before="" if before is None else f"byte {bit // 8}: {before:#04x}",
                 after=f"byte {bit // 8}: {after:#04x}",
             )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown parameter kind {kind!r}")

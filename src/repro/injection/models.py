@@ -2,8 +2,9 @@
 
 The paper's sensitivity study uses exactly one fault model — a single
 bit flip in one collective parameter — and that model stays the default
-everywhere (``FaultSpec`` is untouched, so existing campaign digests and
-histograms are byte-stable).  This module generalizes the *choice* of
+everywhere.  Every model is described by the one
+:class:`~repro.injection.space.FaultSpec` type, whose ``model`` field
+names its catalog entry here.  This module generalizes the *choice* of
 model: each :class:`FaultModel` names an injector builder plus the
 integration properties the rest of the stack keys on — whether the
 snapshot-and-fork engine may serve it from a parked prefix
@@ -30,7 +31,7 @@ import numpy as np
 from .injector import FaultInjector
 from .multibit import BurstInjector
 from .scenario import Scenario, ScenarioInjector
-from .space import FaultSpec, InjectionPoint, ModelSpec
+from .space import FaultSpec, InjectionPoint
 from .targets import pick_target
 from .wire import RANK_MODELS, WIRE_MODELS, WireFaultInjector
 
@@ -106,9 +107,9 @@ MODELS: dict[str, FaultModel] = {
 SELECTABLE_MODELS = tuple(n for n in MODELS if n != "scenario")
 
 
-def model_for_spec(spec) -> FaultModel:
-    """The catalog entry a spec runs under (``FaultSpec`` → bitflip)."""
-    return MODELS[getattr(spec, "model", "bitflip")]
+def model_for_spec(spec: FaultSpec) -> FaultModel:
+    """The catalog entry a spec runs under."""
+    return MODELS[spec.model]
 
 
 def build_injector(spec, rng: np.random.Generator, tracer=None):
@@ -134,7 +135,7 @@ def draw_task(
     policy: str,
     model: str = "bitflip",
     scenario: Scenario | None = None,
-):
+) -> tuple[FaultSpec, np.random.Generator]:
     """One test's ``(spec, rng)``: its RNG stream and the spec drawn from it."""
     rng = task_rng(seed, point_index, test_index)
     return draw_spec(point, rng, policy=policy, model=model, scenario=scenario), rng
@@ -147,7 +148,7 @@ def draw_spec(
     policy: str,
     model: str = "bitflip",
     scenario: Scenario | None = None,
-):
+) -> FaultSpec:
     """Draw one concrete spec for one test — the shared RNG contract.
 
     The bitflip path is bit-for-bit the historical behavior (one
@@ -157,14 +158,11 @@ def draw_spec(
     scenario tests carry the timeline verbatim.
     """
     if scenario is not None:
-        return ModelSpec(point, "scenario", scenario=scenario)
-    if model == "bitflip":
-        return FaultSpec(point, pick_target(rng, point.collective, policy), None)
-    entry = MODELS[model]
-    if entry.kind == "param":
-        return ModelSpec(point, model, param=pick_target(rng, point.collective, policy))
+        return FaultSpec(point, param="", model="scenario", scenario=scenario)
+    if MODELS[model].kind == "param":
+        return FaultSpec(point, param=pick_target(rng, point.collective, policy), model=model)
     if model in WIRE_MODELS:
-        return ModelSpec(point, model, param="payload")
+        return FaultSpec(point, param="payload", model=model)
     if model in RANK_MODELS:
-        return ModelSpec(point, model, param="rank")
+        return FaultSpec(point, param="rank", model=model)
     raise ValueError(f"cannot draw specs for model {model!r}")  # pragma: no cover

@@ -37,18 +37,19 @@ class BurstInjector(FaultInjector):
     """
 
     def _width(self) -> int:
-        width = getattr(self.spec, "width", 0)
+        width = self.spec.width
         return width if width > 0 else draw_width(self.rng)
 
     def _inject(self, ctx, call: CollectiveCall) -> None:
         param = self.spec.param
         kind = param_kind(param)
-        bit = self.spec.bit
         width = self._width()
+        extent = buffer_extent_bytes(ctx, call, param) if kind == "buffer" else 0
+        bit = self._pick_bit(call, kind, extent)
+        if bit is None:
+            return
 
         if kind == "scalar":
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, 32))
             before = int(call.args[param])
             value = before
             for i in range(width):
@@ -59,8 +60,6 @@ class BurstInjector(FaultInjector):
                 before=str(before), after=f"{value} (burst x{width})",
             )
         elif kind == "handle":
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, 64))
             before = int(call.args[param])
             value = before
             for i in range(width):
@@ -72,12 +71,7 @@ class BurstInjector(FaultInjector):
             )
         elif kind == "vector":
             arr = np.array(call.args[param], dtype=np.int64, copy=True)
-            if arr.size == 0:
-                self._finish(call, kind, -1, skipped=True)
-                return
             span = arr.size * 32
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, span))
             before = int(arr[bit // 32])
             for i in range(width):
                 flat = (bit + i) % span
@@ -90,12 +84,7 @@ class BurstInjector(FaultInjector):
             )
         elif kind == "handle_vector":
             arr = np.array([int(h) for h in call.args[param]], dtype=np.int64)
-            if arr.size == 0:
-                self._finish(call, kind, -1, skipped=True)
-                return
             span = arr.size * 64
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, span))
             before = int(arr[bit // 64])
             for i in range(width):
                 flat = (bit + i) % span
@@ -106,14 +95,8 @@ class BurstInjector(FaultInjector):
                 before=f"[{bit // 64}]={before:#x}",
                 after=f"[{bit // 64}]={int(arr[bit // 64]):#x} (burst x{width})",
             )
-        elif kind == "buffer":
-            extent = buffer_extent_bytes(ctx, call, param)
-            if extent <= 0:
-                self._finish(call, kind, -1, extent, skipped=True)
-                return
+        else:  # buffer
             span = extent * 8
-            if bit is None or bit < 0:
-                bit = int(self.rng.integers(0, span))
             addr = int(call.args[param])
             byte_addr = addr + bit // 8
             before = ctx.memory.read(byte_addr, 1)[0] if ctx.memory.in_arena(byte_addr) else None
@@ -125,5 +108,3 @@ class BurstInjector(FaultInjector):
                 before="" if before is None else f"byte {bit // 8}: {before:#04x}",
                 after=f"byte {bit // 8}: {after:#04x} (burst x{width})",
             )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown parameter kind {kind!r}")

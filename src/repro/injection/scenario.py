@@ -35,7 +35,7 @@ from ..simmpi import COLLECTIVE_PARAMS, CollectiveCall, Instrument, MPIError
 from ..simmpi.scheduler import DeliveryTap
 from .injector import FaultInjector, InjectionRecord
 from .multibit import BurstInjector
-from .space import InjectionPoint, ModelSpec
+from .space import FaultSpec, InjectionPoint
 from .targets import pick_target
 from .wire import Arm, RANK_MODELS, WIRE_MODELS, resolve_stall_weight
 
@@ -62,7 +62,7 @@ class ScenarioTask:
 
     ``t`` is the rank-local collective sequence index at (or after)
     which the task fires; the remaining knobs mirror
-    :class:`~repro.injection.space.ModelSpec`.
+    :class:`~repro.injection.space.FaultSpec`.
     """
 
     t: int
@@ -228,7 +228,7 @@ class ScenarioInjector(Instrument):
     matching the single-fault result plumbing.
     """
 
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator, tracer=None):
+    def __init__(self, spec: FaultSpec, rng: np.random.Generator, tracer=None):
         if spec.scenario is None:
             raise ValueError("scenario spec carries no scenario")
         self.spec = spec
@@ -267,13 +267,13 @@ class ScenarioInjector(Instrument):
         point = InjectionPoint(call.rank, call.name, call.site, call.invocation)
         if task.model == "multibit":
             sub: FaultInjector = BurstInjector(
-                ModelSpec(point, "multibit", param=param, bit=task.bit, width=task.width),
+                FaultSpec(point, param=param, bit=task.bit, model="multibit", width=task.width),
                 self.rng,
                 tracer=self.tracer,
             )
         else:
             sub = FaultInjector(
-                ModelSpec(point, "bitflip", param=param, bit=task.bit),
+                FaultSpec(point, param=param, bit=task.bit),
                 self.rng,
                 tracer=self.tracer,
             )

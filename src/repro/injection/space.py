@@ -2,7 +2,7 @@
 
 Following § II of the paper, a fault injection *point* is one invocation
 of one collective call site on one rank; a fault injection *test* is a
-point plus a concrete fault (parameter, bit).  The unpruned space is the
+point plus a concrete fault (:class:`FaultSpec`).  The unpruned space is the
 cross product over ranks × sites × invocations — 618,496 points for the
 paper's small LAMMPS deployment, which is exactly why pruning matters.
 """
@@ -33,35 +33,22 @@ class InjectionPoint:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One concrete fault: where (point) and what (parameter, bit).
+    """One concrete fault: where (point), under which model, and what.
 
-    ``bit`` addresses the parameter's machine representation: for buffer
-    parameters it is a flat bit offset into the buffer contents; for
-    scalars/handles a bit index of the value; for vector parameters the
-    pair ``(element, bit)`` is packed as ``element * 32 + bit``.
-    """
+    ``model`` names an entry in :data:`repro.injection.models.MODELS`;
+    the default is the paper's single bit flip.  The knobs after it
+    keep their defaults when a model does not use them.
 
-    point: InjectionPoint
-    param: str
-    bit: int
-
-    #: Fault-model name (class attribute, not a field: single-bit specs
-    #: stay byte-identical under pickling and hashing, which keeps PR-8
-    #: campaign digests stable).  Richer models use
-    #: :class:`repro.injection.models.ModelSpec`, which overrides this
-    #: with a real field.
-    model = "bitflip"
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One concrete fault under a richer fault model.
-
-    Generalizes :class:`FaultSpec` (which stays the dedicated,
-    byte-stable single-bit spec): ``model`` names an entry in
-    :data:`repro.injection.models.MODELS`; the remaining fields are
-    model-specific knobs, zero-valued when a model does not use them.
-
+    ``param``
+        the corrupted parameter (``"payload"`` for wire models,
+        ``"rank"`` for rank models, ``""`` for scenarios);
+    ``bit``
+        the bit to flip, ``None`` to draw one from the test's RNG.  For
+        buffer parameters it is a flat bit offset into the buffer
+        contents; for scalars/handles a bit index of the value; for
+        vector parameters the pair ``(element, bit)`` is packed as
+        ``element * 32 + bit``.  A pinned bit outside the parameter
+        lands as a skipped injection;
     ``width``
         adjacent bits for ``multibit``/``msg_corrupt`` bursts
         (0 = draw from the test's RNG);
@@ -75,13 +62,21 @@ class ModelSpec:
     """
 
     point: InjectionPoint
-    model: str
-    param: str = ""
+    param: str
     bit: int | None = None
+    model: str = "bitflip"
     width: int = 0
     count: int = 1
     weight: int = 0
     scenario: "object | None" = None
+
+
+#: Pickle alias only, for ``units.payload`` rows stored while the
+#: non-bit-flip models had a spec type of their own under this name:
+#: those carry every field, and an old bit-flip spec lacks the fields
+#: after ``bit`` and reads their class defaults, so both load as equal
+#: ``FaultSpec`` values.  Nothing else may use this name.
+ModelSpec = FaultSpec
 
 
 def enumerate_points(profile: ApplicationProfile) -> list[InjectionPoint]:

@@ -172,8 +172,8 @@ class WireFaultInjector(Instrument):
                 model,
                 spec.point.rank,
                 rng,
-                width=getattr(spec, "width", 0),
-                count=getattr(spec, "count", 1),
+                width=spec.width,
+                count=spec.count,
                 on_fire=self._on_fire,
             )
             self.tap: DeliveryTap = _WireTap(self.arm)
@@ -231,9 +231,7 @@ class WireFaultInjector(Instrument):
                 rank=call.rank,
             )
         if model == "rank_stall":
-            weight = resolve_stall_weight(
-                getattr(self.spec, "weight", 0), ctx.runtime.step_budget
-            )
+            weight = resolve_stall_weight(self.spec.weight, ctx.runtime.step_budget)
             self.tap.pending_steps += weight
             self._on_fire(None, f"rank {call.rank} stalled for {weight} steps")
             return

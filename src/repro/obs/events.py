@@ -147,6 +147,8 @@ def format_event(event: TraceEvent) -> str:
         body = f"{d.get('collective')}@{d.get('site')}#inv{d.get('invocation')} param={d.get('param')} bit={d.get('bit')}"
         if d.get("before"):
             body += f" {d['before']} -> {d['after']}"
+        if d.get("skipped"):
+            body += " skipped"
     elif event.kind in ("unit_retry", "unit_quarantined"):
         body = f"unit={d.get('unit')} attempt={d.get('attempt')} reason={d.get('reason')}"
     elif event.kind == "sanitize_violation":

@@ -210,7 +210,8 @@ def describe_fault(record: Any) -> str:
     if getattr(record, "collective", ""):
         where = f" in {record.collective}@{record.site}#inv{record.invocation}"
     if getattr(record, "skipped", False):
-        return f"{record.kind} '{record.param}'{where} skipped (empty target)"
+        why = "empty target" if record.bit == -1 else f"bit {record.bit} outside the target"
+        return f"{record.kind} '{record.param}'{where} skipped ({why})"
     desc = f"bit {record.bit} of {record.kind} '{record.param}'{where}"
     before = getattr(record, "before", "")
     after = getattr(record, "after", "")

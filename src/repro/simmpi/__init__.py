@@ -14,13 +14,11 @@ from .calls import (
     COLLECTIVE_TYPE_IDS,
     HANDLE_PARAMS,
     HANDLE_VECTOR_PARAMS,
-    P2P_PARAMS,
     ROOTED_COLLECTIVES,
     SCALAR_PARAMS,
     VECTOR_PARAMS,
     CollectiveCall,
     Instrument,
-    P2PCall,
 )
 from .comm import CommFactory, Communicator
 from .context import PHASES, Context
@@ -58,8 +56,6 @@ __all__ = [
     "FiberCrashed",
     "HANDLE_PARAMS",
     "HANDLE_VECTOR_PARAMS",
-    "P2PCall",
-    "P2P_PARAMS",
     "Instrument",
     "MPIError",
     "Memory",

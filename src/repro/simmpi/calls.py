@@ -166,49 +166,14 @@ class CollectiveCall:
         )
 
 
-#: Parameter schema per point-to-point operation (the FastFIT
-#: *extension* surface: the paper names "other programming elements of
-#: an HPC application" as future work, and p2p is the natural next one).
-P2P_PARAMS: dict[str, tuple[str, ...]] = {
-    "Send": ("buf", "count", "datatype", "dest", "tag", "comm"),
-    "Recv": ("buf", "count", "datatype", "source", "tag", "comm"),
-}
-
-
-@dataclass
-class P2PCall:
-    """One rank's point-to-point operation, mutable like a collective
-    call.  Only built when an instrument opts in via
-    ``wants_p2p_calls`` (building stacks on every halo exchange would
-    tax the common path)."""
-
-    rank: int
-    kind: str  # "Send" | "Recv"
-    site: str
-    stack: tuple[str, ...]
-    invocation: int
-    seq: int
-    phase: str
-    args: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def site_key(self) -> tuple[str, str]:
-        return (self.kind, self.site)
-
-    def param_names(self) -> tuple[str, ...]:
-        return P2P_PARAMS[self.kind]
-
-
 class Instrument:
-    """Base class for collective-entry hooks (profiler, fault injector)."""
+    """Base class for simulator hooks (profiler, fault injectors, park).
 
-    #: Set True to receive full, mutable :class:`P2PCall` records via
-    #: :meth:`on_p2p_call` (fault injection into p2p parameters).
-    wants_p2p_calls: bool = False
-
-    def on_p2p_call(self, ctx, call: "P2PCall") -> None:
-        """Called with a mutable record before a p2p operation executes,
-        only when ``wants_p2p_calls`` is True."""
+    Collective entry is the one fault surface: ``on_collective`` gets
+    the mutable :class:`CollectiveCall` before validation.  Point-to-point
+    operations are only observed, through ``on_p2p``; no hook can
+    change their arguments.
+    """
 
     def on_collective(self, ctx, call: CollectiveCall) -> None:
         """Called at every collective entry, before validation."""

@@ -24,7 +24,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 from . import collectives as coll
-from .calls import CollectiveCall, Instrument, P2PCall
+from .calls import CollectiveCall, Instrument
 from .collectives.env import CollEnv
 from .comm import Communicator
 from .errors import AppError, MPIError
@@ -85,9 +85,6 @@ class Context:
         self._site_counters: dict[tuple[str, str], int] = {}
         self._coll_seq = 0
         self._comm_seq: dict[int, int] = {}
-        self._p2p_site_counters: dict[tuple[str, str], int] = {}
-        self._p2p_seq = 0
-        self._wants_p2p_calls = any(ins.wants_p2p_calls for ins in self.instruments)
 
         # Named handles, mirroring the MPI predefined objects.
         for name, handle in runtime.type_handles.items():
@@ -703,47 +700,10 @@ class Context:
     # -- point-to-point (profiled as traces, never an injection target:
     # -- the paper's fault model covers collective parameters only) ----
 
-    def _enter_p2p(self, kind: str, args: dict[str, Any]):
-        """Build and dispatch a mutable p2p record (extension surface).
-
-        Returns the record, or ``None`` when no instrument opted in —
-        the fast path for ordinary profiling/injection runs.
-        """
-        if not self._wants_p2p_calls:
-            return None
-        stack, site = self._capture_stack()
-        key = (kind, site)
-        invocation = self._p2p_site_counters.get(key, 0)
-        self._p2p_site_counters[key] = invocation + 1
-        call = P2PCall(
-            rank=self.rank,
-            kind=kind,
-            site=site,
-            stack=stack,
-            invocation=invocation,
-            seq=self._p2p_seq,
-            phase=self.phase,
-            args=args,
-        )
-        self._p2p_seq += 1
-        for ins in self.instruments:
-            if ins.wants_p2p_calls:
-                ins.on_p2p_call(self, call)
-        return call
-
     def Send(
         self, buf: int, count: int, datatype: int, dest: int, tag: int, comm: int
     ) -> Generator:
         """MPI_Send (buffered-eager: completes locally)."""
-        record = self._enter_p2p(
-            "Send",
-            {"buf": buf, "count": count, "datatype": datatype, "dest": dest, "tag": tag, "comm": comm},
-        )
-        if record is not None:
-            a = record.args
-            buf, count, datatype, dest, tag, comm = (
-                a["buf"], a["count"], a["datatype"], a["dest"], a["tag"], a["comm"],
-            )
         comm_obj = resolve_comm(self.runtime, comm, rank=self.rank)
         dtype = resolve_datatype(self.runtime, datatype, rank=self.rank)
         count = check_count(count, rank=self.rank)
@@ -760,15 +720,6 @@ class Context:
         self, buf: int, count: int, datatype: int, source: int, tag: int, comm: int
     ) -> Generator:
         """MPI_Recv (blocking). Returns the received element count."""
-        record = self._enter_p2p(
-            "Recv",
-            {"buf": buf, "count": count, "datatype": datatype, "source": source, "tag": tag, "comm": comm},
-        )
-        if record is not None:
-            a = record.args
-            buf, count, datatype, source, tag, comm = (
-                a["buf"], a["count"], a["datatype"], a["source"], a["tag"], a["comm"],
-            )
         comm_obj = resolve_comm(self.runtime, comm, rank=self.rank)
         dtype = resolve_datatype(self.runtime, datatype, rank=self.rank)
         count = check_count(count, rank=self.rank)

@@ -74,8 +74,8 @@ from .snapshot import (
 )
 
 #: One test handed to :meth:`SnapshotEngine.serve_point`: the spec
-#: (``FaultSpec`` or any model's ``ModelSpec``, parameter already drawn)
-#: and the post-draw RNG that will pick the bit.
+#: (any model, parameter already drawn) and the post-draw RNG that will
+#: pick the bit.
 Task = tuple[FaultSpec, np.random.Generator]
 
 #: One slot of a unit: a task to run, or a result already known (a
@@ -327,7 +327,7 @@ class SnapshotEngine:
                     # Wire, rank, and timeline faults are not single-site
                     # parameter corruptions: the fault-free-prefix
                     # assumption the fork amortization rests on does not hold.
-                    and MODELS[getattr(spec, "model", "bitflip")].snapshot_safe
+                    and MODELS[spec.model].snapshot_safe
                 ):
                     return Unit(point, take, deliver, done, m)
                 self._replay(slots_of(take), deliver, m)

@@ -271,7 +271,7 @@ class CampaignDB:
                     p.rank, p.collective, p.site, p.invocation,
                     t.spec.param,
                     None if t.record is None or t.record.skipped else t.record.bit,
-                    getattr(t.spec, "model", "bitflip"),
+                    t.spec.model,
                     t.outcome.name, int(t.injected), t.detail,
                 )
             )

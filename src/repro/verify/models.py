@@ -26,7 +26,7 @@ import numpy as np
 from ..injection.outcome import Outcome, classify_exception
 from ..injection.models import build_injector
 from ..injection.scenario import parse_scenario
-from ..injection.space import FaultSpec, InjectionPoint, ModelSpec
+from ..injection.space import FaultSpec, InjectionPoint
 from ..simmpi import Instrument, SimMPIError, run_app
 
 #: Generous deadline for the tiny witness apps; stalls charge past it.
@@ -137,63 +137,63 @@ WITNESSES: dict[str, ModelWitness] = {
             "multibit", "multibit",
             "burst-flipped broadcast payload differs from golden",
             _bcast_app, (0, "Bcast"),
-            lambda p: ModelSpec(p, "multibit", param="buffer"),
+            lambda p: FaultSpec(p, param="buffer", model="multibit"),
             (Outcome.WRONG_ANS,),
         ),
         ModelWitness(
             "msg_drop", "msg_drop",
             "dropped broadcast message starves rank 1",
             _bcast_app, (0, "Bcast"),
-            lambda p: ModelSpec(p, "msg_drop", param="payload"),
+            lambda p: FaultSpec(p, param="payload", model="msg_drop"),
             (Outcome.INF_LOOP,),
         ),
         ModelWitness(
             "msg_dup", "msg_dup",
             "duplicated broadcast message is absorbed",
             _bcast_app, (0, "Bcast"),
-            lambda p: ModelSpec(p, "msg_dup", param="payload"),
+            lambda p: FaultSpec(p, param="payload", model="msg_dup"),
             (Outcome.SUCCESS,),
         ),
         ModelWitness(
             "msg_corrupt", "msg_corrupt",
             "corrupted broadcast payload reaches rank 1",
             _bcast_app, (0, "Bcast"),
-            lambda p: ModelSpec(p, "msg_corrupt", param="payload"),
+            lambda p: FaultSpec(p, param="payload", model="msg_corrupt"),
             (Outcome.WRONG_ANS,),
         ),
         ModelWitness(
             "msg_reorder", "msg_reorder",
             "two same-key messages arrive swapped",
             _reorder_app, (1, "Bcast"),
-            lambda p: ModelSpec(p, "msg_reorder", param="payload"),
+            lambda p: FaultSpec(p, param="payload", model="msg_reorder"),
             (Outcome.WRONG_ANS,),
         ),
         ModelWitness(
             "rank_crash", "rank_crash",
             "rank fails entering the broadcast",
             _bcast_app, (0, "Bcast"),
-            lambda p: ModelSpec(p, "rank_crash", param="rank"),
+            lambda p: FaultSpec(p, param="rank", model="rank_crash"),
             (Outcome.MPI_ERR,),
         ),
         ModelWitness(
             "rank_stall", "rank_stall",
             "stalled rank charges past the deadline budget",
             _bcast_app, (0, "Bcast"),
-            lambda p: ModelSpec(p, "rank_stall", param="rank"),
+            lambda p: FaultSpec(p, param="rank", model="rank_stall"),
             (Outcome.INF_LOOP,),
         ),
         ModelWitness(
             "scenario_drop", "scenario",
             "one-task drop scenario starves rank 1",
             _bcast_app, (0, "Bcast"),
-            lambda p: ModelSpec(p, "scenario", scenario=_SCENARIO_DROP),
+            lambda p: FaultSpec(p, param="", model="scenario", scenario=_SCENARIO_DROP),
             (Outcome.INF_LOOP,),
         ),
         ModelWitness(
             "scenario_mix", "scenario",
             "overlapping dup+bitflip timeline: dup absorbed, flip visible",
             _bcast_app, (0, "Bcast"),
-            lambda p: ModelSpec(p, "scenario", scenario=_SCENARIO_MIX),
+            lambda p: FaultSpec(p, param="", model="scenario", scenario=_SCENARIO_MIX),
             (Outcome.WRONG_ANS,),
         ),
     )

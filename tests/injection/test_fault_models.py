@@ -18,7 +18,6 @@ from repro.exec.checkpoint import campaign_digest
 from repro.injection import (
     Campaign,
     FaultSpec,
-    ModelSpec,
     SELECTABLE_MODELS,
     draw_spec,
     enumerate_points,
@@ -31,9 +30,24 @@ from repro.injection.runner import TestResult as InjectionTestResult
 from repro.injection.space import InjectionPoint
 from repro.obs.metrics import MetricsRegistry
 from repro.profiling import profile_application
+from repro.verify.replay import fingerprint
 
 SEED = 11
 TESTS = 2
+
+#: ``repro.verify.replay.fingerprint`` of each model's outcome stream in
+#: ``test_every_model_runs_end_to_end`` (IS class T, first 2 points x
+#: TESTS tests, SEED), taken when bit flips and the other models still
+#: had separate spec types.
+MODEL_STREAM_PINS = {
+    "multibit": "56238988ea96d6b667a5a284b59b53a07d8d284e524e8f685ba10bccf58d18b4",
+    "msg_drop": "34f053244003a6cae4856030fd0ca0a6e6037db14473300cb516a343149d8726",
+    "msg_dup": "92007b9af7ded82158b473a4d7370a387a82900685cb2903b2805a4d26b55969",
+    "msg_reorder": "7c601a48dda8bb758f15362a04ae58a64adc0bffa2a92ef42cf1067eb9c784d1",
+    "msg_corrupt": "4c34d48ac9d281a4adbc710a5bb81bdd4333a304607475bc2058fd27cb82866e",
+    "rank_crash": "fb2a740ff163ae8199eb457dfcf4ff820e5c08085da8b85a0c90abb7dea44e63",
+    "rank_stall": "8d292fa71013afac7b62fa23076c115cb467100dfd40de551128f26dbe717c4b",
+}
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +72,7 @@ def signature(result):
             point,
             [
                 (
-                    t.spec.point, getattr(t.spec, "model", "bitflip"),
+                    t.spec.point, t.spec.model,
                     t.spec.param, t.outcome,
                     None if t.record is None else (t.record.kind, t.record.skipped),
                 )
@@ -93,14 +107,13 @@ class TestDrawSpec:
     """``draw_spec`` is the one shared RNG contract for every model."""
 
     def test_bitflip_draw_is_byte_stable(self, is_points):
-        """The default model must produce the exact historical FaultSpec
-        (same type, same pickle) so digests and checkpoints are stable."""
+        """The default model draws the historical bit-flip spec: one
+        parameter pick, the bit left to injection time, every other
+        knob at its default."""
         point = is_points[0]
         a = draw_spec(point, np.random.default_rng(3), policy="all")
-        b = FaultSpec(point, a.param, None)
-        assert type(a) is FaultSpec
-        assert a == b
-        assert getattr(a, "model") == "bitflip"
+        assert a == FaultSpec(point, a.param, None)
+        assert a.model == "bitflip" and a.bit is None
 
     @pytest.mark.parametrize("model", [m for m in SELECTABLE_MODELS if m != "bitflip"])
     def test_model_draws_are_deterministic(self, is_points, model):
@@ -108,7 +121,7 @@ class TestDrawSpec:
         a = draw_spec(point, np.random.default_rng(5), policy="all", model=model)
         b = draw_spec(point, np.random.default_rng(5), policy="all", model=model)
         assert a == b
-        assert isinstance(a, ModelSpec) and a.model == model
+        assert isinstance(a, FaultSpec) and a.model == model
 
 
 class TestModelCampaigns:
@@ -122,6 +135,16 @@ class TestModelCampaigns:
         # Every verdict is a Table-I application response — never a
         # harness error leaking out of the delivery layer.
         assert result.tool_error_count() == 0
+        stream = [
+            (
+                (p.rank, p.collective, p.site, p.invocation), t.spec.param,
+                None if t.record is None else t.record.bit, t.outcome.name, t.detail,
+            )
+            for pr in result.points.values()
+            for t in pr.tests
+            for p in (t.spec.point,)
+        ]
+        assert fingerprint(stream) == MODEL_STREAM_PINS[model]
 
     def test_serial_parallel_identical_for_wire_model(self, is_app, is_profile, is_points):
         runs = [
@@ -249,7 +272,7 @@ class TestToolErrorExclusion:
     def test_error_rate_excludes_tool_errors_for_model_specs(self):
         point = InjectionPoint(0, "Scenario", "scenario:x", 0)
         pr = PointResult(point)
-        spec = ModelSpec(point, "msg_drop", param="payload")
+        spec = FaultSpec(point, param="payload", model="msg_drop")
         for outcome in (Outcome.INF_LOOP, Outcome.SUCCESS, Outcome.TOOL_ERROR):
             pr.add(InjectionTestResult(spec, outcome, None))
         assert pr.n_tool_errors == 1

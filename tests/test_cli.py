@@ -205,6 +205,24 @@ def test_trace_rejects_unknown_param(capsys):
     assert "notaparam" in err and "sendbuf" in err
 
 
+def test_trace_rejects_negative_bit(capsys):
+    assert main(["trace", "--app", "lu", "--problem-class", "T", "--bit", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["--bit must be >= 0, got -1"]
+
+
+def test_trace_pinned_bit_past_the_parameter_is_skipped(capsys):
+    """``--bit 99`` on a 32-bit count runs the test clean instead of
+    crashing the rank fiber inside the harness."""
+    assert main(
+        ["trace", "--app", "lu", "--problem-class", "T", "--point", "0",
+         "--param", "count", "--bit", "99", "--limit", "1000"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "outcome: SUCCESS" in out
+    assert "param=count bit=99 skipped" in out
+
+
 def test_stats_smoke(capsys):
     assert (
         main(
