@@ -4,7 +4,8 @@ commit identical ``results`` rows.
 Every wire-fault test takes the snapshot engine's full-replay fallback,
 and its stored spec carries the model name, so this is the store's
 equivalence check for the non-bit-flip fault models.  The killed run is
-a real process, SIGKILLed once it has recorded a unit.
+a real process, SIGKILLed together with its pool workers (its own
+process group) once it has recorded a unit.
 """
 
 import os
@@ -49,12 +50,15 @@ def test_serial_parallel_and_resumed_rows_identical(tmp_path, capsys):
         [sys.executable, "-m", "repro", *CLI, "--db", resumed, "--jobs", "4"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         stdout=subprocess.DEVNULL,
+        start_new_session=True,
     )
     deadline = time.time() + 60
     while time.time() < deadline and proc.poll() is None and not rows(resumed):
         time.sleep(0.05)
-    if proc.poll() is None:
-        proc.send_signal(signal.SIGKILL)
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the campaign finished first; the resume fast-forwards
     proc.wait()
     assert main([*CLI, "--db", resumed, "--jobs", "4", "--resume"]) == 0
 
