@@ -8,6 +8,7 @@ the store, and the TOOL_ERROR exclusion holding for model/scenario
 specs.
 """
 
+import dataclasses
 import sqlite3
 
 import numpy as np
@@ -23,11 +24,14 @@ from repro.injection import (
     enumerate_points,
     parse_scenario,
 )
+from repro.injection import runner as runner_module
 from repro.injection.campaign import PointResult
-from repro.injection.models import MODELS
+from repro.injection.models import MODELS, draw_task
 from repro.injection.outcome import Outcome
+from repro.injection.runner import InjectionRunner
 from repro.injection.runner import TestResult as InjectionTestResult
 from repro.injection.space import InjectionPoint
+from repro.obs.events import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.profiling import profile_application
 from repro.verify.replay import fingerprint
@@ -48,6 +52,34 @@ MODEL_STREAM_PINS = {
     "rank_crash": "fb2a740ff163ae8199eb457dfcf4ff820e5c08085da8b85a0c90abb7dea44e63",
     "rank_stall": "8d292fa71013afac7b62fa23076c115cb467100dfd40de551128f26dbe717c4b",
 }
+
+#: ``fingerprint`` of each model's per-test record stream in
+#: ``TestRecordPins`` (IS class T, every 5th point x 3 tests, SEED):
+#: the spec, every ``InjectionRecord`` field, outcome, detail, and the
+#: run's ``fault_armed``/``fault_fired`` events.  ``"scenario"`` is
+#: the mixed timeline ``PIN_SCENARIO`` on its anchor point (8 tests),
+#: with every record of each test and no tracer events.
+MODEL_RECORD_PINS = {
+    "bitflip": "7d311b14cfa97c41d794d51b54aacf22ff2bf3896902dc38f346e6e4fc16d2c8",
+    "multibit": "1c0fe8ac64d9fd189283dee473141454bb8cb55943d118b2a80a9056d4c7f8ad",
+    "msg_drop": "2fe68f25b07a14fb868af95a33c4aac0c56dd1edec0b2901dd9e340ea3e72741",
+    "msg_dup": "cd8e7a82686f4dfe2bd466c158d0f67414c84aabb090fb8aa3e979a66ad4a5a1",
+    "msg_reorder": "032776f1552a87d1e6394a1306e38688aa77ef62658b4b7dad2b905aa0fa321c",
+    "msg_corrupt": "9e9bb9a60d1bb3bf62a998c678be38ef93e2f766cb369dd4b05fa8096b2fe8dc",
+    "rank_crash": "943c68330ff6fa522fd630985d48b802ad456dc8a17fbcb7cb178dc42eb24ef9",
+    "rank_stall": "abb041dc96733fff0156860b0890c0e03ca2cdfcb561d1ffe14d40e607c2cf9b",
+    "scenario": "529c4d214a1df75adebde43ccc75d286dc9eecc1b3fb38dddac3fa974543d24e",
+}
+
+PIN_SCENARIO = parse_scenario({
+    "version": 1, "name": "pin-mix",
+    "tasks": [
+        {"t": 0, "model": "rank_stall", "rank": 3, "weight": 50},
+        {"t": 3, "model": "msg_corrupt", "rank": 1, "count": 2},
+        {"t": 2, "model": "multibit", "rank": 2},
+        {"t": 4, "model": "bitflip", "rank": 0},
+    ],
+})
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +133,76 @@ class TestCatalog:
 
     def test_only_the_paper_model_is_preclassifiable(self):
         assert [n for n, m in MODELS.items() if m.preclassifiable] == ["bitflip"]
+
+
+def _spec_key(spec):
+    p = spec.point
+    return (
+        (p.rank, p.collective, p.site, p.invocation), spec.param, spec.bit,
+        spec.model, spec.width, spec.count, spec.weight,
+        None if spec.scenario is None else spec.scenario.fingerprint(),
+    )
+
+
+def _record_key(record):
+    return None if record is None else dataclasses.astuple(record)
+
+
+def record_stream(runner, tasks, monkeypatch, traced):
+    """Run each ``(spec, rng)`` and key it by everything the injection
+    left behind: spec, records, outcome, detail, fault events."""
+    built = []
+    build = runner_module.build_injector
+
+    def capture(spec, rng, tracer=None):
+        built.append(build(spec, rng, tracer=tracer))
+        return built[-1]
+
+    monkeypatch.setattr(runner_module, "build_injector", capture)
+    stream = []
+    for spec, rng in tasks:
+        tracer = Tracer() if traced else None
+        result = runner.run_one(spec, rng, tracer=tracer)
+        injector = built[-1]
+        records = getattr(injector, "records", [injector.record])
+        events = [] if tracer is None else [
+            (e.seq, e.kind, e.rank, tuple(e.data.items()))
+            for e in tracer.events("fault_armed", "fault_fired")
+        ]
+        stream.append((
+            _spec_key(spec), [_record_key(r) for r in records],
+            result.outcome.name, result.detail, events,
+        ))
+    return stream
+
+
+class TestRecordPins:
+    """Every strike leaves the same spec, records, verdict and fault
+    events for every model, whichever injector code fires it."""
+
+    @pytest.fixture(scope="class")
+    def runner(self, is_app, is_profile):
+        return InjectionRunner(is_app, is_profile)
+
+    @pytest.mark.parametrize("model", SELECTABLE_MODELS)
+    def test_model_record_stream(self, runner, is_profile, model, monkeypatch):
+        points = enumerate_points(is_profile)[::5]
+        tasks = [
+            draw_task(point, SEED, pi, ti, policy="all", model=model)
+            for pi, point in enumerate(points)
+            for ti in range(3)
+        ]
+        stream = record_stream(runner, tasks, monkeypatch, traced=True)
+        assert fingerprint(stream) == MODEL_RECORD_PINS[model]
+
+    def test_scenario_record_stream(self, runner, monkeypatch):
+        anchor = PIN_SCENARIO.anchor_point()
+        tasks = [
+            draw_task(anchor, SEED, 0, ti, policy="all", scenario=PIN_SCENARIO)
+            for ti in range(8)
+        ]
+        stream = record_stream(runner, tasks, monkeypatch, traced=False)
+        assert fingerprint(stream) == MODEL_RECORD_PINS["scenario"]
 
 
 class TestDrawSpec:
