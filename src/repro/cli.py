@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import Field, fields
 from typing import Sequence
@@ -1224,7 +1225,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"--batch-size must be >= 1, got {batch_size}", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``fastfit trace ... | head``): send the
+        # rest of stdout to devnull so the exit flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(exc.render(_FLAGS), file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ from .models import (
     model_for_spec,
     task_rng,
 )
-from .multibit import BurstInjector
 from .outcome import OUTCOME_ORDER, Outcome, classify_exception
 from .runner import InjectionRunner, TestResult
 from .scenario import (
@@ -41,10 +40,8 @@ from .targets import (
     pick_target,
     targets_for_policy,
 )
-from .wire import WireFaultInjector
 
 __all__ = [
-    "BurstInjector",
     "Campaign",
     "CampaignConfig",
     "CampaignResult",
@@ -66,7 +63,6 @@ __all__ = [
     "ScenarioInjector",
     "ScenarioTask",
     "TestResult",
-    "WireFaultInjector",
     "all_targets",
     "buffer_extent_bytes",
     "buffer_targets",

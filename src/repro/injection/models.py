@@ -5,12 +5,15 @@ bit flip in one collective parameter — and that model stays the default
 everywhere.  Every model is described by the one
 :class:`~repro.injection.space.FaultSpec` type, whose ``model`` field
 names its catalog entry here.  This module generalizes the *choice* of
-model: each :class:`FaultModel` names an injector builder plus the
-integration properties the rest of the stack keys on — whether the
-snapshot-and-fork engine may serve it from a parked prefix
-(``snapshot_safe``: only single-site parameter faults qualify) and
-whether the static preclassifier understands it (``preclassifiable``:
-only the paper's single-bit model).
+model: each :class:`FaultModel` carries the integration properties the
+rest of the stack keys on — whether the snapshot-and-fork engine may
+serve it from a parked prefix (``snapshot_safe``: only single-site
+parameter faults qualify) and whether the static preclassifier
+understands it (``preclassifiable``: only the paper's single-bit
+model).  Every point model fires through the one
+:class:`~repro.injection.injector.FaultInjector`; a scenario runs its
+timeline through :class:`~repro.injection.scenario.ScenarioInjector`
+(:func:`build_injector`).
 
 ``draw_task`` is the per-test recipe — the one place that spells the
 ``SeedSequence(seed, spawn_key=(point_index, test_index))`` derivation
@@ -24,16 +27,14 @@ model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .injector import FaultInjector
-from .multibit import BurstInjector
 from .scenario import Scenario, ScenarioInjector
 from .space import FaultSpec, InjectionPoint
 from .targets import pick_target
-from .wire import RANK_MODELS, WIRE_MODELS, WireFaultInjector
+from .wire import RANK_MODELS, WIRE_MODELS
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class FaultModel:
     kind: str
     description: str
     snapshot_safe: bool
-    builder: Callable
     preclassifiable: bool = False
 
 
@@ -58,47 +58,47 @@ MODELS: dict[str, FaultModel] = {
     "bitflip": FaultModel(
         "bitflip", "param",
         "single bit flip in one collective parameter (the paper's model)",
-        snapshot_safe=True, builder=FaultInjector, preclassifiable=True,
+        snapshot_safe=True, preclassifiable=True,
     ),
     "multibit": FaultModel(
         "multibit", "param",
         "burst of adjacent bit flips in one collective parameter",
-        snapshot_safe=True, builder=BurstInjector,
+        snapshot_safe=True,
     ),
     "msg_drop": FaultModel(
         "msg_drop", "wire",
         "one message silently dropped at the delivery layer",
-        snapshot_safe=False, builder=WireFaultInjector,
+        snapshot_safe=False,
     ),
     "msg_dup": FaultModel(
         "msg_dup", "wire",
         "one message delivered twice",
-        snapshot_safe=False, builder=WireFaultInjector,
+        snapshot_safe=False,
     ),
     "msg_reorder": FaultModel(
         "msg_reorder", "wire",
         "two same-key messages delivered out of order",
-        snapshot_safe=False, builder=WireFaultInjector,
+        snapshot_safe=False,
     ),
     "msg_corrupt": FaultModel(
         "msg_corrupt", "wire",
         "payload bits flipped on the wire",
-        snapshot_safe=False, builder=WireFaultInjector,
+        snapshot_safe=False,
     ),
     "rank_crash": FaultModel(
         "rank_crash", "rank",
         "rank fails entering the collective (MPI process failure)",
-        snapshot_safe=False, builder=WireFaultInjector,
+        snapshot_safe=False,
     ),
     "rank_stall": FaultModel(
         "rank_stall", "rank",
         "rank stalls, charging the deadline budget (unbounded by default)",
-        snapshot_safe=False, builder=WireFaultInjector,
+        snapshot_safe=False,
     ),
     "scenario": FaultModel(
         "scenario", "scenario",
         "timeline of timed, possibly overlapping fault tasks",
-        snapshot_safe=False, builder=ScenarioInjector,
+        snapshot_safe=False,
     ),
 }
 
@@ -114,7 +114,8 @@ def model_for_spec(spec: FaultSpec) -> FaultModel:
 
 def build_injector(spec, rng: np.random.Generator, tracer=None):
     """Construct the armed injector instrument for one test."""
-    return model_for_spec(spec).builder(spec, rng, tracer=tracer)
+    injector = ScenarioInjector if spec.model == "scenario" else FaultInjector
+    return injector(spec, rng, tracer=tracer)
 
 
 def task_rng(seed: int, point_index: int, test_index: int) -> np.random.Generator:

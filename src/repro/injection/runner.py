@@ -109,7 +109,7 @@ class InjectionRunner:
                     algorithms=self.algorithms,
                     alloc_cap=self.alloc_cap,
                     tracer=tracer,
-                    tap=getattr(injector, "tap", None),
+                    tap=injector.tap,
                 )
         except SimMPIError as exc:
             self.last_exception = exc

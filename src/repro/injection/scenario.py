@@ -28,16 +28,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from ..simmpi import COLLECTIVE_PARAMS, CollectiveCall, Instrument, MPIError
-from ..simmpi.scheduler import DeliveryTap
-from .injector import FaultInjector, InjectionRecord
-from .multibit import BurstInjector
+from ..simmpi import COLLECTIVE_PARAMS, CollectiveCall, Instrument
+from .injector import FaultInjector, InjectionRecord, strike_record
 from .space import FaultSpec, InjectionPoint
 from .targets import pick_target
-from .wire import Arm, RANK_MODELS, WIRE_MODELS, resolve_stall_weight
+from .wire import RANK_MODELS, WIRE_MODELS, Arm, Tap, strike_rank
 
 #: Current (and only) scenario file format version.
 SCENARIO_VERSION = 1
@@ -199,33 +198,18 @@ def load_scenario(path: str) -> Scenario:
 
 # -- execution ----------------------------------------------------------
 
-class _ScenarioTap(DeliveryTap):
-    """Aggregates the wire arms of every active scenario task.
-
-    The first arm acting on a message wins — overlapping wire tasks on
-    the same rank compose in timeline order.
-    """
-
-    def __init__(self) -> None:
-        self.arms: list[Arm] = []
-        self.pending_steps = 0
-
-    def on_send(self, sender: int, call) -> list[bytes] | None:
-        for arm in self.arms:
-            payloads = arm.on_send(sender, call)
-            if payloads is not None:
-                return payloads
-        return None
-
-
 class ScenarioInjector(Instrument):
     """Drives one scenario timeline inside one simulated job.
 
     Each task fires once, at the first collective its rank enters with
     ``seq >= t``; tasks are checked in timeline order so overlapping
-    tasks draw from the shared RNG deterministically.  ``record`` is
-    the first fault that actually struck (``records`` has all of them),
-    matching the single-fault result plumbing.
+    tasks draw from the shared RNG deterministically.  A parameter task
+    fires through a :class:`~repro.injection.injector.FaultInjector`
+    for that call; wire tasks arm on the one shared ``tap`` and rank
+    tasks strike through :func:`~repro.injection.wire.strike_rank`,
+    exactly as point faults do.  ``record`` is the first fault that
+    actually struck (``records`` has all of them), matching the
+    single-fault result plumbing.
     """
 
     def __init__(self, spec: FaultSpec, rng: np.random.Generator, tracer=None):
@@ -235,7 +219,7 @@ class ScenarioInjector(Instrument):
         self.scenario: Scenario = spec.scenario
         self.rng = rng
         self.tracer = tracer
-        self.tap = _ScenarioTap()
+        self.tap = Tap()
         self.records: list[InjectionRecord] = []
         self._pending = list(self.scenario.tasks)
 
@@ -247,9 +231,9 @@ class ScenarioInjector(Instrument):
     def fired(self) -> bool:
         return bool(self.records)
 
-    def _collect(self, rec: InjectionRecord | None) -> None:
-        if rec is not None:
-            self.records.append(rec)
+    def _struck(self, at: InjectionPoint, param: str, model: str, detail: str) -> None:
+        """Record one wire or rank strike at ``at``."""
+        self.records.append(strike_record(self.tracer, at, param, model, after=detail))
 
     def _fire_param(self, ctx, call: CollectiveCall, task: ScenarioTask) -> None:
         param = task.param or pick_target(self.rng, call.name, "all")
@@ -265,40 +249,13 @@ class ScenarioInjector(Instrument):
             )
             return
         point = InjectionPoint(call.rank, call.name, call.site, call.invocation)
-        if task.model == "multibit":
-            sub: FaultInjector = BurstInjector(
-                FaultSpec(point, param=param, bit=task.bit, model="multibit", width=task.width),
-                self.rng,
-                tracer=self.tracer,
-            )
-        else:
-            sub = FaultInjector(
-                FaultSpec(point, param=param, bit=task.bit),
-                self.rng,
-                tracer=self.tracer,
-            )
-        sub._inject(ctx, call)
-        self._collect(sub.record)
-
-    def _arm_wire(self, task: ScenarioTask) -> None:
-        arm = Arm(
-            task.model,
-            task.rank,
+        sub = FaultInjector(
+            FaultSpec(point, param, task.bit, model=task.model, width=task.width),
             self.rng,
-            width=task.width,
-            count=task.count,
-            on_fire=lambda a, detail, _task=task: self.records.append(
-                InjectionRecord(
-                    "payload", _task.model, -1,
-                    collective=SCENARIO_COLLECTIVE,
-                    site=f"scenario:{self.scenario.name}",
-                    invocation=_task.t,
-                    after=detail,
-                )
-            ),
+            tracer=self.tracer,
         )
-        arm.active = True
-        self.tap.arms.append(arm)
+        sub._inject(ctx, call)
+        self.records.append(sub.record)
 
     def on_collective(self, ctx, call: CollectiveCall) -> None:
         if not self._pending:
@@ -307,36 +264,25 @@ class ScenarioInjector(Instrument):
         for task in self._pending:
             if call.rank != task.rank or call.seq < task.t:
                 still_pending.append(task)
-                continue
-            if task.model in PARAM_TASK_MODELS:
+            elif task.model in PARAM_TASK_MODELS:
                 self._fire_param(ctx, call, task)
-            elif task.model == "rank_stall":
-                weight = resolve_stall_weight(task.weight, ctx.runtime.step_budget)
-                self.tap.pending_steps += weight
-                self.records.append(
-                    InjectionRecord(
-                        "rank", task.model, -1,
-                        collective=call.name, site=call.site,
-                        invocation=call.invocation,
-                        after=f"rank {call.rank} stalled for {weight} steps",
-                    )
-                )
-            elif task.model == "rank_crash":
-                self.records.append(
-                    InjectionRecord(
-                        "rank", task.model, -1,
-                        collective=call.name, site=call.site,
-                        invocation=call.invocation,
-                        after=f"rank {call.rank} failed entering {call.name}",
-                    )
-                )
-                # The job aborts here; any remaining task is moot.
-                self._pending = []
-                raise MPIError(
-                    "MPI_ERR_PROC_FAILED",
-                    f"rank {call.rank} failed entering {call.name}",
-                    rank=call.rank,
+            elif task.model in RANK_MODELS:
+                # A crash raises out of here and aborts the job, which
+                # leaves any remaining task moot.
+                here = InjectionPoint(call.rank, call.name, call.site, call.invocation)
+                strike_rank(
+                    task.model, task.weight, ctx, call, self.tap,
+                    partial(self._struck, here, "rank", task.model),
                 )
             else:
-                self._arm_wire(task)
+                # Wire records stay anchored at the scenario and task time.
+                anchor = InjectionPoint(
+                    task.rank, SCENARIO_COLLECTIVE, f"scenario:{self.scenario.name}", task.t
+                )
+                arm = Arm(
+                    task.model, task.rank, self.rng, task.width, task.count,
+                    partial(self._struck, anchor, "payload", task.model),
+                )
+                arm.active = True
+                self.tap.arms.append(arm)
         self._pending = still_pending

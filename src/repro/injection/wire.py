@@ -1,33 +1,39 @@
 """Wire faults: message-level and rank-level failures.
 
 These faults live below the collective interface.  A
-:class:`WireFaultInjector` *arms* at the spec's injection point exactly
-like the parameter injector (same rank/site/invocation match), but the
-fault itself strikes the simulated network — the
-:class:`~repro.simmpi.scheduler.DeliveryTap` sees every message between
-the send syscall and its delivery and can drop, duplicate, reorder, or
-corrupt it — or the rank itself (crash raises the simulated MPI process
-failure; stall charges the scheduler's deadline budget so detection
-rides the existing ``INF_LOOP`` machinery).
+:class:`~repro.injection.injector.FaultInjector` arms a wire fault at
+the spec's injection point exactly like a parameter fault (same
+rank/site/invocation match), but the fault itself strikes the simulated
+network: the :class:`Tap` sees every message between the send syscall
+and its delivery and its :class:`Arm` can drop, duplicate, reorder, or
+corrupt it.  A rank fault strikes the rank itself through
+:func:`strike_rank`: a crash raises the simulated MPI process failure,
+a stall charges the scheduler's deadline budget so detection rides the
+existing ``INF_LOOP`` machinery.  Scenario tasks
+(:mod:`repro.injection.scenario`) strike through the same arm, tap and
+helper.
 
 The tiny delivery helpers (:func:`drop_payloads` & co.) are module-level
-on purpose: the seeded ``models`` mutants (:mod:`repro.verify.mutants`)
-patch them to plant plausible defects — a drop that silently retries, a
-reorder that preserves FIFO, a stall shorter than the deadline — and the
-model witnesses (:mod:`repro.verify.models`) must catch each one.
+on purpose, and every strike looks them up when it fires: the seeded
+``models`` mutants (:mod:`repro.verify.mutants`) patch them to plant
+plausible defects — a drop that silently retries, a reorder that
+preserves FIFO, a stall shorter than the deadline — and the model
+witnesses (:mod:`repro.verify.models`) must catch each one, on the
+point path and the scenario path alike.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from ..simmpi import CollectiveCall, Instrument, MPIError
+from ..simmpi import CollectiveCall, MPIError
 from ..simmpi.scheduler import DeliveryTap
-from .injector import InjectionRecord
 
-#: Wire fault-model names served by :class:`WireFaultInjector`.
+#: Wire fault-model names: struck by an :class:`Arm` on the delivery tap.
 WIRE_MODELS = ("msg_drop", "msg_dup", "msg_reorder", "msg_corrupt")
-#: Rank fault-model names served by :class:`WireFaultInjector`.
+#: Rank fault-model names: struck by :func:`strike_rank`.
 RANK_MODELS = ("rank_crash", "rank_stall")
 
 
@@ -78,12 +84,13 @@ def resolve_stall_weight(explicit: int, step_budget: int) -> int:
 class Arm:
     """One armed wire fault acting on sends from one world rank.
 
-    Inactive until the owning injector sees the spec's collective entry;
-    then the next ``count`` sends from the armed rank are hit.  The
-    reorder model holds the first matching payload back and releases it
-    swapped behind the next send on the *same* match key (messages on
-    other keys pass through undisturbed); a payload still held at job
-    end was effectively dropped.
+    Inactive until its injector sees the fault's collective entry; then
+    the next ``count`` sends from the armed rank are hit, each reported
+    to ``on_fire`` with its detail string.  The reorder model holds the
+    first matching payload back and releases it swapped behind the next
+    send on the *same* match key (messages on other keys pass through
+    undisturbed); a payload still held at job end was effectively
+    dropped.
     """
 
     def __init__(
@@ -91,9 +98,9 @@ class Arm:
         model: str,
         rank: int,
         rng: np.random.Generator,
-        width: int = 0,
-        count: int = 1,
-        on_fire=None,
+        width: int,
+        count: int,
+        on_fire: Callable[[str], None],
     ):
         self.model = model
         self.rank = rank
@@ -104,23 +111,22 @@ class Arm:
         self.active = False
         self.held: tuple[tuple[int, int, int, int], bytes] | None = None
 
-    def _fired(self, call: CollectiveCall | None, detail: str) -> None:
+    def _fired(self, detail: str) -> None:
         self.remaining -= 1
-        if self.on_fire is not None:
-            self.on_fire(self, detail)
+        self.on_fire(detail)
 
     def on_send(self, sender: int, call) -> list[bytes] | None:
         if not self.active or self.remaining <= 0 or sender != self.rank:
             return None
         if self.model == "msg_drop":
-            self._fired(None, f"dropped {len(call.payload)}B message")
+            self._fired(f"dropped {len(call.payload)}B message")
             return drop_payloads(call.payload)
         if self.model == "msg_dup":
-            self._fired(None, f"duplicated {len(call.payload)}B message")
+            self._fired(f"duplicated {len(call.payload)}B message")
             return dup_payloads(call.payload, 1)
         if self.model == "msg_corrupt":
             corrupted = corrupt_payload(call.payload, self.rng, self.width)
-            self._fired(None, f"corrupted {len(call.payload)}B message")
+            self._fired(f"corrupted {len(call.payload)}B message")
             return [corrupted]
         if self.model == "msg_reorder":
             key = (call.context_id, call.src, call.dst, call.tag)
@@ -131,110 +137,51 @@ class Arm:
             if key != held_key:
                 return None  # different stream: deliver normally
             self.held = None
-            self._fired(None, "reordered two same-key messages")
+            self._fired("reordered two same-key messages")
             return reorder_release(held_payload, call.payload)
         return None  # pragma: no cover - defensive
 
 
-class _WireTap(DeliveryTap):
-    """Delivery tap delegating to one armed wire fault."""
+class Tap(DeliveryTap):
+    """The delivery tap of one injector: its armed wire faults plus the
+    stall steps its rank faults deposit.
 
-    def __init__(self, arm: Arm):
-        self.arm = arm
+    The first arm acting on a message wins, so overlapping scenario
+    wire tasks on the same rank compose in timeline order.
+    """
+
+    def __init__(self) -> None:
+        self.arms: list[Arm] = []
         self.pending_steps = 0
 
     def on_send(self, sender: int, call) -> list[bytes] | None:
-        return self.arm.on_send(sender, call)
+        for arm in self.arms:
+            payloads = arm.on_send(sender, call)
+            if payloads is not None:
+                return payloads
+        return None
 
 
-class WireFaultInjector(Instrument):
-    """Arms one wire or rank fault at one injection point.
+def strike_rank(
+    model: str,
+    weight: int,
+    ctx,
+    call: CollectiveCall,
+    tap: Tap,
+    on_fire: Callable[[str], None],
+) -> None:
+    """Strike the rank entering ``call`` with a rank fault.
 
-    The instrument watches collective entries exactly like
-    :class:`~repro.injection.injector.FaultInjector`; at the match it
-    either activates the delivery-layer arm (wire models), raises the
-    simulated process failure (``rank_crash``), or deposits stall steps
-    on the tap (``rank_stall``).  ``record`` is populated when the fault
-    actually strikes, so an armed wire fault whose rank never sends
-    counts as uninjected — the same semantics as a zero-length buffer
-    flip.
+    ``rank_stall`` deposits its steps on ``tap``; ``rank_crash`` raises
+    the simulated process failure.  Either way ``on_fire`` gets the
+    strike's detail first, so the fault is recorded before the job
+    aborts.
     """
-
-    def __init__(self, spec, rng: np.random.Generator, tracer=None):
-        self.spec = spec
-        self.rng = rng
-        self.tracer = tracer
-        self.record: InjectionRecord | None = None
-        self._armed = False
-        model = spec.model
-        if model in WIRE_MODELS:
-            self.arm: Arm | None = Arm(
-                model,
-                spec.point.rank,
-                rng,
-                width=spec.width,
-                count=spec.count,
-                on_fire=self._on_fire,
-            )
-            self.tap: DeliveryTap = _WireTap(self.arm)
-        elif model in RANK_MODELS:
-            self.arm = None
-            self.tap = DeliveryTap()
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"not a wire/rank fault model: {model!r}")
-
-    @property
-    def fired(self) -> bool:
-        return self.record is not None
-
-    def _on_fire(self, arm: Arm, detail: str) -> None:
-        if self.record is None:
-            self.record = InjectionRecord(
-                self.spec.param,
-                self.spec.model,
-                -1,
-                collective=self._call_name,
-                site=self._call_site,
-                invocation=self._call_invocation,
-                after=detail,
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "fault_fired", self.spec.point.rank,
-                    param=self.spec.param, param_kind=self.spec.model, bit=-1,
-                    collective=self._call_name, site=self._call_site,
-                    invocation=self._call_invocation, skipped=False,
-                    before="", after=detail,
-                )
-
-    def on_collective(self, ctx, call: CollectiveCall) -> None:
-        if self._armed:
-            return
-        p = self.spec.point
-        if (
-            call.rank != p.rank
-            or call.name != p.collective
-            or call.site != p.site
-            or call.invocation != p.invocation
-        ):
-            return
-        self._armed = True
-        self._call_name = call.name
-        self._call_site = call.site
-        self._call_invocation = call.invocation
-        model = self.spec.model
-        if model == "rank_crash":
-            self._on_fire(None, f"rank {call.rank} failed entering {call.name}")
-            raise MPIError(
-                "MPI_ERR_PROC_FAILED",
-                f"rank {call.rank} failed entering {call.name}",
-                rank=call.rank,
-            )
-        if model == "rank_stall":
-            weight = resolve_stall_weight(self.spec.weight, ctx.runtime.step_budget)
-            self.tap.pending_steps += weight
-            self._on_fire(None, f"rank {call.rank} stalled for {weight} steps")
-            return
-        # Wire models: the fault strikes at the delivery layer from the
-        # next send onward.
-        self.arm.active = True
+    if model == "rank_stall":
+        steps = resolve_stall_weight(weight, ctx.runtime.step_budget)
+        tap.pending_steps += steps
+        on_fire(f"rank {call.rank} stalled for {steps} steps")
+        return
+    detail = f"rank {call.rank} failed entering {call.name}"
+    on_fire(detail)
+    raise MPIError("MPI_ERR_PROC_FAILED", detail, rank=call.rank)

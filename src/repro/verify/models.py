@@ -13,7 +13,9 @@ The witnesses only prove something because they can fail: the
 into the delivery helpers of :mod:`repro.injection.wire` (a drop that
 silently retries, a reorder that preserves FIFO, a stall shorter than
 the deadline) and the self-test requires the witness sweep to fail under
-each.
+each.  Point faults and scenario tasks strike through the same helpers,
+so a mutant's reach covers both: the drop and stall mutants each flip a
+point witness and a one-task scenario witness.
 """
 
 from __future__ import annotations
@@ -114,6 +116,10 @@ _SCENARIO_DROP = parse_scenario({
     "version": 1, "name": "witness-drop",
     "tasks": [{"t": 0, "model": "msg_drop", "rank": 0}],
 })
+_SCENARIO_STALL = parse_scenario({
+    "version": 1, "name": "witness-stall",
+    "tasks": [{"t": 0, "model": "rank_stall", "rank": 0}],
+})
 _SCENARIO_MIX = parse_scenario({
     "version": 1, "name": "witness-mix",
     "tasks": [
@@ -190,6 +196,13 @@ WITNESSES: dict[str, ModelWitness] = {
             (Outcome.INF_LOOP,),
         ),
         ModelWitness(
+            "scenario_stall", "scenario",
+            "one-task stall scenario charges past the deadline budget",
+            _bcast_app, (0, "Bcast"),
+            lambda p: FaultSpec(p, param="", model="scenario", scenario=_SCENARIO_STALL),
+            (Outcome.INF_LOOP,),
+        ),
+        ModelWitness(
             "scenario_mix", "scenario",
             "overlapping dup+bitflip timeline: dup absorbed, flip visible",
             _bcast_app, (0, "Bcast"),
@@ -259,7 +272,7 @@ def run_witness(witness: ModelWitness, seed: int = 0) -> WitnessResult:
             result = run_app(
                 witness.app, witness.nranks,
                 instruments=[injector], step_budget=WITNESS_STEP_BUDGET,
-                tap=getattr(injector, "tap", None),
+                tap=injector.tap,
             )
     except SimMPIError as exc:
         got = classify_exception(exc)

@@ -278,7 +278,7 @@ MUTANTS: dict[str, Mutant] = {
             "rank_stall charges one step instead of blowing the deadline",
             (("repro.injection.wire", "resolve_stall_weight",
               lambda orig: (lambda explicit, step_budget: 1)),),
-            detected_by=("rank_stall",),
+            detected_by=("rank_stall", "scenario_stall"),
         ),
         Mutant(
             "snapshot_rng_desync", "snapshot",

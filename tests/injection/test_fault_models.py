@@ -18,8 +18,10 @@ from repro.apps import make_app
 from repro.exec.checkpoint import campaign_digest
 from repro.injection import (
     Campaign,
+    FaultInjector,
     FaultSpec,
     SELECTABLE_MODELS,
+    build_injector,
     draw_spec,
     enumerate_points,
     parse_scenario,
@@ -120,7 +122,15 @@ class TestCatalog:
         for name, model in MODELS.items():
             assert model.name == name
             assert model.kind in ("param", "wire", "rank", "scenario")
-            assert callable(model.builder)
+
+    def test_every_point_model_builds_the_one_injector(self, is_points):
+        """Every model but ``scenario`` fires through ``FaultInjector``;
+        a parameter fault leaves the send path untapped."""
+        for name in SELECTABLE_MODELS:
+            spec = FaultSpec(is_points[0], param="count", model=name)
+            assert type(build_injector(spec, np.random.default_rng(0))) is FaultInjector
+        bitflip = build_injector(FaultSpec(is_points[0], "count"), np.random.default_rng(0))
+        assert bitflip.tap is None
 
     def test_scenario_is_not_directly_selectable(self):
         assert "scenario" in MODELS
@@ -203,6 +213,26 @@ class TestRecordPins:
         ]
         stream = record_stream(runner, tasks, monkeypatch, traced=False)
         assert fingerprint(stream) == MODEL_RECORD_PINS["scenario"]
+
+
+    def test_scenario_wire_and_rank_strikes_emit_fault_fired(self, runner):
+        """A scenario's wire and rank strikes announce themselves like
+        every other strike: one ``fault_fired`` per record, carrying the
+        record's fields."""
+        anchor = PIN_SCENARIO.anchor_point()
+        spec, rng = draw_task(anchor, SEED, 0, 1, policy="all", scenario=PIN_SCENARIO)
+        tracer = Tracer()
+        runner.run_one(spec, rng, tracer=tracer)
+        fired = [
+            (e.rank, e.data["param_kind"], e.data["collective"], e.data["invocation"],
+             e.data["after"])
+            for e in tracer.events("fault_fired")
+        ]
+        assert (3, "rank_stall", "Bcast", 0, "rank 3 stalled for 50 steps") in fired
+        assert fired.count(
+            (1, "msg_corrupt", "Scenario", 3, "corrupted 4B message")
+        ) == 2
+        assert {kind for _, kind, *_ in fired} >= {"rank_stall", "msg_corrupt", "buffer"}
 
 
 class TestDrawSpec:

@@ -1,7 +1,11 @@
 """CLI tests (the ``fastfit`` entry point)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -378,3 +382,20 @@ def test_supervision_flags_reach_the_tool():
     assert ff.max_retries == 5
     assert ff.quarantine is False
     assert ff.jobs == 2
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """``fastfit trace ... | head`` with the reader gone before the
+    first line: no ``BrokenPipeError`` traceback on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "trace", "--app", "lu",
+         "--problem-class", "T", "--point", "0"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        stdout=write_end, stderr=subprocess.PIPE, text=True,
+    )
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert proc.returncode == 1

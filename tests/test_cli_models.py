@@ -115,12 +115,3 @@ class TestVerifyRouting:
         out = capsys.readouterr().out
         for name in ("ring_wrong_block", "snapshot_stale_prefix", "wrong_root"):
             assert name in out
-
-    def test_models_phase_runs_in_full_verify(self, capsys):
-        assert main([
-            "verify", "--json", "--skip-sanitize", "--skip-replay",
-            "--skip-campaign", "--skip-snapshot", "--draws", "1",
-        ]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["phases"]["models"]["ok"] is True
-        assert len(summary["phases"]["models"]["witnesses"]) == 10

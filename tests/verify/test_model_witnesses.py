@@ -7,6 +7,8 @@ stalled past the deadline is ``INF_LOOP`` (not a crash), a crash
 mid-collective is ``MPI_ERR``, an absorbed duplicate is ``SUCCESS``.
 """
 
+import json
+
 import pytest
 
 from repro.verify import WITNESSES, model_conformance, run_witness
@@ -33,6 +35,25 @@ def test_clean_sweep_is_ok():
     assert report.ok
     assert {r.witness for r in report.results} == set(WITNESSES)
     assert "all expected responses observed" in report.describe()
+
+
+def test_verify_cli_reports_every_witness_clean(capsys):
+    """``fastfit verify --json`` with every other phase skipped: the
+    run is ok, and the models phase reports every registered witness
+    as observed, with no failures."""
+    from repro.cli import main
+
+    code = main([
+        "verify", "--json", "--draws", "1", "--skip-sanitize",
+        "--skip-replay", "--skip-campaign", "--skip-snapshot",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"], report
+    models = report["phases"]["models"]
+    assert models["ok"] is True
+    assert set(models["witnesses"]) == set(WITNESSES)
+    assert all(models["witnesses"].values()), models["witnesses"]
+    assert models["failures"] == [], models
 
 
 @pytest.mark.parametrize("name", layer("models"))
