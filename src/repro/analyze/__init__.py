@@ -1,11 +1,12 @@
 """Static analysis for the fault-injection pipeline.
 
-Three cooperating passes that resolve questions about an application's
-fault space *before* any simulator execution:
+Cooperating passes that resolve questions about an application's fault
+space from its golden profile (the one fault-free run) instead of from
+injection runs:
 
-* :mod:`repro.analyze.skeleton` — dry-runs an app under a record-only
-  runtime stub and extracts its per-rank collective **skeleton**
-  (symbolic call sequences with concrete clean arguments).
+* :mod:`repro.analyze.skeleton` — reads an app's per-rank collective
+  **skeleton** (symbolic call sequences with concrete clean arguments)
+  off its golden profile.
 * :mod:`repro.analyze.matching` — MPI-Checker-style cross-rank
   collective-matching verification over a skeleton: order, roots,
   counts/dtypes, reduction ops, structural deadlocks.
@@ -39,7 +40,7 @@ from .skeleton import (
     extract_skeleton,
     mutate_op,
     replace_skeleton,
-    snapshot_tables,
+    skeleton_from_profile,
 )
 
 __all__ = [
@@ -65,5 +66,5 @@ __all__ = [
     "mutate_op",
     "predict_tests",
     "replace_skeleton",
-    "snapshot_tables",
+    "skeleton_from_profile",
 ]

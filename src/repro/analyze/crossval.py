@@ -20,10 +20,10 @@ from ..injection.models import draw_task
 from ..injection.outcome import Outcome
 from ..injection.runner import InjectionRunner
 from ..injection.space import InjectionPoint, enumerate_points
-from ..profiling.profiler import profile_application
+from ..profiling.profiler import ApplicationProfile, profile_application
 from .matching import MatchReport, check_skeleton
 from .preclassify import PreClassifier, predict_tests
-from .skeleton import Skeleton, extract_skeleton
+from .skeleton import skeleton_from_profile
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,18 +100,21 @@ def cross_validate(
     param_policy: str = "all",
     sample: float = 1.0,
     algorithms: dict[str, str] | None = None,
-    skeleton: Skeleton | None = None,
+    profile: ApplicationProfile | None = None,
 ) -> CrossValidation:
     """Classify the app's whole fault space and verify a sampled subset.
 
     ``sample`` is the fraction of *predicted* tests to re-run
     dynamically (1.0 = every one); sampling is a deterministic stride,
     so two runs with the same arguments check the same tests.
+    ``profile`` (default: profile ``app`` now) is both the skeleton the
+    predictions come from and the golden run the live runs compare to.
     """
     if not 0.0 < sample <= 1.0:
         raise ValueError(f"sample must be in (0, 1], got {sample}")
-    if skeleton is None:
-        skeleton = extract_skeleton(app, algorithms=algorithms)
+    if profile is None:
+        profile = profile_application(app, algorithms=algorithms)
+    skeleton = skeleton_from_profile(profile)
     report = check_skeleton(skeleton)
     cv = CrossValidation(
         app.name, tests_per_point, param_policy, seed, sample,
@@ -124,7 +127,6 @@ def cross_validate(
             f"skeleton of {app.name!r} fails the matching checker; "
             f"refusing to pre-classify:\n{report.describe()}"
         )
-    profile = profile_application(app, algorithms=algorithms)
     points = enumerate_points(profile)
     cv.n_points = len(points)
     runner = InjectionRunner(app, profile, algorithms=algorithms)

@@ -819,9 +819,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         PreClassifier,
         check_skeleton,
         cross_validate,
-        extract_skeleton,
         lint_tree,
         predict_tests,
+        skeleton_from_profile,
     )
     from .injection import enumerate_points
     from .profiling import profile_application
@@ -853,7 +853,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 2
 
     app = make_app(args.app, args.problem_class)
-    skeleton = extract_skeleton(app)
+    profile = profile_application(app)
+    skeleton = skeleton_from_profile(profile)
     match = check_skeleton(skeleton)
 
     summary: dict = {
@@ -880,7 +881,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # tests in the live simulator; one mismatch fails the analysis.
         cv = cross_validate(
             app, seed=args.seed, tests_per_point=args.tests,
-            param_policy=args.policy, sample=args.sample, skeleton=skeleton,
+            param_policy=args.policy, sample=args.sample, profile=profile,
         )
         ok = ok and cv.ok
         summary["crossval"] = {
@@ -897,7 +898,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     elif match.ok:
         # Static-only pass: classify the whole campaign, run nothing.
         pre = PreClassifier(skeleton, seed=args.seed, param_policy=args.policy)
-        points = enumerate_points(profile_application(app))
+        points = enumerate_points(profile)
         rules: Counter = Counter()
         n_tests = n_predicted = 0
         for _i, _t, _point, prediction in predict_tests(pre, points, args.tests):

@@ -192,16 +192,18 @@ class FastFIT:
     def preclassifier(self):
         """The static fault-outcome pre-classifier (cached).
 
-        Extracts the collective skeleton and verifies it with the
-        matching checker first: the pre-classifier's truncate/volume
-        proofs are only sound over a checker-clean skeleton, so a dirty
-        one raises :class:`repro.analyze.StaticPruneError` instead of
-        silently mispredicting."""
+        Builds the collective skeleton from the profile and verifies it
+        with the matching checker first: the pre-classifier's
+        truncate/volume proofs are only sound over a checker-clean
+        skeleton, so a dirty one raises
+        :class:`repro.analyze.StaticPruneError` instead of silently
+        mispredicting."""
         if self._preclassifier is None:
-            from .analyze import PreClassifier, StaticPruneError, check_skeleton, extract_skeleton
+            from .analyze import PreClassifier, StaticPruneError, check_skeleton, skeleton_from_profile
 
+            profile = self.profile()
             with self.metrics.time("phase.analyze_s"):
-                skeleton = extract_skeleton(self.app)
+                skeleton = skeleton_from_profile(profile)
                 report = check_skeleton(skeleton)
                 if not report.ok:
                     raise StaticPruneError(

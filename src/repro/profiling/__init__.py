@@ -9,16 +9,11 @@ from .callgraph import (
     build_callgraph,
     callgraph_signature,
     frame_function,
-    graph_similarity,
-    graphs_equivalent,
 )
 from .callstack import (
     average_depth,
     distinct_stacks,
     group_by_stack,
-    stack_depth,
-    stack_digest,
-    stack_histogram,
 )
 from .comm_profile import CallInfo, CommProfile, CommProfiler, P2PEvent
 from .phases import PHASE_IDS, PHASE_ORDER, encode_phase, phase_indicator
@@ -40,12 +35,7 @@ __all__ = [
     "distinct_stacks",
     "encode_phase",
     "frame_function",
-    "graph_similarity",
-    "graphs_equivalent",
     "group_by_stack",
     "phase_indicator",
     "profile_application",
-    "stack_depth",
-    "stack_digest",
-    "stack_histogram",
 ]

@@ -58,21 +58,3 @@ def callgraph_signature(g: CallGraph) -> tuple:
     edges = tuple(sorted((u, v, count) for (u, v), count in g.edges.items()))
     return (nodes, edges)
 
-
-def graphs_equivalent(a: CallGraph, b: CallGraph) -> bool:
-    """True when two ranks' call graphs match exactly (nodes, edges,
-    and counts) — the empirical equivalence test of § III-A."""
-    return callgraph_signature(a) == callgraph_signature(b)
-
-
-def graph_similarity(a: CallGraph, b: CallGraph) -> float:
-    """Jaccard similarity over weighted edges, in [0, 1].
-
-    Used for reporting how close two non-equivalent processes are.
-    """
-    if not a.edges and not b.edges:
-        return 1.0
-    keys = set(a.edges) | set(b.edges)
-    inter = sum(min(a.edges.get(k, 0), b.edges.get(k, 0)) for k in keys)
-    union = sum(max(a.edges.get(k, 0), b.edges.get(k, 0)) for k in keys)
-    return inter / union if union else 1.0

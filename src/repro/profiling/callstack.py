@@ -9,20 +9,7 @@ functions are the same and called in the same order").
 
 from __future__ import annotations
 
-import hashlib
-from collections import Counter
 from typing import Iterable
-
-
-def stack_depth(stack: tuple[str, ...]) -> int:
-    """Nesting depth from the entry point (the ``StackDep`` feature)."""
-    return len(stack)
-
-
-def stack_digest(stack: tuple[str, ...]) -> str:
-    """A stable short digest of a canonical stack."""
-    h = hashlib.sha1("|".join(stack).encode()).hexdigest()
-    return h[:12]
 
 
 def group_by_stack(
@@ -51,7 +38,3 @@ def average_depth(stacks: Iterable[tuple[str, ...]]) -> float:
     depths = [len(s) for s in stacks]
     return sum(depths) / len(depths) if depths else 0.0
 
-
-def stack_histogram(stacks: Iterable[tuple[str, ...]]) -> Counter:
-    """Occurrence counts per distinct stack."""
-    return Counter(stacks)

@@ -1,26 +1,31 @@
 """Communication profiler — the mpiP equivalent.
 
 A :class:`CommProfiler` instrument records every collective call (site,
-invocation, phase, call stack, communicator group, resolved root) and
-the point-to-point trace of every rank.  The result feeds all three of
-FastFIT's pruning techniques.
+invocation, phase, call stack, communicator group, resolved root,
+datatype and reduction op, arguments) and the point-to-point trace of
+every rank.  The result feeds all three of FastFIT's pruning techniques
+and, as the collective skeleton, the static analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
-from ..simmpi import CollectiveCall, Instrument
-from ..simmpi.validation import resolve_comm
+from ..simmpi import COLLECTIVE_PARAMS, HANDLE_VECTOR_PARAMS, VECTOR_PARAMS, CollectiveCall, Instrument
+from ..simmpi.validation import check_root, resolve_comm, resolve_datatype, resolve_op
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallInfo:
-    """One collective invocation, as recorded during profiling.
+    """One rank's record of one collective invocation in the golden run.
 
     ``comm_group`` is the world-rank membership of the communicator and
     ``root_world`` the world rank of the root (``None`` for non-rooted
-    collectives) — the inputs of semantic-driven pruning.
+    collectives) — the inputs of semantic-driven pruning.  The rest —
+    communicator context id and comm-local rank, resolved datatype and
+    reduction op, and the arguments as plain ints — is what the static
+    analysis reads (:mod:`repro.analyze` calls this record ``SkeletonOp``).
     """
 
     rank: int
@@ -31,11 +36,23 @@ class CallInfo:
     phase: str
     stack: tuple[str, ...]
     comm_group: tuple[int, ...]
+    comm_context: int
+    me: int
     root_world: int | None
+    dtype: str | None
+    dtype_size: int
+    op: str | None
+    op_commutative: bool | None
+    args: Mapping[str, Any]
 
     @property
     def site_key(self) -> tuple[str, str]:
         return (self.name, self.site)
+
+    @property
+    def point_key(self) -> tuple[int, str, str, int]:
+        """Join key against :class:`~repro.injection.space.InjectionPoint`."""
+        return (self.rank, self.name, self.site, self.invocation)
 
 
 @dataclass(frozen=True)
@@ -109,31 +126,49 @@ class CommProfiler(Instrument):
 
     def __init__(self):
         self.profile = CommProfile()
+        # One shared object per distinct site, stack and argument set:
+        # the profile travels pickled to every worker, and pickle
+        # writes a shared object once.
+        self._shared: dict = {}
 
     def on_collective(self, ctx, call: CollectiveCall) -> None:
+        # Resolved like validation resolves them a moment later: a bad
+        # handle or root in a golden run raises the same MPIError here.
         self.profile.nranks = ctx.size
-        comm_group: tuple[int, ...] = ()
-        root_world: int | None = None
-        try:
-            comm = resolve_comm(ctx.runtime, call.args["comm"], rank=ctx.rank)
-            comm_group = comm.group
-            if "root" in call.args:
-                root_world = comm.world_rank(int(call.args["root"]))
-        except Exception:  # profiling runs are clean; stay defensive
-            pass
+        a, rank, runtime = call.args, ctx.rank, ctx.runtime
+        comm = resolve_comm(runtime, a["comm"], rank=rank)
+        dtype = resolve_datatype(runtime, a["datatype"], rank=rank) if "datatype" in a else None
+        rop = resolve_op(runtime, a["op"], rank=rank) if "op" in a else None
         self.profile.calls.append(
             CallInfo(
                 rank=call.rank,
                 name=call.name,
-                site=call.site,
+                site=self._shared.setdefault(call.site, call.site),
                 invocation=call.invocation,
                 seq=call.seq,
                 phase=call.phase,
-                stack=call.stack,
-                comm_group=comm_group,
-                root_world=root_world,
+                stack=self._shared.setdefault(call.stack, call.stack),
+                comm_group=comm.group,
+                comm_context=comm.context_id,
+                me=comm.rank_of(rank),
+                root_world=comm.group[check_root(a["root"], comm, rank=rank)] if "root" in a else None,
+                dtype=dtype.name if dtype is not None else None,
+                dtype_size=dtype.size if dtype is not None else 1,
+                op=rop.name if rop is not None else None,
+                op_commutative=rop.commutative if rop is not None else None,
+                args=self._args(call),
             )
         )
+
+    def _args(self, call: CollectiveCall) -> Mapping[str, Any]:
+        """The call's arguments as plain ints (tuples for vectors)."""
+        args = {
+            param: tuple(int(x) for x in call.args[param])
+            if param in VECTOR_PARAMS or param in HANDLE_VECTOR_PARAMS
+            else int(call.args[param])
+            for param in COLLECTIVE_PARAMS[call.name]
+        }
+        return self._shared.setdefault(tuple(args.items()), args)
 
     def on_p2p(self, ctx, kind: str, src: int, dst: int, tag: int, nbytes: int) -> None:
         self.profile.nranks = ctx.size

@@ -24,9 +24,13 @@ flipped ``MPI_Op`` silently become a different valid op.
 
 from __future__ import annotations
 
-from typing import Generic, TypeVar
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Generic, Mapping, TypeVar
 
 from .errors import MPIError, SegmentationFault
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .runtime import SimMPI
 
 T = TypeVar("T")
 
@@ -96,3 +100,65 @@ class HandleSpace(Generic[T]):
 
     def __len__(self) -> int:
         return len(self._objects)
+
+
+@dataclass(frozen=True, slots=True)
+class HandleTable:
+    """Static snapshot of one pointer-like handle space.
+
+    ``resolve_static`` mirrors :meth:`HandleSpace.resolve` without
+    executing anything: the three outcomes (live object /
+    corrupted-but-alive / unmapped) are decidable from the layout alone.
+    """
+
+    kind: str
+    base: int
+    top: int
+    descr: Mapping[int, str]
+    groups: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
+    #: Datatype table only: handle -> element size in bytes.
+    sizes: Mapping[int, int] = field(default_factory=dict)
+
+    @property
+    def live(self) -> tuple[int, ...]:
+        return tuple(sorted(self.descr))
+
+    def resolve_static(self, handle: int) -> tuple[str, int | None]:
+        """Classify ``handle`` as ``("live", h)``, ``("corrupt", base)``,
+        or ``("segfault", None)`` — exactly like the runtime would."""
+        if handle in self.descr:
+            return ("live", handle)
+        offset = handle - self.base
+        if 0 <= offset < self.top - self.base and handle % OBJECT_EXTENT != 0:
+            aligned = handle - (handle % OBJECT_EXTENT)
+            if aligned in self.descr:
+                return ("corrupt", aligned)
+        return ("segfault", None)
+
+
+def _snapshot(space: HandleSpace, descr: dict[int, str],
+              groups: dict[int, tuple[int, ...]] | None = None,
+              sizes: dict[int, int] | None = None) -> HandleTable:
+    live = space.handles()
+    top = (max(live) + OBJECT_EXTENT) if live else space.base
+    return HandleTable(space.name, space.base, top, descr, groups or {}, sizes or {})
+
+
+def snapshot_tables(runtime: "SimMPI") -> tuple[HandleTable, HandleTable, HandleTable]:
+    """Static handle tables (datatype / op / comm) of a runtime."""
+    dt = _snapshot(
+        runtime.type_space,
+        {h: runtime.type_space.resolve(h).name for h in runtime.type_space.handles()},
+        sizes={h: runtime.type_space.resolve(h).size for h in runtime.type_space.handles()},
+    )
+    op = _snapshot(
+        runtime.op_space,
+        {h: runtime.op_space.resolve(h).name for h in runtime.op_space.handles()},
+    )
+    comm_space = runtime.comm_factory.space
+    comm = _snapshot(
+        comm_space,
+        {h: comm_space.resolve(h).name for h in comm_space.handles()},
+        {h: comm_space.resolve(h).group for h in comm_space.handles()},
+    )
+    return dt, op, comm

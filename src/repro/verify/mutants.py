@@ -14,7 +14,7 @@ requires the check of the mutant's layer to flip every name in its
 * ``snapshot`` — the fork-equivalence oracle (:func:`~repro.verify.
   snapshot_check.fork_equivalence`) over the named passes;
 * ``analyze`` — the collective-matching checker, which must report the
-  named rules on the app's extracted skeleton.
+  named rules on the skeleton built from the app's profile.
 
 Every mutant is a set of run-time patches of names the program already
 calls (ProFIPy-style), installed by :func:`installed_mutant` and undone
@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, NamedTuple
 
 from ..apps.registry import make_app
+from ..profiling.profiler import profile_application
 from .conformance import run_conformance
 from .models import model_conformance
 from .snapshot_check import PASSES, fork_equivalence
@@ -192,20 +193,20 @@ def _overreach(orig: Callable) -> Callable:
 # -- skeletons ------------------------------------------------------------
 
 def _skeleton(transform: str) -> Callable[[Callable], Callable]:
-    """Patch factory for ``extract_skeleton``: the extracted skeleton,
+    """Patch factory for ``skeleton_from_profile``: the built skeleton,
     handed through :mod:`repro.analyze.skeleton`'s ``transform`` (named,
     and looked up at install time: :mod:`repro.analyze` imports this
     package)."""
 
-    def factory(extract: Callable) -> Callable:
+    def factory(build: Callable) -> Callable:
         from ..analyze import skeleton
 
         mutate = getattr(skeleton, transform)
 
-        def extract_skeleton(app, *args, **kwargs):
-            return mutate(extract(app, *args, **kwargs))
+        def skeleton_from_profile(profile):
+            return mutate(build(profile))
 
-        return extract_skeleton
+        return skeleton_from_profile
 
     return factory
 
@@ -334,32 +335,32 @@ MUTANTS: dict[str, Mutant] = {
         Mutant(
             "order_swap", "analyze",
             "rank 1 issues two adjacent collectives in the opposite order",
-            (("repro.analyze.skeleton", "extract_skeleton",
+            (("repro.analyze.skeleton", "skeleton_from_profile",
               _skeleton("swap_adjacent_collectives")),),
             detected_by=("order_mismatch",),
         ),
         Mutant(
             "wrong_root", "analyze",
             "rank 1 disagrees with its peers about a collective's root",
-            (("repro.analyze.skeleton", "extract_skeleton", _skeleton("shift_root")),),
+            (("repro.analyze.skeleton", "skeleton_from_profile", _skeleton("shift_root")),),
             detected_by=("root_mismatch",),
         ),
         Mutant(
             "dtype_counts", "analyze",
             "rank 0 posts the same count of a wider datatype (byte volumes differ)",
-            (("repro.analyze.skeleton", "extract_skeleton", _skeleton("widen_dtype")),),
+            (("repro.analyze.skeleton", "skeleton_from_profile", _skeleton("widen_dtype")),),
             detected_by=("dtype_mismatch", "count_mismatch"),
         ),
         Mutant(
             "dropped_call", "analyze",
             "rank 0 skips its final collective (structural deadlock)",
-            (("repro.analyze.skeleton", "extract_skeleton", _skeleton("drop_last_call")),),
+            (("repro.analyze.skeleton", "skeleton_from_profile", _skeleton("drop_last_call")),),
             detected_by=("length_mismatch",),
         ),
         Mutant(
             "op_swap", "analyze",
             "rank 1 reduces with a different operation than its peers",
-            (("repro.analyze.skeleton", "extract_skeleton", _skeleton("swap_reduce_op")),),
+            (("repro.analyze.skeleton", "skeleton_from_profile", _skeleton("swap_reduce_op")),),
             detected_by=("op_mismatch",),
         ),
     )
@@ -459,12 +460,14 @@ def _snapshot(mutant, names, *, seed, app, profile, tests, max_points, **_):
     return report.diverged, report.describe()
 
 
-def _analyze(mutant, names, *, app, **_) -> tuple[list[str], str]:
+def _analyze(mutant, names, *, app, profile, **_) -> tuple[list[str], str]:
     from ..analyze import skeleton  # not at the top: repro.analyze imports this package
     from ..analyze.matching import check_skeleton
 
+    if profile is None:
+        profile = profile_application(app)
     with _armed(mutant):
-        report = check_skeleton(skeleton.extract_skeleton(app))
+        report = check_skeleton(skeleton.skeleton_from_profile(profile))
     return sorted({f.rule for f in report.errors}), report.describe()
 
 
@@ -485,8 +488,9 @@ def run_mutant(
     """Run mutant ``name``'s layer check with the mutant installed and
     without it.  ``draws`` is the conformance sweep's draws per
     collective; ``app`` (default LU class T) is what the snapshot oracle
-    serves ``tests`` tests at ``max_points`` points of (``profile``: its
-    profile, if already taken) and the skeleton checker extracts."""
+    serves ``tests`` tests at ``max_points`` points of and the skeleton
+    checker checks the skeleton of (``profile``: its profile, if already
+    taken)."""
     mutant = _lookup(name)
     if app is None:
         app = make_app("lu", "T")

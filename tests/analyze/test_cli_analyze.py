@@ -35,6 +35,19 @@ def test_analyze_json_summary(capsys):
     assert data["preclassify"]["n_predicted"] > 0
 
 
+def test_analyze_crossval_json_has_zero_mismatches(capsys):
+    """Every predicted test of IS at 6 tests per point, re-run live."""
+    assert main(
+        ["analyze", "--app", "is", "--tests", "6", "--sample", "1.0", "--json"]
+    ) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"], data
+    cv = data["crossval"]
+    assert cv["n_predicted"] > 0, cv
+    assert cv["n_checked"] > 0, cv
+    assert cv["mismatches"] == [], cv["mismatches"]
+
+
 def test_analyze_lint_only(capsys):
     assert main(["analyze", "--lint-only"]) == 0
     assert "lint: clean" in capsys.readouterr().out

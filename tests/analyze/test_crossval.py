@@ -3,10 +3,13 @@ pre-classification rule set.  Zero mismatches is the contract."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.apps import make_app
-from repro.analyze import cross_validate, extract_skeleton, mutate_op
+from repro.analyze import cross_validate
+from repro.profiling import profile_application
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +52,18 @@ def test_bad_sample_rejected(is_app):
 def test_dirty_skeleton_refused(is_app):
     """The truncate rules assume a checker-clean skeleton; a dirty one
     must be refused, not silently mispredicted."""
-    sk = extract_skeleton(is_app)
-    for i, op in enumerate(sk.ranks[1]):
-        if op.root_world is not None:
-            dirty = mutate_op(sk, 1, i, root_world=(op.root_world + 1) % sk.nranks)
+    profile = profile_application(is_app)
+    calls = profile.comm.calls
+    for i, call in enumerate(calls):
+        if call.rank == 1 and call.root_world is not None:
+            calls[i] = dataclasses.replace(
+                call, root_world=(call.root_world + 1) % profile.nranks
+            )
             break
     else:
         pytest.skip("no rooted collectives")
     with pytest.raises(ValueError, match="matching checker"):
-        cross_validate(is_app, skeleton=dirty)
+        cross_validate(is_app, profile=profile)
 
 
 def test_describe_is_informative(is_cv):

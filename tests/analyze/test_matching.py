@@ -9,13 +9,14 @@ import dataclasses
 import pytest
 
 from repro.apps import make_app
+from repro.apps.registry import APPLICATIONS
 from repro.analyze import check_skeleton, extract_skeleton, mutate_op, replace_skeleton
 from repro.analyze.skeleton import shift_root, swap_reduce_op
 
 from tests.verify.test_mutant_selftest import caught_then_cured, layer
 
 
-@pytest.mark.parametrize("name", ["is", "ft", "lu"])
+@pytest.mark.parametrize("name", sorted(APPLICATIONS))
 def test_registered_apps_are_clean(name):
     report = check_skeleton(extract_skeleton(make_app(name, "T")))
     assert report.ok, report.describe()

@@ -10,8 +10,8 @@ from repro.apps import make_app
 from repro.analyze import (
     PRECLASSIFY_RULES,
     PreClassifier,
-    extract_skeleton,
     predict_tests,
+    skeleton_from_profile,
 )
 from repro.injection import FaultSpec, InjectionRunner, enumerate_points
 from repro.injection.outcome import Outcome
@@ -24,13 +24,13 @@ def is_app():
 
 
 @pytest.fixture(scope="module")
-def is_skeleton(is_app):
-    return extract_skeleton(is_app)
+def is_profile(is_app):
+    return profile_application(is_app)
 
 
 @pytest.fixture(scope="module")
-def is_profile(is_app):
-    return profile_application(is_app)
+def is_skeleton(is_profile):
+    return skeleton_from_profile(is_profile)
 
 
 def _classifier(skeleton, seed=0, policy="all"):

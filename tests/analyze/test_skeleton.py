@@ -1,14 +1,37 @@
-"""Skeleton extraction: the record-only dry run must agree with the
-dynamic profiler about what the application does."""
+"""The skeleton read off the golden profile: one op per profiled call,
+and a dirty app's failed golden run names the cross-rank disagreement."""
 
 from __future__ import annotations
+
+from typing import Any, Generator
 
 import pytest
 
 from repro.apps import make_app
-from repro.analyze import extract_skeleton, mutate_op, replace_skeleton
+from repro.apps.base import Application
+from repro.analyze import SkeletonExtractionError, extract_skeleton, mutate_op, replace_skeleton
 from repro.injection import enumerate_points
 from repro.profiling import profile_application
+from repro.simmpi import MPIError
+
+
+class DisagreeApp(Application):
+    """Rank 1 calls ``Barrier`` where its three peers call ``Allreduce``."""
+
+    name = "disagree"
+
+    @classmethod
+    def class_params(cls, problem_class: str) -> dict[str, Any]:
+        return dict(nranks=4)
+
+    def main(self, ctx) -> Generator:
+        a = ctx.alloc(4, ctx.DOUBLE, "a")
+        b = ctx.alloc(4, ctx.DOUBLE, "b")
+        if ctx.rank == 1:
+            yield from ctx.Barrier(ctx.WORLD)
+        else:
+            yield from ctx.Allreduce(a.addr, b.addr, 4, ctx.DOUBLE, ctx.SUM, ctx.WORLD)
+        return 0
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +52,7 @@ def test_skeleton_covers_every_rank(is_app, is_skeleton):
 
 def test_skeleton_sites_match_profile(is_app, is_skeleton):
     """Every (collective, site, invocation) the profiler observes must
-    appear in the skeleton, and vice versa — the record-only stub and
-    the real simulator see the same program."""
+    appear in the skeleton, and vice versa."""
     profile = profile_application(is_app)
     profiled = {
         (p.rank, p.collective, p.site, p.invocation)
@@ -95,3 +117,16 @@ def test_extraction_is_deterministic(is_app):
     assert a.op_index().keys() == b.op_index().keys()
     for ops_a, ops_b in zip(a.ranks, b.ranks):
         assert [o.args for o in ops_a] == [o.args for o in ops_b]
+
+
+def test_dirty_app_names_the_disagreement():
+    """The golden run dies on one rank; extraction still reports which
+    ranks disagree about the collective, and how."""
+    with pytest.raises(SkeletonExtractionError) as exc:
+        extract_skeleton(DisagreeApp.from_problem_class("T"))
+    message = str(exc.value)
+    assert "order_mismatch" in message
+    for rank in range(4):
+        assert f"rank {rank}: " in message
+    assert "Barrier@" in message and "Allreduce@" in message
+    assert isinstance(exc.value.__cause__, MPIError)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.apps import make_app
-from repro.analyze import PreClassifier, extract_skeleton
+from repro.analyze import PreClassifier, skeleton_from_profile
 from repro.fastfit import FastFIT
 from repro.injection import Campaign, enumerate_points
 from repro.profiling import profile_application
@@ -29,14 +29,22 @@ def is_points(is_profile):
     return enumerate_points(is_profile)
 
 
+#: Campaign seeds compared; every test below checks each of them.
+SEEDS = (1, 11)
+
+
 @pytest.fixture(scope="module")
 def campaigns(is_app, is_profile, is_points):
-    """The same campaign run twice: dynamically, and statically pruned."""
-    kwargs = dict(tests_per_point=5, param_policy="all", seed=11)
-    base = Campaign(is_app, is_profile, **kwargs).run(is_points)
-    pre = PreClassifier(extract_skeleton(is_app), seed=11, param_policy="all")
-    pruned = Campaign(is_app, is_profile, preclassifier=pre, **kwargs).run(is_points)
-    return base, pruned
+    """Per seed, the same campaign run twice: dynamically, and
+    statically pruned."""
+    out = {}
+    for seed in SEEDS:
+        kwargs = dict(tests_per_point=5, param_policy="all", seed=seed)
+        base = Campaign(is_app, is_profile, **kwargs).run(is_points)
+        pre = PreClassifier(skeleton_from_profile(is_profile), seed=seed, param_policy="all")
+        pruned = Campaign(is_app, is_profile, preclassifier=pre, **kwargs).run(is_points)
+        out[seed] = (base, pruned)
+    return out
 
 
 def _histogram(result):
@@ -46,44 +54,44 @@ def _histogram(result):
 
 
 def test_histograms_identical(campaigns):
-    base, pruned = campaigns
-    assert _histogram(base) == _histogram(pruned)
+    for seed, (base, pruned) in campaigns.items():
+        assert _histogram(base) == _histogram(pruned), seed
 
 
 def test_per_point_outcomes_identical(campaigns):
     """Not just the aggregate: every single test's outcome agrees."""
-    base, pruned = campaigns
-    for point, pr in base.points.items():
-        outcomes = [t.outcome for t in pruned.points[point].tests]
-        assert [t.outcome for t in pr.tests] == outcomes
+    for seed, (base, pruned) in campaigns.items():
+        for point, pr in base.points.items():
+            outcomes = [t.outcome for t in pruned.points[point].tests]
+            assert [t.outcome for t in pr.tests] == outcomes, seed
 
 
 def test_paper_metrics_identical(campaigns):
-    base, pruned = campaigns
-    assert base.outcome_fractions() == pruned.outcome_fractions()
-    assert base.error_rates() == pruned.error_rates()
+    for seed, (base, pruned) in campaigns.items():
+        assert base.outcome_fractions() == pruned.outcome_fractions(), seed
+        assert base.error_rates() == pruned.error_rates(), seed
 
 
 def test_nonzero_skip_fraction(campaigns):
-    base, pruned = campaigns
-    assert base.predicted_count() == 0
-    skipped = pruned.predicted_count()
-    total = sum(len(pr.tests) for pr in pruned.points.values())
-    assert 0 < skipped < total
+    for seed, (base, pruned) in campaigns.items():
+        assert base.predicted_count() == 0
+        skipped = pruned.predicted_count()
+        total = sum(len(pr.tests) for pr in pruned.points.values())
+        assert 0 < skipped < total, seed
 
 
 def test_predicted_results_are_marked(campaigns):
-    _base, pruned = campaigns
-    predicted = [
-        t for pr in pruned.points.values() for t in pr.tests if t.predicted
-    ]
-    assert predicted
-    assert all(t.record is None for t in predicted)
-    assert all(t.detail.startswith("static:") for t in predicted)
+    for _base, pruned in campaigns.values():
+        predicted = [
+            t for pr in pruned.points.values() for t in pr.tests if t.predicted
+        ]
+        assert predicted
+        assert all(t.record is None for t in predicted)
+        assert all(t.detail.startswith("static:") for t in predicted)
 
 
 def test_preclassifier_refused_with_parallel_or_store(is_app, is_profile, tmp_path):
-    pre = PreClassifier(extract_skeleton(is_app), seed=0)
+    pre = PreClassifier(skeleton_from_profile(is_profile), seed=0)
     with pytest.raises(ValueError, match="static_prune requires a serial in-memory campaign"):
         Campaign(is_app, is_profile, preclassifier=pre, jobs=2)
     with pytest.raises(ValueError, match="static_prune requires a serial in-memory campaign"):
