@@ -315,6 +315,8 @@ class TestErrorHygiene:
             (["--mutant", "ring_wrong_block", "--collective", "Bcast"],
              "--collective does not apply with --mutant"),
             (["--mutant", "nosuch"], "unknown mutant 'nosuch'"),
+            (["--tests", "-1"], "--tests must be >= 1, got -1"),
+            (["--max-points", "-1"], "--max-points must be >= 1, got -1"),
         ],
     )
     def test_bad_verify_input_is_one_line(self, flags, message, capsys):
@@ -334,15 +336,29 @@ class TestErrorHygiene:
             (["study", "--threshold", "0"], "--threshold must be in (0, 1], got 0.0"),
             (["campaign", "--adaptive", "--accuracy-target", "1.5"],
              "--accuracy-target must be in (0, 1], got 1.5"),
+            (["run", "--ci-width", "0.3"], "--ci-width requires --adaptive"),
+            (["run", "--budget", "100"], "--budget requires --adaptive"),
+            (["run", "--accuracy-target", "0.7"], "--accuracy-target requires --adaptive"),
+            (["learn", "--adaptive"], "--adaptive only applies to 'campaign' and 'run'"),
+            (["campaign", "--adaptive", "--scenario", "s.json"],
+             "--adaptive and --scenario are mutually exclusive"),
+            (["campaign", "--adaptive", "--static-prune"],
+             "--adaptive is incompatible with --static-prune "
+             "(sequential stopping needs every test slot executed)"),
+            (["campaign", "--adaptive", "--budget", "0"], "--budget must be >= 1 test, got 0"),
+            (["campaign", "--adaptive", "--ci-width", "1.5"],
+             "--ci-width must be in (0, 1], got 1.5"),
+            (["campaign", "--batch-size", "0"], "--batch-size must be >= 1, got 0"),
         ],
     )
     def test_bad_accuracy_target_is_one_line(self, argv, message, capsys):
         """A learning loop's accuracy target is a fraction: out of
-        (0, 1] it would test everything or stop after one batch."""
+        (0, 1] it would test everything or stop after one batch.  The
+        loop's other options and their combination rules fail the
+        same way."""
         assert main([argv[0], "--app", "lu", *argv[1:]]) == 2
         err = capsys.readouterr().err
-        assert message in err
-        assert len(err.strip().splitlines()) == 1
+        assert err.strip() == message
         assert "Traceback" not in err
 
     def test_checkpoint_mismatch_is_one_line(self, tmp_path, capsys):

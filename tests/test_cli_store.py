@@ -185,6 +185,27 @@ def test_learn_db_gets_the_steering_view(tmp_path, capsys):
     assert "stop reason" in html and "not a learning-loop campaign" not in html
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["run", "--adaptive"], "1f3f2494d9f833b332cae385b135cca3f73d0b3b62d2b9917e333f509e8efc96"),
+        (["learn"], "5ecd65fb1550602755d397f1dff53b5415fcfb712cb32793c7aad641d482cb74"),
+    ],
+    ids=["steer", "learn"],
+)
+def test_loop_store_digest_is_pinned(argv, digest, tmp_path, capsys):
+    """The store row of a learning-loop run, keyed by the loop options
+    at their CLI defaults (target, stopper, budget, batch size): a
+    database written before those options moved keeps resuming."""
+    db = tmp_path / "loop.db"
+    assert main([
+        *argv, "--app", "lu", "--tests", "2", "--max-points", "8",
+        "--policy", "all", "--db", str(db),
+    ]) == 0
+    with sqlite3.connect(db) as conn:
+        assert conn.execute("SELECT digest FROM campaigns").fetchall() == [(digest,)]
+
+
 class TestErrorHygiene:
     """Operator errors exit 2 with one line on stderr, no tracebacks."""
 
