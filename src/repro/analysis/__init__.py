@@ -2,17 +2,11 @@
 significance, reporting, and result export."""
 
 from .export import (
-    campaign_summary_from_json,
     campaign_to_csv,
     campaign_to_dict,
     campaign_to_json,
     metrics_to_json,
-    outcome_counts_from_summary,
-    point_from_dict,
     point_to_dict,
-    tests_to_csv,
-    trace_from_jsonl,
-    trace_to_jsonl,
 )
 from .propagation import PropagationResult, propagation_study, tainted_ranks
 from .reports import render_bars, render_grouped_bars, render_histogram, render_table
@@ -31,35 +25,28 @@ from .significance import (
     required_tests,
     wilson_interval,
 )
-from .stats import GaussianFit, dispersion_summary, fit_error_rates, histogram
+from .stats import GaussianFit, fit_error_rates, histogram
 
 __all__ = [
     "EVEN_2_LEVELS",
     "PropagationResult",
     "RateInterval",
-    "campaign_summary_from_json",
     "campaign_to_csv",
     "campaign_to_dict",
     "campaign_to_json",
     "convergence_trace",
     "level_stability",
     "metrics_to_json",
-    "outcome_counts_from_summary",
-    "point_from_dict",
     "point_to_dict",
     "propagation_study",
     "required_tests",
     "tainted_ranks",
-    "tests_to_csv",
-    "trace_from_jsonl",
-    "trace_to_jsonl",
     "wilson_interval",
     "EVEN_3_LEVELS",
     "GaussianFit",
     "LevelScheme",
     "PAPER_3_LEVELS",
     "QUARTILE_LEVELS",
-    "dispersion_summary",
     "fit_error_rates",
     "histogram",
     "level_distribution",

@@ -13,9 +13,8 @@ import json
 from typing import Any
 
 from ..injection.campaign import CampaignResult
-from ..injection.outcome import OUTCOME_ORDER, Outcome
+from ..injection.outcome import OUTCOME_ORDER
 from ..injection.space import InjectionPoint
-from ..obs.events import TraceEvent
 from ..obs.metrics import MetricsRegistry
 
 
@@ -26,12 +25,6 @@ def point_to_dict(point: InjectionPoint) -> dict[str, Any]:
         "site": point.site,
         "invocation": point.invocation,
     }
-
-
-def point_from_dict(data: dict[str, Any]) -> InjectionPoint:
-    return InjectionPoint(
-        int(data["rank"]), data["collective"], data["site"], int(data["invocation"])
-    )
 
 
 def campaign_to_dict(campaign: CampaignResult) -> dict[str, Any]:
@@ -61,15 +54,6 @@ def campaign_to_json(campaign: CampaignResult, indent: int = 2) -> str:
     return json.dumps(campaign_to_dict(campaign), indent=indent, sort_keys=True)
 
 
-def campaign_summary_from_json(text: str) -> dict[str, Any]:
-    """Load a serialised campaign summary (round-trip of the JSON)."""
-    data = json.loads(text)
-    for key in ("app", "tests_per_point", "param_policy", "points"):
-        if key not in data:
-            raise ValueError(f"not a campaign summary: missing {key!r}")
-    return data
-
-
 def campaign_to_csv(campaign: CampaignResult) -> str:
     """One CSV row per injection point."""
     buf = io.StringIO()
@@ -94,75 +78,6 @@ def campaign_to_csv(campaign: CampaignResult) -> str:
             row[o.value] = pr.outcomes.get(o, 0)
         writer.writerow(row)
     return buf.getvalue()
-
-
-def tests_to_csv(campaign: CampaignResult) -> str:
-    """One CSV row per individual test (the full record)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["rank", "collective", "site", "invocation", "param", "bit", "outcome"]
-    )
-    for point, pr in sorted(campaign.points.items()):
-        for t in pr.tests:
-            writer.writerow(
-                [
-                    point.rank,
-                    point.collective,
-                    point.site,
-                    point.invocation,
-                    t.spec.param,
-                    t.record.bit if t.record else "",
-                    t.outcome.value,
-                ]
-            )
-    return buf.getvalue()
-
-
-def outcome_counts_from_summary(data: dict[str, Any]) -> dict[Outcome, int]:
-    """Aggregate outcome histogram from a loaded summary."""
-    totals = {o: 0 for o in OUTCOME_ORDER}
-    for rec in data["points"]:
-        for o in OUTCOME_ORDER:
-            totals[o] += int(rec["outcomes"].get(o.value, 0))
-    return totals
-
-
-# -- observability artefacts -------------------------------------------
-
-
-def trace_to_jsonl(events) -> str:
-    """Serialise trace events, one JSON object per line.
-
-    Accepts any iterable of :class:`~repro.obs.events.TraceEvent` (a
-    :class:`~repro.obs.events.Tracer` is itself iterable).
-    """
-    return "\n".join(
-        json.dumps(e.to_dict(), sort_keys=True, default=str) for e in events
-    )
-
-
-def trace_from_jsonl(text: str) -> list[TraceEvent]:
-    """Parse events serialised by :func:`trace_to_jsonl`.
-
-    Lines carrying a ``type`` field other than ``"event"`` (the meta and
-    result envelopes of ``fastfit trace --json``) are skipped, so the
-    CLI's full output stream round-trips too.
-    """
-    events: list[TraceEvent] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
-        if data.get("type") not in (None, "event"):
-            continue
-        data.pop("type", None)
-        seq = int(data.pop("seq"))
-        kind = data.pop("kind")
-        rank = int(data.pop("rank"))
-        events.append(TraceEvent(seq, kind, rank, data))
-    return events
 
 
 def metrics_to_json(registry: MetricsRegistry, indent: int = 2) -> str:

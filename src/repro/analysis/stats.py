@@ -46,20 +46,3 @@ def histogram(
     edges = np.arange(0.0, max_rate + bin_width, bin_width)
     counts, _ = np.histogram(np.asarray(rates_percent), bins=edges)
     return edges, counts
-
-
-def dispersion_summary(rates_percent: list[float]) -> dict[str, float]:
-    """Mean/std/min/max plus the fraction within one standard deviation —
-    how "focused in a limited range" the distribution is (§ III-B)."""
-    arr = np.asarray(rates_percent, dtype=np.float64)
-    if arr.size == 0:
-        return {"mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0, "within_1sd": 0.0}
-    fit = fit_error_rates(list(arr))
-    within = np.abs(arr - fit.mean) <= max(fit.std, 1e-12)
-    return {
-        "mean": fit.mean,
-        "std": fit.std,
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "within_1sd": float(within.mean()),
-    }

@@ -9,7 +9,7 @@ rank crash/stall, and timeline-driven multi-fault scenarios.
 
 from .bitflip import flip_array_element, flip_int32, flip_int64, random_buffer_bit
 from .campaign import Campaign, CampaignConfig, CampaignResult, PointResult
-from .config import ConfigError, InjectionConfig
+from .config import ConfigError
 from .injector import FaultInjector, InjectionRecord, buffer_extent_bytes
 from .models import (
     MODELS,
@@ -18,7 +18,6 @@ from .models import (
     build_injector,
     draw_spec,
     draw_task,
-    model_for_spec,
     task_rng,
 )
 from .outcome import OUTCOME_ORDER, Outcome, classify_exception
@@ -49,7 +48,6 @@ __all__ = [
     "FaultInjector",
     "FaultModel",
     "FaultSpec",
-    "InjectionConfig",
     "InjectionPoint",
     "InjectionRecord",
     "InjectionRunner",
@@ -75,7 +73,6 @@ __all__ = [
     "flip_int32",
     "flip_int64",
     "load_scenario",
-    "model_for_spec",
     "param_kind",
     "parse_scenario",
     "pick_target",

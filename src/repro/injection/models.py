@@ -107,11 +107,6 @@ MODELS: dict[str, FaultModel] = {
 SELECTABLE_MODELS = tuple(n for n in MODELS if n != "scenario")
 
 
-def model_for_spec(spec: FaultSpec) -> FaultModel:
-    """The catalog entry a spec runs under."""
-    return MODELS[spec.model]
-
-
 def build_injector(spec, rng: np.random.Generator, tracer=None):
     """Construct the armed injector instrument for one test."""
     injector = ScenarioInjector if spec.model == "scenario" else FaultInjector

@@ -10,7 +10,6 @@ from repro.analysis import (
     QUARTILE_LEVELS,
     GaussianFit,
     LevelScheme,
-    dispersion_summary,
     fit_error_rates,
     histogram,
     level_distribution,
@@ -89,15 +88,6 @@ class TestStats:
         edges, counts = histogram([2.0, 7.0, 7.5, 96.0], bin_width=5.0)
         assert counts[0] == 1 and counts[1] == 2
         assert counts.sum() == 4
-
-    def test_dispersion_summary(self):
-        s = dispersion_summary([25.0, 30.0, 35.0])
-        assert s["mean"] == pytest.approx(30.0)
-        assert s["min"] == 25.0 and s["max"] == 35.0
-        assert 0 <= s["within_1sd"] <= 1
-
-    def test_dispersion_empty(self):
-        assert dispersion_summary([])["mean"] == 0.0
 
 
 class TestReports:

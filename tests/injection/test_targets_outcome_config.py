@@ -1,11 +1,9 @@
-"""Targets, outcome taxonomy, and Table II configuration tests."""
+"""Targets and outcome taxonomy tests."""
 
 import numpy as np
 import pytest
 
 from repro.injection import (
-    ConfigError,
-    InjectionConfig,
     Outcome,
     OUTCOME_ORDER,
     all_targets,
@@ -92,47 +90,3 @@ class TestOutcome:
     def test_unclassifiable_raises(self):
         with pytest.raises(TypeError):
             classify_exception(KeyError("nope"))
-
-
-class TestInjectionConfig:
-    def test_defaults(self):
-        cfg = InjectionConfig()
-        assert cfg.num_inj == 1 and cfg.param_id == 0
-
-    def test_from_env(self):
-        env = {
-            "FASTFIT_NUM_INJ": "100",
-            "FASTFIT_INV_ID": "012",
-            "FASTFIT_CALL_ID": "3",
-            "FASTFIT_RANK_ID": "31",
-            "FASTFIT_PARAM_ID": "2",
-        }
-        cfg = InjectionConfig.from_env(env)
-        assert (cfg.num_inj, cfg.inv_id, cfg.call_id, cfg.rank_id, cfg.param_id) == (
-            100,
-            12,
-            3,
-            31,
-            2,
-        )
-
-    def test_width_limits(self):
-        with pytest.raises(ConfigError):
-            InjectionConfig.from_env({"FASTFIT_INV_ID": "1234"})  # width 3
-        with pytest.raises(ConfigError):
-            InjectionConfig.from_env({"FASTFIT_PARAM_ID": "12"})  # width 1
-        # RANK_ID and NUM_INJ are unlimited.
-        cfg = InjectionConfig.from_env({"FASTFIT_RANK_ID": "123456789"})
-        assert cfg.rank_id == 123456789
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ConfigError):
-            InjectionConfig.from_env({"FASTFIT_NUM_INJ": "lots"})
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            InjectionConfig(inv_id=-1)
-
-    def test_roundtrip_env(self):
-        cfg = InjectionConfig(num_inj=7, inv_id=2, call_id=1, rank_id=30, param_id=4)
-        assert InjectionConfig.from_env(cfg.to_env()) == cfg
