@@ -8,12 +8,12 @@ Usage (``python -m repro`` or the ``fastfit`` entry point)::
     fastfit campaign --app mg     --tests 20 --policy buffer
     fastfit campaign --app is     --tests 20 --static-prune
     fastfit run      --db campaigns.sqlite --tests 20
-    fastfit run      --adaptive --ci-width 0.25 --budget 2000 --jobs 4
+    fastfit run      --adaptive --ci-width 0.3 --budget 2000 --jobs 4
     fastfit analyze  --app lu     --tests 10 --sample 0.2
     fastfit analyze  --lint-only
     fastfit verify   --mutant wrong_root
-    fastfit learn    --app lammps --threshold 0.65
-    fastfit study    --app lammps --threshold 0.65
+    fastfit learn    --app lammps --threshold 0.7
+    fastfit study    --app lammps --threshold 0.7
     fastfit trace    --app lu     --find-outcome INF_LOOP
     fastfit stats    --app is     --tests 5 --max-points 8
     fastfit stats    --db campaigns.sqlite
@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import Field, fields
 from typing import Sequence
 
 from .analysis import (
@@ -64,24 +63,35 @@ from .obs import (
 )
 
 
-#: Each campaign option's ``fastfit`` flag, for config error messages.
-_FLAGS = {f.name: f.metadata["flag"] for f in fields(CampaignConfig)}
+#: Every campaign option, by field name.
+_FIELDS = CampaignConfig.__dataclass_fields__
+#: The learning-loop options only ``--adaptive`` reads on campaign/run.
+_ADAPTIVE = ("accuracy_target", "ci_width", "budget")
 
 
-def _add_option(p: argparse.ArgumentParser, f: Field) -> None:
-    """Declare one :class:`CampaignConfig` field's flag from its metadata,
-    with the field's default and name (as ``dest``)."""
-    kwargs = dict(f.metadata["argparse"])
+def _add_option(
+    p: argparse.ArgumentParser, name: str, flag: str | None = None, **overrides
+) -> None:
+    """Declare :class:`CampaignConfig` field ``name``'s flag from its
+    metadata, with the field name as ``dest`` and the field's default.
+    A subcommand may spell the flag its own way (``flag``) and override
+    the default; a ``None`` left in the namespace keeps the field's
+    default (see :func:`_config`)."""
+    f = _FIELDS[name]
+    flag = flag or f.metadata["flag"]
+    kwargs = {
+        "default": f.default, "help": f.metadata["help"], **f.metadata["argparse"], **overrides
+    }
     if isinstance(f.default, bool):
         if not f.default:
             kwargs["action"] = "store_true"
-        elif f.metadata["flag"].startswith("--no-"):
+        elif flag.startswith("--no-"):
             kwargs["action"] = "store_false"
         else:
             kwargs["action"] = argparse.BooleanOptionalAction
-    p.add_argument(
-        f.metadata["flag"], dest=f.name, default=f.default, help=f.metadata["help"], **kwargs
-    )
+    p.add_argument(flag, dest=name, **kwargs)
+    # ConfigError names each option the way this subcommand spells it.
+    p.set_defaults(flags={**(p.get_default("flags") or {}), name: flag})
 
 
 def _add_app_args(
@@ -91,61 +101,59 @@ def _add_app_args(
         "--app", required=required, default=default, choices=sorted(APPLICATIONS)
     )
     p.add_argument("--problem-class", default="T", choices=("T", "S", "A"))
-    _add_option(p, CampaignConfig.__dataclass_fields__["seed"])
+    _add_option(p, "seed")
 
 
 def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     # Every CampaignConfig field is a flag; --seed is an app argument
-    # (every subcommand replays from a seed), declared with --app.
-    for f in fields(CampaignConfig):
-        if f.name != "seed":
-            _add_option(p, f)
-    p.add_argument("--max-points", type=int, default=None, help="cap representative points")
+    # (every subcommand replays from a seed), declared with --app, and
+    # the loop's stop rules are declared by the subcommands that run it.
+    for name in _FIELDS:
+        if name != "seed" and name not in _ADAPTIVE:
+            _add_option(p, name)
     p.add_argument(
         "--progress-jsonl", default=None, metavar="PATH",
         help="append live progress snapshots (tests/sec, outcome histogram, "
         "worker health, ETA) as JSON lines to this file",
     )
-    p.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="points per batch for the ML-driven and adaptive loops "
-        "(default: len(points) // 8, at least 4)",
-    )
+
+
+def _add_adaptive_args(p: argparse.ArgumentParser) -> None:
+    """campaign/run: the campaign flags plus ``--adaptive`` and the stop
+    rules only it reads, which default to ``None`` here so that giving
+    one without ``--adaptive`` is caught."""
+    _add_campaign_args(p)
     p.add_argument(
         "--adaptive", action="store_true",
         help="adaptive steering: inject in uncertainty-sampled batches "
-        "with per-point sequential stopping (campaign/run only; "
-        "incompatible with --scenario and --static-prune)",
+        "with per-point sequential stopping (incompatible with "
+        "--scenario and --static-prune)",
     )
-    p.add_argument(
-        "--ci-width", type=float, default=None, metavar="W",
-        help="with --adaptive: stop a point's tests once the Wilson "
-        "interval over its error rate is narrower than W "
-        "(default 0.25; must be in (0, 1])",
-    )
-    p.add_argument(
-        "--budget", type=int, default=None, metavar="TESTS",
-        help="with --adaptive: hard cap on total injected tests "
-        "(never exceeded; default unlimited)",
-    )
-    p.add_argument(
-        "--accuracy-target", type=float, default=None, metavar="ACC",
-        help="with --adaptive: stop steering once the model predicts a "
-        "fresh uncertainty-sampled batch this accurately "
-        "(default 0.65; must be in (0, 1])",
-    )
+    for name in _ADAPTIVE:
+        _add_option(p, name, default=None)
 
 
 def _config(args: argparse.Namespace) -> CampaignConfig:
     """The campaign config from every option flag the subcommand
-    declares (``dest`` = field name); raises :class:`ConfigError`."""
-    given = vars(args)
-    values = {f.name: given[f.name] for f in fields(CampaignConfig) if f.name in given}
-    if values.get("scenario") is not None:
+    declares (``dest`` = field name; ``None`` = not given, so the field
+    keeps its default); raises :class:`ConfigError`."""
+    values = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+    if "scenario" in values:
         # ScenarioError (malformed file, bad task list) propagates to
         # main()'s operator-error handler: one line, exit 2.
         values["scenario"] = load_scenario(values["scenario"])
     return CampaignConfig(**values)
+
+
+def _check_config(args: argparse.Namespace) -> CampaignConfig:
+    """The config of a check subcommand (``analyze``, ``verify``): a
+    check over zero tests proves nothing, so ``--tests`` starts at 1."""
+    if args.tests_per_point < 1:
+        raise ConfigError(
+            "tests_per_point", "{tests_per_point} must be >= 1, got {value}",
+            value=args.tests_per_point,
+        )
+    return _config(args)
 
 
 def _tool(args: argparse.Namespace) -> FastFIT:
@@ -210,12 +218,6 @@ def cmd_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _points(args: argparse.Namespace, ff: FastFIT) -> list:
-    """The pruned representatives, capped at ``--max-points``."""
-    points = ff.prune().representative_points
-    return points if args.max_points is None else points[: args.max_points]
-
-
 def _print_rounds(res, n_points: int, title: str) -> None:
     """Print a learning-loop run: its per-round trajectory and the
     accuracy-vs-budget summary."""
@@ -252,36 +254,15 @@ def _print_rounds(res, n_points: int, title: str) -> None:
     )
 
 
-def _cmd_adaptive(args: argparse.Namespace, ff: FastFIT) -> int:
-    """The ``--adaptive`` branch of campaign/run: steer, then report the
-    per-round trajectory and the accuracy-vs-budget summary."""
-    points = _points(args, ff)
-    res = ff.steer(
-        accuracy_target=(
-            0.65 if args.accuracy_target is None else args.accuracy_target
-        ),
-        ci_width=0.25 if args.ci_width is None else args.ci_width,
-        budget=args.budget,
-        batch_size=args.batch_size,
-        points=points,
-    )
-    _print_rounds(res, len(points), "adaptive steering")
-    return 0
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     ff = _tool(args)
+    # A scenario brings its own timeline and runs at its anchor point;
+    # pruning the parameter fault space would be meaningless.
+    points = ff.points()
     if args.adaptive:
-        return _cmd_adaptive(args, ff)
-    if ff.config.scenario is not None:
-        # A scenario brings its own timeline; pruning the parameter
-        # fault space would be meaningless.  FastFIT.campaign() resolves
-        # the scenario's anchor point when given no point list.
-        campaign = ff.campaign()
-        points = list(campaign.points)
-    else:
-        points = _points(args, ff)
-        campaign = ff.campaign(points=points)
+        _print_rounds(ff.steer(points=points), len(points), "adaptive steering")
+        return 0
+    campaign = ff.campaign(points=points)
     print(
         render_bars(
             {o.value: f for o, f in campaign.outcome_fractions().items()},
@@ -308,9 +289,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     ff = _tool(args)
-    points = _points(args, ff)
-    res = ff.learn(threshold=args.threshold, batch_size=args.batch_size, points=points)
-    _print_rounds(res, len(points), "ML-driven learning")
+    points = ff.points()
+    _print_rounds(ff.learn(points=points), len(points), "ML-driven learning")
     return 0
 
 
@@ -340,20 +320,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    camp = Campaign(
-        ff.app,
-        ff.profile(),
-        tests_per_point=1,
-        param_policy=args.policy,
-        seed=args.seed,
-    )
-    runner = camp.runner
+    runner = Campaign(ff.app, ff.profile(), ff.config, tests_per_point=1).runner
 
     def spec_for(test_index: int):
         # Rebuilding the rng from (point, test) indices replays the exact
         # parameter pick and bit choice of any test of the campaign.
-        rng = task_rng(args.seed, args.point, test_index)
-        param = args.param or pick_target(rng, point.collective, args.policy)
+        rng = task_rng(ff.config.seed, args.point, test_index)
+        param = args.param or pick_target(rng, point.collective, ff.config.param_policy)
         return FaultSpec(point, param, args.bit), rng
 
     test_index = args.test
@@ -391,7 +364,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     "type": "meta",
                     "app": args.app,
                     "problem_class": args.problem_class,
-                    "seed": args.seed,
+                    "seed": ff.config.seed,
                     "test_index": test_index,
                     "point": point_to_dict(point),
                     "param": spec.param,
@@ -559,12 +532,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.app is None:
         return _stats_from_db(args)
     ff = _tool(args)
-    if ff.config.scenario is not None:
-        campaign = ff.campaign()
-        points = list(campaign.points)
-    else:
-        points = _points(args, ff)
-        campaign = ff.campaign(points=points)
+    points = ff.points()
+    campaign = ff.campaign(points=points)
     registry = ff.metrics
 
     if args.json:
@@ -644,14 +613,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ))
         return 0
     # -- operator-error hygiene (exit 2, one line, no traceback) --------
-    errors = [
-        f"{flag} must be >= {least}, got {value}"
-        for flag, value, least in (
-            ("--seed", args.seed, 0), ("--draws", args.draws, 1),
-            ("--tests", args.tests, 1), ("--max-points", args.max_points, 1),
-        )
-        if value < least
-    ]
+    config = _check_config(args)
+    errors = [f"--draws must be >= 1, got {args.draws}"] if args.draws < 1 else []
     errors += [
         f"unknown collective {name!r}; choices: {', '.join(FUZZED_COLLECTIVES)}"
         for name in args.collective or ()
@@ -676,9 +639,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # mutant lists, and pass without it.
     if args.mutant is not None:
         run = run_mutant(
-            args.mutant, seed=args.seed, draws=args.draws,
+            args.mutant, seed=config.seed, draws=args.draws,
             app=make_app(args.app, args.problem_class),
-            tests=args.tests, max_points=args.max_points,
+            tests=config.tests_per_point, max_points=config.max_points,
         )
         mutant = run.mutant
         phase(mutant.layer, run.detected, {
@@ -690,7 +653,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # 1. differential conformance.
     conf = run_conformance(
-        seed=args.seed,
+        seed=config.seed,
         draws_per_collective=args.draws,
         collectives=args.collective or None,
     )
@@ -728,23 +691,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # 4. campaign determinism: the same small campaign, serial then
     # sharded, must produce bit-identical TestResult streams.
     if not args.skip_campaign:
-        ff = _tool(args)
-        points = enumerate_points(ff.profile())[: args.max_points]
+        ff = FastFIT(make_app(args.app, args.problem_class), config)
+        points = enumerate_points(ff.profile())[: config.max_points]
         sigs = []
         for jobs in (1, 2):
             campaign = Campaign(
-                ff.app, ff.profile(), tests_per_point=args.tests,
-                param_policy="all", seed=args.seed, jobs=jobs,
+                ff.app, ff.profile(), config, param_policy="all", jobs=jobs,
             ).run(points)
             sigs.append(_campaign_signature(campaign))
         ok = sigs[0] == sigs[1]
+        tests = config.tests_per_point
         phase("campaign", ok, {
-            "app": args.app, "points": len(points), "tests": args.tests,
-            "identical": ok,
+            "app": args.app, "points": len(points), "tests": tests, "identical": ok,
         })
         if not args.json:
             print(
-                f"campaign: {args.app}/T {len(points)} points × {args.tests} tests, "
+                f"campaign: {args.app}/T {len(points)} points × {tests} tests, "
                 f"serial vs --jobs 2: " + ("bit-identical" if ok else "DIVERGED")
             )
 
@@ -753,8 +715,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.skip_snapshot:
         report = fork_equivalence(
             make_app(args.app, args.problem_class),
-            seed=args.seed, tests_per_point=args.tests,
-            max_points=args.max_points,
+            seed=config.seed, tests_per_point=config.tests_per_point,
+            max_points=config.max_points,
         )
         phase("snapshot", report.identical, {
             "app": args.app, "points": report.n_points,
@@ -767,7 +729,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # 6. fault-model conformance: every composable fault model must
     # produce its expected Table-I response on its witness app.
     if not args.skip_models:
-        report = model_conformance(seed=args.seed)
+        report = model_conformance(seed=config.seed)
         phase("models", report.ok, {
             "witnesses": {r.witness: r.ok for r in report.results},
             "failures": [r.describe() for r in report.failures],
@@ -824,7 +786,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         skeleton_from_profile,
     )
     from .injection import enumerate_points
-    from .profiling import profile_application
+    from .profiling.profiler import golden_run
 
     # -- operator-error hygiene (exit 2, one line, no traceback) --------
     if args.sample is not None and not 0.0 < args.sample <= 1.0:
@@ -852,13 +814,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("analyze requires --app (unless --lint-only)", file=sys.stderr)
         return 2
 
+    config = _check_config(args)
     app = make_app(args.app, args.problem_class)
-    profile = profile_application(app)
+    # A structurally broken app fails its golden run; the checker then
+    # reports on the calls recorded before the failure.
+    profile, error = golden_run(app)
     skeleton = skeleton_from_profile(profile)
     match = check_skeleton(skeleton)
 
     summary: dict = {
         "app": app.name,
+        "golden_run": None if error is None else str(error),
         "lint": [
             {"path": f.path, "line": f.line, "rule": f.rule, "message": f.message}
             for f in lint_findings
@@ -873,15 +839,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ],
         },
     }
-    ok = match.ok and not lint_findings
+    clean = match.ok and error is None
+    ok = clean and not lint_findings
 
     cv = None
-    if match.ok and args.sample is not None:
+    if clean and args.sample is not None:
         # Referee mode: re-run a deterministic stride of the predicted
         # tests in the live simulator; one mismatch fails the analysis.
         cv = cross_validate(
-            app, seed=args.seed, tests_per_point=args.tests,
-            param_policy=args.policy, sample=args.sample, profile=profile,
+            app, seed=config.seed, tests_per_point=config.tests_per_point,
+            param_policy=config.param_policy, sample=args.sample, profile=profile,
         )
         ok = ok and cv.ok
         summary["crossval"] = {
@@ -895,13 +862,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 for m in cv.mismatches
             ],
         }
-    elif match.ok:
+    elif clean:
         # Static-only pass: classify the whole campaign, run nothing.
-        pre = PreClassifier(skeleton, seed=args.seed, param_policy=args.policy)
+        pre = PreClassifier(skeleton, seed=config.seed, param_policy=config.param_policy)
         points = enumerate_points(profile)
         rules: Counter = Counter()
         n_tests = n_predicted = 0
-        for _i, _t, _point, prediction in predict_tests(pre, points, args.tests):
+        for _i, _t, _point, prediction in predict_tests(pre, points, config.tests_per_point):
             n_tests += 1
             if prediction is not None:
                 n_predicted += 1
@@ -917,6 +884,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(json.dumps(summary, indent=2))
         return 0 if ok else 1
 
+    if error is not None:
+        print(f"golden run of {app.name!r} failed: {error}")
     print(match.describe())
     for f in lint_findings:
         print(f"{f.path}:{f.line}: {f.rule}: {f.message}")
@@ -941,10 +910,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_study(args: argparse.Namespace) -> int:
     ff = _tool(args)
-    threshold = None if args.no_ml else args.threshold
     # A scenario brings its own anchor point (study --no-ml only).
-    points = None if ff.config.scenario is not None else _points(args, ff)
-    report = ff.run(threshold=threshold, points=points)
+    points = ff.points()
+    report = ff.run(threshold=None, points=points) if args.no_ml else ff.run(points=points)
     print(report.describe())
     return 0
 
@@ -980,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", help="fault-injection campaign over representatives", parents=[verbosity]
     )
     _add_app_args(p)
-    _add_campaign_args(p)
+    _add_adaptive_args(p)
     p.set_defaults(fn=cmd_campaign)
 
     # 'run' = 'campaign' with a default app, the natural spelling for
@@ -989,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="alias for 'campaign' (default --app lu)", parents=[verbosity]
     )
     _add_app_args(p, required=False, default="lu")
-    _add_campaign_args(p)
+    _add_adaptive_args(p)
     p.set_defaults(fn=cmd_campaign)
 
     p = sub.add_parser(
@@ -997,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_app_args(p)
     _add_campaign_args(p)
-    p.add_argument("--threshold", type=float, default=0.65)
+    _add_option(p, "accuracy_target", "--threshold")
     p.set_defaults(fn=cmd_learn)
 
     p = sub.add_parser(
@@ -1008,14 +976,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[verbosity],
     )
     _add_app_args(p, required=False)
-    p.add_argument(
-        "--tests", type=int, default=10,
-        help="tests per injection point to classify (default 10)",
-    )
-    p.add_argument(
-        "--policy", default="all",
-        help='fault target policy to classify under (default "all")',
-    )
+    _add_option(p, "tests_per_point", default=10)
+    _add_option(p, "param_policy", default="all")
     p.add_argument(
         "--sample", type=float, default=None, metavar="FRACTION",
         help="cross-validate this fraction of the statically predicted "
@@ -1035,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_app_args(p)
     _add_campaign_args(p)
-    p.add_argument("--threshold", type=float, default=0.65)
+    _add_option(p, "accuracy_target", "--threshold")
     p.add_argument("--no-ml", action="store_true", help="skip the ML stage (NPB-style rows)")
     p.set_defaults(fn=cmd_study)
 
@@ -1049,10 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="index into the pruned representative points (see 'prune')",
     )
     p.add_argument("--param", default=None, help="fault parameter (default: policy pick)")
-    p.add_argument(
-        "--policy", default="buffer",
-        help='fault target policy when --param is not given',
-    )
+    _add_option(p, "param_policy")
     p.add_argument("--bit", type=int, default=None, help="bit to flip (default: random)")
     p.add_argument("--test", type=int, default=0, help="test index within the point")
     p.add_argument(
@@ -1077,7 +1036,9 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign determinism, snapshot fork-equivalence",
         parents=[verbosity],
     )
-    p.add_argument("--seed", type=int, default=0)
+    _add_app_args(p, required=False, default="lu")
+    _add_option(p, "tests_per_point", default=3)
+    _add_option(p, "max_points", default=4)
     p.add_argument(
         "--draws", type=int, default=200,
         help="fuzzed draws per collective for the conformance sweep",
@@ -1108,13 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--skip-models", action="store_true",
         help="skip the fault-model conformance witnesses",
     )
-    p.add_argument(
-        "--app", default="lu", choices=sorted(APPLICATIONS),
-        help="workload for the campaign determinism check",
-    )
-    p.add_argument("--problem-class", default="T", choices=("T", "S", "A"))
-    p.add_argument("--tests", type=int, default=3, help="tests per point for the campaign check")
-    p.add_argument("--max-points", type=int, default=4, help="points for the campaign check")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
     p.set_defaults(fn=cmd_verify)
 
@@ -1168,63 +1122,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     setup_logging(verbose=getattr(args, "verbose", 0), quiet=getattr(args, "quiet", False))
-    # Flag combinations the facade never sees; every campaign option is
-    # checked by CampaignConfig when the subcommand builds its tool.
-    if getattr(args, "resume", False) and not (args.checkpoint_dir or args.db_path):
-        print("--resume requires --checkpoint-dir or --db", file=sys.stderr)
-        return 2
-    if getattr(args, "scenario", None) and (
-        args.command == "learn" or (args.command == "study" and not args.no_ml)
+    # Flag combinations the facade never sees; every option's own check
+    # runs in CampaignConfig when the subcommand builds its config.
+    adaptive = getattr(args, "adaptive", None)
+    for broken, message in (
+        (getattr(args, "resume", False) and not (args.checkpoint_dir or args.db_path),
+         "--resume requires --checkpoint-dir or --db"),
+        (getattr(args, "scenario", None)
+         and (args.command == "learn" or (args.command == "study" and not args.no_ml)),
+         "--scenario runs under one anchor point, which leaves the ML stage "
+         "nothing to learn (use 'campaign' or 'study --no-ml')"),
+        (adaptive and args.scenario, "--adaptive and --scenario are mutually exclusive"),
+        (adaptive and args.static_prune,
+         "--adaptive is incompatible with --static-prune "
+         "(sequential stopping needs every test slot executed)"),
+        *((adaptive is False and getattr(args, name) is not None,
+           f"{_FIELDS[name].metadata['flag']} requires --adaptive") for name in _ADAPTIVE),
     ):
-        print(
-            "--scenario runs under one anchor point, which leaves the "
-            "ML stage nothing to learn (use 'campaign' or 'study --no-ml')",
-            file=sys.stderr,
-        )
-        return 2
-    adaptive = getattr(args, "adaptive", False)
-    if not adaptive:
-        for flag, name in (
-            ("ci_width", "--ci-width"),
-            ("budget", "--budget"),
-            ("accuracy_target", "--accuracy-target"),
-        ):
-            if getattr(args, flag, None) is not None:
-                print(f"{name} requires --adaptive", file=sys.stderr)
-                return 2
-    else:
-        if args.command not in ("campaign", "run"):
-            print(
-                "--adaptive only applies to 'campaign' and 'run'",
-                file=sys.stderr,
-            )
+        if broken:
+            print(message, file=sys.stderr)
             return 2
-        if args.scenario:
-            print("--adaptive and --scenario are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        if args.static_prune:
-            print(
-                "--adaptive is incompatible with --static-prune "
-                "(sequential stopping needs every test slot executed)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.budget is not None and args.budget < 1:
-            print(f"--budget must be >= 1 test, got {args.budget}", file=sys.stderr)
-            return 2
-    for flag, value in (
-        ("--ci-width", getattr(args, "ci_width", None)),
-        ("--accuracy-target", getattr(args, "accuracy_target", None)),
-        ("--threshold", getattr(args, "threshold", None)),
-    ):
-        if value is not None and not 0.0 < value <= 1.0:
-            print(f"{flag} must be in (0, 1], got {value}", file=sys.stderr)
-            return 2
-    batch_size = getattr(args, "batch_size", None)
-    if batch_size is not None and batch_size < 1:
-        print(f"--batch-size must be >= 1, got {batch_size}", file=sys.stderr)
-        return 2
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at exit
@@ -1235,7 +1152,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ConfigError as exc:
-        print(exc.render(_FLAGS), file=sys.stderr)
+        print(exc.render(args.flags), file=sys.stderr)
         return 2
     except (
         CampaignStoreError, MigrationError, StaticPruneError, ScenarioError,

@@ -76,7 +76,10 @@ class UnitFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Policy knobs of the supervision state machine.
+    """Policy knobs of the supervision state machine: the campaign's
+    ``unit_timeout``, ``max_retries`` and ``quarantine``, which
+    :class:`~repro.injection.campaign.CampaignConfig` declares and
+    checks.
 
     Attributes
     ----------
@@ -88,37 +91,27 @@ class SupervisorConfig:
     quarantine:
         ``True``: exhausted units are reported as quarantined and the
         campaign continues; ``False``: raise :class:`UnitFailedError`.
-    backoff_base / backoff_factor / backoff_max:
-        Exponential backoff between re-dispatches of the same unit:
-        attempt *n* waits ``min(backoff_max, backoff_base *
-        backoff_factor**(n-1))`` seconds.  Other units keep executing
-        during the wait.
-    poll_interval:
-        Upper bound on one supervision wait, so deadlines and backoff
-        promotions are checked even when no worker produces events.
     """
 
     unit_timeout: float | None = None
     max_retries: int = 2
     quarantine: bool = True
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    poll_interval: float = 0.5
 
-    def __post_init__(self) -> None:
-        if self.unit_timeout is not None and self.unit_timeout <= 0:
-            raise ValueError(f"unit_timeout must be > 0, got {self.unit_timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.poll_interval <= 0:
-            raise ValueError(f"poll_interval must be > 0, got {self.poll_interval}")
 
-    def backoff(self, attempt: int) -> float:
-        """Delay before re-dispatch number ``attempt`` (1-based)."""
-        return min(self.backoff_max, self.backoff_base * self.backoff_factor ** (attempt - 1))
+#: Exponential backoff between re-dispatches of the same unit: attempt
+#: *n* waits ``min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR**(n-1))``
+#: seconds.  Other units keep executing during the wait.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+#: Upper bound on one supervision wait, so deadlines and backoff
+#: promotions are checked even when no worker produces events.
+POLL_INTERVAL = 0.5
+
+
+def backoff_delay(attempt: int) -> float:
+    """Delay before re-dispatch number ``attempt`` (1-based)."""
+    return min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
 
 
 # -- worker side -------------------------------------------------------
@@ -512,7 +505,7 @@ class SupervisedPool:
             self._emit("unit_retry", att, reason)
             backoff_seq += 1
             heapq.heappush(
-                backoff, (time.monotonic() + cfg.backoff(att.failures), backoff_seq, att)
+                backoff, (time.monotonic() + backoff_delay(att.failures), backoff_seq, att)
             )
             return []
 
@@ -545,7 +538,7 @@ class SupervisedPool:
 
                 # How long may we sleep? Until the nearest deadline or
                 # backoff promotion, bounded by the poll interval.
-                timeout = cfg.poll_interval
+                timeout = POLL_INTERVAL
                 now = time.monotonic()
                 for slot in self._slots:
                     if slot.deadline is not None and slot.task is not None:

@@ -9,7 +9,7 @@ Typical use::
 
     from repro import FastFIT
     ff = FastFIT.for_app("lammps", "T", tests_per_point=30)
-    report = ff.run(threshold=0.65)
+    report = ff.run()
     print(report.describe())
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from types import EllipsisType
 from typing import TYPE_CHECKING, Sequence
 
 from .analysis.reports import render_table
@@ -227,17 +228,21 @@ class FastFIT:
             preclassifier=self.preclassifier() if self.config.static_prune else None,
         )
 
+    def points(self) -> list[InjectionPoint]:
+        """The points a run covers by default: a scenario's anchor, else
+        the pruned representatives capped at ``config.max_points``."""
+        if self.config.scenario is not None:
+            return [self.config.scenario.anchor_point()]
+        return self.prune().representative_points[: self.config.max_points]
+
     def campaign(
         self, points: Sequence[InjectionPoint] | None = None, tests_per_point: int | None = None
     ) -> CampaignResult:
-        """A traditional campaign over ``points`` (default: the pruned
-        representatives)."""
+        """A traditional campaign over ``points`` (default:
+        :meth:`points`)."""
         config = self.config
         if points is None:
-            if config.scenario is not None:
-                points = [config.scenario.anchor_point()]
-            else:
-                points = self.prune().representative_points
+            points = self.points()
         if tests_per_point:
             config = replace(config, tests_per_point=tests_per_point)
         runner = Campaign(self.app, self.profile(), config, **self._runtime())
@@ -252,58 +257,60 @@ class FastFIT:
 
     def learn(
         self,
-        threshold: float = 0.65,
+        threshold: float | None = None,
         labeler: Labeler | None = None,
         label_names: tuple[str, ...] | None = None,
         batch_size: int | None = None,
         points: Sequence[InjectionPoint] | None = None,
     ) -> SteeringResult:
-        """ML-driven injection over the pruned representatives (paper
-        § III-C): the learning loop walking the seeded permutation with
-        every test stream in full, until the model verifies at
-        ``threshold``."""
-        logger.info("ML-driven campaign: threshold %.2f", threshold)
+        """ML-driven injection (paper § III-C): the learning loop walking
+        the seeded permutation with every test stream in full, until the
+        model verifies at ``threshold``.  ``threshold`` and
+        ``batch_size`` default to the config's ``accuracy_target`` and
+        ``batch_size``."""
+        given = {"accuracy_target": threshold, "batch_size": batch_size}
+        config = replace(
+            self.config, ci_width=None, **{k: v for k, v in given.items() if v is not None}
+        )
+        logger.info("ML-driven campaign: threshold %.2f", config.accuracy_target)
         return self._loop(
-            "phase.learn_s", points,
-            accuracy_target=threshold, ci_width=None, sampler_mode="order",
-            labeler=labeler, label_names=label_names, batch_size=batch_size,
+            "phase.learn_s", points, config,
+            sampler_mode="order", labeler=labeler, label_names=label_names,
         )
 
     def steer(
         self,
-        accuracy_target: float = 0.65,
-        ci_width: float = 0.25,
-        budget: int | None = None,
         labeler: Labeler | None = None,
         label_names: tuple[str, ...] | None = None,
-        batch_size: int | None = None,
         min_tests: int = 6,
         points: Sequence[InjectionPoint] | None = None,
+        **options,
     ) -> SteeringResult:
-        """Adaptive steering over the pruned representatives: uncertainty
-        sampling plus per-point sequential stopping."""
+        """Adaptive steering: uncertainty sampling plus per-point
+        sequential stopping.  ``options`` replace config fields, the
+        loop's own among them (``accuracy_target``, ``ci_width``,
+        ``budget``, ``batch_size``)."""
+        config = replace(self.config, **options)
         logger.info(
-            "adaptive campaign: target %.2f, ci width %.2f, budget %s",
-            accuracy_target, ci_width, budget,
+            "adaptive campaign: target %.2f, ci width %s, budget %s",
+            config.accuracy_target, config.ci_width, config.budget,
         )
         return self._loop(
-            "phase.steer_s", points,
-            accuracy_target=accuracy_target, ci_width=ci_width, budget=budget,
-            labeler=labeler, label_names=label_names, batch_size=batch_size,
-            min_tests=min_tests,
+            "phase.steer_s", points, config,
+            labeler=labeler, label_names=label_names, min_tests=min_tests,
         )
 
-    def _loop(self, timer: str, points, **options) -> SteeringResult:
-        """One run of :func:`repro.steer.adaptive_campaign` over
-        ``points`` (default: the pruned representatives), timed as
+    def _loop(self, timer: str, points, config: CampaignConfig, **options) -> SteeringResult:
+        """One run of :func:`repro.steer.adaptive_campaign` under
+        ``config`` over ``points`` (default: :meth:`points`), timed as
         ``timer``."""
         from .steer import adaptive_campaign
 
         if points is None:
-            points = self.prune().representative_points
+            points = self.points()
         with self.metrics.time(timer):
             return adaptive_campaign(
-                self.app, self.profile(), points, config=self.config,
+                self.app, self.profile(), points, config=config,
                 **options, **self._runtime(),
             )
 
@@ -311,19 +318,22 @@ class FastFIT:
 
     def run(
         self,
-        threshold: float | None = 0.65,
+        threshold: float | None | EllipsisType = ...,
         points: Sequence[InjectionPoint] | None = None,
         **learn_kwargs,
     ) -> FastFITReport:
         """Full study: profile → prune → (ML-driven or plain) campaign
-        over ``points`` (default: the pruned representatives).
+        over ``points`` (default: :meth:`points`).
 
-        ``threshold=None`` disables the ML stage (the paper's NPB rows).
+        ``threshold=None`` disables the ML stage (the paper's NPB rows);
+        by default the stage stops at ``config.accuracy_target``.
         """
         pruning = self.prune()
         report = FastFITReport(self.app.name, pruning)
         if threshold is None:
             report.campaign = self.campaign(points=points)
         else:
-            report.ml = self.learn(threshold=threshold, points=points, **learn_kwargs)
+            if threshold is not ...:
+                learn_kwargs["threshold"] = threshold
+            report.ml = self.learn(points=points, **learn_kwargs)
         return report

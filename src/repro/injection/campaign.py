@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -217,33 +217,49 @@ class CampaignResult:
         return samples
 
 
-def _option(default, flag: str, help: str | None = None, **argparse_kwargs):
-    """A :class:`CampaignConfig` field carrying its CLI spelling: the
-    ``fastfit`` flag, its help text, and any further ``add_argument``
-    keywords (``type``, ``metavar``)."""
+def _option(default, flag: str, help: str | None = None, check=None, **argparse_kwargs):
+    """A :class:`CampaignConfig` field carrying its CLI spelling and its
+    check: the ``fastfit`` flag, its help text (``{default}`` reads the
+    default), ``check`` — a ``(rule, ok)`` pair: a value other than
+    ``None`` must pass ``ok`` or :class:`ConfigError` says the option
+    "must be <rule>" — and any further ``add_argument`` keywords
+    (``type``, ``metavar``)."""
     return field(
         default=default,
-        metadata={"flag": flag, "help": help, "argparse": argparse_kwargs},
+        metadata={
+            "flag": flag,
+            "help": help and help.format(default=default),
+            "check": check,
+            "argparse": argparse_kwargs,
+        },
     )
+
+
+def _at_least(least: int, unit: str = "") -> tuple:
+    return f">= {least}{unit}", lambda value: value >= least
+
+
+_FRACTION = ("in (0, 1]", lambda value: 0.0 < value <= 1.0)
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
     """Every campaign option, declared, defaulted and validated once.
 
-    :class:`Campaign`, the :class:`~repro.FastFIT` facade, both batch
-    drivers and the ``fastfit`` CLI (whose campaign flags are generated
-    from the field metadata) all take their options from one instance,
-    so they cannot drift apart.  Runtime objects — metrics registry,
-    tracer, progress sinks and callback, algorithm table, stopper,
-    preclassifier — are constructor arguments of :class:`Campaign`
-    instead: they are not options a user sets, and none of them is
-    part of the store digest.
+    :class:`Campaign`, the :class:`~repro.FastFIT` facade, the learning
+    loop (:func:`repro.steer.adaptive_campaign`) and the ``fastfit`` CLI
+    (whose option flags are generated from the field metadata) all take
+    their options from one instance, so they cannot drift apart.  Each
+    field's metadata carries its flag, help text and check.  Runtime
+    objects — metrics registry, tracer, progress sinks and callback,
+    algorithm table, stopper, preclassifier — are constructor arguments
+    of :class:`Campaign` instead: they are not options a user sets, and
+    none of them is part of the store digest.
     """
 
     # A field's help text documents it; ``#:`` comments add API detail.
     tests_per_point: int = _option(
-        20, "--tests", "tests per injection point", type=int, metavar="TESTS",
+        20, "--tests", "tests per injection point", _at_least(0), type=int, metavar="TESTS",
     )
     #: See :mod:`repro.injection.targets`.
     param_policy: str = _option(
@@ -251,12 +267,12 @@ class CampaignConfig:
         metavar="POLICY",
     )
     #: Every test's RNG derives from it (:func:`repro.injection.models.task_rng`).
-    seed: int = _option(0, "--seed", type=int)
+    seed: int = _option(0, "--seed", None, _at_least(0), type=int)
     jobs: int = _option(
         1, "--jobs",
         "worker processes for the campaign (results are bit-identical "
         "to --jobs 1; default 1)",
-        type=int,
+        _at_least(1), type=int,
     )
     #: The campaign creates the directory (see :attr:`store_path`).
     checkpoint_dir: str | os.PathLike | None = _option(
@@ -279,13 +295,13 @@ class CampaignConfig:
         None, "--unit-timeout",
         "wall-clock deadline per work-unit attempt; a worker that "
         "blows it is killed and the unit retried (parallel runs only)",
-        type=float, metavar="SECONDS",
+        ("> 0 seconds", lambda value: value > 0), type=float, metavar="SECONDS",
     )
     max_retries: int = _option(
         2, "--max-retries",
         "re-dispatches granted to a work unit whose worker died, "
-        "wedged, or crashed (default 2)",
-        type=int, metavar="N",
+        "wedged, or crashed (default {default})",
+        _at_least(0), type=int, metavar="N",
     )
     #: ``False`` aborts with :class:`~repro.exec.supervisor.UnitFailedError`.
     quarantine: bool = _option(
@@ -296,8 +312,8 @@ class CampaignConfig:
     progress_every: int = _option(
         1, "--progress-every",
         "emit progress (callbacks and telemetry snapshots) at most "
-        "every N completed work units (default 1)",
-        type=int, metavar="N",
+        "every N completed work units (default {default})",
+        _at_least(1), type=int, metavar="N",
     )
     #: The facade builds the :class:`repro.analyze.PreClassifier`.
     static_prune: bool = _option(
@@ -331,20 +347,47 @@ class CampaignConfig:
         "incompatible with --fault-model and --static-prune",
         metavar="PATH",
     )
+    #: Read by the CLI and ``fastfit verify``; ``None`` = every point.
+    max_points: int | None = _option(
+        None, "--max-points", "cap representative points", _at_least(1), type=int,
+    )
+    # The learning loop (repro.steer.adaptive_campaign).  None of these
+    # enters the campaign digest; the loop keys its store row by them.
+    #: ``None`` = ``len(points) // 8``, at least 4.
+    batch_size: int | None = _option(
+        None, "--batch-size",
+        "points per batch for the ML-driven and adaptive loops "
+        "(default: len(points) // 8, at least 4)",
+        _at_least(1), type=int, metavar="N",
+    )
+    accuracy_target: float = _option(
+        0.65, "--accuracy-target",
+        "stop the learning loop once the model predicts a fresh batch "
+        "of points this accurately (default {default}; must be in (0, 1])",
+        _FRACTION, type=float, metavar="ACC",
+    )
+    #: ``None`` = no sequential stopper: every test stream runs in full.
+    ci_width: float | None = _option(
+        0.25, "--ci-width",
+        "with --adaptive: stop a point's tests once the Wilson interval "
+        "over its error rate is narrower than W (default {default}; "
+        "must be in (0, 1])",
+        _FRACTION, type=float, metavar="W",
+    )
+    #: ``None`` = unlimited.
+    budget: int | None = _option(
+        None, "--budget",
+        "with --adaptive: hard cap on total injected tests "
+        "(never exceeded; default unlimited)",
+        _at_least(1, " test"), type=int, metavar="TESTS",
+    )
 
     def __post_init__(self) -> None:
-        for name, ok, rule in (
-            ("tests_per_point", self.tests_per_point >= 0, ">= 0"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("jobs", self.jobs >= 1, ">= 1"),
-            ("progress_every", self.progress_every >= 1, ">= 1"),
-            ("unit_timeout", self.unit_timeout is None or self.unit_timeout > 0, "> 0 seconds"),
-            ("max_retries", self.max_retries >= 0, ">= 0"),
-        ):
-            if not ok:
+        for f in fields(self):
+            check, value = f.metadata["check"], getattr(self, f.name)
+            if check is not None and value is not None and not check[1](value):
                 raise ConfigError(
-                    name, "{%s} must be %s, got {value}" % (name, rule),
-                    value=getattr(self, name),
+                    f.name, "{%s} must be %s, got {value}" % (f.name, check[0]), value=value,
                 )
         if not is_policy(self.param_policy):
             raise ConfigError(

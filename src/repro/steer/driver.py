@@ -69,6 +69,8 @@ from ..pruning.mldriven import Labeler, level_labeler
 from .sampler import SAMPLER_MODES, select_batch, uncertainty_scores
 from .stopping import DEFAULT_Z, SequentialStopper
 
+_FIELDS = CampaignConfig.__dataclass_fields__
+
 
 @dataclass(frozen=True)
 class SteeringRound:
@@ -162,10 +164,6 @@ def adaptive_campaign(
     *,
     labeler: Labeler | None = None,
     label_names: tuple[str, ...] | None = None,
-    accuracy_target: float = 0.65,
-    ci_width: float | None = 0.25,
-    budget: int | None = None,
-    batch_size: int | None = None,
     n_estimators: int = 24,
     min_tests: int = 6,
     z: float = DEFAULT_Z,
@@ -175,6 +173,8 @@ def adaptive_campaign(
 ) -> SteeringResult:
     """Run the inject → verify → retrain loop.
 
+    The loop's options are :class:`CampaignConfig` fields, taken from
+    ``config`` with any ``campaign_options`` fields replaced.
     ``accuracy_target`` stops the loop once the incoming model predicts
     a fresh batch that well — under an uncertainty sampler a *harder*
     bar than under ``"order"``, since the batch is adversarially
@@ -183,6 +183,7 @@ def adaptive_campaign(
     ``budget`` caps the total number of injected tests; the loop never
     starts a batch it could not afford at the worst case (every stream
     running to ``tests_per_point``), so the cap is never exceeded.
+    ``batch_size`` ``None`` takes ``len(points) // 8``, at least 4.
 
     ``metrics`` optionally records round accuracies and the final
     tested/predicted/saved split under ``steer.*`` (the inner campaign
@@ -198,10 +199,6 @@ def adaptive_campaign(
         labeler, label_names = level_labeler()
     if label_names is None:
         raise ValueError("label_names required when passing a custom labeler")
-    if not 0.0 < accuracy_target <= 1.0:
-        raise ValueError(f"accuracy_target must be in (0, 1], got {accuracy_target}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be >= 1 test, got {budget}")
     if sampler_mode not in SAMPLER_MODES:
         raise ValueError(
             f"unknown sampler mode {sampler_mode!r}; choices: {', '.join(SAMPLER_MODES)}"
@@ -209,13 +206,13 @@ def adaptive_campaign(
     points = list(points)
     if not points:
         raise ValueError("adaptive_campaign needs at least one injection point")
-    if batch_size is None:
-        batch_size = max(4, len(points) // 8)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    options = {k: campaign_options.pop(k) for k in [*campaign_options] if k in _FIELDS}
+    cfg = replace(config or CampaignConfig(), **options)
+    accuracy_target, ci_width, budget = cfg.accuracy_target, cfg.ci_width, cfg.budget
+    batch_size = cfg.batch_size or max(4, len(points) // 8)
 
     stopper = None if ci_width is None else SequentialStopper(ci_width, min_tests, z)
-    campaign = Campaign(app, profile, config, stopper=stopper, **campaign_options)
+    campaign = Campaign(app, profile, cfg, stopper=stopper, **campaign_options)
     seed, metrics = campaign.config.seed, campaign.metrics
     tests_per_point = campaign.config.tests_per_point
 

@@ -75,6 +75,21 @@ class TestOperatorErrors:
         assert main(["analyze", "--app", "is", "--sample", sample]) == 2
         assert "--sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--policy", "nosuch"],
+             "--policy 'nosuch' is not 'buffer', 'all', or a parameter of any collective"),
+            (["--seed", "-3"], "--seed must be >= 0, got -3"),
+            (["--tests", "-1"], "--tests must be >= 1, got -1"),
+            # A zero-test analysis proves nothing ("0/0 tests").
+            (["--tests", "0"], "--tests must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_option_is_one_line(self, flags, message, capsys):
+        assert main(["analyze", "--app", "is", *flags]) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_sample_conflicts_with_lint_only(self, capsys):
         assert main(["analyze", "--lint-only", "--sample", "0.5"]) == 2
         assert "--sample" in capsys.readouterr().err
@@ -97,6 +112,28 @@ class TestOperatorErrors:
              "--checkpoint-dir", str(tmp_path / "ck")]
         ) == 2
         assert "--static-prune" in capsys.readouterr().err
+
+
+def test_analyze_dirty_app_reports_the_mismatch(monkeypatch, capsys):
+    """An app whose ranks disagree on the collective order fails its
+    golden run: analyze prints the run's error and the checker's
+    report over the calls recorded before it, and exits 1."""
+    from repro.apps.registry import APPLICATIONS
+    from tests.analyze.test_skeleton import DisagreeApp
+
+    monkeypatch.setitem(APPLICATIONS, "disagree", DisagreeApp)
+    assert main(["analyze", "--app", "disagree"]) == 1
+    out = capsys.readouterr().out
+    assert "golden run of 'disagree' failed: MPI_ERR_TRUNCATE" in out
+    assert "order_mismatch" in out
+    assert "Barrier@" in out and "Allreduce@" in out
+
+    assert main(["analyze", "--app", "disagree", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["golden_run"].startswith("MPI_ERR_TRUNCATE")
+    assert [f["rule"] for f in data["matching"]["findings"]] == ["order_mismatch"]
+    assert "preclassify" not in data
 
 
 def test_campaign_static_prune_smoke(capsys):

@@ -9,8 +9,8 @@ monkeypatched environment propagates into freshly spawned workers.
 import pytest
 
 from repro.exec.sharding import make_units
-from repro.exec.supervisor import SupervisorConfig, UnitFailedError
-from repro.injection import Campaign, Outcome, enumerate_points
+from repro.exec.supervisor import SupervisorConfig, UnitFailedError, backoff_delay
+from repro.injection import Campaign, CampaignConfig, ConfigError, Outcome, enumerate_points
 from repro.obs.events import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.store import CampaignDB
@@ -75,20 +75,21 @@ class TestSupervisorConfig:
             dict(unit_timeout=0),
             dict(unit_timeout=-1.0),
             dict(max_retries=-1),
-            dict(backoff_base=-0.1),
-            dict(poll_interval=0),
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SupervisorConfig(**kwargs)
+        """The supervision knobs are checked once, where the campaign
+        declares them."""
+        with pytest.raises(ConfigError):
+            CampaignConfig(**kwargs)
 
     def test_backoff_is_capped_exponential(self):
-        cfg = SupervisorConfig(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3)
-        assert cfg.backoff(1) == pytest.approx(0.1)
-        assert cfg.backoff(2) == pytest.approx(0.2)
-        assert cfg.backoff(3) == pytest.approx(0.3)  # capped
-        assert cfg.backoff(10) == pytest.approx(0.3)
+        assert backoff_delay(1) == pytest.approx(0.05)
+        assert backoff_delay(2) == pytest.approx(0.1)
+        assert backoff_delay(3) == pytest.approx(0.2)
+        assert backoff_delay(6) == pytest.approx(1.6)
+        assert backoff_delay(7) == pytest.approx(2.0)  # capped
+        assert backoff_delay(10) == pytest.approx(2.0)
 
 
 class TestWorkerDeath:

@@ -339,7 +339,6 @@ class TestErrorHygiene:
             (["run", "--ci-width", "0.3"], "--ci-width requires --adaptive"),
             (["run", "--budget", "100"], "--budget requires --adaptive"),
             (["run", "--accuracy-target", "0.7"], "--accuracy-target requires --adaptive"),
-            (["learn", "--adaptive"], "--adaptive only applies to 'campaign' and 'run'"),
             (["campaign", "--adaptive", "--scenario", "s.json"],
              "--adaptive and --scenario are mutually exclusive"),
             (["campaign", "--adaptive", "--static-prune"],
@@ -360,6 +359,19 @@ class TestErrorHygiene:
         err = capsys.readouterr().err
         assert err.strip() == message
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["learn", "study", "stats"])
+    @pytest.mark.parametrize(
+        "flags", [["--adaptive"], ["--ci-width", "0.3"], ["--budget", "9"],
+                  ["--accuracy-target", "0.7"]],
+    )
+    def test_adaptive_flags_only_on_campaign_and_run(self, command, flags, capsys):
+        """Only campaign/run steer; learn and study spell the target
+        ``--threshold``."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--app", "lu", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
     def test_checkpoint_mismatch_is_one_line(self, tmp_path, capsys):
         """A legacy pickle checkpoint directory produces exit 2 and a
