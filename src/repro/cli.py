@@ -18,7 +18,6 @@ Usage (``python -m repro`` or the ``fastfit`` entry point)::
     fastfit stats    --app is     --tests 5 --max-points 8
     fastfit stats    --db campaigns.sqlite
     fastfit report   --db campaigns.sqlite --out report/
-    fastfit migrate  --checkpoint-dir old-ck/ --db old-ck/campaign.db
 
 Every subcommand prints ASCII tables in the style of the paper's
 evaluation section; ``trace --json`` and ``stats --json`` emit
@@ -46,7 +45,7 @@ from .analysis import (
 from .analyze import StaticPruneError
 from .apps import APPLICATIONS, make_app
 from .fastfit import FastFIT
-from .store import CampaignStoreError, MigrationError
+from .store import CampaignStoreError
 from .injection.campaign import Campaign, CampaignConfig
 from .injection.config import ConfigError
 from .injection.models import task_rng
@@ -311,15 +310,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         return 2
     point = points[args.point]
-    if args.param is not None:
-        valid = all_targets(point.collective)
-        if args.param not in valid:
-            print(
-                f"--param {args.param!r} is not a parameter of "
-                f"{point.collective} (one of: {', '.join(valid)})",
-                file=sys.stderr,
-            )
-            return 2
+    valid = all_targets(point.collective)
+    # An explicit --param overrides the policy; either must name one of
+    # this point's parameters (a policy may also be all/buffer).
+    named = args.param if args.param is not None else ff.config.param_policy
+    if named not in valid and (args.param is not None or named not in ("all", "buffer")):
+        flag = "--param" if args.param is not None else args.flags["param_policy"]
+        print(
+            f"{flag} {named!r} is not a parameter of "
+            f"{point.collective} (one of: {', '.join(valid)})",
+            file=sys.stderr,
+        )
+        return 2
     runner = Campaign(ff.app, ff.profile(), ff.config, tests_per_point=1).runner
 
     def spec_for(test_index: int):
@@ -421,22 +423,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_migrate(args: argparse.Namespace) -> int:
-    """Convert a legacy pickle checkpoint directory into the SQLite schema."""
-    from .store import migrate_checkpoint
-
-    summary = migrate_checkpoint(
-        args.checkpoint_dir, args.db, overwrite=args.overwrite
-    )
-    print(
-        f"migrated campaign {summary['digest'][:12]} into {args.db}: "
-        f"{summary['units']} units, {summary['tests']} tests, "
-        f"{summary['quarantined']} quarantined, "
-        f"{'complete' if summary['complete'] else 'incomplete'}"
-    )
-    return 0
-
-
 def _print_snapshot_line(metrics: dict) -> None:
     """The report's snapshot-engine line, when the engine served a test."""
     from .report.builder import snapshot_engine_line
@@ -488,8 +474,8 @@ def _stats_from_db(args: argparse.Namespace) -> int:
             )
             return 0
 
-        # Config fields are unknown ("?") for campaigns migrated from
-        # legacy pickle checkpoints, whose headers carry only the digest.
+        # Config fields are unknown ("?") for a campaign row created
+        # through CampaignDB with its digest alone.
         cfg = {k: "?" if c[k] is None else c[k]
                for k in ("app", "n_points", "tests_per_point", "param_policy", "seed")}
         print(
@@ -1100,22 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser(
-        "migrate",
-        help="convert a legacy pickle checkpoint directory into the SQLite schema",
-        parents=[verbosity],
-    )
-    p.add_argument(
-        "--checkpoint-dir", required=True, metavar="DIR",
-        help="legacy pickle checkpoint directory to convert",
-    )
-    p.add_argument("--db", required=True, metavar="PATH", help="target campaign database")
-    p.add_argument(
-        "--overwrite", action="store_true",
-        help="replace an already-migrated campaign with the same digest",
-    )
-    p.set_defaults(fn=cmd_migrate)
-
     return parser
 
 
@@ -1154,12 +1124,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(exc.render(args.flags), file=sys.stderr)
         return 2
-    except (
-        CampaignStoreError, MigrationError, StaticPruneError, ScenarioError,
-    ) as exc:
-        # A legacy checkpoint directory, locked database, or unconvertible
-        # directory is an operator error, not a crash: one line, exit 2,
-        # no traceback.
+    except (CampaignStoreError, StaticPruneError, ScenarioError) as exc:
+        # A locked or unreadable database, an app the pre-classifier
+        # cannot prune, or a bad scenario file is an operator error, not
+        # a crash: one line, exit 2, no traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,8 +38,10 @@ merged registry is the same for every ``jobs``.
 A store is opened only when one is configured (``db_path``; a
 ``checkpoint_dir`` is resolved to ``DIR/campaign.db`` by the campaign).
 Every successfully completed unit is committed atomically through the
-SQLite-backed :class:`~repro.store.DBCheckpointStore`, together with
-queryable per-test rows, per-point tallies, and progress telemetry.
+SQLite-backed :class:`~repro.store.DBCheckpointStore` as queryable
+per-test rows, alongside per-point tallies and progress telemetry.  A
+resumed unit is rebuilt from those rows, its specs redrawn from their
+coordinates (:func:`task_spec`).
 Quarantined units are deliberately *not* persisted: a later
 ``resume=True`` run retries them from scratch — self-healing across
 restarts when the fault was environmental.  ``KeyboardInterrupt`` tears
@@ -64,40 +66,35 @@ from ..injection.campaign import Campaign, CampaignResult, PointResult
 from ..injection.models import draw_task
 from ..injection.outcome import Outcome
 from ..injection.runner import TestResult
-from ..injection.space import InjectionPoint
+from ..injection.space import FaultSpec, InjectionPoint
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressTracker
 from .sharding import WorkUnit, make_units, units_of_point
 from .supervisor import SupervisedPool, SupervisorConfig
 
 
+def task_spec(campaign: Campaign, point: InjectionPoint, point_index: int, test_index: int) -> FaultSpec:
+    """The spec the executor draws for one test, a pure function of its
+    coordinates and the campaign options: stored and abandoned tests
+    get theirs back without carrying one."""
+    cfg = campaign.config
+    return draw_task(
+        point, cfg.seed, point_index, test_index,
+        policy=cfg.param_policy, model=cfg.fault_model, scenario=cfg.scenario,
+    )[0]
+
+
 def _synthesize_quarantined(
     campaign: Campaign, unit: WorkUnit, point: InjectionPoint, reason: str
 ) -> list[TestResult]:
-    """Synthetic ``TOOL_ERROR`` results for a given-up unit.
-
-    The fault specs are rebuilt through the same per-test recipe the
-    executor would have used, so the result records *which* injections
-    were abandoned — only the verdicts are synthetic.
-    """
-    tests: list[TestResult] = []
-    cfg = campaign.config
-    for t in range(unit.test_start, unit.test_stop):
-        spec, _rng = draw_task(
-            point, cfg.seed, unit.point_index, t,
-            policy=cfg.param_policy,
-            model=cfg.fault_model,
-            scenario=cfg.scenario,
-        )
-        tests.append(
-            TestResult(
-                spec,
-                Outcome.TOOL_ERROR,
-                None,
-                detail=f"unit {unit.unit_id} quarantined: {reason}",
-            )
-        )
-    return tests
+    """Synthetic ``TOOL_ERROR`` results for a given-up unit: the specs
+    record *which* injections were abandoned, only the verdicts are
+    synthetic."""
+    detail = f"unit {unit.unit_id} quarantined: {reason}"
+    return [
+        TestResult(task_spec(campaign, point, unit.point_index, t), Outcome.TOOL_ERROR, None, detail)
+        for t in range(unit.test_start, unit.test_stop)
+    ]
 
 
 def run_campaign(
@@ -141,6 +138,7 @@ def run_campaign(
     if cfg.store_path is not None:
         # Lazy import: repro.store depends on repro.exec.sharding.
         from ..store import DBCheckpointStore
+        from ..store.db import result_from_row
 
         store = DBCheckpointStore(
             cfg.store_path,
@@ -158,12 +156,16 @@ def run_campaign(
                 total_units=len(units),
             ),
         )
-        for unit_id, (tests, registry) in store.load(resume=cfg.resume).items():
+        for unit_id, (rows, registry) in store.load(resume=cfg.resume).items():
             # A batch driver's row also holds other batches' units: only
             # this call's units are resumed (and their metrics merged).
             if unit_id not in known:
                 continue
-            results[unit_id] = tests
+            point = point_of[WorkUnit.from_unit_id(unit_id).point_index]
+            results[unit_id] = [
+                result_from_row(row, task_spec(campaign, point, row["point_index"], row["test_index"]))
+                for row in rows
+            ]
             if metrics is not None:
                 if registry is not None:
                     metrics.merge(registry)

@@ -515,10 +515,6 @@ class Campaign:
             )
         if self.config.checkpoint_dir is not None:
             Path(self.config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            if self.config.resume and not self.config.store_path.exists():
-                from ..store.migrate import refuse_legacy_checkpoint
-
-                refuse_legacy_checkpoint(self.config.checkpoint_dir, self.config.store_path)
         self.app = app
         self.profile = profile
         self.progress = progress

@@ -71,14 +71,6 @@ class FaultSpec:
     scenario: "object | None" = None
 
 
-#: Pickle alias only, for ``units.payload`` rows stored while the
-#: non-bit-flip models had a spec type of their own under this name:
-#: those carry every field, and an old bit-flip spec lacks the fields
-#: after ``bit`` and reads their class defaults, so both load as equal
-#: ``FaultSpec`` values.  Nothing else may use this name.
-ModelSpec = FaultSpec
-
-
 def enumerate_points(profile: ApplicationProfile) -> list[InjectionPoint]:
     """The full, unpruned injection-point space of a profiled run."""
     points: list[InjectionPoint] = []

@@ -271,6 +271,24 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "MetricsRegistry":
+        """Rebuild a registry from :meth:`to_dict`: counters, gauges and
+        timers exactly.  A histogram's sample is not in the dict."""
+        if data.get("histograms"):
+            raise ValueError(f"histograms do not round-trip: {sorted(data['histograms'])}")
+        registry = cls()
+        for name, value in data.get("counters", {}).items():
+            registry.counter(name).value = value
+        for name, value in data.get("gauges", {}).items():
+            registry.gauge(name).value = value
+        for name, t in data.get("timers", {}).items():
+            timer = registry.timer(name, unit=t["unit"])
+            if t["count"]:
+                timer.count, timer.total = t["count"], t["total"]
+                timer.min, timer.max = t["min"], t["max"]
+        return registry
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MetricsRegistry({len(self._counters)} counters, "

@@ -5,7 +5,6 @@ See :mod:`repro.store.schema` for the data model and
 """
 
 from .db import CampaignDB, CampaignStoreError, DBCheckpointStore, DBProgressSink
-from .migrate import MigrationError, migrate_checkpoint
 from .schema import SCHEMA, SCHEMA_VERSION
 
 __all__ = [
@@ -13,8 +12,6 @@ __all__ = [
     "CampaignStoreError",
     "DBCheckpointStore",
     "DBProgressSink",
-    "MigrationError",
     "SCHEMA",
     "SCHEMA_VERSION",
-    "migrate_checkpoint",
 ]

@@ -4,9 +4,9 @@
 keyed by digest) and the low-level query surface; :class:`DBCheckpointStore`
 is the adapter the campaign engine drives — a ``load``/``record``/
 ``write_manifest``/``close`` lifecycle where each unit is committed
-atomically, resume is a query, and every recorded unit is
-simultaneously denormalised into queryable per-test ``results`` rows.
-``--checkpoint-dir DIR`` is this store at ``DIR/campaign.db``.
+atomically as its per-test ``results`` rows, and resume is a query
+over those same rows.  ``--checkpoint-dir DIR`` is this store at
+``DIR/campaign.db``.
 
 A digest mismatch is impossible here: the database keys campaigns *by*
 digest, so resuming a changed configuration simply starts (or
@@ -18,16 +18,19 @@ from __future__ import annotations
 import json
 import logging
 import os
-import pickle
 import sqlite3
 import time
+from dataclasses import astuple
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
+from ..injection.injector import InjectionRecord
+from ..injection.outcome import Outcome
 from ..injection.runner import TestResult
+from ..injection.space import FaultSpec
 from ..obs.metrics import MetricsRegistry
 from ..exec.sharding import WorkUnit
-from .schema import SCHEMA, SCHEMA_VERSION
+from .schema import RECORD_COLUMNS, SCHEMA, SCHEMA_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.progress import ProgressSnapshot
@@ -42,6 +45,27 @@ class CampaignStoreError(RuntimeError):
 
 def _locked(exc: sqlite3.Error) -> bool:
     return "locked" in str(exc) or "busy" in str(exc)
+
+
+def result_from_row(row: sqlite3.Row, spec: FaultSpec) -> TestResult:
+    """One stored test as the :class:`TestResult` it was recorded from.
+    The row holds all but the spec, which the caller redraws from the
+    test's coordinates (:func:`repro.injection.models.draw_task`)."""
+    record = None if row["kind"] is None else InjectionRecord(
+        row["fault_param"], row["kind"], row["fault_bit"], row["extent_bytes"], bool(row["skipped"]),
+        row["fault_collective"], row["fault_site"], row["fault_invocation"], row["before"], row["after"],
+    )
+    return TestResult(spec, Outcome[row["outcome"]], record, row["detail"])
+
+
+_INSERT_RESULT = f"""
+    INSERT OR REPLACE INTO results (
+        campaign_id, unit_id, point_index, test_index,
+        rank, collective, site, invocation, param, bit,
+        model, outcome, injected, detail,
+        {", ".join(name for name, _ in RECORD_COLUMNS)}
+    ) VALUES ({", ".join("?" * (14 + len(RECORD_COLUMNS)))})
+"""
 
 
 class CampaignDB:
@@ -104,6 +128,18 @@ class CampaignDB:
                         # created by the CREATE TABLE IF NOT EXISTS pass
                         # above; older campaigns simply have no rounds.
                         pass
+                    elif version == 3:
+                        # v3 -> v4: results carry the injection record
+                        # and units drop their serialised copies.  Older
+                        # rows lack the record, so their units are
+                        # forgotten (a resume re-runs them); stats and
+                        # report still read their results rows.
+                        conn.execute("DELETE FROM units")
+                        conn.execute("ALTER TABLE units DROP COLUMN payload")
+                        conn.execute("ALTER TABLE units DROP COLUMN metrics")
+                        conn.execute("ALTER TABLE units ADD COLUMN metrics TEXT")
+                        for name, kind in RECORD_COLUMNS:
+                            conn.execute(f"ALTER TABLE results ADD COLUMN {name} {kind}")
                     version += 1
                 conn.execute(
                     "UPDATE schema_meta SET value = ? WHERE key = 'schema_version'",
@@ -254,8 +290,8 @@ class CampaignDB:
         tests: list[TestResult],
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        """Persist one completed unit: its pickled payload *and* the
-        denormalised per-test rows, atomically.
+        """Persist one completed unit: its ``units`` row (metrics as
+        JSON) and one ``results`` row per test, atomically.
 
         A process killed inside this call loses the whole unit (the
         transaction rolls back) and nothing else.
@@ -273,37 +309,27 @@ class CampaignDB:
                     None if t.record is None or t.record.skipped else t.record.bit,
                     t.spec.model,
                     t.outcome.name, int(t.injected), t.detail,
+                    # InjectionRecord's fields, in RECORD_COLUMNS order.
+                    *(astuple(t.record) if t.record else (None,) * len(RECORD_COLUMNS)),
                 )
             )
+        metrics_json = None if metrics is None else json.dumps(metrics.to_dict())
         try:
             with self._transaction():
                 self.conn.execute(
                     """
                     INSERT OR REPLACE INTO units (
                         campaign_id, unit_id, point_index, test_start,
-                        test_stop, n_tests, payload, metrics, recorded_at
-                    ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
+                        test_stop, n_tests, metrics, recorded_at
+                    ) VALUES (?, ?, ?, ?, ?, ?, ?, ?)
                     """,
                     (
                         campaign_id, unit_id, unit.point_index,
                         unit.test_start, unit.test_stop, len(tests),
-                        pickle.dumps(tests, protocol=pickle.HIGHEST_PROTOCOL),
-                        None
-                        if metrics is None
-                        else pickle.dumps(metrics, protocol=pickle.HIGHEST_PROTOCOL),
-                        time.time(),
+                        metrics_json, time.time(),
                     ),
                 )
-                self.conn.executemany(
-                    """
-                    INSERT OR REPLACE INTO results (
-                        campaign_id, unit_id, point_index, test_index,
-                        rank, collective, site, invocation, param, bit,
-                        model, outcome, injected, detail
-                    ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                    """,
-                    rows,
-                )
+                self.conn.executemany(_INSERT_RESULT, rows)
         except sqlite3.Error as exc:
             if _locked(exc):
                 raise CampaignStoreError(
@@ -314,18 +340,26 @@ class CampaignDB:
 
     def load_units(
         self, campaign_id: int
-    ) -> dict[str, tuple[list[TestResult], MetricsRegistry | None]]:
-        """All recorded units of a campaign — the resume query."""
-        out: dict[str, tuple[list[TestResult], MetricsRegistry | None]] = {}
+    ) -> dict[str, tuple[list[sqlite3.Row], MetricsRegistry | None]]:
+        """All recorded units of a campaign — the resume query: each
+        unit's ``results`` rows in test order and its metrics snapshot
+        (:func:`result_from_row` turns a row back into its test)."""
+        out: dict[str, tuple[list[sqlite3.Row], MetricsRegistry | None]] = {}
         for row in self.conn.execute(
-            "SELECT unit_id, payload, metrics FROM units "
+            "SELECT unit_id, metrics FROM units "
             "WHERE campaign_id = ? ORDER BY point_index, test_start",
             (campaign_id,),
         ):
             out[row["unit_id"]] = (
-                pickle.loads(row["payload"]),
-                None if row["metrics"] is None else pickle.loads(row["metrics"]),
+                [],
+                None
+                if row["metrics"] is None
+                else MetricsRegistry.from_dict(json.loads(row["metrics"])),
             )
+        for row in self.results(campaign_id):
+            # Rows recorded before v4 have no unit row: not resumable.
+            if row["unit_id"] in out:
+                out[row["unit_id"]][0].append(row)
         return out
 
     def outcome_histogram(self, campaign_id: int) -> dict[str, int]:
@@ -566,8 +600,9 @@ class DBCheckpointStore:
 
     def load(
         self, resume: bool
-    ) -> dict[str, tuple[list[TestResult], MetricsRegistry | None]]:
-        """Open the database and return previously completed units.
+    ) -> dict[str, tuple[list[sqlite3.Row], MetricsRegistry | None]]:
+        """Open the database and return previously completed units
+        (:meth:`CampaignDB.load_units`).
 
         ``resume=False`` drops any existing campaign with this digest and
         starts clean; ``resume=True`` returns its recorded units — there

@@ -11,13 +11,14 @@ Tables
     computed over (app, ranks, seed, tests/point, policy, unit layout),
     progress totals, and the completion flag.
 ``units``
-    One row per *completed* work unit.  ``payload``/``metrics`` are the
-    pickled ``TestResult`` list and worker ``MetricsRegistry`` snapshot
-    — the byte-exact resume source of truth.
+    One row per *completed* work unit: its test range and its worker
+    ``MetricsRegistry`` snapshot as ``to_dict()`` JSON.
 ``results``
-    One row per individual injection test, denormalised from the unit
-    payloads at record time so campaigns are queryable with plain SQL
-    (``select outcome, count(*) from results group by outcome``).
+    One row per injection test, its only copy: queryable with plain SQL
+    (``select outcome, count(*) from results group by outcome``), and
+    what resume rebuilds each ``TestResult`` from (the spec is redrawn
+    from the test's coordinates).  The record's own ``fault_*`` columns
+    say where it struck: a scenario strikes away from its anchor.
 ``point_tallies``
     Per-injection-point outcome histogram, written at campaign assembly
     — the report builder's heatmap/sensitivity input.
@@ -50,9 +51,20 @@ from __future__ import annotations
 
 #: Bump when the DDL below changes incompatibly; stored in ``schema_meta``.
 #: v2 added ``results.model`` (the fault-model name per test); v3 added
-#: the ``steering_rounds`` table.  Older databases are migrated in place
-#: on open, one version at a time (see ``CampaignDB.open``).
-SCHEMA_VERSION = 3
+#: the ``steering_rounds`` table; v4 moved the injection record into
+#: ``results`` and the unit metrics into JSON (``units.payload`` gone).
+#: Older databases are migrated in place on open, one version at a time
+#: (see ``CampaignDB.open``).
+SCHEMA_VERSION = 4
+
+#: The ``results`` columns of a test's injection record (added in v4),
+#: in :class:`~repro.injection.injector.InjectionRecord` field order.
+#: ``kind`` is NULL when no fault struck.
+RECORD_COLUMNS = (
+    ("fault_param", "TEXT"), ("kind", "TEXT"), ("fault_bit", "INTEGER"),
+    ("extent_bytes", "INTEGER"), ("skipped", "INTEGER"), ("fault_collective", "TEXT"),
+    ("fault_site", "TEXT"), ("fault_invocation", "INTEGER"), ("before", "TEXT"), ("after", "TEXT"),
+)
 
 SCHEMA = """
 CREATE TABLE IF NOT EXISTS schema_meta (
@@ -85,9 +97,8 @@ CREATE TABLE IF NOT EXISTS units (
     test_start  INTEGER NOT NULL,
     test_stop   INTEGER NOT NULL,
     n_tests     INTEGER NOT NULL,
-    payload     BLOB NOT NULL,       -- pickled list[TestResult]
-    metrics     BLOB,                -- pickled MetricsRegistry or NULL
     recorded_at REAL NOT NULL,
+    metrics     TEXT,                -- MetricsRegistry.to_dict() as JSON
     PRIMARY KEY (campaign_id, unit_id)
 );
 
@@ -106,6 +117,7 @@ CREATE TABLE IF NOT EXISTS results (
     outcome     TEXT NOT NULL,
     injected    INTEGER NOT NULL,
     detail      TEXT NOT NULL DEFAULT '',
+""" + "".join(f"    {name} {kind},\n" for name, kind in RECORD_COLUMNS) + """\
     PRIMARY KEY (campaign_id, point_index, test_index)
 );
 CREATE INDEX IF NOT EXISTS idx_results_outcome

@@ -7,10 +7,11 @@ import pytest
 
 from repro.apps import make_app
 from repro.exec.checkpoint import campaign_digest
-from repro.injection import FaultSpec, InjectionPoint, Outcome
+from repro.injection import FaultSpec, InjectionPoint, InjectionRecord, Outcome
 from repro.injection import TestResult as InjectionTestResult
 from repro.obs.metrics import MetricsRegistry
 from repro.store import CampaignDB, DBCheckpointStore
+from repro.store.db import result_from_row
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +56,29 @@ def test_digest_sensitive_to_every_config_axis(app):
 
 
 def test_round_trip_preserves_tests_and_metrics(tmp_path, app):
+    """A unit's rows give back its tests whole (given their specs, which
+    resume redraws) and its metrics."""
     digest = _digest(app)
     point = _points()[0]
+    struck = InjectionPoint(2, "Bcast", "g.py:9", 3)  # a scenario strike lands elsewhere
+    first = [
+        InjectionTestResult(
+            FaultSpec(point, "count"), Outcome.WRONG_ANS,
+            InjectionRecord("count", "scalar", 5, 0, False, "Allreduce", "f.py:0", 0, "4", "36"),
+            "wrong answer",
+        ),
+        InjectionTestResult(
+            FaultSpec(point, "sendbuf"), Outcome.SUCCESS,
+            InjectionRecord("sendbuf", "buffer", 40, 4, True, struck.collective,
+                            struck.site, struck.invocation),
+        ),
+    ]
     store = _store(tmp_path, digest)
     assert store.load(resume=False) == {}
     reg = MetricsRegistry()
     reg.counter("campaign.tests").inc(3)
-    store.record("p0:t0-2", _tests(point, 2), reg)
+    reg.timer("exec.unit_s").record(0.25)
+    store.record("p0:t0-2", first, reg)
     store.record("p0:t2-4", _tests(point, 2), None)
     store.close()
 
@@ -69,14 +86,20 @@ def test_round_trip_preserves_tests_and_metrics(tmp_path, app):
     loaded = again.load(resume=True)
     again.close()
     assert set(loaded) == {"p0:t0-2", "p0:t2-4"}
-    tests, metrics = loaded["p0:t0-2"]
-    assert [t.outcome for t in tests] == [Outcome.SUCCESS, Outcome.SUCCESS]
-    assert metrics.counter("campaign.tests").value == 3
-    assert loaded["p0:t2-4"][1] is None
+    rows, metrics = loaded["p0:t0-2"]
+    assert [result_from_row(row, t.spec) for row, t in zip(rows, first)] == first
+    assert [row["bit"] for row in rows] == [5, None]  # NULL: no fault fired
+    assert metrics.to_dict() == reg.to_dict()
+    rows, metrics = loaded["p0:t2-4"]
+    assert [result_from_row(row, FaultSpec(point, "count")) for row in rows] == _tests(point, 2)
+    assert metrics is None
 
 
-class _Unpicklable:
-    def __reduce__(self):
+class _Unbindable:
+    """A ``results`` value SQLite cannot adapt: the write fails inside
+    the unit's transaction."""
+
+    def __conform__(self, protocol):
         raise RuntimeError("simulated torn write")
 
 
@@ -88,8 +111,10 @@ def test_torn_final_record_is_dropped(tmp_path, app):
     store = _store(tmp_path, digest)
     store.load(resume=False)
     store.record("p0:t0-2", _tests(point, 2), None)
+    torn = _tests(point, 2)
+    torn[-1] = InjectionTestResult(torn[-1].spec, Outcome.SUCCESS, None, _Unbindable())
     with pytest.raises(RuntimeError, match="torn write"):
-        store.record("p0:t2-4", _tests(point, 2), _Unpicklable())
+        store.record("p0:t2-4", torn, None)
     store.close()
 
     again = _store(tmp_path, digest)

@@ -14,27 +14,10 @@ from repro.steer import SequentialStopper
 
 
 def campaign_signature(result):
-    """Everything the determinism guarantee covers: point order, per-test
-    fault specs, outcomes, injection records, and derived rates."""
-    sig = []
-    for point, pr in result.points.items():
-        sig.append(
-            (
-                point,
-                [
-                    (
-                        t.spec.point,
-                        t.spec.param,
-                        t.spec.bit,
-                        t.outcome,
-                        None if t.record is None else (t.record.bit, t.record.skipped),
-                    )
-                    for t in pr.tests
-                ],
-                pr.error_rate,
-            )
-        )
-    return sig
+    """Everything the determinism guarantee covers: point order, every
+    test whole (spec, outcome, every injection-record field, detail),
+    and the derived rates."""
+    return [(point, pr.tests, pr.error_rate) for point, pr in result.points.items()]
 
 
 @pytest.fixture(scope="module")

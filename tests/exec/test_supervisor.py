@@ -14,28 +14,7 @@ from repro.injection import Campaign, CampaignConfig, ConfigError, Outcome, enum
 from repro.obs.events import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.store import CampaignDB
-
-
-def campaign_signature(result):
-    sig = []
-    for point, pr in result.points.items():
-        sig.append(
-            (
-                point,
-                [
-                    (
-                        t.spec.point,
-                        t.spec.param,
-                        t.spec.bit,
-                        t.outcome,
-                        None if t.record is None else (t.record.bit, t.record.skipped),
-                    )
-                    for t in pr.tests
-                ],
-                pr.error_rate,
-            )
-        )
-    return sig
+from tests.exec.test_parallel import campaign_signature
 
 
 @pytest.fixture(scope="module")

@@ -97,3 +97,31 @@ def test_registry_export_roundtrips_through_json():
     assert d["gauges"]["prune.reduction"] == 0.97
     assert d["timers"]["phase.profile_s"]["count"] == 1
     assert d["histograms"]["campaign.point_error_rate"]["mean"] == 0.25
+
+
+def test_from_dict_rebuilds_counters_gauges_and_timers():
+    """A unit's metrics are stored as ``to_dict()`` JSON: reading them
+    back and merging gives what merging the live registry gives."""
+    m = MetricsRegistry()
+    m.counter("campaign.tests").inc(12)
+    m.gauge("snapshot.width").set(2)
+    m.timer("exec.unit_s").record(0.5)
+    m.timer("exec.unit_s").record(0.125)
+    m.timer("snapshot.prefix_s")  # created, never recorded
+    m.timer("sim.steps", unit="steps").record(40)
+    back = MetricsRegistry.from_dict(json.loads(m.to_json()))
+    assert back.to_dict() == m.to_dict()
+    live, stored = MetricsRegistry(), MetricsRegistry()
+    live.timer("exec.unit_s").record(1.0)
+    stored.timer("exec.unit_s").record(1.0)
+    live.merge(m)
+    stored.merge(back)
+    assert stored.to_dict() == live.to_dict()
+
+
+def test_from_dict_refuses_histograms():
+    """A histogram's quantile sample is not in ``to_dict()``."""
+    m = MetricsRegistry()
+    m.histogram("campaign.point_error_rate").observe(0.25)
+    with pytest.raises(ValueError, match="histograms"):
+        MetricsRegistry.from_dict(m.to_dict())

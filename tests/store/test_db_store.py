@@ -6,6 +6,7 @@ import pytest
 from repro.injection import FaultSpec, InjectionPoint, Outcome
 from repro.injection import TestResult as InjectionTestResult
 from repro.store import CampaignDB, CampaignStoreError, DBCheckpointStore
+from repro.store.db import result_from_row
 
 DIGEST = "d" * 64
 
@@ -107,8 +108,8 @@ def test_record_unit_roundtrip(db):
 
     loaded, metrics = db.load_units(cid)["p1:t0-3"]
     assert metrics is None
-    assert [t.outcome for t in loaded] == [t.outcome for t in tests]
-    assert [t.spec.bit for t in loaded] == [0, 1, 2]
+    # The rows are the tests; only the spec is redrawn by the caller.
+    assert [result_from_row(r, t.spec) for r, t in zip(loaded, tests)] == tests
 
     rows = list(db.results(cid))
     assert [(r["point_index"], r["test_index"]) for r in rows] == [

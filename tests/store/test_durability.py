@@ -20,12 +20,19 @@ def make_tests(point_index=0, n=3):
     ]
 
 
-class PoisonMetrics:
-    """Pickles explosively — fails *inside* record_unit's transaction,
-    after the units INSERT already executed."""
+class PoisonDetail:
+    """A ``results`` value SQLite cannot bind: adapting it raises, so
+    record_unit fails *inside* its transaction, after the units INSERT
+    already executed."""
 
-    def __reduce__(self):
+    def __conform__(self, protocol):
         raise RuntimeError("simulated torn write")
+
+
+def poisoned_tests(point_index):
+    """A unit whose last test carries a :class:`PoisonDetail`."""
+    *tests, last = make_tests(point_index)
+    return [*tests, InjectionTestResult(last.spec, last.outcome, None, PoisonDetail())]
 
 
 def test_torn_write_rolls_back_whole_unit(tmp_path):
@@ -36,7 +43,7 @@ def test_torn_write_rolls_back_whole_unit(tmp_path):
         db.record_unit(cid, "p0:t0-3", make_tests(0))
 
         with pytest.raises(RuntimeError, match="torn write"):
-            db.record_unit(cid, "p1:t0-3", make_tests(1), metrics=PoisonMetrics())
+            db.record_unit(cid, "p1:t0-3", poisoned_tests(1))
 
         # the interrupted unit vanished entirely -- no units row, no
         # results rows, and the connection is out of the transaction
@@ -58,7 +65,7 @@ def test_torn_write_survives_reopen(tmp_path):
     cid = db.create_campaign(DIGEST, app="lu")
     db.record_unit(cid, "p0:t0-3", make_tests(0))
     with pytest.raises(RuntimeError):
-        db.record_unit(cid, "p1:t0-3", make_tests(1), metrics=PoisonMetrics())
+        db.record_unit(cid, "p1:t0-3", poisoned_tests(1))
     db.close()
 
     with CampaignDB(path) as again:

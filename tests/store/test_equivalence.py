@@ -5,9 +5,14 @@ agree with the in-memory TestResult stream."""
 
 import pytest
 
+from repro.apps import make_app
 from repro.injection import Campaign, enumerate_points
+from repro.obs.metrics import MetricsRegistry
+from repro.profiling import profile_application
 from repro.store import CampaignDB
 from repro.verify.replay import fingerprint
+from tests.exec.test_parallel import campaign_signature
+from tests.injection.test_fault_models import PIN_SCENARIO
 
 TESTS_PER_POINT = 6
 SEED = 17
@@ -143,3 +148,41 @@ def test_resume_of_complete_campaign_runs_nothing(serial, lu_app, lu_profile, po
     replayed = run_campaign(lu_app, lu_profile, points, db_path=db, resume=True)
     assert stream_signature(replayed) == stream_signature(result)
     assert db_signature(db) == db_signature(db)
+
+
+def test_scenario_campaign_killed_and_resumed_whole(tmp_path):
+    """A timeline campaign (records anchored at the struck call, not at
+    the anchor point): serial, ``jobs=2`` and killed-then-resumed give
+    the same tests, whole."""
+    app = make_app("is", "T")
+    profile = profile_application(app)
+    anchor = PIN_SCENARIO.anchor_point()
+
+    def run(**kwargs):
+        # Point-major slices (snapshot off): the one anchor point spans
+        # four units, so the campaign can die between them.
+        return Campaign(
+            app, profile, tests_per_point=12, seed=SEED, scenario=PIN_SCENARIO,
+            snapshot=False, **kwargs,
+        ).run([anchor])
+
+    serial = run()
+    assert campaign_signature(run(jobs=2)) == campaign_signature(serial)
+
+    class Killed(RuntimeError):
+        pass
+
+    def killer(done, total):
+        if done >= total // 2:
+            raise Killed(f"{done}/{total}")
+
+    db = tmp_path / "killed.sqlite"
+    with pytest.raises(Killed):
+        run(db_path=db, progress=killer)
+    metrics = MetricsRegistry()
+    resumed = run(db_path=db, resume=True, metrics=metrics)
+    assert campaign_signature(resumed) == campaign_signature(serial)
+    assert metrics.counter("exec.units_resumed").value > 0
+    assert metrics.counter("exec.units").value > 0
+    struck = {t.record.collective for t in resumed.all_tests() if t.record is not None}
+    assert struck - {anchor.collective}, "no record struck away from the anchor"

@@ -1,4 +1,4 @@
-"""Store coverage for the steering_rounds table and the v3 migration."""
+"""Store coverage for the steering_rounds table and the schema migrations."""
 
 import json
 import sqlite3
@@ -73,12 +73,33 @@ class TestSteeringRoundsRoundtrip:
         db.close()
 
 
-def _fabricate_old_version(path, version: int):
-    """Downgrade a fresh database to an older schema on disk."""
+#: The ``results`` columns schema v4 added: the test's injection record.
+V4_RECORD_COLUMNS = (
+    "fault_param", "kind", "fault_bit", "extent_bytes", "skipped",
+    "fault_collective", "fault_site", "fault_invocation", "before", "after",
+)
+
+
+def _columns(conn, table):
+    return {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+
+
+def fabricate_old_version(path, version: int):
+    """Downgrade a database on disk (a fresh one, or one a campaign
+    wrote) to an older schema.  Before v4, ``units`` kept each unit's
+    tests and metrics as serialised BLOBs."""
     db = CampaignDB(path).open()
     db.close()
     conn = sqlite3.connect(path)
-    conn.execute("DROP TABLE steering_rounds")
+    for name in V4_RECORD_COLUMNS:
+        if name in _columns(conn, "results"):
+            conn.execute(f"ALTER TABLE results DROP COLUMN {name}")
+    if "payload" not in _columns(conn, "units"):
+        conn.execute("ALTER TABLE units DROP COLUMN metrics")
+        conn.execute("ALTER TABLE units ADD COLUMN payload BLOB NOT NULL DEFAULT x''")
+        conn.execute("ALTER TABLE units ADD COLUMN metrics BLOB")
+    if version < 3:
+        conn.execute("DROP TABLE steering_rounds")
     if version < 2:
         conn.execute("ALTER TABLE results DROP COLUMN model")
     conn.execute(
@@ -90,18 +111,23 @@ def _fabricate_old_version(path, version: int):
 
 
 class TestMigration:
-    @pytest.mark.parametrize("old_version", [1, 2])
+    @pytest.mark.parametrize("old_version", [1, 2, 3])
     def test_migrates_in_place(self, tmp_path, old_version):
         path = tmp_path / "old.sqlite"
-        _fabricate_old_version(path, old_version)
+        fabricate_old_version(path, old_version)
         db = CampaignDB(path).open()
         row = db.conn.execute(
             "SELECT value FROM schema_meta WHERE key = 'schema_version'"
         ).fetchone()
-        assert int(row["value"]) == SCHEMA_VERSION == 3
+        assert int(row["value"]) == SCHEMA_VERSION == 4
         # v2 artefact: results.model exists again.
-        cols = [r["name"] for r in db.conn.execute("PRAGMA table_info(results)")]
+        cols = _columns(db.conn, "results")
         assert "model" in cols
+        # v4 artefacts: the record lives in results, units hold no BLOB.
+        assert set(V4_RECORD_COLUMNS) <= cols
+        units = db.conn.execute("PRAGMA table_info(units)").fetchall()
+        assert "payload" not in {r["name"] for r in units}
+        assert "BLOB" not in {r["type"] for r in units}
         # v3 artefact: steering_rounds usable.
         cid = db.create_campaign("migrated")
         db.record_steering_round(

@@ -1,8 +1,9 @@
 """Serial, ``--jobs 4`` and killed-then-resumed wire-fault campaigns
-commit identical ``results`` rows.
+commit identical ``results`` rows, and the killed-then-resumed database
+gives back the serial run's tests whole.
 
 Every wire-fault test takes the snapshot engine's full-replay fallback,
-and its stored spec carries the model name, so this is the store's
+and its stored row carries the model name, so this is the store's
 equivalence check for the non-bit-flip fault models.  The killed run is
 a real process, SIGKILLed together with its pool workers (its own
 process group) once it has recorded a unit.
@@ -16,6 +17,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro import FastFIT
 from repro.cli import main
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -66,3 +68,18 @@ def test_serial_parallel_and_resumed_rows_identical(tmp_path, capsys):
     assert serial_rows, "serial campaign recorded no rows"
     assert serial_rows == rows(par) == rows(resumed), "serial/parallel/resumed rows differ"
     assert {r[8] for r in serial_rows} == {"msg_corrupt"}
+
+    # The same campaign in memory, and rebuilt from the resumed database
+    # by one more resume, which executes nothing: whole tests, record
+    # fields and detail included.
+    def tests(**store):
+        ff = FastFIT.for_app(
+            "is", "T", tests_per_point=8, max_points=6, fault_model="msg_corrupt", **store
+        )
+        return ff.campaign().all_tests(), ff.metrics.counter("exec.units").value
+
+    in_memory, _ = tests()
+    rebuilt, executed = tests(db_path=resumed, resume=True)
+    assert executed == 0
+    assert rebuilt == in_memory
+    assert any(t.record is not None and t.record.after for t in rebuilt)

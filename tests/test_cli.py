@@ -373,26 +373,31 @@ class TestErrorHygiene:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
-    def test_checkpoint_mismatch_is_one_line(self, tmp_path, capsys):
-        """A legacy pickle checkpoint directory produces exit 2 and a
-        single line naming the migrate command, not a traceback."""
-        import pickle
+    def test_named_policy_runs_where_the_parameter_is(self, capsys):
+        """A policy naming one parameter keeps the points whose
+        collective has it: IS's Bcast points have a ``root``."""
+        assert main(["campaign", "--app", "is", "--policy", "root",
+                     "--tests", "2", "--max-points", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "Bcast" in captured.out and "Allreduce" not in captured.out
 
-        ck = tmp_path / "ck"
-        ck.mkdir()
-        with (ck / "units.pkl").open("wb") as fh:
-            pickle.dump({"digest": "not-this-campaign", "format": 1}, fh)
-        rc = main(
-            [
-                "campaign", "--app", "lu", "--tests", "2", "--max-points", "1",
-                "--checkpoint-dir", str(ck), "--resume",
-            ]
-        )
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["campaign", "--app", "is", "--policy", "displs", "--tests", "1"],
+             "--policy 'displs' names no parameter of a collective is calls "
+             "(Allgather, Allreduce, Alltoall, Alltoallv, Bcast)"),
+            (["trace", "--app", "is", "--policy", "root", "--point", "0"],
+             "--policy 'root' is not a parameter of Allgather (one of: sendbuf, "
+             "sendcount, recvbuf, recvcount, datatype, comm)"),
+        ],
+        ids=["campaign-empty-selection", "trace-point-without-it"],
+    )
+    def test_named_policy_without_the_parameter_is_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert rc == 2
-        assert "fastfit migrate" in err
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+        assert err.strip() == message
 
 
 def test_supervision_flags_reach_the_tool():

@@ -1,13 +1,16 @@
 """CLI plumbing for the campaign store: ``run --db``, ``stats --db``,
-``report``, ``migrate``, and the operator-error hygiene around them."""
+``report``, resume, and the operator-error hygiene around them."""
 
 import json
+import os
+import pickle
+import shlex
 import sqlite3
 
 import pytest
 
 from repro.cli import main
-from tests.store.test_migrate import write_legacy_checkpoint
+from tests.store.test_steering_rounds import fabricate_old_version
 
 CAMPAIGN_ARGS = [
     "--app", "lu", "--problem-class", "T", "--tests", "3", "--max-points", "4",
@@ -85,26 +88,9 @@ def test_progress_jsonl_flag(tmp_path, capsys):
     assert records[-1]["done_tests"] == records[-1]["total_tests"]
 
 
-def test_migrate_command(tmp_path, capsys):
-    src = tmp_path / "src.sqlite"
-    assert main(["campaign", *CAMPAIGN_ARGS, "--db", str(src)]) == 0
-    capsys.readouterr()
-    ckdir = tmp_path / "ck"
-    write_legacy_checkpoint(src, ckdir)
-
-    db = tmp_path / "migrated.sqlite"
-    assert main(["migrate", "--checkpoint-dir", str(ckdir), "--db", str(db)]) == 0
-    out = capsys.readouterr().out
-    assert "migrated campaign" in out and "complete" in out
-
-    # stored stats and the report work on the migrated database
-    assert main(["stats", "--db", str(db)]) == 0
-    assert "response types (stored)" in capsys.readouterr().out
-
-
 def test_checkpoint_dir_is_a_campaign_database(tmp_path, capsys):
     """``--checkpoint-dir DIR`` writes ``DIR/campaign.db``, which
-    ``stats --db`` and ``report --db`` read without a migrate step."""
+    ``stats --db`` and ``report --db`` read as is."""
     ckdir = tmp_path / "ck"
     assert main(["campaign", *CAMPAIGN_ARGS, "--checkpoint-dir", str(ckdir)]) == 0
     capsys.readouterr()
@@ -120,32 +106,69 @@ def test_checkpoint_dir_is_a_campaign_database(tmp_path, capsys):
     assert (tmp_path / "report" / "index.html").exists()
 
 
-def test_legacy_checkpoint_dir_resumes_after_migrate(tmp_path, capsys):
-    """Resuming from a directory that holds only a legacy pickle stream
-    exits 2 with one line naming the migrate command; after that command
-    the resume executes nothing."""
-    src = tmp_path / "src.sqlite"
-    assert main(["campaign", *CAMPAIGN_ARGS, "--db", str(src)]) == 0
-    ckdir = tmp_path / "ck"
-    write_legacy_checkpoint(src, ckdir)
+@pytest.mark.parametrize(
+    "args, units, tests",
+    [
+        (["--app", "is", "--problem-class", "T", "--tests", "4", "--max-points", "4",
+          "--jobs", "2"], 4, 16),
+        (CAMPAIGN_ARGS, 4, 12),
+    ],
+    ids=["is-jobs2", "lu"],
+)
+def test_resume_of_complete_checkpoint_dir_runs_nothing(args, units, tests, tmp_path, capsys):
+    """A resume of a complete ``--checkpoint-dir`` campaign rebuilds
+    every unit from the database and executes none."""
+    ck = ["--checkpoint-dir", str(tmp_path / "ck")]
+    assert main(["campaign", *args, *ck]) == 0
+    assert main(["campaign", *args, *ck, "--resume"]) == 0
     capsys.readouterr()
-
-    resume = ["stats", *CAMPAIGN_ARGS, "--checkpoint-dir", str(ckdir), "--resume", "--json"]
-    assert main(resume) == 2
-    err = capsys.readouterr().err
-    db = ckdir / "campaign.db"
-    assert f"fastfit migrate --checkpoint-dir {ckdir} --db {db}" in err
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
-    assert not db.exists()
-
-    assert main(["migrate", "--checkpoint-dir", str(ckdir), "--db", str(db)]) == 0
-    capsys.readouterr()
-    assert main(resume) == 0
+    assert main(["stats", "--json", *args, *ck, "--resume"]) == 0
     counters = json.loads(capsys.readouterr().out)["counters"]
     assert counters.get("exec.units", 0) == 0
-    assert counters["exec.units_resumed"] == 4
-    assert counters["campaign.tests"] == 4 * 3
+    assert counters["exec.units_resumed"] == units
+    assert counters["campaign.tests"] == tests
+
+
+class _Hostile:
+    """Unpickling this runs a shell command."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (os.system, (f"touch {shlex.quote(str(self.marker))}",))
+
+
+def test_hostile_old_database_runs_nothing(tmp_path, capsys):
+    """A v3 database whose unit BLOBs hold a pickle with a side effect:
+    resume, ``stats`` and ``report`` never unpickle it.  The migration to
+    v4 drops the old units, so the resume re-runs them."""
+    db, marker = tmp_path / "c.sqlite", tmp_path / "marker"
+    args = ["--app", "is", "--problem-class", "T", "--tests", "2", "--max-points", "2",
+            "--db", str(db)]
+    assert main(["campaign", *args]) == 0
+    fabricate_old_version(db, 3)
+    conn = sqlite3.connect(db)
+    poisoned = conn.execute(
+        "UPDATE units SET payload = ?, metrics = ?",
+        (pickle.dumps(_Hostile(marker)), pickle.dumps(_Hostile(marker))),
+    ).rowcount
+    conn.commit()
+    conn.close()
+    assert poisoned > 0
+    capsys.readouterr()
+
+    assert main(["campaign", *args, "--resume"]) == 0
+    err = capsys.readouterr().err
+    assert main(["stats", "--db", str(db), "--json"]) == 0
+    out, stats_err = capsys.readouterr()
+    stored = json.loads(out)
+    assert main(["report", "--db", str(db), "--out", str(tmp_path / "report")]) == 0
+    err += stats_err + capsys.readouterr().err
+    assert not marker.exists()
+    assert "Traceback" not in err
+    assert stored["metrics"]["counters"]["exec.units"] > 0
+    assert stored["campaign"]["recorded_tests"] == 2 * 2
 
 
 def test_adaptive_records_rounds_in_checkpoint_dir(tmp_path, capsys):
@@ -248,16 +271,5 @@ class TestErrorHygiene:
         empty = tmp_path / "empty.sqlite"
         CampaignDB(empty).open().close()
         assert main(["report", "--db", str(empty), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and err.strip()
-
-    def test_migrate_missing_checkpoint_is_one_line(self, tmp_path, capsys):
-        assert (
-            main(
-                ["migrate", "--checkpoint-dir", str(tmp_path / "nope"),
-                 "--db", str(tmp_path / "c.sqlite")]
-            )
-            == 2
-        )
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.strip()
