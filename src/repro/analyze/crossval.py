@@ -20,6 +20,7 @@ from ..injection.models import draw_task
 from ..injection.outcome import Outcome
 from ..injection.runner import InjectionRunner
 from ..injection.space import InjectionPoint, enumerate_points
+from ..injection.targets import select_points
 from ..profiling.profiler import ApplicationProfile, profile_application
 from .matching import MatchReport, check_skeleton
 from .preclassify import PreClassifier, predict_tests
@@ -54,7 +55,7 @@ class CrossValidation:
     tests_per_point: int
     param_policy: str
     seed: int
-    sample: float
+    sample: float | None
     n_points: int = 0
     n_tests: int = 0
     n_predicted: int = 0
@@ -98,19 +99,23 @@ def cross_validate(
     seed: int = 0,
     tests_per_point: int = 25,
     param_policy: str = "all",
-    sample: float = 1.0,
+    sample: float | None = 1.0,
     algorithms: dict[str, str] | None = None,
     profile: ApplicationProfile | None = None,
 ) -> CrossValidation:
-    """Classify the app's whole fault space and verify a sampled subset.
+    """Classify the policy's slice of the app's whole fault space and
+    verify a sampled subset.
 
-    ``sample`` is the fraction of *predicted* tests to re-run
-    dynamically (1.0 = every one); sampling is a deterministic stride,
-    so two runs with the same arguments check the same tests.
+    The slice is every point for ``"all"``/``"buffer"``, else the points
+    whose collective has the named parameter
+    (:func:`repro.injection.targets.select_points`).  ``sample`` is the
+    fraction of *predicted* tests to re-run dynamically (1.0 = every
+    one, ``None`` = none: classify only); sampling is a deterministic
+    stride, so two runs with the same arguments check the same tests.
     ``profile`` (default: profile ``app`` now) is both the skeleton the
     predictions come from and the golden run the live runs compare to.
     """
-    if not 0.0 < sample <= 1.0:
+    if sample is not None and not 0.0 < sample <= 1.0:
         raise ValueError(f"sample must be in (0, 1], got {sample}")
     if profile is None:
         profile = profile_application(app, algorithms=algorithms)
@@ -127,19 +132,19 @@ def cross_validate(
             f"skeleton of {app.name!r} fails the matching checker; "
             f"refusing to pre-classify:\n{report.describe()}"
         )
-    points = enumerate_points(profile)
+    points = select_points(enumerate_points(profile), param_policy, app.name)
     cv.n_points = len(points)
     runner = InjectionRunner(app, profile, algorithms=algorithms)
     pre = PreClassifier(skeleton, seed=seed, param_policy=param_policy)
 
-    stride = max(1, round(1.0 / sample))
+    stride = None if sample is None else max(1, round(1.0 / sample))
     for i, t, point, prediction in predict_tests(pre, points, tests_per_point):
         cv.n_tests += 1
         if prediction is None:
             continue
         cv.n_predicted += 1
         cv.rules[prediction.rule] += 1
-        if (cv.n_predicted - 1) % stride:
+        if stride is None or (cv.n_predicted - 1) % stride:
             continue
         # Rebuild the campaign's rng stream from scratch so the dynamic
         # run consumes draws exactly like the unit executor does.

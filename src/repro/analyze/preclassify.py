@@ -9,9 +9,9 @@ tables decide the outcome on the faulty rank's first few deterministic
 actions, before any genuine cross-rank interaction.
 
 :class:`PreClassifier` replays exactly the campaign's randomness
-(``SeedSequence(seed, spawn_key=(point_index, test_index))``, the
-``pick_target`` draw, then the injector's bit draw — see
-``repro.injection.campaign`` / ``repro.injection.injector``) and applies
+(the test's spec and RNG stream from
+:func:`repro.injection.models.draw_task`, then the injector's bit draw
+— see ``repro.injection.injector``) and applies
 a rule table derived from the collective drivers:
 
 * ``null-fault`` — the injector provably skips (empty count vector,
@@ -55,10 +55,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..injection.bitflip import flip_int32, flip_int64
-from ..injection.models import task_rng
+from ..injection.models import draw_task
 from ..injection.outcome import Outcome
 from ..injection.space import InjectionPoint
-from ..injection.targets import param_kind, pick_target
+from ..injection.targets import param_kind
 from ..simmpi.collectives.binomial import bcast_children, bcast_parent, vrank
 from .skeleton import HandleTable, Skeleton, SkeletonOp
 
@@ -134,9 +134,8 @@ class PreClassifier:
         )
         if op is None:
             return None
-        rng = task_rng(self.seed, point_index, test_index)
-        param = pick_target(rng, point.collective, self.param_policy)
-        return self.classify(op, param, rng)
+        spec, rng = draw_task(point, self.seed, point_index, test_index, policy=self.param_policy)
+        return self.classify(op, spec.param, rng)
 
     def classify(
         self,

@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .analysis import (
@@ -48,11 +49,11 @@ from .fastfit import FastFIT
 from .store import CampaignStoreError
 from .injection.campaign import Campaign, CampaignConfig
 from .injection.config import ConfigError
-from .injection.models import task_rng
+from .injection.models import draw_task
 from .injection.outcome import OUTCOME_ORDER, Outcome
+from .injection.runner import InjectionRunner
 from .injection.scenario import ScenarioError, load_scenario
-from .injection.space import FaultSpec
-from .injection.targets import all_targets, pick_target
+from .injection.targets import all_targets
 from .obs import (
     DEFAULT_CAPACITY,
     Tracer,
@@ -295,11 +296,15 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one injection test with full tracing and print/export it."""
-    if args.bit is not None and args.bit < 0:
-        print(f"--bit must be >= 0, got {args.bit}", file=sys.stderr)
-        return 2
+    for flag, value, least in (
+        ("--bit", args.bit, 0), ("--test", args.test, 0), ("--limit", args.limit, 0),
+        ("--capacity", args.capacity, 1), ("--max-search", args.max_search, 1),
+    ):
+        if value is not None and value < least:
+            print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
+            return 2
     ff = _tool(args)
-    points = ff.prune().representative_points
+    points = ff.points()
     if not points:
         print("no injection points for this workload", file=sys.stderr)
         return 1
@@ -311,25 +316,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 2
     point = points[args.point]
     valid = all_targets(point.collective)
-    # An explicit --param overrides the policy; either must name one of
-    # this point's parameters (a policy may also be all/buffer).
-    named = args.param if args.param is not None else ff.config.param_policy
-    if named not in valid and (args.param is not None or named not in ("all", "buffer")):
-        flag = "--param" if args.param is not None else args.flags["param_policy"]
+    if args.param is not None and args.param not in valid:
         print(
-            f"{flag} {named!r} is not a parameter of "
+            f"--param {args.param!r} is not a parameter of "
             f"{point.collective} (one of: {', '.join(valid)})",
             file=sys.stderr,
         )
         return 2
-    runner = Campaign(ff.app, ff.profile(), ff.config, tests_per_point=1).runner
-
-    def spec_for(test_index: int):
-        # Rebuilding the rng from (point, test) indices replays the exact
-        # parameter pick and bit choice of any test of the campaign.
-        rng = task_rng(ff.config.seed, args.point, test_index)
-        param = args.param or pick_target(rng, point.collective, ff.config.param_policy)
-        return FaultSpec(point, param, args.bit), rng
+    # Test (point, t) of the campaign over ff.points(): an explicit
+    # --param is a one-candidate policy, whose pick draws no state.
+    policy = args.param or ff.config.param_policy
+    runner = InjectionRunner(ff.app, ff.profile())
 
     test_index = args.test
     if args.find_outcome is not None:
@@ -339,8 +336,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             return 2
         found = None
         for t in range(args.max_search):
-            spec, rng = spec_for(t)
-            if runner.run_one(spec, rng).outcome.name == want:
+            spec, rng = draw_task(point, ff.config.seed, args.point, t, policy=policy)
+            if runner.run_one(replace(spec, bit=args.bit), rng).outcome.name == want:
                 found = t
                 break
         if found is None:
@@ -352,8 +349,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             return 1
         test_index = found
 
+    spec, rng = draw_task(point, ff.config.seed, args.point, test_index, policy=policy)
+    spec = replace(spec, bit=args.bit)
     tracer = Tracer(capacity=args.capacity)
-    spec, rng = spec_for(test_index)
     result = runner.run_one(spec, rng, tracer=tracer)
     graph = None
     if result.outcome is Outcome.INF_LOOP and runner.last_exception is not None:
@@ -423,13 +421,28 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_snapshot_line(metrics: dict) -> None:
-    """The report's snapshot-engine line, when the engine served a test."""
+def _stats_blocks(
+    hist: dict[str, int], metrics: dict, timings_title: str, bars_title: str
+) -> tuple[str, str, str]:
+    """What both ``stats`` paths print, each in its own order: the
+    phase-timings table of registry dict ``metrics`` (empty without
+    timers), its snapshot-engine line (empty when the engine served no
+    test), and the response bars over ``hist`` (outcome name → count)."""
     from .report.builder import snapshot_engine_line
 
-    line = snapshot_engine_line(metrics)
-    if line:
-        print(f"\n{line}")
+    rows = [
+        [name, t["count"], f"{t['total']:.3f}", f"{t['mean']:.3f}"]
+        for name, t in sorted(metrics.get("timers", {}).items())
+    ]
+    timings = render_table(["phase", "count", "total_s", "mean_s"], rows, title=timings_title)
+    names = [o.name for o in OUTCOME_ORDER]
+    if Outcome.TOOL_ERROR.name in hist:
+        names.append(Outcome.TOOL_ERROR.name)
+    total = sum(hist.values())
+    bars = render_bars(
+        {name: hist.get(name, 0) / total if total else 0.0 for name in names}, title=bars_title
+    )
+    return timings if rows else "", snapshot_engine_line(metrics), bars
 
 
 def _stats_from_db(args: argparse.Namespace) -> int:
@@ -486,29 +499,15 @@ def _stats_from_db(args: argparse.Namespace) -> int:
         )
         print(f"recorded tests: {total}, quarantined units: {n_quarantined}")
         print()
-        order = [o.name for o in OUTCOME_ORDER] + [Outcome.TOOL_ERROR.name]
-        fractions = {
-            name: hist.get(name, 0) / total if total else 0.0
-            for name in order
-            if name in hist or name in {o.name for o in OUTCOME_ORDER}
-        }
-        print(render_bars(fractions, title="response types (stored)"))
-        if metrics:
-            _print_snapshot_line(metrics)
-            timers = metrics.get("timers", {})
-            rows = [
-                [name, t["count"], f"{t['total']:.3f}", f"{t['mean']:.3f}"]
-                for name, t in sorted(timers.items())
-            ]
-            if rows:
-                print()
-                print(
-                    render_table(
-                        ["phase", "count", "total_s", "mean_s"],
-                        rows,
-                        title="phase timings (stored)",
-                    )
-                )
+        timings, snapshot, bars = _stats_blocks(
+            hist, metrics or {}, "phase timings (stored)", "response types (stored)"
+        )
+        print(bars)
+        if snapshot:
+            print(f"\n{snapshot}")
+        if timings:
+            print()
+            print(timings)
     return 0
 
 
@@ -527,11 +526,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return 0
 
     data = registry.to_dict()
-    rows = [
-        [name, t["count"], f"{t['total']:.3f}", f"{t['mean']:.3f}"]
-        for name, t in sorted(data["timers"].items())
-    ]
-    print(render_table(["phase", "count", "total_s", "mean_s"], rows, title="phase timings"))
+    timings, snapshot, bars = _stats_blocks(
+        {o.name: n for o, n in campaign.outcome_histogram().items()}, data, "phase timings",
+        f"response types ({len(points)} points × {campaign.tests_per_point} tests)",
+    )
+    print(timings)
 
     n_tests = data["counters"].get("campaign.tests", 0)
     campaign_s = data["timers"].get("phase.campaign_s", {}).get("total", 0.0)
@@ -542,15 +541,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if n_predicted:
         print(f"static prune: {n_predicted} of {n_tests} tests statically "
               f"proven ({n_predicted / n_tests:.1%} skipped)")
-    _print_snapshot_line(data)
+    if snapshot:
+        print(f"\n{snapshot}")
 
     print()
-    print(
-        render_bars(
-            {o.value: f for o, f in campaign.outcome_fractions().items()},
-            title=f"response types ({len(points)} points × {campaign.tests_per_point} tests)",
-        )
-    )
+    print(bars)
 
     gauges = {k: v for k, v in sorted(data["gauges"].items()) if k.startswith("prune.")}
     if gauges:
@@ -675,17 +670,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         phase("replay", ok, {"apps": replay_info})
 
     # 4. campaign determinism: the same small campaign, serial then
-    # sharded, must produce bit-identical TestResult streams.
+    # sharded, must produce identical results, point order included.
     if not args.skip_campaign:
         ff = FastFIT(make_app(args.app, args.problem_class), config)
         points = enumerate_points(ff.profile())[: config.max_points]
-        sigs = []
-        for jobs in (1, 2):
-            campaign = Campaign(
-                ff.app, ff.profile(), config, param_policy="all", jobs=jobs,
-            ).run(points)
-            sigs.append(_campaign_signature(campaign))
-        ok = sigs[0] == sigs[1]
+        serial, parallel = (
+            Campaign(ff.app, ff.profile(), config, param_policy="all", jobs=jobs).run(points)
+            for jobs in (1, 2)
+        )
+        ok = list(serial.points.items()) == list(parallel.points.items())
         tests = config.tests_per_point
         phase("campaign", ok, {
             "app": args.app, "points": len(points), "tests": tests, "identical": ok,
@@ -734,44 +727,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary["ok"] else 1
 
 
-def _campaign_signature(result) -> list:
-    """The determinism guarantee, reified: point order, per-test fault
-    specs, outcomes, injection records, derived rates."""
-    sig = []
-    for point, pr in result.points.items():
-        sig.append(
-            (
-                point,
-                [
-                    (
-                        t.spec.point, t.spec.param, t.spec.bit, t.outcome,
-                        None if t.record is None else (t.record.bit, t.record.skipped),
-                    )
-                    for t in pr.tests
-                ],
-                pr.error_rate,
-            )
-        )
-    return sig
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Static analysis over an application's fault space: the
     collective-matching checker, the provable fault-outcome
     pre-classifier (optionally cross-validated against live runs), and
     the determinism/simulator-safety lint.  Exit 0 = clean, 1 =
     findings/mismatches, 2 = operator error."""
-    from collections import Counter
-
-    from .analyze import (
-        PreClassifier,
-        check_skeleton,
-        cross_validate,
-        lint_tree,
-        predict_tests,
-        skeleton_from_profile,
-    )
-    from .injection import enumerate_points
+    from .analyze import check_skeleton, cross_validate, lint_tree, skeleton_from_profile
     from .profiling.profiler import golden_run
 
     # -- operator-error hygiene (exit 2, one line, no traceback) --------
@@ -829,41 +791,32 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ok = clean and not lint_findings
 
     cv = None
-    if clean and args.sample is not None:
-        # Referee mode: re-run a deterministic stride of the predicted
-        # tests in the live simulator; one mismatch fails the analysis.
+    if clean:
+        # Referee mode (--sample): re-run a deterministic stride of the
+        # predicted tests in the live simulator; one mismatch fails the
+        # analysis.  Without it, classify the whole campaign, run nothing.
         cv = cross_validate(
             app, seed=config.seed, tests_per_point=config.tests_per_point,
             param_policy=config.param_policy, sample=args.sample, profile=profile,
         )
         ok = ok and cv.ok
-        summary["crossval"] = {
-            "ok": cv.ok, "n_tests": cv.n_tests, "n_predicted": cv.n_predicted,
-            "n_checked": cv.n_checked, "coverage": cv.coverage,
-            "rules": dict(cv.rules),
-            "mismatches": [
-                {"param": m.param, "rule": m.rule,
-                 "predicted": m.predicted.value, "actual": m.actual.value,
-                 "detail": m.detail}
-                for m in cv.mismatches
-            ],
-        }
-    elif clean:
-        # Static-only pass: classify the whole campaign, run nothing.
-        pre = PreClassifier(skeleton, seed=config.seed, param_policy=config.param_policy)
-        points = enumerate_points(profile)
-        rules: Counter = Counter()
-        n_tests = n_predicted = 0
-        for _i, _t, _point, prediction in predict_tests(pre, points, config.tests_per_point):
-            n_tests += 1
-            if prediction is not None:
-                n_predicted += 1
-                rules[prediction.rule] += 1
-        summary["preclassify"] = {
-            "n_tests": n_tests, "n_predicted": n_predicted,
-            "coverage": n_predicted / n_tests if n_tests else 0.0,
-            "rules": dict(rules),
-        }
+        rules = dict(cv.rules)
+        if args.sample is None:
+            summary["preclassify"] = {
+                "n_tests": cv.n_tests, "n_predicted": cv.n_predicted,
+                "coverage": cv.coverage, "rules": rules,
+            }
+        else:
+            summary["crossval"] = {
+                "ok": cv.ok, "n_tests": cv.n_tests, "n_predicted": cv.n_predicted,
+                "n_checked": cv.n_checked, "coverage": cv.coverage, "rules": rules,
+                "mismatches": [
+                    {"param": m.param, "rule": m.rule,
+                     "predicted": m.predicted.value, "actual": m.actual.value,
+                     "detail": m.detail}
+                    for m in cv.mismatches
+                ],
+            }
 
     if args.json:
         summary["ok"] = ok
@@ -877,18 +830,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"{f.path}:{f.line}: {f.rule}: {f.message}")
     print(f"lint: {len(lint_findings)} finding(s)"
           if lint_findings else "lint: clean")
-    if cv is not None:
+    if "crossval" in summary:
         print()
         print(cv.describe())
-    elif "preclassify" in summary:
-        pc = summary["preclassify"]
+    elif cv is not None:
         print()
-        rows = [[rule, n] for rule, n in sorted(
-            pc["rules"].items(), key=lambda kv: -kv[1])]
+        rows = [[rule, n] for rule, n in sorted(cv.rules.items(), key=lambda kv: -kv[1])]
         print(render_table(
             ["rule", "tests"], rows,
-            title=f"statically proven: {pc['n_predicted']}/{pc['n_tests']} "
-            f"tests ({pc['coverage']:.1%}) — not cross-validated "
+            title=f"statically proven: {cv.n_predicted}/{cv.n_tests} "
+            f"tests ({cv.coverage:.1%}) — not cross-validated "
             f"(use --sample)",
         ))
     return 0 if ok else 1
@@ -994,7 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_app_args(p)
     p.add_argument(
         "--point", type=int, default=0,
-        help="index into the pruned representative points (see 'prune')",
+        help="index into the campaign's point list (the pruned representatives "
+        "the policy covers)",
     )
     p.add_argument("--param", default=None, help="fault parameter (default: policy pick)")
     _add_option(p, "param_policy")

@@ -24,9 +24,8 @@ from .analysis.reports import render_table
 from .apps.base import Application
 from .apps.registry import make_app
 from .injection.campaign import Campaign, CampaignConfig, CampaignResult
-from .injection.config import ConfigError
 from .injection.space import InjectionPoint, enumerate_points
-from .injection.targets import all_targets
+from .injection.targets import select_points
 from .obs.metrics import MetricsRegistry
 from .profiling.profiler import ApplicationProfile, profile_application
 from .pruning.context import ContextSelection, select_context
@@ -238,15 +237,8 @@ class FastFIT:
         if self.config.scenario is not None:
             return [self.config.scenario.anchor_point()]
         points = self.prune().representative_points
-        policy = self.config.param_policy
-        having = [p for p in points if policy in ("all", "buffer", *all_targets(p.collective))]
-        if points and not having:
-            raise ConfigError(
-                "param_policy", "{param_policy} {value!r} names no parameter of a collective {app} "
-                "calls ({collectives})", value=policy, app=self.app.name,
-                collectives=", ".join(sorted({p.collective for p in points})),
-            )
-        return having[: self.config.max_points]
+        points = select_points(points, self.config.param_policy, self.app.name)
+        return points[: self.config.max_points]
 
     def campaign(
         self, points: Sequence[InjectionPoint] | None = None, tests_per_point: int | None = None

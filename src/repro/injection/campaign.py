@@ -31,7 +31,7 @@ from ..profiling.profiler import ApplicationProfile
 from .outcome import OUTCOME_ORDER, Outcome
 from .config import ConfigError
 from .models import MODELS, SELECTABLE_MODELS
-from .runner import InjectionRunner, TestResult
+from .runner import TestResult
 from .scenario import Scenario
 from .space import InjectionPoint
 from .targets import is_policy
@@ -549,11 +549,6 @@ class Campaign:
 
             self._state = WorkerState(*self.worker_args(), preclassifier=self.preclassifier)
         return self._state
-
-    @property
-    def runner(self) -> InjectionRunner:
-        """The in-process :class:`InjectionRunner` (``fastfit trace``)."""
-        return self.worker_state().runner
 
     def plan(self) -> tuple[str, int]:
         """The unit plan ``(layout, unit_tests)``: whole-point units

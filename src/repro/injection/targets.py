@@ -19,6 +19,8 @@ flipped (the outcome is trivially catastrophic, § II).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Sequence
+
 import numpy as np
 
 from ..simmpi import (
@@ -29,6 +31,10 @@ from ..simmpi import (
     SCALAR_PARAMS,
     VECTOR_PARAMS,
 )
+from .config import ConfigError
+
+if TYPE_CHECKING:
+    from .space import InjectionPoint
 
 
 def buffer_targets(collective: str) -> tuple[str, ...]:
@@ -46,6 +52,23 @@ def is_policy(policy: str) -> bool:
     return policy in ("all", "buffer") or any(
         policy in params for params in COLLECTIVE_PARAMS.values()
     )
+
+
+def select_points(
+    points: Sequence[InjectionPoint], policy: str, app: str
+) -> list[InjectionPoint]:
+    """The points a run under ``policy`` covers: every point for
+    ``"all"``/``"buffer"``, else the points whose collective has the
+    named parameter, as the paper's per-parameter sweeps do.  A policy
+    that leaves none of ``app``'s points raises :class:`ConfigError`."""
+    having = [p for p in points if policy in ("all", "buffer", *all_targets(p.collective))]
+    if points and not having:
+        raise ConfigError(
+            "param_policy", "{param_policy} {value!r} names no parameter of a collective {app} "
+            "calls ({collectives})", value=policy, app=app,
+            collectives=", ".join(sorted({p.collective for p in points})),
+        )
+    return having
 
 
 def targets_for_policy(collective: str, policy: str) -> tuple[str, ...]:

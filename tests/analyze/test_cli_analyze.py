@@ -48,6 +48,20 @@ def test_analyze_crossval_json_has_zero_mismatches(capsys):
     assert cv["mismatches"] == [], cv["mismatches"]
 
 
+@pytest.mark.parametrize("sample", [[], ["--sample", "0.5"]], ids=["static", "sample"])
+def test_analyze_named_policy_covers_its_slice(sample, capsys):
+    """``--policy root`` classifies the points whose collective has a
+    ``root`` (IS's Bcasts), not every point of the space."""
+    assert main(["analyze", "--app", "is", "--policy", "root", "--tests", "2",
+                 "--json", *sample]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    summary = data["crossval" if sample else "preclassify"]
+    assert data["ok"] and summary["n_tests"] == 8
+    assert set(summary["rules"]) == {"root-out-of-range"}
+
+
 def test_analyze_lint_only(capsys):
     assert main(["analyze", "--lint-only"]) == 0
     assert "lint: clean" in capsys.readouterr().out

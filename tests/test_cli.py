@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import FastFIT
 from repro.cli import build_parser, main
 
 
@@ -388,16 +389,54 @@ class TestErrorHygiene:
             (["campaign", "--app", "is", "--policy", "displs", "--tests", "1"],
              "--policy 'displs' names no parameter of a collective is calls "
              "(Allgather, Allreduce, Alltoall, Alltoallv, Bcast)"),
-            (["trace", "--app", "is", "--policy", "root", "--point", "0"],
-             "--policy 'root' is not a parameter of Allgather (one of: sendbuf, "
-             "sendcount, recvbuf, recvcount, datatype, comm)"),
+            (["analyze", "--app", "is", "--policy", "displs", "--tests", "1"],
+             "--policy 'displs' names no parameter of a collective is calls "
+             "(Allgather, Allreduce, Alltoall, Alltoallv, Bcast)"),
         ],
-        ids=["campaign-empty-selection", "trace-point-without-it"],
+        ids=["campaign-empty-selection", "analyze-empty-selection"],
     )
     def test_named_policy_without_the_parameter_is_one_line(self, argv, message, capsys):
+        """``campaign`` and ``analyze`` select points by one rule
+        (:func:`repro.injection.targets.select_points`), so an empty
+        selection fails both the same way."""
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.strip() == message
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--test", "-1"], "--test must be >= 0, got -1"),
+            (["--limit", "-1"], "--limit must be >= 0, got -1"),
+            (["--capacity", "0"], "--capacity must be >= 1, got 0"),
+            (["--max-search", "-1"], "--max-search must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_trace_option_is_one_line(self, flags, message, capsys):
+        """A negative test index or a zero-event ring buffer used to
+        end in a ``ValueError`` traceback; a negative ``--limit``
+        silently dropped the last event."""
+        assert main(["trace", "--app", "is", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [message]
+
+
+def test_trace_replays_the_named_policy_campaign(capsys):
+    """``trace --point N --test t`` is test ``(N, t)`` of the campaign
+    over ``FastFIT.points()``: under ``--policy root`` on IS, point 0 is
+    the first Bcast representative, not representative 0 (Allgather)."""
+    ff = FastFIT.for_app("is", "T", param_policy="root", tests_per_point=2, max_points=1)
+    [(point, pr)] = ff.campaign().points.items()
+    test = pr.tests[1]
+    assert main(["trace", "--app", "is", "--policy", "root", "--point", "0",
+                 "--test", "1", "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    meta, result = records[0], records[-1]
+    [fired] = [r for r in records if r.get("kind") == "fault_fired"]
+    assert meta["point"] == {"rank": point.rank, "collective": point.collective,
+                             "site": point.site, "invocation": point.invocation}
+    assert (meta["param"], fired["bit"]) == (test.spec.param, test.record.bit)
+    assert (result["outcome"], result["detail"]) == (test.outcome.value, test.detail)
 
 
 def test_supervision_flags_reach_the_tool():
