@@ -14,7 +14,7 @@ from collections import Counter
 import common
 import numpy as np
 
-from repro.analysis.reports import render_grouped_bars
+from repro.report.text import render_grouped_bars
 from repro.injection import FaultInjector, FaultSpec, Outcome, enumerate_points
 from repro.injection.outcome import OUTCOME_ORDER, classify_exception
 from repro.profiling import profile_application

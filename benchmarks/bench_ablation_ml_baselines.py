@@ -8,7 +8,8 @@ a majority-class predictor clearly and match or beat a single tree.
 import common
 import numpy as np
 
-from repro.analysis import EVEN_2_LEVELS, render_table
+from repro.pruning.mldriven import EVEN_2_LEVELS
+from repro.report.text import render_table
 from repro.apps import NPB_NAMES
 from repro.ml import (
     DecisionTreeClassifier,

@@ -10,7 +10,7 @@ should be more homogeneous — lower within-group error-rate dispersion.
 import common
 import numpy as np
 
-from repro.analysis import render_table
+from repro.report.text import render_table
 from repro.injection import Campaign, enumerate_points
 from repro.ml.features import invocation_stack
 

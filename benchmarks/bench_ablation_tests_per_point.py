@@ -11,14 +11,14 @@ before 100 tests.
 import common
 import numpy as np
 
-from repro.analysis import (
-    QUARTILE_LEVELS,
+from repro.pruning.mldriven import QUARTILE_LEVELS
+from repro.report.text import render_table
+from repro.steer.stopping import (
     convergence_trace,
     level_stability,
     required_tests,
     wilson_interval,
 )
-from repro.analysis.reports import render_table
 from repro.injection import Campaign, enumerate_points
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 
 import common
 
-from repro.analysis import render_grouped_bars
+from repro.report.text import render_grouped_bars
 from repro.injection import Campaign, enumerate_points
 from repro.injection.outcome import OUTCOME_ORDER
 from repro.pruning import equivalence_classes

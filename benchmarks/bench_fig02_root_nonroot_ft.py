@@ -13,7 +13,7 @@ from collections import Counter
 
 import common
 
-from repro.analysis import render_grouped_bars
+from repro.report.text import render_grouped_bars
 from repro.injection import Campaign, InjectionPoint, enumerate_points
 from repro.injection.outcome import OUTCOME_ORDER
 

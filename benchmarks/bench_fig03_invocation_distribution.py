@@ -11,7 +11,8 @@ std well below the full 0–100 % spread.
 import common
 import numpy as np
 
-from repro.analysis import fit_error_rates, histogram, render_histogram
+from repro.pruning.context import fit_error_rates, histogram
+from repro.report.text import render_histogram
 from repro.injection import Campaign, enumerate_points
 
 #: A longer-running mini-LAMMPS so one thermo site has many

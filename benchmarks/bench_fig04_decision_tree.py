@@ -8,7 +8,7 @@ levels.  This benchmark trains on a real campaign and renders one tree.
 
 import common
 
-from repro.analysis import QUARTILE_LEVELS
+from repro.pruning.mldriven import QUARTILE_LEVELS
 from repro.ml import DecisionTreeClassifier, FEATURE_NAMES, build_level_dataset
 
 

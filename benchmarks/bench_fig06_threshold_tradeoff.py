@@ -10,7 +10,7 @@ Expected shape: a (weakly) monotone downward trend.
 import common
 import numpy as np
 
-from repro.analysis import render_table
+from repro.report.text import render_table
 from repro.steer import adaptive_campaign
 
 THRESHOLDS = (0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75)

@@ -9,7 +9,7 @@ second only to SUCCESS overall).
 
 import common
 
-from repro.analysis import render_grouped_bars
+from repro.report.text import render_grouped_bars
 from repro.apps import NPB_NAMES
 
 

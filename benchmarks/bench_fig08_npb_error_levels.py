@@ -11,7 +11,8 @@ hit the applications hardest; MPI_Alltoallv causes the least damage.
 import common
 import numpy as np
 
-from repro.analysis import PAPER_3_LEVELS, level_distribution, render_grouped_bars
+from repro.pruning.mldriven import PAPER_3_LEVELS, level_distribution
+from repro.report.text import render_grouped_bars
 from repro.apps import NPB_NAMES
 
 

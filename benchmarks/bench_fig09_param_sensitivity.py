@@ -10,7 +10,7 @@ SEG_FAULT (pointer-like handles, oversized counts).
 
 import common
 
-from repro.analysis import render_grouped_bars
+from repro.report.text import render_grouped_bars
 from repro.apps import NPB_NAMES
 from repro.injection import Outcome
 

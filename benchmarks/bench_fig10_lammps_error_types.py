@@ -10,7 +10,7 @@ style verification); INF_LOOP rarest.
 
 import common
 
-from repro.analysis import render_bars
+from repro.report.text import render_bars
 from repro.injection import Outcome
 
 

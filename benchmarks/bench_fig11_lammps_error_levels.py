@@ -9,7 +9,8 @@ collective calls — shows a *low* error rate.
 import common
 import numpy as np
 
-from repro.analysis import PAPER_3_LEVELS, level_distribution, render_grouped_bars
+from repro.pruning.mldriven import PAPER_3_LEVELS, level_distribution
+from repro.report.text import render_grouped_bars
 
 
 def bench_fig11_lammps_error_levels(benchmark):

@@ -11,7 +11,7 @@ overall accuracy far above chance.
 import common
 import numpy as np
 
-from repro.analysis import render_bars
+from repro.report.text import render_bars
 from repro.apps import NPB_NAMES
 from repro.ml import (
     RandomForestClassifier,

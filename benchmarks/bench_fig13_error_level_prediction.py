@@ -8,7 +8,8 @@ shape: strong two-level accuracy, somewhat weaker three-level accuracy.
 
 import common
 
-from repro.analysis import EVEN_2_LEVELS, EVEN_3_LEVELS, render_bars
+from repro.pruning.mldriven import EVEN_2_LEVELS, EVEN_3_LEVELS
+from repro.report.text import render_bars
 from repro.apps import NPB_NAMES
 from repro.ml import (
     RandomForestClassifier,

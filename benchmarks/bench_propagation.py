@@ -13,8 +13,8 @@ the golden run.  Collective semantics predict the pattern:
 
 import common
 
-from repro.analysis import propagation_study
-from repro.analysis.reports import render_table
+from repro.injection.propagation import propagation_study
+from repro.report.text import render_table
 from repro.injection import enumerate_points
 
 

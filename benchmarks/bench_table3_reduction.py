@@ -13,7 +13,7 @@ LAMMPS context reduction large (same-stack timestep loops).
 import common
 
 from repro import FastFIT
-from repro.analysis import render_table
+from repro.report.text import render_table
 from repro.apps import NPB_NAMES, make_app
 from repro.steer import adaptive_campaign
 

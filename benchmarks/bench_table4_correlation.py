@@ -11,7 +11,7 @@ sensitivity; the compute phase and non-error-handling code sit below
 
 import common
 
-from repro.analysis import render_table
+from repro.report.text import render_table
 from repro.ml import TABLE4_FEATURES, correlation_table
 
 

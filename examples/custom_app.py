@@ -21,7 +21,7 @@ from typing import Any, Generator
 import numpy as np
 
 from repro import FastFIT
-from repro.analysis import render_bars
+from repro.report.text import render_bars
 from repro.apps.base import Application
 from repro.simmpi import Context
 

@@ -14,7 +14,8 @@ Usage::
 import argparse
 
 from repro import FastFIT
-from repro.analysis import QUARTILE_LEVELS, render_table
+from repro.pruning.mldriven import QUARTILE_LEVELS
+from repro.report.text import render_table
 from repro.ml import (
     FEATURE_NAMES,
     TABLE4_FEATURES,

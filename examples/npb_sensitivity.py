@@ -15,7 +15,8 @@ Usage::
 import argparse
 
 from repro import FastFIT
-from repro.analysis import PAPER_3_LEVELS, level_distribution, render_grouped_bars
+from repro.pruning.mldriven import PAPER_3_LEVELS, level_distribution
+from repro.report.text import render_grouped_bars
 from repro.apps import NPB_NAMES
 
 

@@ -1,40 +1,38 @@
-"""Error propagation and result export.
+"""Error propagation and the adequacy of a per-point test count.
 
 Two capabilities beyond the paper's evaluation:
 
 1. **blast radius** — for faults that don't crash the job, how many
    ranks end up with corrupted results?  Collective semantics predict
    the pattern (allreduce: all-or-nothing; rooted gathers: contained).
-2. **export** — campaign results as JSON/CSV artefacts, plus the
-   statistical adequacy of the chosen test count (Wilson intervals).
+2. **statistical adequacy** of the chosen test count (Wilson
+   intervals), on a campaign that ``--db`` keeps in a campaign
+   database (read it back with ``fastfit stats --db`` or
+   ``fastfit report --db``).
 
 Usage::
 
-    python examples/propagation_and_export.py [--out-dir /tmp/fastfit]
+    python examples/propagation.py [--db /tmp/fastfit.db]
 """
 
 import argparse
-import pathlib
 
 from repro import FastFIT
-from repro.analysis import (
-    campaign_to_csv,
-    campaign_to_json,
-    propagation_study,
-    required_tests,
-    wilson_interval,
-)
-from repro.analysis.reports import render_table
 from repro.injection import enumerate_points
+from repro.injection.propagation import propagation_study
+from repro.report.text import render_table
+from repro.steer.stopping import required_tests, wilson_interval
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out-dir", default=None, help="write JSON/CSV artefacts here")
+    parser.add_argument("--db", default=None, help="keep the campaign in this database")
     parser.add_argument("--tests", type=int, default=15)
     args = parser.parse_args()
 
-    ff = FastFIT.for_app("cg", "T", tests_per_point=args.tests, param_policy="buffer")
+    ff = FastFIT.for_app(
+        "cg", "T", tests_per_point=args.tests, param_policy="buffer", db_path=args.db
+    )
     profile = ff.profile()
 
     # -- propagation: compare collective semantics ---------------------
@@ -74,17 +72,8 @@ def main() -> None:
         f"at n={n}; quartile-level discrimination needs n≥{required_tests(0.125)}"
     )
 
-    # -- export ----------------------------------------------------------
-    if args.out_dir:
-        out = pathlib.Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "campaign.json").write_text(campaign_to_json(campaign))
-        (out / "points.csv").write_text(campaign_to_csv(campaign))
-        print(f"wrote {out / 'campaign.json'} and {out / 'points.csv'}")
-    else:
-        print()
-        print(campaign_to_csv(campaign).splitlines()[0])
-        print(f"({len(campaign.points)} point rows; pass --out-dir to write files)")
+    if args.db:
+        print(f"campaign stored in {args.db}; try: fastfit report --db {args.db}")
 
 
 if __name__ == "__main__":

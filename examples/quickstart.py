@@ -9,7 +9,7 @@ Usage::
 """
 
 from repro import FastFIT
-from repro.analysis import render_bars
+from repro.report.text import render_bars
 
 def main() -> None:
     # 1. Pick a workload and build the tool around it.

@@ -31,18 +31,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
-from .analysis import (
-    PAPER_3_LEVELS,
-    level_distribution,
-    metrics_to_json,
-    point_to_dict,
-    render_bars,
-    render_grouped_bars,
-    render_table,
-)
 from .analyze import StaticPruneError
 from .apps import APPLICATIONS, make_app
 from .fastfit import FastFIT
@@ -61,6 +52,8 @@ from .obs import (
     format_event,
     setup_logging,
 )
+from .pruning.mldriven import PAPER_3_LEVELS, level_distribution
+from .report.text import render_bars, render_grouped_bars, render_table
 
 
 #: Every campaign option, by field name.
@@ -366,7 +359,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     "problem_class": args.problem_class,
                     "seed": ff.config.seed,
                     "test_index": test_index,
-                    "point": point_to_dict(point),
+                    "point": asdict(point),
                     "param": spec.param,
                     "bit": spec.bit,
                 },
@@ -522,7 +515,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     registry = ff.metrics
 
     if args.json:
-        print(metrics_to_json(registry))
+        print(registry.to_json())
         return 0
 
     data = registry.to_dict()
@@ -1048,8 +1041,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # runs in CampaignConfig when the subcommand builds its config.
     adaptive = getattr(args, "adaptive", None)
     for broken, message in (
-        (getattr(args, "resume", False) and not (args.checkpoint_dir or args.db_path),
-         "--resume requires --checkpoint-dir or --db"),
+        (getattr(args, "resume", False) and not args.db_path, "--resume requires --db"),
         (getattr(args, "scenario", None)
          and (args.command == "learn" or (args.command == "study" and not args.no_ml)),
          "--scenario runs under one anchor point, which leaves the ML stage "

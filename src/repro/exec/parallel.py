@@ -35,9 +35,8 @@ snapshot that the engine merges (`campaign.tests`, `campaign.outcome.*`,
 `campaign.point_error_rate`) are recorded at assembly time, so the
 merged registry is the same for every ``jobs``.
 
-A store is opened only when one is configured (``db_path``; a
-``checkpoint_dir`` is resolved to ``DIR/campaign.db`` by the campaign).
-Every successfully completed unit is committed atomically through the
+A store is opened only when one is configured (``db_path``).  Every
+successfully completed unit is committed atomically through the
 SQLite-backed :class:`~repro.store.DBCheckpointStore` as queryable
 per-test rows, alongside per-point tallies and progress telemetry.  A
 resumed unit is rebuilt from those rows, its specs redrawn from their
@@ -52,8 +51,8 @@ Progress telemetry: when any :class:`~repro.obs.progress.ProgressSink`
 is attached (explicitly, or implicitly by the campaign database), the
 completion path feeds a :class:`~repro.obs.progress.ProgressTracker`
 that emits periodic snapshots — tests/sec, outcome histogram, worker
-health, ETA — alongside the ``progress(done_tests, total_tests)``
-callback.
+health, ETA.  Whatever a sink raises, an interrupted or failed campaign
+still marks its row resumable and closes the store.
 """
 
 from __future__ import annotations
@@ -135,13 +134,13 @@ def run_campaign(
     known = {u.unit_id for u in units}
     store = None
     results: dict[str, list[TestResult]] = {}
-    if cfg.store_path is not None:
+    if cfg.db_path is not None:
         # Lazy import: repro.store depends on repro.exec.sharding.
         from ..store import DBCheckpointStore
         from ..store.db import result_from_row
 
         store = DBCheckpointStore(
-            cfg.store_path,
+            cfg.db_path,
             digest if digest is not None else campaign.digest(points),
             campaign_info=dict(
                 app=campaign.app.name,
@@ -179,10 +178,6 @@ def run_campaign(
         ((u, point_of[u.point_index]) for u in units if u.unit_id not in results),
         key=lambda task: reached(task[1]),
     )
-    done_tests = sum(len(tests) for tests in results.values())
-    done_units = 0
-    last_reported = -1
-
     sinks = list(campaign.progress_sinks)
     if store is not None:
         sinks.append(store.progress_sink())
@@ -199,20 +194,8 @@ def run_campaign(
         for tests in results.values():
             tracker.seed(tests)
 
-    def report(force: bool = False) -> None:
-        nonlocal last_reported
-        if campaign.progress is None:
-            return
-        if force or done_units % cfg.progress_every == 0:
-            if done_tests != last_reported:
-                campaign.progress(done_tests, total_tests)
-                last_reported = done_tests
-
     def complete(unit_id: str, tests: list[TestResult], registry: MetricsRegistry) -> None:
-        nonlocal done_tests, done_units
         results[unit_id] = tests
-        done_tests += len(tests)
-        done_units += 1
         if store is not None:
             store.record(unit_id, tests, registry)
         if metrics is not None:
@@ -226,7 +209,6 @@ def run_campaign(
                 metrics.timer("campaign.point_s").record(registry.timer("exec.unit_s").total)
         if tracker is not None:
             tracker.unit_done(tests)
-        report()
 
     def give_up(unit: WorkUnit, point: InjectionPoint, reason: str) -> None:
         """Record a quarantined unit: synthetic results, no checkpoint.
@@ -235,12 +217,9 @@ def run_campaign(
         restart retries the unit from scratch, which heals campaigns
         whose failure cause was environmental.
         """
-        nonlocal done_tests, done_units
         tests = _synthesize_quarantined(campaign, unit, point, reason)
         results[unit.unit_id] = tests
         campaign.quarantined.append(unit.unit_id)
-        done_tests += len(tests)
-        done_units += 1
         if store is not None:
             store.record_quarantine(unit.unit_id, reason)
         if metrics is not None:
@@ -250,8 +229,11 @@ def run_campaign(
             ).inc(len(tests))
         if tracker is not None:
             tracker.unit_quarantined(tests)
-        report()
 
+    # One close rule for every exit, a raising sink's included: the final
+    # telemetry snapshot, then the campaign row (resumable unless the run
+    # and its assembly finished) and the store's close.
+    finished = False
     try:
         if pending and cfg.jobs == 1:
             campaign.worker_state().run(pending, complete)
@@ -279,54 +261,43 @@ def run_campaign(
                 # Tears the workers down on *any* exit from the
                 # consuming loop, KeyboardInterrupt included.
                 events.close()
-    except BaseException:
-        # Interrupted or failed: the pool is already down (generator
-        # close above); emit the final telemetry snapshot and mark the
-        # campaign row resumable before propagating.
-        if tracker is not None:
-            tracker.finish()
-        if store is not None and not store.closed:
-            store.write_manifest(
-                total_units=len(units), complete=False,
-                quarantined=campaign.quarantined,
-            )
-            store.close()
-        raise
 
-    report(force=True)
-
-    # -- deterministic assembly: point order, then test order ----------
-    result = CampaignResult(campaign.app.name, cfg.tests_per_point, cfg.param_policy)
-    grouped = units_of_point(units)
-    tallies: list[tuple] = []
-    for g, point in zip(point_indices, points):
-        pr = PointResult(point)
-        for unit in grouped.get(g, ()):
-            for test in results[unit.unit_id]:
-                pr.add(test)
-        result.points[point] = pr
-        for outcome, n in sorted(
-            pr._synced_counts().items(), key=lambda kv: kv[0].name
-        ):
-            tallies.append(
-                (g, point.rank, point.collective, point.site,
-                 point.invocation, outcome.name, n)
-            )
-        if metrics is not None:
-            metrics.counter("campaign.points").inc()
-            metrics.histogram("campaign.point_error_rate").observe(pr.error_rate)
-
-    if tracker is not None:
-        tracker.finish()
-    if store is not None and not store.closed:
-        store.record_point_tallies(tallies)
-        if metrics is not None:
-            store.record_metrics("final", metrics)
-        store.write_manifest(
-            total_units=len(units),
-            # Every unit was resumed, executed, or quarantined.
-            complete=not campaign.quarantined,
-            quarantined=campaign.quarantined,
-        )
-        store.close()
+        # -- deterministic assembly: point order, then test order ------
+        result = CampaignResult(campaign.app.name, cfg.tests_per_point, cfg.param_policy)
+        grouped = units_of_point(units)
+        tallies: list[tuple] = []
+        for g, point in zip(point_indices, points):
+            pr = PointResult(point)
+            for unit in grouped.get(g, ()):
+                for test in results[unit.unit_id]:
+                    pr.add(test)
+            result.points[point] = pr
+            for outcome, n in sorted(
+                pr._synced_counts().items(), key=lambda kv: kv[0].name
+            ):
+                tallies.append(
+                    (g, point.rank, point.collective, point.site,
+                     point.invocation, outcome.name, n)
+                )
+            if metrics is not None:
+                metrics.counter("campaign.points").inc()
+                metrics.histogram("campaign.point_error_rate").observe(pr.error_rate)
+        finished = True
+    finally:
+        try:
+            if tracker is not None:
+                tracker.finish()
+        finally:
+            if store is not None and not store.closed:
+                if finished:
+                    store.record_point_tallies(tallies)
+                    if metrics is not None:
+                        store.record_metrics("final", metrics)
+                store.write_manifest(
+                    total_units=len(units),
+                    # Every unit was resumed, executed, or quarantined.
+                    complete=finished and not campaign.quarantined,
+                    quarantined=campaign.quarantined,
+                )
+                store.close()
     return result

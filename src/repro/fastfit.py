@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from types import EllipsisType
 from typing import TYPE_CHECKING, Sequence
 
-from .analysis.reports import render_table
 from .apps.base import Application
 from .apps.registry import make_app
 from .injection.campaign import Campaign, CampaignConfig, CampaignResult
@@ -31,6 +30,7 @@ from .profiling.profiler import ApplicationProfile, profile_application
 from .pruning.context import ContextSelection, select_context
 from .pruning.mldriven import Labeler
 from .pruning.semantic import SemanticSelection, select_semantic
+from .report.text import render_table
 
 if TYPE_CHECKING:
     from .steer import SteeringResult

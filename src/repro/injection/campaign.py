@@ -23,8 +23,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..apps.base import Application
 from ..profiling.profiler import ApplicationProfile
@@ -274,10 +273,6 @@ class CampaignConfig:
         "to --jobs 1; default 1)",
         _at_least(1), type=int,
     )
-    #: The campaign creates the directory (see :attr:`store_path`).
-    checkpoint_dir: str | os.PathLike | None = _option(
-        None, "--checkpoint-dir", "same as --db DIR/campaign.db", metavar="DIR",
-    )
     db_path: str | os.PathLike | None = _option(
         None, "--db",
         "SQLite campaign database: persists completed units (so an "
@@ -288,7 +283,7 @@ class CampaignConfig:
     )
     resume: bool = _option(
         False, "--resume",
-        "resume a matching interrupted campaign from --checkpoint-dir or --db",
+        "resume a matching interrupted campaign from --db",
     )
     #: ``None`` = no deadline; ignored when ``jobs == 1``.
     unit_timeout: float | None = _option(
@@ -311,7 +306,7 @@ class CampaignConfig:
     )
     progress_every: int = _option(
         1, "--progress-every",
-        "emit progress (callbacks and telemetry snapshots) at most "
+        "emit progress telemetry snapshots at most "
         "every N completed work units (default {default})",
         _at_least(1), type=int, metavar="N",
     )
@@ -320,7 +315,7 @@ class CampaignConfig:
         False, "--static-prune",
         "skip tests whose outcome the static pre-classifier proves "
         "(see 'fastfit analyze'); serial in-memory campaigns only — "
-        "incompatible with --jobs > 1, --db, and --checkpoint-dir",
+        "incompatible with --jobs > 1 and --db",
     )
     #: See :mod:`repro.snapshot`.
     snapshot: bool = _option(
@@ -396,10 +391,6 @@ class CampaignConfig:
                 "parameter of any collective",
                 value=self.param_policy,
             )
-        if self.checkpoint_dir is not None and self.db_path is not None:
-            raise ConfigError(
-                "checkpoint_dir", "{checkpoint_dir} and {db_path} are mutually exclusive"
-            )
         if self.fault_model not in SELECTABLE_MODELS:
             raise ConfigError(
                 "fault_model", "unknown fault model {value!r}; choices: {choices}",
@@ -427,9 +418,7 @@ class CampaignConfig:
                 "fault model, not {value!r}",
                 value=self.fault_model,
             )
-        if self.static_prune and (
-            self.jobs != 1 or self.db_path is not None or self.checkpoint_dir is not None
-        ):
+        if self.static_prune and (self.jobs != 1 or self.db_path is not None):
             # The pool payload does not carry the preclassifier and the
             # store schema has no predicted rows yet: static pruning runs
             # on the in-process executor only, and silently dropping it
@@ -437,16 +426,8 @@ class CampaignConfig:
             raise ConfigError(
                 "static_prune",
                 "{static_prune} requires a serial in-memory campaign "
-                "(incompatible with {jobs} > 1, {db_path}, and {checkpoint_dir})",
+                "(incompatible with {jobs} > 1 and {db_path})",
             )
-
-    @property
-    def store_path(self) -> Path | None:
-        """The campaign database, with ``checkpoint_dir`` resolved to
-        ``DIR/campaign.db`` (``None`` = in-memory campaign)."""
-        if self.checkpoint_dir is not None:
-            return Path(self.checkpoint_dir) / "campaign.db"
-        return None if self.db_path is None else Path(self.db_path)
 
 
 class Campaign:
@@ -457,9 +438,6 @@ class Campaign:
     ``Campaign(app, profile, tests_per_point=8, jobs=2)`` works too.
     The remaining keywords are the runtime objects the campaign carries:
 
-    progress:
-        ``progress(done_tests, total_tests)`` callback, for every
-        ``jobs``.
     algorithms:
         Collective algorithm selection for the simulated job.
     metrics:
@@ -490,7 +468,6 @@ class Campaign:
         profile: ApplicationProfile,
         config: CampaignConfig | None = None,
         *,
-        progress: Callable[[int, int], None] | None = None,
         algorithms: dict[str, str] | None = None,
         metrics=None,
         tracer=None,
@@ -513,11 +490,8 @@ class Campaign:
                 "sequential stopping (stopper) is incompatible with "
                 "static pruning (preclassifier)"
             )
-        if self.config.checkpoint_dir is not None:
-            Path(self.config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
         self.app = app
         self.profile = profile
-        self.progress = progress
         self.algorithms = algorithms
         self.metrics = metrics
         self.tracer = tracer

@@ -21,12 +21,12 @@ from typing import Any
 import numpy as np
 
 from ..apps.base import Application, signatures_match
-from ..injection.outcome import Outcome, classify_exception
-from ..injection.space import FaultSpec, InjectionPoint
-from ..injection.targets import pick_target
-from ..injection.injector import FaultInjector
 from ..profiling.profiler import ApplicationProfile
 from ..simmpi import SimMPIError, run_app
+from .injector import FaultInjector
+from .outcome import Outcome, classify_exception
+from .space import FaultSpec, InjectionPoint
+from .targets import pick_target
 
 
 @dataclass

@@ -87,10 +87,10 @@ class Arm:
     Inactive until its injector sees the fault's collective entry; then
     the next ``count`` sends from the armed rank are hit, each reported
     to ``on_fire`` with its detail string.  The reorder model holds the
-    first matching payload back and releases it swapped behind the next
-    send on the *same* match key (messages on other keys pass through
-    undisturbed); a payload still held at job end was effectively
-    dropped.
+    first matching payload back (reported at the hold, so a payload
+    still held at job end — effectively dropped — is recorded too) and
+    releases it swapped behind the next send on the *same* match key
+    (messages on other keys pass through undisturbed).
     """
 
     def __init__(
@@ -132,6 +132,9 @@ class Arm:
             key = (call.context_id, call.src, call.dst, call.tag)
             if self.held is None:
                 self.held = (key, call.payload)
+                # The hold is the strike: record it, but leave the count
+                # to the release.
+                self.on_fire(f"held back {len(call.payload)}B message")
                 return []  # held back, awaiting the overtaking send
             held_key, held_payload = self.held
             if key != held_key:

@@ -1,6 +1,7 @@
 """Dataset assembly: injection points + campaign results → (X, y).
 
-Two label schemes, matching the paper's two prediction targets:
+Two label schemes, matching the paper's two prediction targets, each
+labelling every point with a :mod:`repro.pruning.mldriven` labeler:
 
 * ``outcome_labels`` — the majority response type of a point (Fig. 12);
 * ``level_labels`` — the discretised error-rate level of a point
@@ -13,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.sensitivity import LevelScheme
 from ..injection.campaign import CampaignResult
-from ..injection.outcome import OUTCOME_ORDER
 from ..injection.space import InjectionPoint
 from ..profiling.profiler import ApplicationProfile
+from ..pruning.mldriven import Labeler, LevelScheme, level_labeler, outcome_labeler
 from .features import FEATURE_NAMES, features_matrix
 
-OUTCOME_LABEL_NAMES: tuple[str, ...] = tuple(o.value for o in OUTCOME_ORDER)
+OUTCOME_LABEL_NAMES: tuple[str, ...] = outcome_labeler()[1]
 
 
 @dataclass
@@ -46,26 +46,23 @@ class Dataset:
         )
 
 
+def _labels(
+    campaign: CampaignResult, labeler: Labeler
+) -> tuple[list[InjectionPoint], np.ndarray]:
+    points = sorted(campaign.points)
+    return points, np.array([labeler(campaign.points[p]) for p in points], dtype=np.int64)
+
+
 def outcome_labels(campaign: CampaignResult) -> tuple[list[InjectionPoint], np.ndarray]:
     """Points and their majority-outcome label indices."""
-    points = sorted(campaign.points)
-    y = np.array(
-        [OUTCOME_ORDER.index(campaign.points[p].majority_outcome()) for p in points],
-        dtype=np.int64,
-    )
-    return points, y
+    return _labels(campaign, outcome_labeler()[0])
 
 
 def level_labels(
     campaign: CampaignResult, scheme: LevelScheme
 ) -> tuple[list[InjectionPoint], np.ndarray]:
     """Points and their error-rate-level label indices."""
-    points = sorted(campaign.points)
-    y = np.array(
-        [scheme.level_of(campaign.points[p].error_rate) for p in points],
-        dtype=np.int64,
-    )
-    return points, y
+    return _labels(campaign, level_labeler(scheme)[0])
 
 
 def build_outcome_dataset(

@@ -223,8 +223,10 @@ class ProgressTracker:
 
     def finish(self) -> None:
         """Emit the final snapshot (if anything happened since the last
-        one) and close every sink."""
-        if self.sinks and (self._since_emit or self._seq == 0):
-            self._emit()
-        for sink in self.sinks:
-            sink.close()
+        one) and close every sink, even when one raises."""
+        try:
+            if self.sinks and (self._since_emit or self._seq == 0):
+                self._emit()
+        finally:
+            for sink in self.sinks:
+                sink.close()

@@ -1,8 +1,10 @@
 """``repro.pruning`` — FastFIT's exploration-space reducers.
 
 Semantic-driven (§ III-A) and application-context-driven (§ III-B)
-pruning, plus the point labelers of machine-learning-driven fault
-injection (§ III-C), whose loop is :func:`repro.steer.adaptive_campaign`.
+pruning (with the Fig. 3 Gaussian fit that argues for the latter), plus
+the error-rate levels and point labelers of machine-learning-driven
+fault injection (§ III-C), whose loop is
+:func:`repro.steer.adaptive_campaign`.
 """
 
 from .context import ContextSelection, select_context

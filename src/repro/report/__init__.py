@@ -1,7 +1,7 @@
-"""Static HTML campaign reports built from the SQLite store.
-
-``fastfit report --db campaigns.sqlite --out report/`` →
-:func:`build_report`.
+"""Rendering: the ASCII tables and bars every subcommand and benchmark
+prints (:mod:`repro.report.text`), and the static HTML campaign reports
+built from the SQLite store (``fastfit report --db campaigns.sqlite
+--out report/`` → :func:`build_report`).
 """
 
 from .builder import SECTIONS, build_report

@@ -23,8 +23,8 @@ import os
 import sqlite3
 from pathlib import Path
 
-from ..analysis.sensitivity import PAPER_3_LEVELS, QUARTILE_LEVELS, LevelScheme
 from ..injection.outcome import OUTCOME_ORDER, Outcome
+from ..pruning.mldriven import PAPER_3_LEVELS, QUARTILE_LEVELS, LevelScheme, level_distribution
 from ..store.db import CampaignDB, CampaignStoreError
 from .html import Raw, fraction_bar, heat_cell, nav, page, section, svg_timeline, table
 
@@ -247,9 +247,6 @@ def _sensitivity_section(points: list[dict]) -> str:
             "sensitivity", "Sensitivity levels",
             '<p class="muted">no per-point error rates recorded</p>',
         )
-    # Import here keeps module import light; level_distribution pulls numpy.
-    from ..analysis.sensitivity import level_distribution
-
     def level_table(scheme: LevelScheme, caption: str) -> str:
         dist = level_distribution(rates, scheme)
         rows = [(name, fraction_bar(frac)) for name, frac in dist.items()]

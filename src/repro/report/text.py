@@ -1,7 +1,8 @@
-"""ASCII renderers for the benchmark harness's tables and figures.
+"""Text renderers: the ASCII tables and bars of the CLI and benchmarks.
 
-Every benchmark regenerating a paper table/figure prints through these,
-so the harness output reads like the paper's evaluation section.
+Every ``fastfit`` subcommand and every benchmark regenerating a paper
+table/figure prints through these, so the output reads like the paper's
+evaluation section (:mod:`repro.report.html` renders the HTML report).
 """
 
 from __future__ import annotations

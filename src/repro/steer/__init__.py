@@ -5,7 +5,9 @@ Three cooperating pieces, each independently usable:
 * :mod:`repro.steer.stopping` — :class:`SequentialStopper`, the Wilson
   interval early exit that truncates a point's test stream once its
   outcome histogram has converged.  Plugs into any
-  :class:`~repro.injection.campaign.Campaign` via ``stopper=``.
+  :class:`~repro.injection.campaign.Campaign` via ``stopper=``.  The
+  same module holds the interval itself and the adequacy checks of a
+  fixed per-point test count (``required_tests``, ``convergence_trace``).
 * :mod:`repro.steer.sampler` — the samplers: the seeded ``"order"``
   (the paper's § III-C loop, ``FastFIT.learn``) and uncertainty
   scoring with deterministic batch selection over the unexplored

@@ -306,7 +306,7 @@ def adaptive_campaign(
             tests_planned=len(batch_sorted) * tests_per_point, tests_run=round_tests,
             accuracy=acc, mean_uncertainty=mean_unc,
         ))
-        _record_round(campaign.config.store_path, digest, result.rounds[-1], spent, "")
+        _record_round(campaign.config.db_path, digest, result.rounds[-1], spent, "")
 
         if acc is not None and acc >= accuracy_target:
             result.reached_target = True
@@ -322,7 +322,7 @@ def adaptive_campaign(
     result.model = model
     if result.rounds:
         _record_round(
-            campaign.config.store_path, digest, result.rounds[-1], spent, result.stop_reason
+            campaign.config.db_path, digest, result.rounds[-1], spent, result.stop_reason
         )
     if unexplored and model is not None:
         preds = model.predict(X_all[np.array(unexplored)])

@@ -5,8 +5,7 @@ keyed by digest) and the low-level query surface; :class:`DBCheckpointStore`
 is the adapter the campaign engine drives — a ``load``/``record``/
 ``write_manifest``/``close`` lifecycle where each unit is committed
 atomically as its per-test ``results`` rows, and resume is a query
-over those same rows.  ``--checkpoint-dir DIR`` is this store at
-``DIR/campaign.db``.
+over those same rows.
 
 A digest mismatch is impossible here: the database keys campaigns *by*
 digest, so resuming a changed configuration simply starts (or
@@ -568,8 +567,7 @@ class _Transaction:
 
 class DBCheckpointStore:
     """The campaign engine's store: one campaign row of a
-    :class:`CampaignDB` — what ``--db`` and ``--checkpoint-dir`` plug
-    into the campaign engine.
+    :class:`CampaignDB` — what ``--db`` plugs into the campaign engine.
 
     Lifecycle: ``load`` → ``record``\\* → ``write_manifest`` →
     ``close``.  A unit is committed atomically or not at all, many

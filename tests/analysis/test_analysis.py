@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.pruning.context import GaussianFit, fit_error_rates, histogram
+from repro.pruning.mldriven import (
     EVEN_2_LEVELS,
     EVEN_3_LEVELS,
     PAPER_3_LEVELS,
     QUARTILE_LEVELS,
-    GaussianFit,
     LevelScheme,
-    fit_error_rates,
-    histogram,
     level_distribution,
+)
+from repro.report.text import (
     render_bars,
     render_grouped_bars,
     render_histogram,

@@ -1,25 +1,19 @@
-"""Tests for propagation, significance, and export analysis modules."""
-
-import json
+"""Tests for the propagation study and the per-point test-count checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    QUARTILE_LEVELS,
-    campaign_to_csv,
-    campaign_to_json,
+from repro.injection import enumerate_points
+from repro.injection.propagation import propagation_study, tainted_ranks
+from repro.pruning.mldriven import QUARTILE_LEVELS
+from repro.steer.stopping import (
     convergence_trace,
     level_stability,
-    point_to_dict,
-    propagation_study,
     required_tests,
-    tainted_ranks,
     wilson_interval,
 )
-from repro.injection import InjectionPoint, enumerate_points
 
 
 class TestPropagation:
@@ -119,28 +113,3 @@ class TestSignificance:
     def test_level_stability_empty(self):
         assert level_stability([], QUARTILE_LEVELS.level_of) == 0
 
-
-class TestExport:
-    def test_point_roundtrip(self):
-        p = InjectionPoint(3, "Allreduce", "x.py:10", 2)
-        assert InjectionPoint(**point_to_dict(p)) == p
-
-    def test_json_roundtrip(self, lu_small_campaign):
-        data = json.loads(campaign_to_json(lu_small_campaign))
-        assert data["app"] == "lu"
-        assert len(data["points"]) == len(lu_small_campaign.points)
-
-    def test_json_totals_match(self, lu_small_campaign):
-        data = json.loads(campaign_to_json(lu_small_campaign))
-        totals = {
-            o: sum(rec["outcomes"][o.value] for rec in data["points"])
-            for o in lu_small_campaign.outcome_histogram()
-        }
-        assert totals == lu_small_campaign.outcome_histogram()
-
-    def test_points_csv(self, lu_small_campaign):
-        csv_text = campaign_to_csv(lu_small_campaign)
-        lines = csv_text.strip().splitlines()
-        assert len(lines) == 1 + len(lu_small_campaign.points)
-        assert "error_rate" in lines[0]
-        assert "SUCCESS" in lines[0]

@@ -120,13 +120,6 @@ class TestOperatorErrors:
         ) == 2
         assert "--static-prune" in capsys.readouterr().err
 
-    def test_static_prune_conflicts_with_checkpoint_dir(self, tmp_path, capsys):
-        assert main(
-            ["campaign", "--app", "is", "--static-prune",
-             "--checkpoint-dir", str(tmp_path / "ck")]
-        ) == 2
-        assert "--static-prune" in capsys.readouterr().err
-
 
 def test_analyze_dirty_app_reports_the_mismatch(monkeypatch, capsys):
     """An app whose ranks disagree on the collective order fails its

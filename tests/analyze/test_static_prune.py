@@ -96,8 +96,6 @@ def test_preclassifier_refused_with_parallel_or_store(is_app, is_profile, tmp_pa
         Campaign(is_app, is_profile, preclassifier=pre, jobs=2)
     with pytest.raises(ValueError, match="static_prune requires a serial in-memory campaign"):
         Campaign(is_app, is_profile, preclassifier=pre, db_path=tmp_path / "c.sqlite")
-    with pytest.raises(ValueError, match="static_prune requires a serial in-memory campaign"):
-        Campaign(is_app, is_profile, preclassifier=pre, checkpoint_dir=tmp_path / "ck")
 
 
 def test_fastfit_facade_static_prune(is_app):

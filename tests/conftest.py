@@ -22,6 +22,37 @@ def run_rank0(gen_fn, nranks=1, **kwargs):
     return run_app(gen_fn, nranks, **kwargs).results[0]
 
 
+class ProgressLog:
+    """A progress sink recording ``(done_tests, total_tests)`` per snapshot."""
+
+    def __init__(self):
+        self.seen: list[tuple[int, int]] = []
+
+    def emit(self, snap):
+        self.seen.append((snap.done_tests, snap.total_tests))
+
+    def close(self):
+        pass
+
+
+class KillSink:
+    """A progress sink that kills a campaign: it raises ``exc`` at the
+    first snapshot whose ``(done_tests, total_tests)`` satisfies
+    ``when``, then stays silent, so the snapshot the engine emits on its
+    way out does not raise again."""
+
+    def __init__(self, exc: BaseException, when=lambda done, total: True):
+        self.exc, self.when, self.fired = exc, when, False
+
+    def emit(self, snap):
+        if not self.fired and self.when(snap.done_tests, snap.total_tests):
+            self.fired = True
+            raise self.exc
+
+    def close(self):
+        pass
+
+
 @pytest.fixture(scope="session")
 def scratch_reference():
     """The independent reference every equivalence suite is anchored to:

@@ -11,6 +11,7 @@ from repro.injection import Campaign, Outcome, enumerate_points
 from repro.obs.metrics import MetricsRegistry
 from repro.snapshot import SnapshotEngine
 from repro.steer import SequentialStopper
+from tests.conftest import KillSink, ProgressLog
 
 
 def campaign_signature(result):
@@ -96,18 +97,18 @@ class TestDeterminism:
             assert registry.timer("snapshot.fork_s").count == counters["snapshot.forks"] > 0
 
     def test_progress_reports_tests_and_throttles(self, lu_app, lu_profile, lu_points):
-        seen = []
+        log = ProgressLog()
         Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            jobs=2, progress=lambda done, total: seen.append((done, total)),
-            progress_every=4,
+            jobs=2, progress_sinks=[log], progress_every=4,
         ).run(lu_points)
+        seen = log.seen
         total = 4 * 6
         assert seen[-1] == (total, total)
         assert all(t == total for _, t in seen)
         done = [d for d, _ in seen]
         assert done == sorted(done)
-        # Throttled: far fewer updates than completed units (12 units here).
+        # Throttled: one snapshot per 4 completed units (4 here).
         assert len(seen) <= 5
 
 
@@ -305,20 +306,17 @@ class TestResume:
     ):
         """Kill a campaign mid-way; the resumed run must skip the
         completed units and still produce the exact serial result."""
-        ckdir = tmp_path / "ck"
+        db = tmp_path / "campaign.db"
 
         class Killed(RuntimeError):
             pass
 
-        def killer(done_tests, total_tests):
-            if done_tests >= total_tests // 2:
-                raise Killed(f"simulated crash at {done_tests}/{total_tests}")
-
+        killer = KillSink(Killed("simulated crash"), lambda done, total: done >= total // 2)
         first = MetricsRegistry()
         with pytest.raises(Killed):
             Campaign(
                 lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-                checkpoint_dir=ckdir, progress=killer, metrics=first,
+                db_path=db, progress_sinks=[killer], metrics=first,
             ).run(lu_points)
         units_before_crash = first.to_dict()["counters"]["exec.units"]
         assert units_before_crash > 0
@@ -326,7 +324,7 @@ class TestResume:
         second = MetricsRegistry()
         resumed = Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            checkpoint_dir=ckdir, resume=True, metrics=second,
+            db_path=db, resume=True, metrics=second,
         ).run(lu_points)
         assert campaign_signature(resumed) == campaign_signature(serial_result)
         counters = second.to_dict()["counters"]
@@ -339,23 +337,21 @@ class TestResume:
         assert counters["campaign.tests"] == 4 * 6
 
     def test_resume_with_parallel_workers(self, tmp_path, lu_app, lu_profile, lu_points, serial_result):
-        ckdir = tmp_path / "ck"
+        db = tmp_path / "campaign.db"
+        # Complete only the first 5 units by faking an interrupt.
+        count = [0]
+
+        def fifth(done, total):
+            count[0] += 1
+            return count[0] >= 5
+
         # snapshot=False selects the point-major layout: 6 tests per
         # point in 2-test units, 12 units in all.
         engine = Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            jobs=1, checkpoint_dir=ckdir, snapshot=False,
+            jobs=1, db_path=db, snapshot=False,
+            progress_sinks=[KillSink(RuntimeError("stop"), fifth)],
         )
-        # Complete only the first 5 units by faking an interrupt.
-        boom = RuntimeError("stop")
-        count = [0]
-
-        def stop_after(done, total):
-            count[0] += 1
-            if count[0] >= 5:
-                raise boom
-
-        engine.progress = stop_after
         with pytest.raises(RuntimeError):
             engine.run(lu_points)
 
@@ -363,7 +359,7 @@ class TestResume:
         metrics = MetricsRegistry()
         resumed = Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            jobs=4, checkpoint_dir=ckdir, snapshot=False, resume=True,
+            jobs=4, db_path=db, snapshot=False, resume=True,
             metrics=metrics,
         ).run(lu_points)
         assert campaign_signature(resumed) == campaign_signature(serial_result)
@@ -374,15 +370,15 @@ class TestResume:
     def test_resume_of_complete_checkpoint_runs_nothing(
         self, tmp_path, lu_app, lu_profile, lu_points, serial_result
     ):
-        ckdir = tmp_path / "ck"
+        db = tmp_path / "campaign.db"
         Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            jobs=2, checkpoint_dir=ckdir,
+            jobs=2, db_path=db,
         ).run(lu_points)
         registry = MetricsRegistry()
         replayed = Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            checkpoint_dir=ckdir, resume=True, metrics=registry,
+            db_path=db, resume=True, metrics=registry,
         ).run(lu_points)
         assert campaign_signature(replayed) == campaign_signature(serial_result)
         counters = registry.to_dict()["counters"]
@@ -397,25 +393,66 @@ class TestResume:
         from scratch and leaves the original row intact."""
         from repro.store import CampaignDB
 
-        ckdir = tmp_path / "ck"
+        db = tmp_path / "campaign.db"
         Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            checkpoint_dir=ckdir,
+            db_path=db,
         ).run(lu_points)
         registry = MetricsRegistry()
         other = Campaign(
             lu_app, lu_profile, tests_per_point=6, param_policy="all", seed=11,
-            checkpoint_dir=ckdir, snapshot=False, resume=True, metrics=registry,
+            db_path=db, snapshot=False, resume=True, metrics=registry,
         ).run(lu_points)
         assert campaign_signature(other) == campaign_signature(serial_result)
         counters = registry.to_dict()["counters"]
         assert counters.get("exec.units_resumed", 0) == 0
         assert counters["exec.units"] == 12
-        with CampaignDB(ckdir / "campaign.db") as db:
-            rows = db.campaigns()
+        with CampaignDB(db) as cdb:
+            rows = cdb.campaigns()
             assert len(rows) == 2
             assert all(r["complete"] for r in rows)
-            assert sorted(len(db.load_units(r["id"])) for r in rows) == [4, 12]
+            assert sorted(len(cdb.load_units(r["id"])) for r in rows) == [4, 12]
+
+
+def test_raising_sink_cannot_skip_the_store_close(
+    tmp_path, monkeypatch, lu_app, lu_profile, lu_points
+):
+    """A sink that raises at every snapshot, the final one included:
+    the campaign row is left incomplete (resumable), and the store's
+    connection and every other sink's file are closed."""
+    import repro.store
+    from repro.obs.progress import JsonlProgressSink
+    from repro.store import CampaignDB
+
+    opened = []
+
+    class Store(repro.store.DBCheckpointStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    class Boom(RuntimeError):
+        pass
+
+    class Raising:
+        def emit(self, snap):
+            raise Boom
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(repro.store, "DBCheckpointStore", Store)
+    db = tmp_path / "campaign.db"
+    jsonl = JsonlProgressSink(str(tmp_path / "progress.jsonl"))
+    with pytest.raises(Boom):
+        Campaign(
+            lu_app, lu_profile, tests_per_point=2, param_policy="all", seed=11,
+            db_path=db, progress_sinks=[Raising(), jsonl],
+        ).run(lu_points)
+    assert [store.closed for store in opened] == [True]
+    assert jsonl._fh.closed
+    with CampaignDB(db) as cdb:
+        assert cdb.campaign()["complete"] == 0
 
 
 def test_campaign_rejects_bad_jobs(lu_app, lu_profile):

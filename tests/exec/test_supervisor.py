@@ -14,6 +14,7 @@ from repro.injection import Campaign, CampaignConfig, ConfigError, Outcome, enum
 from repro.obs.events import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.store import CampaignDB
+from tests.conftest import KillSink
 from tests.exec.test_parallel import campaign_signature
 
 
@@ -239,10 +240,10 @@ class TestQuarantine:
         assert err.value.unit_id == "p0:t0-2"
 
 
-def _stored(ckpt):
+def _stored(path):
     """Completion flag, completed and quarantined unit ids of the one
-    campaign stored in checkpoint directory ``ckpt``."""
-    with CampaignDB(ckpt / "campaign.db") as db:
+    campaign stored in database ``path``."""
+    with CampaignDB(path) as db:
         row = db.campaign()
         return {
             "complete": bool(row["complete"]),
@@ -260,14 +261,12 @@ class TestQuarantineResume:
         monkeypatch.setenv("FASTFIT_CHAOS_MODE", "exit")
         monkeypatch.setenv("FASTFIT_CHAOS_UNITS", "p2:t0-2")
         monkeypatch.setenv("FASTFIT_CHAOS_ATTEMPTS", "all")
-        ckpt = tmp_path / "ckpt"
-        first = _engine(
-            lu_app, lu_profile, max_retries=0, checkpoint_dir=ckpt
-        )
+        db = tmp_path / "campaign.db"
+        first = _engine(lu_app, lu_profile, max_retries=0, db_path=db)
         first.run(lu_points)
         assert first.quarantined == ["p2:t0-2"]
 
-        stored = _stored(ckpt)
+        stored = _stored(db)
         assert stored["quarantined"] == ["p2:t0-2"]
         assert stored["complete"] is False
         assert "p2:t0-2" not in stored["completed"]
@@ -275,9 +274,7 @@ class TestQuarantineResume:
         # The environmental fault clears; resume retries only that unit.
         monkeypatch.delenv("FASTFIT_CHAOS_MODE")
         metrics = MetricsRegistry()
-        second = _engine(
-            lu_app, lu_profile, checkpoint_dir=ckpt, resume=True, metrics=metrics
-        )
+        second = _engine(lu_app, lu_profile, db_path=db, resume=True, metrics=metrics)
         healed = second.run(lu_points)
         assert second.quarantined == []
         assert campaign_signature(healed) == campaign_signature(serial_result)
@@ -285,7 +282,7 @@ class TestQuarantineResume:
         n_units = len(make_units(len(lu_points), 6))
         assert counters["exec.units_resumed"] == n_units - 1
         assert counters["exec.units"] == 1
-        stored = _stored(ckpt)
+        stored = _stored(db)
         assert stored["complete"] is True
         assert stored["quarantined"] == []
 
@@ -296,27 +293,18 @@ class TestKeyboardInterrupt:
     ):
         """Ctrl-C mid-campaign: the pool is torn down, the campaign row
         is marked incomplete, and the run resumes cleanly afterwards."""
-        ckpt = tmp_path / "ckpt"
-        fired = []
-
-        def interrupt_after_first(done, total):
-            fired.append(done)
-            if len(fired) == 1:
-                raise KeyboardInterrupt
-
+        db = tmp_path / "campaign.db"
         engine = _engine(
-            lu_app, lu_profile, checkpoint_dir=ckpt,
-            progress=interrupt_after_first, progress_every=1,
+            lu_app, lu_profile, db_path=db,
+            progress_sinks=[KillSink(KeyboardInterrupt())], progress_every=1,
         )
         with pytest.raises(KeyboardInterrupt):
             engine.run(lu_points)
 
-        stored = _stored(ckpt)
+        stored = _stored(db)
         assert stored["complete"] is False
         assert len(stored["completed"]) >= 1
 
-        resumed = _engine(
-            lu_app, lu_profile, checkpoint_dir=ckpt, resume=True
-        ).run(lu_points)
+        resumed = _engine(lu_app, lu_profile, db_path=db, resume=True).run(lu_points)
         assert resumed.n_tests() == len(lu_points) * 6
-        assert _stored(ckpt)["complete"] is True
+        assert _stored(db)["complete"] is True

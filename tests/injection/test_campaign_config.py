@@ -113,11 +113,6 @@ class TestOneDeclaration:
     def test_preclassifier_sets_static_prune(self, is_app, is_profile):
         assert Campaign(is_app, is_profile, preclassifier=object()).config.static_prune
 
-    def test_checkpoint_dir_resolves_to_its_database(self, tmp_path):
-        assert CampaignConfig(checkpoint_dir=tmp_path).store_path == tmp_path / "campaign.db"
-        assert CampaignConfig(db_path=str(tmp_path / "c.db")).store_path == tmp_path / "c.db"
-        assert CampaignConfig().store_path is None
-
 
 class TestChecks:
     @pytest.mark.parametrize(
@@ -130,8 +125,8 @@ class TestChecks:
             ({"progress_every": 0}, "progress_every", "progress_every must be >= 1"),
             ({"unit_timeout": 0.0}, "unit_timeout", "unit_timeout must be > 0 seconds"),
             ({"max_retries": -1}, "max_retries", "max_retries must be >= 0"),
-            ({"checkpoint_dir": "a", "db_path": "b"}, "checkpoint_dir",
-             "checkpoint_dir and db_path are mutually exclusive"),
+            ({"static_prune": True, "db_path": "b"}, "static_prune",
+             "static_prune requires a serial in-memory campaign"),
             ({"fault_model": "scenario"}, "fault_model", "unknown fault model 'scenario'"),
             ({"static_prune": True, "fault_model": "multibit"}, "static_prune",
              "static_prune only understands the single-bit 'bitflip' fault model"),
@@ -156,9 +151,12 @@ class TestChecks:
 
     def test_render_spells_options_as_flags(self):
         with pytest.raises(ConfigError) as exc:
-            CampaignConfig(checkpoint_dir="a", db_path="b")
+            CampaignConfig(static_prune=True, db_path="b")
         flags = {f.name: f.metadata["flag"] for f in fields(CampaignConfig)}
-        assert exc.value.render(flags) == "--checkpoint-dir and --db are mutually exclusive"
+        assert exc.value.render(flags) == (
+            "--static-prune requires a serial in-memory campaign "
+            "(incompatible with --jobs > 1 and --db)"
+        )
 
     def test_user_text_is_not_a_template(self):
         with pytest.raises(ConfigError) as exc:

@@ -10,6 +10,7 @@ specs.
 
 import dataclasses
 import sqlite3
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.injection.outcome import Outcome
 from repro.injection.runner import InjectionRunner
 from repro.injection.runner import TestResult as InjectionTestResult
 from repro.injection.space import InjectionPoint
+from repro.injection.wire import Arm
 from repro.obs.events import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.profiling import profile_application
@@ -49,7 +51,7 @@ MODEL_STREAM_PINS = {
     "multibit": "56238988ea96d6b667a5a284b59b53a07d8d284e524e8f685ba10bccf58d18b4",
     "msg_drop": "34f053244003a6cae4856030fd0ca0a6e6037db14473300cb516a343149d8726",
     "msg_dup": "92007b9af7ded82158b473a4d7370a387a82900685cb2903b2805a4d26b55969",
-    "msg_reorder": "7c601a48dda8bb758f15362a04ae58a64adc0bffa2a92ef42cf1067eb9c784d1",
+    "msg_reorder": "0ec9d4fd4a7d012dee3179ff38da967c9ab7222f73f4daa95953440cf6358284",
     "msg_corrupt": "4c34d48ac9d281a4adbc710a5bb81bdd4333a304607475bc2058fd27cb82866e",
     "rank_crash": "fb2a740ff163ae8199eb457dfcf4ff820e5c08085da8b85a0c90abb7dea44e63",
     "rank_stall": "8d292fa71013afac7b62fa23076c115cb467100dfd40de551128f26dbe717c4b",
@@ -66,7 +68,7 @@ MODEL_RECORD_PINS = {
     "multibit": "1c0fe8ac64d9fd189283dee473141454bb8cb55943d118b2a80a9056d4c7f8ad",
     "msg_drop": "2fe68f25b07a14fb868af95a33c4aac0c56dd1edec0b2901dd9e340ea3e72741",
     "msg_dup": "cd8e7a82686f4dfe2bd466c158d0f67414c84aabb090fb8aa3e979a66ad4a5a1",
-    "msg_reorder": "032776f1552a87d1e6394a1306e38688aa77ef62658b4b7dad2b905aa0fa321c",
+    "msg_reorder": "88939981f545c171ea5bc2e92b54d9bcb553f07b9d1faf431db051f6da403df8",
     "msg_corrupt": "9e9bb9a60d1bb3bf62a998c678be38ef93e2f766cb369dd4b05fa8096b2fe8dc",
     "rank_crash": "943c68330ff6fa522fd630985d48b802ad456dc8a17fbcb7cb178dc42eb24ef9",
     "rank_stall": "abb041dc96733fff0156860b0890c0e03ca2cdfcb561d1ffe14d40e607c2cf9b",
@@ -214,6 +216,34 @@ class TestRecordPins:
         stream = record_stream(runner, tasks, monkeypatch, traced=False)
         assert fingerprint(stream) == MODEL_RECORD_PINS["scenario"]
 
+    def test_reorder_records_its_hold(self, runner, is_profile):
+        """On IS class T no reorder is ever released, so every strike is
+        a hold: each test that is not a SUCCESS still has its record."""
+        points = enumerate_points(is_profile)[::5]
+        for pi, point in enumerate(points):
+            for ti in range(3):
+                spec, rng = draw_task(point, SEED, pi, ti, policy="all", model="msg_reorder")
+                result = runner.run_one(spec, rng)
+                if result.outcome is not Outcome.SUCCESS:
+                    assert result.record is not None, (pi, ti, result.outcome)
+                    assert result.record.after.startswith("held back ")
+
+    def test_reorder_hold_leaves_the_count_to_the_release(self):
+        fired = []
+        arm = Arm("msg_reorder", 0, np.random.default_rng(0), 0, 1, fired.append)
+        arm.active = True
+
+        def send(payload, tag=5):
+            return arm.on_send(0, SimpleNamespace(
+                context_id=0, src=0, dst=1, tag=tag, payload=payload,
+            ))
+
+        assert send(b"held") == []
+        assert fired == ["held back 4B message"] and arm.remaining == 1
+        assert send(b"other key", tag=6) is None
+        assert send(b"new") == [b"new", b"held"]
+        assert fired[1:] == ["reordered two same-key messages"] and arm.remaining == 0
+        assert send(b"late") is None
 
     def test_scenario_wire_and_rank_strikes_emit_fault_fired(self, runner):
         """A scenario's wire and rank strikes announce themselves like

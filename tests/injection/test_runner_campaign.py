@@ -12,6 +12,7 @@ from repro.injection import (
     OUTCOME_ORDER,
     enumerate_points,
 )
+from tests.conftest import ProgressLog
 
 
 class TestRunner:
@@ -106,33 +107,33 @@ class TestCampaign:
 
     def test_progress_callback(self, lu_app, lu_profile):
         points = enumerate_points(lu_profile)[:2]
-        seen = []
+        log = ProgressLog()
         Campaign(
             lu_app,
             lu_profile,
             tests_per_point=2,
             param_policy="buffer",
             seed=0,
-            progress=lambda done, total: seen.append((done, total)),
+            progress_sinks=[log],
         ).run(points)
         # (done_tests, total_tests), one update per completed work unit
         # (whole-point units under the snapshot default).
-        assert seen == [(2, 4), (4, 4)]
+        assert log.seen == [(2, 4), (4, 4)]
 
     def test_progress_throttled_serial(self, lu_app, lu_profile):
         points = enumerate_points(lu_profile)[:5]
-        seen = []
+        log = ProgressLog()
         Campaign(
             lu_app,
             lu_profile,
             tests_per_point=2,
             param_policy="buffer",
             seed=0,
-            progress=lambda done, total: seen.append((done, total)),
+            progress_sinks=[log],
             progress_every=2,
         ).run(points)
         # Tests done after every 2nd unit, plus the final (odd) one.
-        assert seen == [(4, 10), (8, 10), (10, 10)]
+        assert log.seen == [(4, 10), (8, 10), (10, 10)]
 
     def test_incremental_tallies_survive_direct_append(self, lu_small_campaign):
         pr = next(iter(lu_small_campaign.points.values()))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import FastFIT
-from repro.analysis import PAPER_3_LEVELS, level_distribution
+from repro.pruning.mldriven import PAPER_3_LEVELS, level_distribution
 from repro.injection import Campaign, Outcome, enumerate_points
 from repro.ml import correlation_table
 from repro.pruning import select_context, select_semantic

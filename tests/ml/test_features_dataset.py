@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import QUARTILE_LEVELS
+from repro.pruning.mldriven import QUARTILE_LEVELS
 from repro.injection import enumerate_points
 from repro.ml import (
     FEATURE_NAMES,

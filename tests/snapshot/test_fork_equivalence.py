@@ -17,6 +17,7 @@ from repro.store import CampaignDB
 from repro.verify import fork_equivalence
 from repro.verify.snapshot_check import PASSES
 
+from tests.conftest import KillSink
 from tests.store.test_equivalence import stream_signature
 from tests.verify.test_mutant_selftest import caught_then_cured, layer
 
@@ -91,13 +92,11 @@ def test_killed_then_resumed_snapshot_campaign_bit_identical(
     class Killed(RuntimeError):
         pass
 
-    def killer(done, total):
-        if done >= total // 2:
-            raise Killed(f"{done}/{total}")
+    killer = KillSink(Killed("halfway"), lambda done, total: done >= total // 2)
 
     with pytest.raises(Killed):
         run_campaign(
-            lu_app, lu_profile, points, snapshot=True, db_path=db, progress=killer
+            lu_app, lu_profile, points, snapshot=True, db_path=db, progress_sinks=[killer],
         )
     with CampaignDB(db) as cdb:
         assert cdb.campaign()["complete"] == 0

@@ -18,13 +18,8 @@ from hypothesis import strategies as st
 from repro.injection.outcome import Outcome
 from repro.injection.runner import TestResult as InjectionTestResult
 from repro.injection.space import FaultSpec, InjectionPoint
-from repro.steer import (
-    DEFAULT_Z,
-    SequentialStopper,
-    tests_to_close,
-    wilson_interval,
-    wilson_width,
-)
+from repro.steer import DEFAULT_Z, SequentialStopper, tests_to_close, wilson_width
+from repro.steer.stopping import wilson_bounds
 
 SETTINGS = dict(max_examples=100, deadline=None, derandomize=True)
 
@@ -37,13 +32,13 @@ def _test(outcome: Outcome) -> InjectionTestResult:
 
 class TestWilsonInterval:
     def test_zero_trials_is_vacuous(self):
-        assert wilson_interval(0, 0) == (0.0, 1.0)
+        assert wilson_bounds(0, 0, DEFAULT_Z) == (0.0, 1.0)
 
     def test_closed_form_k0(self):
         # k = 0: interval is exactly [0, z^2 / (n + z^2)].
         z = DEFAULT_Z
         for n in (1, 5, 12, 100):
-            lo, hi = wilson_interval(0, n, z)
+            lo, hi = wilson_bounds(0, n, z)
             assert lo == pytest.approx(0.0, abs=1e-12)
             assert hi == pytest.approx(z * z / (n + z * z), abs=1e-12)
 
@@ -51,11 +46,11 @@ class TestWilsonInterval:
         # k = n mirrors k = 0: [n / (n + z^2), 1].
         z = DEFAULT_Z
         for n in (1, 5, 12, 100):
-            lo, hi = wilson_interval(n, n, z)
+            lo, hi = wilson_bounds(n, n, z)
             assert hi == pytest.approx(1.0, abs=1e-12)
             assert lo == pytest.approx(n / (n + z * z), abs=1e-12)
             # Exact mirror of the k = 0 interval.
-            lo0, hi0 = wilson_interval(0, n, z)
+            lo0, hi0 = wilson_bounds(0, n, z)
             assert lo == pytest.approx(1.0 - hi0, abs=1e-12)
 
     def test_half_split_pin(self):
@@ -65,25 +60,25 @@ class TestWilsonInterval:
         denom = 1.0 + z * z / 10
         center = (0.5 + z * z / 20) / denom
         half = (z / denom) * math.sqrt(0.025 + z * z / 400)
-        lo, hi = wilson_interval(5, 10, z)
+        lo, hi = wilson_bounds(5, 10, z)
         assert lo == pytest.approx(center - half, abs=1e-12)
         assert hi == pytest.approx(center + half, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            wilson_interval(0, -1)
+            wilson_bounds(0, -1, DEFAULT_Z)
         with pytest.raises(ValueError):
-            wilson_interval(3, 2)
+            wilson_bounds(3, 2, DEFAULT_Z)
         with pytest.raises(ValueError):
-            wilson_interval(-1, 2)
+            wilson_bounds(-1, 2, DEFAULT_Z)
         with pytest.raises(ValueError):
-            wilson_interval(0, 5, z=0.0)
+            wilson_bounds(0, 5, 0.0)
 
     @settings(**SETTINGS)
     @given(n=st.integers(0, 500), frac=st.floats(0.0, 1.0))
     def test_interval_is_valid_and_contains_p_hat(self, n, frac):
         k = int(round(n * frac))
-        lo, hi = wilson_interval(k, n)
+        lo, hi = wilson_bounds(k, n, DEFAULT_Z)
         assert 0.0 <= lo <= hi <= 1.0
         if n > 0:
             assert lo - 1e-12 <= k / n <= hi + 1e-12

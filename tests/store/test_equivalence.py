@@ -11,6 +11,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.profiling import profile_application
 from repro.store import CampaignDB
 from repro.verify.replay import fingerprint
+from tests.conftest import KillSink
 from tests.exec.test_parallel import campaign_signature
 from tests.injection.test_fault_models import PIN_SCENARIO
 
@@ -109,7 +110,7 @@ def test_parallel_jobs4_db_bit_identical(serial, lu_app, lu_profile, points, tmp
 def test_killed_then_resumed_db_bit_identical(
     serial, lu_app, lu_profile, points, tmp_path
 ):
-    """Crash the campaign halfway via the progress callback, resume from
+    """Crash the campaign halfway via a progress sink, resume from
     the database: both the merged stream and the stored result set must
     equal the uninterrupted run's, byte for byte."""
     result, db = serial
@@ -118,12 +119,10 @@ def test_killed_then_resumed_db_bit_identical(
     class Killed(RuntimeError):
         pass
 
-    def killer(done, total):
-        if done >= total // 2:
-            raise Killed(f"{done}/{total}")
+    killer = KillSink(Killed("halfway"), lambda done, total: done >= total // 2)
 
     with pytest.raises(Killed):
-        run_campaign(lu_app, lu_profile, points, db_path=dbk, progress=killer)
+        run_campaign(lu_app, lu_profile, points, db_path=dbk, progress_sinks=[killer])
 
     # the durable prefix is already queryable, campaign marked incomplete
     with CampaignDB(dbk) as cdb:
@@ -172,13 +171,11 @@ def test_scenario_campaign_killed_and_resumed_whole(tmp_path):
     class Killed(RuntimeError):
         pass
 
-    def killer(done, total):
-        if done >= total // 2:
-            raise Killed(f"{done}/{total}")
+    killer = KillSink(Killed("halfway"), lambda done, total: done >= total // 2)
 
     db = tmp_path / "killed.sqlite"
     with pytest.raises(Killed):
-        run(db_path=db, progress=killer)
+        run(db_path=db, progress_sinks=[killer])
     metrics = MetricsRegistry()
     resumed = run(db_path=db, resume=True, metrics=metrics)
     assert campaign_signature(resumed) == campaign_signature(serial)

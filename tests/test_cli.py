@@ -270,9 +270,9 @@ class TestErrorHygiene:
     """Operator errors exit with code 2 and one line on stderr — no
     tracebacks, no partial output."""
 
-    def test_resume_without_checkpoint_dir(self, capsys):
+    def test_resume_without_db(self, capsys):
         assert main(["campaign", "--app", "lu", "--resume"]) == 2
-        assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
+        assert "--resume requires --db" in capsys.readouterr().err
 
     def test_bad_jobs(self, capsys):
         assert main(["campaign", "--app", "lu", "--jobs", "0"]) == 2

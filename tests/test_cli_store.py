@@ -88,22 +88,33 @@ def test_progress_jsonl_flag(tmp_path, capsys):
     assert records[-1]["done_tests"] == records[-1]["total_tests"]
 
 
-def test_checkpoint_dir_is_a_campaign_database(tmp_path, capsys):
-    """``--checkpoint-dir DIR`` writes ``DIR/campaign.db``, which
-    ``stats --db`` and ``report --db`` read as is."""
-    ckdir = tmp_path / "ck"
-    assert main(["campaign", *CAMPAIGN_ARGS, "--checkpoint-dir", str(ckdir)]) == 0
+def test_parallel_campaign_store_report_and_progress(tmp_path, capsys):
+    """A ``--jobs 2`` campaign into ``--db`` with ``--progress-jsonl``:
+    ``stats --db --json`` agrees with raw SQL and calls the campaign
+    complete, the report has every section anchor, and the last
+    progress snapshot counts every test."""
+    db, prog, out_dir = tmp_path / "c.sqlite", tmp_path / "progress.jsonl", tmp_path / "report"
+    assert main([
+        "run", "--app", "lu", "--problem-class", "T", "--tests", "2", "--max-points", "4",
+        "--jobs", "2", "--db", str(db), "--progress-jsonl", str(prog),
+    ]) == 0
     capsys.readouterr()
-    db = ckdir / "campaign.db"
-    assert db.is_file()
-    assert not (ckdir / "units.pkl").exists()
 
     assert main(["stats", "--db", str(db), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
+    conn = sqlite3.connect(db)
+    hist = dict(conn.execute("SELECT outcome, COUNT(*) FROM results GROUP BY outcome"))
+    conn.close()
+    assert data["outcomes"] == hist
     assert data["campaign"]["complete"] is True
-    assert data["campaign"]["recorded_tests"] == 4 * 3
-    assert main(["report", "--db", str(db), "--out", str(tmp_path / "report")]) == 0
-    assert (tmp_path / "report" / "index.html").exists()
+
+    assert main(["report", "--db", str(db), "--out", str(out_dir)]) == 0
+    html = (out_dir / "index.html").read_text()
+    for anchor in ("summary", "timeline", "heatmap", "sensitivity", "breakdown", "forensics"):
+        assert f'id="{anchor}"' in html, anchor
+
+    last = json.loads(prog.read_text().splitlines()[-1])
+    assert last["done_tests"] == last["total_tests"] == 4 * 2
 
 
 @pytest.mark.parametrize(
@@ -115,10 +126,10 @@ def test_checkpoint_dir_is_a_campaign_database(tmp_path, capsys):
     ],
     ids=["is-jobs2", "lu"],
 )
-def test_resume_of_complete_checkpoint_dir_runs_nothing(args, units, tests, tmp_path, capsys):
-    """A resume of a complete ``--checkpoint-dir`` campaign rebuilds
-    every unit from the database and executes none."""
-    ck = ["--checkpoint-dir", str(tmp_path / "ck")]
+def test_resume_of_complete_db_runs_nothing(args, units, tests, tmp_path, capsys):
+    """A resume of a complete ``--db`` campaign rebuilds every unit from
+    the database and executes none."""
+    ck = ["--db", str(tmp_path / "campaign.db")]
     assert main(["campaign", *args, *ck]) == 0
     assert main(["campaign", *args, *ck, "--resume"]) == 0
     capsys.readouterr()
@@ -171,17 +182,14 @@ def test_hostile_old_database_runs_nothing(tmp_path, capsys):
     assert stored["campaign"]["recorded_tests"] == 2 * 2
 
 
-def test_adaptive_records_rounds_in_checkpoint_dir(tmp_path, capsys):
-    """``--adaptive`` persists through ``--checkpoint-dir`` like
-    ``--db``: the steering rounds land in ``DIR/campaign.db``."""
+def test_adaptive_records_rounds_in_db(tmp_path, capsys):
+    """``campaign --adaptive --db`` records its steering rounds."""
     from repro.store import CampaignDB
 
-    ckdir = tmp_path / "ck"
-    assert main(
-        ["campaign", *CAMPAIGN_ARGS, "--adaptive", "--checkpoint-dir", str(ckdir)]
-    ) == 0
+    path = tmp_path / "campaign.db"
+    assert main(["campaign", *CAMPAIGN_ARGS, "--adaptive", "--db", str(path)]) == 0
     capsys.readouterr()
-    with CampaignDB(ckdir / "campaign.db") as db:
+    with CampaignDB(path) as db:
         assert db.steering_rounds(db.campaign()["id"])
 
 
@@ -231,24 +239,6 @@ def test_loop_store_digest_is_pinned(argv, digest, tmp_path, capsys):
 
 class TestErrorHygiene:
     """Operator errors exit 2 with one line on stderr, no tracebacks."""
-
-    def test_resume_message_names_both_stores(self, capsys):
-        assert main(["campaign", "--app", "lu", "--resume"]) == 2
-        err = capsys.readouterr().err
-        assert "--resume requires --checkpoint-dir or --db" in err
-
-    def test_checkpoint_dir_and_db_are_exclusive(self, tmp_path, capsys):
-        assert (
-            main(
-                ["campaign", "--app", "lu",
-                 "--checkpoint-dir", str(tmp_path / "ck"),
-                 "--db", str(tmp_path / "c.sqlite")]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "mutually exclusive" in err
-        assert "Traceback" not in err
 
     def test_bad_progress_every(self, capsys):
         assert main(["campaign", "--app", "lu", "--progress-every", "0"]) == 2

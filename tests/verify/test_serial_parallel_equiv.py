@@ -8,6 +8,7 @@ import pytest
 
 from repro.injection import Campaign, enumerate_points
 from repro.verify.replay import fingerprint
+from tests.conftest import KillSink
 
 TESTS_PER_POINT = 6
 SEED = 17
@@ -63,28 +64,25 @@ def test_jobs_sweep_bit_identical(lu_app, lu_profile, points, serial_signature, 
 def test_resume_mid_campaign_bit_identical(
     tmp_path, lu_app, lu_profile, points, serial_signature
 ):
-    """Crash the campaign halfway via the progress callback, then resume
-    from the checkpoint: the merged stream must equal the uninterrupted
+    """Crash the campaign halfway via a progress sink, then resume
+    from the database: the merged stream must equal the uninterrupted
     run's, byte for byte."""
-    ckdir = tmp_path / "ck"
+    db = tmp_path / "campaign.db"
 
     class Killed(RuntimeError):
         pass
 
-    def killer(done, total):
-        if done >= total // 2:
-            raise Killed(f"{done}/{total}")
-
+    killer = KillSink(Killed("halfway"), lambda done, total: done >= total // 2)
     with pytest.raises(Killed):
         Campaign(
             lu_app, lu_profile, tests_per_point=TESTS_PER_POINT,
             param_policy="all", seed=SEED,
-            checkpoint_dir=ckdir, progress=killer,
+            db_path=db, progress_sinks=[killer],
         ).run(points)
 
     resumed = Campaign(
         lu_app, lu_profile, tests_per_point=TESTS_PER_POINT,
         param_policy="all", seed=SEED,
-        checkpoint_dir=ckdir, resume=True,
+        db_path=db, resume=True,
     ).run(points)
     assert stream_signature(resumed) == serial_signature
