@@ -7,8 +7,8 @@ Two capabilities beyond the paper's evaluation:
    the pattern (allreduce: all-or-nothing; rooted gathers: contained).
 2. **statistical adequacy** of the chosen test count (Wilson
    intervals), on a campaign that ``--db`` keeps in a campaign
-   database (read it back with ``fastfit stats --db`` or
-   ``fastfit report --db``).
+   database, which ``fastfit stats --db`` and ``fastfit report --db``
+   read back without running anything.
 
 Usage::
 

@@ -19,7 +19,7 @@ injection runs:
 * :mod:`repro.analyze.lint` — determinism/simulator-safety lint the
   replay log depends on.
 
-CLI: ``fastfit analyze`` (and ``--static-prune`` on ``fastfit run``).
+CLI: ``fastfit analyze`` (and ``--static-prune`` on ``fastfit campaign``).
 """
 
 from .crossval import CrossValidation, Mismatch, cross_validate

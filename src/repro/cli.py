@@ -7,21 +7,22 @@ Usage (``python -m repro`` or the ``fastfit`` entry point)::
     fastfit prune    --app lu     --problem-class S
     fastfit campaign --app mg     --tests 20 --policy buffer
     fastfit campaign --app is     --tests 20 --static-prune
-    fastfit run      --db campaigns.sqlite --tests 20
-    fastfit run      --adaptive --ci-width 0.3 --budget 2000 --jobs 4
+    fastfit campaign --app lu     --tests 20 --db campaigns.sqlite
+    fastfit campaign --app lu     --adaptive --ci-width 0.3 --budget 2000 --jobs 4
     fastfit analyze  --app lu     --tests 10 --sample 0.2
     fastfit analyze  --lint-only
     fastfit verify   --mutant wrong_root
     fastfit learn    --app lammps --threshold 0.7
     fastfit study    --app lammps --threshold 0.7
     fastfit trace    --app lu     --find-outcome INF_LOOP
-    fastfit stats    --app is     --tests 5 --max-points 8
     fastfit stats    --db campaigns.sqlite
     fastfit report   --db campaigns.sqlite --out report/
 
 Every subcommand prints ASCII tables in the style of the paper's
 evaluation section; ``trace --json`` and ``stats --json`` emit
-machine-readable JSONL/JSON instead.  All subcommands accept ``-v`` /
+machine-readable JSONL/JSON instead.  ``campaign``, ``learn`` and
+``study`` run; ``stats`` and ``report`` only read what a ``--db`` run
+stored.  All subcommands accept ``-v`` /
 ``-vv`` (info / debug diagnostics on stderr) and ``-q`` (errors only).
 """
 
@@ -58,7 +59,7 @@ from .report.text import render_bars, render_grouped_bars, render_table
 
 #: Every campaign option, by field name.
 _FIELDS = CampaignConfig.__dataclass_fields__
-#: The learning-loop options only ``--adaptive`` reads on campaign/run.
+#: The learning-loop options only ``campaign --adaptive`` reads.
 _ADAPTIVE = ("accuracy_target", "ci_width", "budget")
 
 
@@ -112,7 +113,7 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_adaptive_args(p: argparse.ArgumentParser) -> None:
-    """campaign/run: the campaign flags plus ``--adaptive`` and the stop
+    """campaign: the campaign flags plus ``--adaptive`` and the stop
     rules only it reads, which default to ``None`` here so that giving
     one without ``--adaptive`` is caught."""
     _add_campaign_args(p)
@@ -124,6 +125,16 @@ def _add_adaptive_args(p: argparse.ArgumentParser) -> None:
     )
     for name in _ADAPTIVE:
         _add_option(p, name, default=None)
+
+
+def _add_store_args(p: argparse.ArgumentParser, digest_use: str) -> None:
+    """The readers of a campaign database (``stats``, ``report``): the
+    file, and which of its campaigns."""
+    p.add_argument("--db", required=True, metavar="PATH", help="campaign database")
+    p.add_argument(
+        "--digest", default=None, metavar="HEX",
+        help=f"campaign digest (or prefix) {digest_use} (default: most recent)",
+    )
 
 
 def _config(args: argparse.Namespace) -> CampaignConfig:
@@ -414,43 +425,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_blocks(
-    hist: dict[str, int], metrics: dict, timings_title: str, bars_title: str
-) -> tuple[str, str, str]:
-    """What both ``stats`` paths print, each in its own order: the
-    phase-timings table of registry dict ``metrics`` (empty without
-    timers), its snapshot-engine line (empty when the engine served no
-    test), and the response bars over ``hist`` (outcome name → count)."""
+def cmd_stats(args: argparse.Namespace) -> int:
+    """Print one stored campaign's view: totals and outcome bars, the
+    snapshot-engine line, throughput (the final progress row), the phase
+    timings and pruning gauges of the final metrics, and a sample
+    failure detail per outcome.  Reads ``--db`` only; nothing runs."""
+    from .injection.campaign import detail_samples
     from .report.builder import snapshot_engine_line
-
-    rows = [
-        [name, t["count"], f"{t['total']:.3f}", f"{t['mean']:.3f}"]
-        for name, t in sorted(metrics.get("timers", {}).items())
-    ]
-    timings = render_table(["phase", "count", "total_s", "mean_s"], rows, title=timings_title)
-    names = [o.name for o in OUTCOME_ORDER]
-    if Outcome.TOOL_ERROR.name in hist:
-        names.append(Outcome.TOOL_ERROR.name)
-    total = sum(hist.values())
-    bars = render_bars(
-        {name: hist.get(name, 0) / total if total else 0.0 for name in names}, title=bars_title
-    )
-    return timings if rows else "", snapshot_engine_line(metrics), bars
-
-
-def _stats_from_db(args: argparse.Namespace) -> int:
-    """The ``stats --db`` path: recompute aggregates from the store."""
     from .store import CampaignDB
 
-    if args.db_path is None:
-        print("stats requires --app (live run) or --db (stored campaign)",
-              file=sys.stderr)
-        return 2
-    with CampaignDB(args.db_path) as db:
+    with CampaignDB(args.db) as db:
         c = db.campaign(args.digest)
         if c is None:
             what = f"digest {args.digest!r}" if args.digest else "campaigns"
-            print(f"error: no {what} in {args.db_path}", file=sys.stderr)
+            print(f"error: no {what} in {args.db}", file=sys.stderr)
             return 2
         hist = db.outcome_histogram(c["id"])
         total = sum(hist.values())
@@ -479,80 +467,60 @@ def _stats_from_db(args: argparse.Namespace) -> int:
                 )
             )
             return 0
-
-        # Config fields are unknown ("?") for a campaign row created
-        # through CampaignDB with its digest alone.
-        cfg = {k: "?" if c[k] is None else c[k]
-               for k in ("app", "n_points", "tests_per_point", "param_policy", "seed")}
-        print(
-            f"campaign {c['digest'][:12]}: {cfg['app']}, "
-            f"{cfg['n_points']} points × {cfg['tests_per_point']} tests "
-            f"(policy={cfg['param_policy']}, seed={cfg['seed']}), "
-            f"{'complete' if c['complete'] else 'INCOMPLETE'}"
+        progress = db.progress_rows(c["id"])
+        details = detail_samples(
+            (Outcome(row["outcome"]), row["detail"]) for row in db.results(c["id"])
         )
-        print(f"recorded tests: {total}, quarantined units: {n_quarantined}")
-        print()
-        timings, snapshot, bars = _stats_blocks(
-            hist, metrics or {}, "phase timings (stored)", "response types (stored)"
-        )
-        print(bars)
-        if snapshot:
-            print(f"\n{snapshot}")
-        if timings:
-            print()
-            print(timings)
-    return 0
 
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    """Run a campaign and report the collected metrics — or, with
-    ``--db`` and no live run, recompute them from a stored campaign."""
-    if args.app is None:
-        return _stats_from_db(args)
-    ff = _tool(args)
-    points = ff.points()
-    campaign = ff.campaign(points=points)
-    registry = ff.metrics
-
-    if args.json:
-        print(registry.to_json())
-        return 0
-
-    data = registry.to_dict()
-    timings, snapshot, bars = _stats_blocks(
-        {o.name: n for o, n in campaign.outcome_histogram().items()}, data, "phase timings",
-        f"response types ({len(points)} points × {campaign.tests_per_point} tests)",
+    # Config fields are unknown ("?") for a campaign row created
+    # through CampaignDB with its digest alone.
+    cfg = {k: "?" if c[k] is None else c[k]
+           for k in ("app", "n_points", "tests_per_point", "param_policy", "seed")}
+    print(
+        f"campaign {c['digest'][:12]}: {cfg['app']}, "
+        f"{cfg['n_points']} points × {cfg['tests_per_point']} tests "
+        f"(policy={cfg['param_policy']}, seed={cfg['seed']}), "
+        f"{'complete' if c['complete'] else 'INCOMPLETE'}"
     )
-    print(timings)
+    print(f"recorded tests: {total}, quarantined units: {n_quarantined}")
+    print()
+    names = [o.name for o in OUTCOME_ORDER]
+    if Outcome.TOOL_ERROR.name in hist:
+        names.append(Outcome.TOOL_ERROR.name)
+    print(render_bars(
+        {name: hist.get(name, 0) / total if total else 0.0 for name in names},
+        title="response types (stored)",
+    ))
 
-    n_tests = data["counters"].get("campaign.tests", 0)
-    campaign_s = data["timers"].get("phase.campaign_s", {}).get("total", 0.0)
-    if campaign_s > 0:
-        print(f"\nthroughput: {n_tests} tests in {campaign_s:.3f}s "
-              f"({n_tests / campaign_s:.1f} tests/sec)")
-    n_predicted = data["counters"].get("campaign.tests_predicted", 0)
-    if n_predicted:
-        print(f"static prune: {n_predicted} of {n_tests} tests statically "
-              f"proven ({n_predicted / n_tests:.1%} skipped)")
+    metrics = metrics or {}
+    snapshot = snapshot_engine_line(metrics)
     if snapshot:
         print(f"\n{snapshot}")
-
-    print()
-    print(bars)
-
-    gauges = {k: v for k, v in sorted(data["gauges"].items()) if k.startswith("prune.")}
+    if progress:
+        last = progress[-1]
+        print(f"\nthroughput: {last['tests_per_sec']:.1f} tests/sec (final progress "
+              f"snapshot: {last['done_tests']}/{last['total_tests']} tests, "
+              f"{last['elapsed_s']:.1f}s elapsed)")
+    # A timer still open when the final metrics were stored (the
+    # facade's phase.campaign_s) has no sample: not a zero-second phase.
+    timers = [
+        [name, t["count"], f"{t['total']:.3f}", f"{t['mean']:.3f}"]
+        for name, t in sorted(metrics.get("timers", {}).items())
+        if t["count"] > 0
+    ]
+    if timers:
+        print()
+        print(render_table(
+            ["phase", "count", "total_s", "mean_s"], timers, title="phase timings (stored)"
+        ))
+    gauges = [
+        [k, f"{v:.4g}"] for k, v in sorted(metrics.get("gauges", {}).items())
+        if k.startswith("prune.")
+    ]
     if gauges:
         print()
-        print(
-            render_table(
-                ["metric", "value"],
-                [[k, f"{v:.4g}"] for k, v in gauges.items()],
-                title="pruning reductions",
-            )
-        )
-
-    details = campaign.detail_samples()
-    if details:
+        print(render_table(["metric", "value"], gauges, title="pruning reductions"))
+    if any(o in details for o in OUTCOME_ORDER):
         print("\nsample failure details:")
         for outcome in OUTCOME_ORDER:
             if outcome in details:
@@ -881,15 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_adaptive_args(p)
     p.set_defaults(fn=cmd_campaign)
 
-    # 'run' = 'campaign' with a default app, the natural spelling for
-    # store-backed runs: fastfit run --db campaigns.sqlite
-    p = sub.add_parser(
-        "run", help="alias for 'campaign' (default --app lu)", parents=[verbosity]
-    )
-    _add_app_args(p, required=False, default="lu")
-    _add_adaptive_args(p)
-    p.set_defaults(fn=cmd_campaign)
-
     p = sub.add_parser(
         "learn", help="ML-driven campaign (inject → learn → predict)", parents=[verbosity]
     )
@@ -1004,31 +963,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(
-        "stats", help="campaign with metrics: phase timings, tests/sec, outcomes "
-        "(or recompute them from a stored campaign with --db)",
+        "stats", help="a stored campaign's outcomes, throughput, phase timings "
+        "and failure details (write one with campaign --db)",
         parents=[verbosity],
     )
-    _add_app_args(p, required=False)
-    _add_campaign_args(p)
+    _add_store_args(p, "to read")
     p.add_argument(
-        "--digest", default=None, metavar="HEX",
-        help="campaign digest (or prefix) to read with --db "
-        "(default: most recent)",
+        "--json", action="store_true",
+        help="the campaign row, outcome histogram and final metrics as JSON",
     )
-    p.add_argument("--json", action="store_true", help="dump the metrics registry as JSON")
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(
         "report", help="build the static HTML report tree from a campaign database",
         parents=[verbosity],
     )
-    p.add_argument("--db", required=True, metavar="PATH", help="campaign database")
+    _add_store_args(p, "to focus index.html on")
     p.add_argument("--out", default="report", metavar="DIR", help="output directory")
-    p.add_argument(
-        "--digest", default=None, metavar="HEX",
-        help="campaign digest (or prefix) to focus index.html on "
-        "(default: most recent)",
-    )
     p.set_defaults(fn=cmd_report)
 
     return parser

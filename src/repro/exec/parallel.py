@@ -38,9 +38,9 @@ merged registry is the same for every ``jobs``.
 A store is opened only when one is configured (``db_path``).  Every
 successfully completed unit is committed atomically through the
 SQLite-backed :class:`~repro.store.DBCheckpointStore` as queryable
-per-test rows, alongside per-point tallies and progress telemetry.  A
-resumed unit is rebuilt from those rows, its specs redrawn from their
-coordinates (:func:`task_spec`).
+per-test rows, alongside progress telemetry; every stored view of the
+campaign is computed from those rows.  A resumed unit is rebuilt from
+them, its specs redrawn from their coordinates (:func:`task_spec`).
 Quarantined units are deliberately *not* persisted: a later
 ``resume=True`` run retries them from scratch — self-healing across
 restarts when the fault was environmental.  ``KeyboardInterrupt`` tears
@@ -265,20 +265,11 @@ def run_campaign(
         # -- deterministic assembly: point order, then test order ------
         result = CampaignResult(campaign.app.name, cfg.tests_per_point, cfg.param_policy)
         grouped = units_of_point(units)
-        tallies: list[tuple] = []
         for g, point in zip(point_indices, points):
-            pr = PointResult(point)
-            for unit in grouped.get(g, ()):
-                for test in results[unit.unit_id]:
-                    pr.add(test)
+            pr = PointResult(
+                point, [test for unit in grouped.get(g, ()) for test in results[unit.unit_id]]
+            )
             result.points[point] = pr
-            for outcome, n in sorted(
-                pr._synced_counts().items(), key=lambda kv: kv[0].name
-            ):
-                tallies.append(
-                    (g, point.rank, point.collective, point.site,
-                     point.invocation, outcome.name, n)
-                )
             if metrics is not None:
                 metrics.counter("campaign.points").inc()
                 metrics.histogram("campaign.point_error_rate").observe(pr.error_rate)
@@ -289,10 +280,8 @@ def run_campaign(
                 tracker.finish()
         finally:
             if store is not None and not store.closed:
-                if finished:
-                    store.record_point_tallies(tallies)
-                    if metrics is not None:
-                        store.record_metrics("final", metrics)
+                if finished and metrics is not None:
+                    store.record_metrics("final", metrics)
                 store.write_manifest(
                     total_units=len(units),
                     # Every unit was resumed, executed, or quarantined.

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from ..apps.base import Application
 from ..profiling.profiler import ApplicationProfile
-from .outcome import OUTCOME_ORDER, Outcome
+from .outcome import OUTCOME_ORDER, Outcome, response_rate
 from .config import ConfigError
 from .models import MODELS, SELECTABLE_MODELS
 from .runner import TestResult
@@ -38,52 +38,15 @@ from .targets import is_policy
 
 @dataclass
 class PointResult:
-    """Aggregated responses at one injection point.
-
-    Outcome tallies are maintained incrementally as tests are added via
-    :meth:`add`, so ``outcomes``/``error_rate`` are O(1) on the hot path
-    instead of rescanning the test list on every property access.  Code
-    that appends to ``tests`` directly still gets correct answers: a
-    cheap length check detects the stale tally and rebuilds it.
-    """
+    """Aggregated responses at one injection point: every view counts
+    over :attr:`tests` (at most ``tests_per_point`` of them)."""
 
     point: InjectionPoint
     tests: list[TestResult] = field(default_factory=list)
-    _counts: Counter = field(default_factory=Counter, init=False, repr=False, compare=False)
-    _n_errors: int = field(default=0, init=False, repr=False, compare=False)
-    _n_excluded: int = field(default=0, init=False, repr=False, compare=False)
-    _tallied: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for t in self.tests:
-            self._tally(t)
-
-    def add(self, test: TestResult) -> None:
-        """Append one test and update the running tallies."""
-        self.tests.append(test)
-        self._tally(test)
-
-    def _tally(self, test: TestResult) -> None:
-        self._counts[test.outcome] += 1
-        if test.outcome.is_error:
-            self._n_errors += 1
-        if not test.outcome.is_application_response:
-            self._n_excluded += 1
-        self._tallied += 1
-
-    def _synced_counts(self) -> Counter:
-        if self._tallied != len(self.tests):
-            self._counts = Counter(t.outcome for t in self.tests)
-            self._n_errors = sum(1 for t in self.tests if t.outcome.is_error)
-            self._n_excluded = sum(
-                1 for t in self.tests if not t.outcome.is_application_response
-            )
-            self._tallied = len(self.tests)
-        return self._counts
 
     @property
     def outcomes(self) -> Counter:
-        return Counter(self._synced_counts())
+        return Counter(t.outcome for t in self.tests)
 
     @property
     def n_tests(self) -> int:
@@ -93,22 +56,13 @@ class PointResult:
     def n_tool_errors(self) -> int:
         """Tests with a harness-level ``TOOL_ERROR`` verdict (excluded
         from every paper-facing rate)."""
-        self._synced_counts()
-        return self._n_excluded
+        return sum(1 for t in self.tests if not t.outcome.is_application_response)
 
     @property
     def error_rate(self) -> float:
-        """Fraction of tests with a non-SUCCESS response (§ II).
-
-        Harness-level ``TOOL_ERROR`` verdicts are excluded from both the
-        numerator and the denominator — they say nothing about the
-        application's sensitivity.
-        """
-        self._synced_counts()
-        responses = len(self.tests) - self._n_excluded
-        if responses <= 0:
-            return 0.0
-        return self._n_errors / responses
+        """Fraction of application responses that are errors (§ II,
+        :func:`~repro.injection.outcome.response_rate`)."""
+        return response_rate(self.outcomes)
 
     def majority_outcome(self) -> Outcome:
         """The most frequent *application* response (ties break in
@@ -116,7 +70,7 @@ class PointResult:
         point whose every test failed at the harness level reports
         SUCCESS-by-absence and should be judged via
         :attr:`n_tool_errors` instead."""
-        counts = self._synced_counts()
+        counts = self.outcomes
         best = max(
             (counts[o] for o in OUTCOME_ORDER if o in counts), default=0
         )
@@ -126,17 +80,16 @@ class PointResult:
                     return outcome
         return Outcome.SUCCESS
 
-    def detail_samples(self) -> dict[Outcome, str]:
-        """One representative ``detail`` string per observed outcome.
 
-        The first non-empty detail wins; outcomes whose tests carry no
-        detail (``SUCCESS``) are omitted.
-        """
-        samples: dict[Outcome, str] = {}
-        for t in self.tests:
-            if t.detail and t.outcome not in samples:
-                samples[t.outcome] = t.detail
-        return samples
+def detail_samples(tests: Iterable[tuple[Outcome, str]]) -> dict[Outcome, str]:
+    """One representative ``detail`` per outcome of ``(outcome, detail)``
+    pairs in point/test order: the first non-empty one wins, and
+    outcomes whose tests carry no detail (``SUCCESS``) are omitted."""
+    samples: dict[Outcome, str] = {}
+    for outcome, detail in tests:
+        if detail:
+            samples.setdefault(outcome, detail)
+    return samples
 
 
 @dataclass
@@ -158,12 +111,9 @@ class CampaignResult:
         return sum(len(pr.tests) for pr in self.points.values())
 
     def outcome_histogram(self) -> dict[Outcome, int]:
-        # Sums the per-point incremental tallies: O(points), not O(tests).
         # Covers OUTCOME_ORDER only, so TOOL_ERROR verdicts never leak
         # into paper-metric outcome rates (see tool_error_count()).
-        counts: Counter = Counter()
-        for pr in self.points.values():
-            counts.update(pr._synced_counts())
+        counts = Counter(t.outcome for t in self.all_tests())
         return {o: counts.get(o, 0) for o in OUTCOME_ORDER}
 
     def tool_error_count(self) -> int:
@@ -209,11 +159,7 @@ class CampaignResult:
 
     def detail_samples(self) -> dict[Outcome, str]:
         """Campaign-wide representative failure details, one per outcome."""
-        samples: dict[Outcome, str] = {}
-        for pr in self.points.values():
-            for outcome, detail in pr.detail_samples().items():
-                samples.setdefault(outcome, detail)
-        return samples
+        return detail_samples((t.outcome, t.detail) for t in self.all_tests())
 
 
 def _option(default, flag: str, help: str | None = None, check=None, **argparse_kwargs):
@@ -277,8 +223,8 @@ class CampaignConfig:
         None, "--db",
         "SQLite campaign database: persists completed units (so an "
         "interrupted campaign can be resumed), queryable per-test rows, "
-        "and progress telemetry; feeds 'fastfit report' and "
-        "'fastfit stats --db'",
+        "and progress telemetry; 'fastfit stats --db' and "
+        "'fastfit report --db' read it",
         metavar="PATH",
     )
     resume: bool = _option(

@@ -19,12 +19,13 @@ the unit was quarantined.  It is an infrastructure verdict, not an
 application response, so it is excluded from every paper-facing
 statistic: :data:`OUTCOME_ORDER` (rendering, histograms, ML labels)
 does not contain it, :attr:`Outcome.is_error` is ``False`` for it, and
-error-rate denominators skip it.
+:func:`response_rate`, the one rate rule, skips it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Mapping
 
 from ..simmpi import (
     AppError,
@@ -73,6 +74,18 @@ OUTCOME_ORDER: tuple[Outcome, ...] = (
     Outcome.WRONG_ANS,
     Outcome.INF_LOOP,
 )
+
+
+def response_rate(counts: Mapping[Outcome, int], outcome: Outcome | None = None) -> float:
+    """The share of the application responses in ``counts`` (outcome →
+    tests) that are ``outcome``, or errors when it is ``None`` — the
+    § II error rate.  TOOL_ERROR is no application response: it leaves
+    both the numerator and the denominator."""
+    responses = sum(n for o, n in counts.items() if o.is_application_response)
+    hits = sum(
+        n for o, n in counts.items() if (o.is_error if outcome is None else o is outcome)
+    )
+    return hits / responses if responses else 0.0
 
 
 def classify_exception(exc: BaseException) -> Outcome:

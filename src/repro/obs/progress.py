@@ -211,10 +211,19 @@ class ProgressTracker:
         )
 
     def _emit(self) -> None:
+        """Hand one snapshot to every sink, then re-raise the first error
+        a sink raised: a sink that raises (a kill switch, a full disk)
+        does not keep the snapshot from the sinks after it."""
         snap = self.snapshot()
-        for sink in self.sinks:
-            sink.emit(snap)
         self._since_emit = 0
+        error: BaseException | None = None
+        for sink in self.sinks:
+            try:
+                sink.emit(snap)
+            except BaseException as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
     def _maybe_emit(self) -> None:
         self._since_emit += 1

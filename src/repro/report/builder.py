@@ -23,7 +23,7 @@ import os
 import sqlite3
 from pathlib import Path
 
-from ..injection.outcome import OUTCOME_ORDER, Outcome
+from ..injection.outcome import OUTCOME_ORDER, Outcome, response_rate
 from ..pruning.mldriven import PAPER_3_LEVELS, QUARTILE_LEVELS, LevelScheme, level_distribution
 from ..store.db import CampaignDB, CampaignStoreError
 from .html import Raw, fraction_bar, heat_cell, nav, page, section, svg_timeline, table
@@ -42,58 +42,31 @@ SECTIONS = (
 MAX_WAIT_FOR_SAMPLES = 10
 
 
+def _counts(by_name: dict[str, int]) -> dict[Outcome, int]:
+    """A tally's counts (outcome name → tests) keyed by :class:`Outcome`."""
+    return {Outcome(name): n for name, n in by_name.items()}
+
+
+def _outcome_cells(counts: dict[Outcome, int]) -> list[Raw]:
+    """One heat cell per application response: its count, shaded by its
+    share of the responses."""
+    return [
+        heat_cell(response_rate(counts, o), str(counts.get(o, 0))) for o in OUTCOME_ORDER
+    ]
+
+
 def _point_rows(db: CampaignDB, campaign_id: int) -> list[dict]:
-    """Per-point aggregate: identity, outcome counts, error rate."""
-    points: dict[int, dict] = {}
-    for row in db.point_tallies(campaign_id):
-        entry = points.setdefault(
-            row["point_index"],
-            {
-                "point_index": row["point_index"],
-                "rank": row["rank"],
-                "collective": row["collective"],
-                "site": row["site"],
-                "invocation": row["invocation"],
-                "outcomes": {},
-            },
+    """Per-point aggregate of the recorded tests: identity, outcome
+    counts, error rate — one row per point with a ``results`` row, for a
+    complete, interrupted or multi-round campaign alike."""
+    columns = ("point_index", "rank", "collective", "site", "invocation")
+    rows = []
+    for key, by_name in db.tally(campaign_id, *columns).items():
+        counts = _counts(by_name)
+        rows.append(
+            {**dict(zip(columns, key)), "outcomes": counts, "error_rate": response_rate(counts)}
         )
-        entry["outcomes"][row["outcome"]] = row["n"]
-    if not points:
-        # Tallies are written at assembly; an interrupted campaign only
-        # has raw results. Rebuild the same view from those.
-        for row in db.conn.execute(
-            "SELECT point_index, rank, collective, site, invocation, outcome,"
-            " COUNT(*) AS n FROM results WHERE campaign_id = ?"
-            " GROUP BY point_index, outcome ORDER BY point_index",
-            (campaign_id,),
-        ):
-            entry = points.setdefault(
-                row["point_index"],
-                {
-                    "point_index": row["point_index"],
-                    "rank": row["rank"],
-                    "collective": row["collective"],
-                    "site": row["site"],
-                    "invocation": row["invocation"],
-                    "outcomes": {},
-                },
-            )
-            entry["outcomes"][row["outcome"]] = row["n"]
-    out = []
-    for idx in sorted(points):
-        entry = points[idx]
-        counts = entry["outcomes"]
-        responses = sum(
-            n for o, n in counts.items() if o != Outcome.TOOL_ERROR.name
-        )
-        errors = sum(
-            n
-            for o, n in counts.items()
-            if o not in (Outcome.SUCCESS.name, Outcome.TOOL_ERROR.name)
-        )
-        entry["error_rate"] = errors / responses if responses else 0.0
-        out.append(entry)
-    return out
+    return rows
 
 
 def _summary_section(db: CampaignDB, c: sqlite3.Row) -> str:
@@ -136,8 +109,8 @@ def _summary_section(db: CampaignDB, c: sqlite3.Row) -> str:
 
 def snapshot_engine_line(metrics: dict) -> str:
     """One line of snapshot-and-fork telemetry from a registry dict
-    (empty when the engine served no test); also what ``fastfit stats``
-    prints."""
+    (empty when the engine served no test); also what ``fastfit stats
+    --db`` prints."""
     counters = metrics.get("counters", {})
     forks = counters.get("snapshot.forks", 0)
     overlapped = counters.get("snapshot.overlapped_forks", 0)
@@ -219,20 +192,13 @@ def _heatmap_section(points: list[dict]) -> str:
             "heatmap", "Per-point outcome heatmap",
             '<p class="muted">no per-point results recorded</p>',
         )
-    order = [o.name for o in OUTCOME_ORDER]
-    headers = ["point", "rank", "collective", "site", "inv"] + order + ["error rate"]
-    rows = []
-    for p in points:
-        counts = p["outcomes"]
-        total = sum(n for o, n in counts.items() if o != Outcome.TOOL_ERROR.name)
-        cells: list[object] = [
-            p["point_index"], p["rank"], p["collective"], p["site"], p["invocation"],
-        ]
-        for name in order:
-            n = counts.get(name, 0)
-            cells.append(heat_cell(n / total if total else 0.0, str(n)))
-        cells.append(heat_cell(p["error_rate"]))
-        rows.append(cells)
+    headers = ["point", "rank", "collective", "site", "inv"]
+    headers += [o.name for o in OUTCOME_ORDER] + ["error rate"]
+    rows = [
+        [p["point_index"], p["rank"], p["collective"], p["site"], p["invocation"],
+         *_outcome_cells(p["outcomes"]), heat_cell(p["error_rate"])]
+        for p in points
+    ]
     return section(
         "heatmap",
         "Per-point outcome heatmap",
@@ -259,27 +225,14 @@ def _sensitivity_section(points: list[dict]) -> str:
 
 
 def _breakdown_section(db: CampaignDB, c: sqlite3.Row) -> str:
-    order = [o.name for o in OUTCOME_ORDER]
-
-    def matrix(group_col: str, label: str) -> str:
-        data: dict[str, dict[str, int]] = {}
-        for row in db.conn.execute(
-            f"SELECT {group_col} AS g, outcome, COUNT(*) AS n FROM results "
-            "WHERE campaign_id = ? GROUP BY g, outcome ORDER BY g",
-            (c["id"],),
-        ):
-            data.setdefault(row["g"], {})[row["outcome"]] = row["n"]
+    def matrix(column: str, label: str) -> str:
+        data = db.tally(c["id"], column)
         if not data:
             return f'<h3>{label}</h3><p class="muted">no results</p>'
-        rows = []
-        for g, counts in sorted(data.items()):
-            total = sum(n for o, n in counts.items() if o != Outcome.TOOL_ERROR.name)
-            cells: list[object] = [g]
-            for name in order:
-                n = counts.get(name, 0)
-                cells.append(heat_cell(n / total if total else 0.0, str(n)))
-            rows.append(cells)
-        return f"<h3>{label}</h3>" + table([label.lower()] + order, rows)
+        rows = [[g, *_outcome_cells(_counts(by_name))] for (g,), by_name in data.items()]
+        return f"<h3>{label}</h3>" + table(
+            [label.lower()] + [o.name for o in OUTCOME_ORDER], rows
+        )
 
     body = (
         matrix("collective", "By collective")

@@ -19,7 +19,7 @@ import logging
 import os
 import sqlite3
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -361,16 +361,27 @@ class CampaignDB:
                 out[row["unit_id"]][0].append(row)
         return out
 
+    def tally(self, campaign_id: int, *columns: str) -> dict[tuple, dict[str, int]]:
+        """The one aggregate over a campaign's ``results`` rows: for each
+        distinct value of ``columns`` (a tuple, in sorted order), its
+        tests per outcome name.  Every stored view of a campaign — the
+        histogram, the report's per-point rows and its breakdowns — is
+        one call."""
+        if not all(c.isidentifier() for c in columns):
+            raise ValueError(f"not column names: {columns}")
+        keys = ", ".join((*columns, "outcome"))
+        out: dict[tuple, dict[str, int]] = {}
+        for *group, outcome, n in self.conn.execute(
+            f"SELECT {keys}, COUNT(*) FROM results WHERE campaign_id = ? "
+            f"GROUP BY {keys} ORDER BY {keys}",
+            (campaign_id,),
+        ):
+            out.setdefault(tuple(group), {})[outcome] = n
+        return out
+
     def outcome_histogram(self, campaign_id: int) -> dict[str, int]:
-        """``select outcome, count(*) from results group by outcome``."""
-        return {
-            row["outcome"]: row["n"]
-            for row in self.conn.execute(
-                "SELECT outcome, COUNT(*) AS n FROM results "
-                "WHERE campaign_id = ? GROUP BY outcome ORDER BY outcome",
-                (campaign_id,),
-            )
-        }
+        """Tests per outcome name: :meth:`tally` over no column."""
+        return self.tally(campaign_id).get((), {})
 
     def results(self, campaign_id: int) -> Iterator[sqlite3.Row]:
         """Every test row in canonical (point, test) order."""
@@ -380,7 +391,7 @@ class CampaignDB:
             (campaign_id,),
         )
 
-    # -- assembly-time aggregates ------------------------------------------
+    # -- point_tallies: written only by perf/'s traced store pass --------
 
     def record_point_tallies(
         self, campaign_id: int, tallies: list[tuple[Any, ...]]
@@ -677,15 +688,28 @@ class DBCheckpointStore:
 
 class DBProgressSink:
     """A :class:`~repro.obs.progress.ProgressSink` writing snapshots into
-    the ``progress`` table — the report's campaign-timeline source."""
+    the ``progress`` table — the report's campaign-timeline source.
+
+    Every run of a campaign (a resume, a learning-loop round) starts its
+    tracker at ``seq`` 1 and elapsed 0, so its rows go after the ones
+    already stored: ``seq`` and ``elapsed_s`` continue from the last
+    stored row, and the timeline keeps every run's rows in order."""
 
     def __init__(self, db: CampaignDB, campaign_id: int):
         self.db = db
         self.campaign_id = campaign_id
+        last = db.conn.execute(
+            "SELECT seq, elapsed_s FROM progress WHERE campaign_id = ? "
+            "ORDER BY seq DESC LIMIT 1",
+            (campaign_id,),
+        ).fetchone()
+        self._seq, self._elapsed_s = (0, 0.0) if last is None else tuple(last)
 
     def emit(self, snap: "ProgressSnapshot") -> None:
         if not self.db.closed:
-            self.db.record_progress(self.campaign_id, snap)
+            self.db.record_progress(self.campaign_id, replace(
+                snap, seq=self._seq + snap.seq, elapsed_s=self._elapsed_s + snap.elapsed_s
+            ))
 
     def close(self) -> None:  # the owning store manages the connection
         pass

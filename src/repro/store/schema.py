@@ -20,8 +20,11 @@ Tables
     from the test's coordinates).  The record's own ``fault_*`` columns
     say where it struck: a scenario strikes away from its anchor.
 ``point_tallies``
-    Per-injection-point outcome histogram, written at campaign assembly
-    — the report builder's heatmap/sensitivity input.
+    A per-point outcome histogram no reader uses: the campaign engine
+    stopped writing it, and every view is computed from ``results``
+    (:meth:`~repro.store.db.CampaignDB.tally`).  The table and its
+    writer stay for the benchmark harness, whose traced store pass
+    (``perf/workloads.py``) still calls ``record_point_tallies``.
 ``quarantine``
     Units the supervisor gave up on, with the give-up reason.  Their
     tests are synthetic ``TOOL_ERROR`` verdicts and are deliberately

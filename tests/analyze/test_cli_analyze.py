@@ -116,7 +116,7 @@ class TestOperatorErrors:
 
     def test_static_prune_conflicts_with_db(self, tmp_path, capsys):
         assert main(
-            ["run", "--static-prune", "--db", str(tmp_path / "c.sqlite")]
+            ["campaign", "--app", "is", "--static-prune", "--db", str(tmp_path / "c.sqlite")]
         ) == 2
         assert "--static-prune" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 """Campaign engine: bit-identical execution under every executor, unit
 slicing and resume — anchored to the scratch reference loop."""
 
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -417,9 +418,9 @@ class TestResume:
 def test_raising_sink_cannot_skip_the_store_close(
     tmp_path, monkeypatch, lu_app, lu_profile, lu_points
 ):
-    """A sink that raises at every snapshot, the final one included:
-    the campaign row is left incomplete (resumable), and the store's
-    connection and every other sink's file are closed."""
+    """A sink that raises at every snapshot: the campaign row is left
+    incomplete (resumable), and the store's connection and every other
+    sink's file are closed."""
     import repro.store
     from repro.obs.progress import JsonlProgressSink
     from repro.store import CampaignDB
@@ -453,6 +454,73 @@ def test_raising_sink_cannot_skip_the_store_close(
     assert jsonl._fh.closed
     with CampaignDB(db) as cdb:
         assert cdb.campaign()["complete"] == 0
+
+
+def test_raising_sink_does_not_starve_the_sinks_after_it(tmp_path, lu_app, lu_profile):
+    """A sink that raises hands the snapshot on first: the JSONL file
+    and the store's ``progress`` table each hold every snapshot that was
+    emitted, the one at which the sink raised included."""
+    from repro.obs.progress import JsonlProgressSink
+    from repro.store import CampaignDB
+
+    class Boom(RuntimeError):
+        pass
+
+    class Raising:
+        def __init__(self):
+            self.seen = []
+
+        def emit(self, snap):
+            self.seen.append(snap.seq)
+            raise Boom
+
+        def close(self):
+            pass
+
+    db, path, raising = tmp_path / "campaign.db", tmp_path / "progress.jsonl", Raising()
+    with pytest.raises(Boom):
+        Campaign(
+            lu_app, lu_profile, tests_per_point=2, param_policy="all", seed=11,
+            db_path=db, progress_sinks=[raising, JsonlProgressSink(str(path))],
+        ).run(enumerate_points(lu_profile)[:2])
+    assert raising.seen
+    assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == raising.seen
+    with CampaignDB(db) as cdb:
+        assert [r["seq"] for r in cdb.progress_rows(cdb.campaign()["id"])] == raising.seen
+
+
+def test_resumed_timeline_keeps_both_runs(tmp_path, lu_app, lu_profile):
+    """A campaign killed at 10 of 16 tests and resumed: the stored
+    timeline holds every row of both runs, in order, and ends on the
+    complete count."""
+    from repro.store import CampaignDB
+
+    class Killed(RuntimeError):
+        pass
+
+    db, points = tmp_path / "campaign.db", enumerate_points(lu_profile)[:8]
+
+    def run(**kwargs):
+        Campaign(
+            lu_app, lu_profile, tests_per_point=2, param_policy="all", seed=11,
+            db_path=db, **kwargs,
+        ).run(points)
+
+    with pytest.raises(Killed):
+        run(progress_sinks=[KillSink(Killed("halfway"), lambda done, total: done >= 10)])
+    with CampaignDB(db) as cdb:
+        killed = [dict(r) for r in cdb.progress_rows(cdb.campaign()["id"])]
+    assert killed[-1]["done_tests"] == 10
+    run(resume=True)
+    with CampaignDB(db) as cdb:
+        rows = cdb.progress_rows(cdb.campaign()["id"])
+    assert [dict(r) for r in rows[: len(killed)]] == killed
+    assert [r["seq"] for r in rows] == list(range(1, len(rows) + 1))
+    assert len(rows) > len(killed)
+    elapsed = [r["elapsed_s"] for r in rows]
+    done = [r["done_tests"] for r in rows]
+    assert elapsed == sorted(elapsed) and done == sorted(done)
+    assert (rows[-1]["done_tests"], rows[-1]["total_tests"]) == (16, 16)
 
 
 def test_campaign_rejects_bad_jobs(lu_app, lu_profile):

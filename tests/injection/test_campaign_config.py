@@ -96,7 +96,7 @@ class TestOneDeclaration:
         )
         assert {f.name for f in fields(CampaignConfig)} <= set(vars(args))
 
-    @pytest.mark.parametrize("command", ["campaign", "run", "learn", "study", "stats"])
+    @pytest.mark.parametrize("command", ["campaign", "learn", "study"])
     def test_cli_defaults_are_the_config_defaults(self, command):
         args = build_parser().parse_args([command, "--app", "is"])
         assert config_of_args(args) == CampaignConfig()

@@ -436,6 +436,6 @@ class TestToolErrorExclusion:
         pr = PointResult(point)
         spec = FaultSpec(point, param="payload", model="msg_drop")
         for outcome in (Outcome.INF_LOOP, Outcome.SUCCESS, Outcome.TOOL_ERROR):
-            pr.add(InjectionTestResult(spec, outcome, None))
+            pr.tests.append(InjectionTestResult(spec, outcome, None))
         assert pr.n_tool_errors == 1
         assert pr.error_rate == pytest.approx(1 / 2)  # not 1/3, not 2/3

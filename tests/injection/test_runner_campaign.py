@@ -158,7 +158,7 @@ class TestToolErrorAggregation:
         point = InjectionPoint(0, "Allreduce", "f.py:1", 0)
         pr = PointResult(point)
         for o in outcomes:
-            pr.add(TestResult(FaultSpec(point, "count", None), o, None))
+            pr.tests.append(TestResult(FaultSpec(point, "count", None), o, None))
         return pr
 
     def test_error_rate_excludes_tool_errors(self):

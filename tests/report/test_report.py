@@ -127,3 +127,34 @@ def test_html_escapes_untrusted_text(tmp_path, lu_app, lu_profile):
     )
     out = table(["a"], [["<b>raw</b>"]])
     assert "<b>" not in out
+
+
+def test_stored_view_matches_the_in_memory_result(tmp_path, lu_app, capsys):
+    """One ``jobs=2`` campaign into a database: the report's per-point
+    rows and ``stats --db --json``'s outcomes are the returned
+    :class:`CampaignResult`'s, point by point."""
+    import json
+
+    from repro import FastFIT
+    from repro.cli import main
+    from repro.injection import OUTCOME_ORDER
+    from repro.report.builder import _point_rows
+
+    db = tmp_path / "c.sqlite"
+    ff = FastFIT(lu_app, tests_per_point=3, max_points=4, param_policy="all", db_path=db, jobs=2)
+    points = ff.points()
+    result = ff.campaign(points=points)
+    with CampaignDB(db) as cdb:
+        rows = _point_rows(cdb, cdb.campaign()["id"])
+    assert [
+        (r["point_index"], r["rank"], r["collective"], r["site"], r["invocation"]) for r in rows
+    ] == [(i, p.rank, p.collective, p.site, p.invocation) for i, p in enumerate(points)]
+    for row, pr in zip(rows, result.points.values()):
+        assert row["outcomes"] == pr.outcomes
+        assert row["error_rate"] == pr.error_rate
+
+    capsys.readouterr()
+    assert main(["stats", "--db", str(db), "--json"]) == 0
+    stored = json.loads(capsys.readouterr().out)["outcomes"]
+    stored.pop("TOOL_ERROR", None)
+    assert {o: stored.get(o.name, 0) for o in OUTCOME_ORDER} == result.outcome_histogram()

@@ -228,42 +228,44 @@ def test_trace_pinned_bit_past_the_parameter_is_skipped(capsys):
     assert "param=count bit=99 skipped" in out
 
 
-def test_stats_smoke(capsys):
-    assert (
-        main(
-            [
-                "stats",
-                "--app", "is",
-                "--problem-class", "T",
-                "--tests", "2",
-                "--max-points", "4",
-            ]
-        )
-        == 0
-    )
+@pytest.fixture(scope="module")
+def is_db(tmp_path_factory):
+    """A small IS class-T campaign stored with ``campaign --db``."""
+    path = tmp_path_factory.mktemp("stats") / "is.db"
+    assert main([
+        "campaign", "--app", "is", "--problem-class", "T", "--tests", "2",
+        "--max-points", "4", "--db", str(path),
+    ]) == 0
+    return path
+
+
+def test_stats_smoke(is_db, capsys):
+    capsys.readouterr()
+    assert main(["stats", "--db", str(is_db)]) == 0
     out = capsys.readouterr().out
     assert "phase" in out
     assert "tests/sec" in out
     assert "SUCCESS" in out
 
 
-def test_stats_json_export(capsys):
-    assert (
-        main(
-            [
-                "stats",
-                "--app", "is",
-                "--problem-class", "T",
-                "--tests", "2",
-                "--max-points", "4",
-                "--json",
-            ]
-        )
-        == 0
-    )
+def test_stats_prints_only_timers_that_ran(is_db, capsys):
+    """The final metrics are stored while the facade's campaign phase
+    timer is still open: that timer has no sample and is not printed
+    as a zero-second phase."""
+    capsys.readouterr()
+    assert main(["stats", "--db", str(is_db)]) == 0
+    out = capsys.readouterr().out
+    table = out[out.index("phase timings"):].split("\n\n")[0].splitlines()[3:]
+    assert table and all(int(line.split("|")[1]) > 0 for line in table)
+    assert "phase.campaign_s" not in out
+
+
+def test_stats_json_export(is_db, capsys):
+    capsys.readouterr()
+    assert main(["stats", "--db", str(is_db), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["counters"]["campaign.tests"] > 0
-    assert "phase.campaign_s" in data["timers"]
+    assert data["metrics"]["counters"]["campaign.tests"] > 0
+    assert "exec.unit_s" in data["metrics"]["timers"]
 
 
 class TestErrorHygiene:
@@ -337,9 +339,9 @@ class TestErrorHygiene:
             (["study", "--threshold", "0"], "--threshold must be in (0, 1], got 0.0"),
             (["campaign", "--adaptive", "--accuracy-target", "1.5"],
              "--accuracy-target must be in (0, 1], got 1.5"),
-            (["run", "--ci-width", "0.3"], "--ci-width requires --adaptive"),
-            (["run", "--budget", "100"], "--budget requires --adaptive"),
-            (["run", "--accuracy-target", "0.7"], "--accuracy-target requires --adaptive"),
+            (["campaign", "--ci-width", "0.3"], "--ci-width requires --adaptive"),
+            (["campaign", "--budget", "100"], "--budget requires --adaptive"),
+            (["campaign", "--accuracy-target", "0.7"], "--accuracy-target requires --adaptive"),
             (["campaign", "--adaptive", "--scenario", "s.json"],
              "--adaptive and --scenario are mutually exclusive"),
             (["campaign", "--adaptive", "--static-prune"],
@@ -367,10 +369,12 @@ class TestErrorHygiene:
                   ["--accuracy-target", "0.7"]],
     )
     def test_adaptive_flags_only_on_campaign_and_run(self, command, flags, capsys):
-        """Only campaign/run steer; learn and study spell the target
-        ``--threshold``."""
+        """Only campaign steers; learn and study spell the target
+        ``--threshold``, and stats, which only reads a store, takes no
+        campaign option."""
+        source = ["--db", "c.db"] if command == "stats" else ["--app", "lu"]
         with pytest.raises(SystemExit) as exc:
-            main([command, "--app", "lu", *flags])
+            main([command, *source, *flags])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 

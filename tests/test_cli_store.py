@@ -1,4 +1,4 @@
-"""CLI plumbing for the campaign store: ``run --db``, ``stats --db``,
+"""CLI plumbing for the campaign store: ``campaign --db``, ``stats --db``,
 ``report``, resume, and the operator-error hygiene around them."""
 
 import json
@@ -21,20 +21,8 @@ CAMPAIGN_ARGS = [
 def db_path(tmp_path_factory):
     """One small DB-backed campaign shared by the read-only commands."""
     path = tmp_path_factory.mktemp("cli") / "c.sqlite"
-    assert main(["run", *CAMPAIGN_ARGS, "--db", str(path)]) == 0
+    assert main(["campaign", *CAMPAIGN_ARGS, "--db", str(path)]) == 0
     return path
-
-
-def test_run_is_a_campaign_alias(db_path, capsys):
-    capsys.readouterr()
-    assert main(["run", *CAMPAIGN_ARGS, "--db", str(db_path), "--resume"]) == 0
-    out = capsys.readouterr().out
-    assert "response types" in out
-
-
-def test_run_defaults_to_lu(capsys):
-    assert main(["run", "--tests", "2", "--max-points", "2"]) == 0
-    assert "response types" in capsys.readouterr().out
 
 
 def test_stats_db_text(db_path, capsys):
@@ -81,7 +69,7 @@ def test_report_command(db_path, tmp_path, capsys):
 def test_progress_jsonl_flag(tmp_path, capsys):
     prog = tmp_path / "prog.jsonl"
     assert (
-        main(["run", *CAMPAIGN_ARGS, "--progress-jsonl", str(prog)]) == 0
+        main(["campaign", *CAMPAIGN_ARGS, "--progress-jsonl", str(prog)]) == 0
     )
     records = [json.loads(ln) for ln in prog.read_text().splitlines()]
     assert records
@@ -95,7 +83,7 @@ def test_parallel_campaign_store_report_and_progress(tmp_path, capsys):
     progress snapshot counts every test."""
     db, prog, out_dir = tmp_path / "c.sqlite", tmp_path / "progress.jsonl", tmp_path / "report"
     assert main([
-        "run", "--app", "lu", "--problem-class", "T", "--tests", "2", "--max-points", "4",
+        "campaign", "--app", "lu", "--problem-class", "T", "--tests", "2", "--max-points", "4",
         "--jobs", "2", "--db", str(db), "--progress-jsonl", str(prog),
     ]) == 0
     capsys.readouterr()
@@ -128,13 +116,13 @@ def test_parallel_campaign_store_report_and_progress(tmp_path, capsys):
 )
 def test_resume_of_complete_db_runs_nothing(args, units, tests, tmp_path, capsys):
     """A resume of a complete ``--db`` campaign rebuilds every unit from
-    the database and executes none."""
+    the database and executes none: its stored final metrics say so."""
     ck = ["--db", str(tmp_path / "campaign.db")]
     assert main(["campaign", *args, *ck]) == 0
     assert main(["campaign", *args, *ck, "--resume"]) == 0
     capsys.readouterr()
-    assert main(["stats", "--json", *args, *ck, "--resume"]) == 0
-    counters = json.loads(capsys.readouterr().out)["counters"]
+    assert main(["stats", "--json", *ck]) == 0
+    counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]
     assert counters.get("exec.units", 0) == 0
     assert counters["exec.units_resumed"] == units
     assert counters["campaign.tests"] == tests
@@ -193,33 +181,67 @@ def test_adaptive_records_rounds_in_db(tmp_path, capsys):
         assert db.steering_rounds(db.campaign()["id"])
 
 
-def test_learn_db_gets_the_steering_view(tmp_path, capsys):
-    """``learn --db`` records its rounds like ``--adaptive``, and
-    ``report`` renders them; ``--progress-jsonl`` spans every round."""
-    from repro.store import CampaignDB
-
-    db, prog = tmp_path / "learn.db", tmp_path / "prog.jsonl"
+@pytest.fixture(scope="module")
+def learn_db(tmp_path_factory):
+    """A two-round ``learn --db`` run (2 tests at each of 8 points, in
+    batches of 4), its progress file and its report."""
+    tmp = tmp_path_factory.mktemp("learn")
+    db, prog, out_dir = tmp / "learn.db", tmp / "prog.jsonl", tmp / "report"
     assert main([
         "learn", "--app", "lu", "--tests", "2", "--max-points", "8",
         "--batch-size", "4", "--policy", "all", "--threshold", "0.5",
         "--db", str(db), "--progress-jsonl", str(prog),
     ]) == 0
-    assert "ML-driven learning over 8 candidate points" in capsys.readouterr().out
+    assert main(["report", "--db", str(db), "--out", str(out_dir)]) == 0
+    return db, prog, (out_dir / "index.html").read_text()
+
+
+def test_learn_db_gets_the_steering_view(learn_db):
+    """``learn --db`` records its rounds like ``--adaptive``, and
+    ``report`` renders them; ``--progress-jsonl`` spans every round."""
+    from repro.store import CampaignDB
+
+    db, prog, html = learn_db
     with CampaignDB(db) as store:
         rounds = store.steering_rounds(store.campaign()["id"])
     assert [r["round"] for r in rounds] == list(range(len(rounds))) and len(rounds) >= 2
     assert rounds[-1]["stop_reason"] in ("accuracy", "exhausted")
     assert len(prog.read_text().splitlines()) >= len(rounds)
-    out_dir = tmp_path / "report"
-    assert main(["report", "--db", str(db), "--out", str(out_dir)]) == 0
-    html = (out_dir / "index.html").read_text()
     assert "stop reason" in html and "not a learning-loop campaign" not in html
+
+
+def test_learn_db_heatmap_has_every_tested_point(learn_db):
+    """Every point a learning-loop round tested is a heatmap row, not
+    only the last round's."""
+    db, _, html = learn_db
+    with sqlite3.connect(db) as conn:
+        tested = conn.execute("SELECT COUNT(DISTINCT point_index) FROM results").fetchone()[0]
+    assert tested == 8
+    heatmap = html[html.index('id="heatmap"'):html.index('id="sensitivity"')]
+    assert heatmap.count("<tr>") == 1 + tested  # header row + one per point
+
+
+def test_learn_db_timeline_keeps_every_round(learn_db):
+    """Each round's progress rows follow the previous round's: the
+    stored timeline is the progress file, renumbered and monotone."""
+    from repro.store import CampaignDB
+
+    db, prog, _ = learn_db
+    with CampaignDB(db) as store:
+        rows = store.progress_rows(store.campaign()["id"])
+    snaps = [json.loads(line) for line in prog.read_text().splitlines()]
+    assert len(rows) == len(snaps) == 8
+    assert [r["seq"] for r in rows] == list(range(1, 9))
+    assert [r["done_tests"] for r in rows] == [s["done_tests"] for s in snaps]
+    elapsed = [r["elapsed_s"] for r in rows]
+    assert elapsed == sorted(elapsed)
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["run", "--adaptive"], "1f3f2494d9f833b332cae385b135cca3f73d0b3b62d2b9917e333f509e8efc96"),
+        (["campaign", "--adaptive"],
+         "1f3f2494d9f833b332cae385b135cca3f73d0b3b62d2b9917e333f509e8efc96"),
         (["learn"], "5ecd65fb1550602755d397f1dff53b5415fcfb712cb32793c7aad641d482cb74"),
     ],
     ids=["steer", "learn"],
@@ -244,10 +266,14 @@ class TestErrorHygiene:
         assert main(["campaign", "--app", "lu", "--progress-every", "0"]) == 2
         assert "--progress-every must be >= 1" in capsys.readouterr().err
 
-    def test_stats_without_app_or_db(self, capsys):
-        assert main(["stats"]) == 2
-        err = capsys.readouterr().err
-        assert "--app" in err and "--db" in err
+    def test_stats_requires_db(self, capsys):
+        """``stats`` only reads a store: without ``--db`` it is a usage
+        error, and it takes no campaign option."""
+        for argv in (["stats"], ["stats", "--app", "lu"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--db" in capsys.readouterr().err
 
     def test_stats_unknown_digest(self, db_path, capsys):
         assert main(["stats", "--db", str(db_path), "--digest", "ffffffff"]) == 2

@@ -21,7 +21,7 @@ POINT = InjectionPoint(rank=0, collective="Allreduce", site="app.py:1", invocati
 def make_point_result(*outcomes):
     pr = PointResult(POINT)
     for outcome in outcomes:
-        pr.add(InjectionTestResult(FaultSpec(POINT, "count", 0), outcome, None))
+        pr.tests.append(InjectionTestResult(FaultSpec(POINT, "count", 0), outcome, None))
     return pr
 
 
