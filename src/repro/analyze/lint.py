@@ -25,6 +25,18 @@ scheduler):
 * ``missing-slots`` — ``@dataclass`` on hot-path records (the fiber
   syscall types) must declare ``slots=True``; attribute dict churn on
   the trampoline is a measured cost (see ROADMAP PR 2).
+* ``error-handler`` (``apps`` only) — no code that could survive a
+  simulated MPI error or run other ranks while one unwinds: an
+  ``except`` clause or a ``suppress(...)`` call naming ``Exception``,
+  ``BaseException``, or :class:`~repro.simmpi.errors.SimMPIError` or
+  one of its subclasses (import aliases resolved), a bare ``except``,
+  and a ``yield`` inside a ``finally`` block.  Errors are fatal to the
+  job (``MPI_ERRORS_ARE_FATAL``): the snapshot engine classifies a
+  strike its collective's entry checks reject without running the job
+  on, which is exact only if no application survives the error.
+  Host-side handlers of other errors (``except (TypeError,
+  ValueError)``) are fine.  Classes are matched by name, so a handler
+  that reaches an error class through a variable goes unseen.
 
 A finding can be waived in place with ``# lint: allow(<rule>)`` on the
 offending line.  Runs standalone (``fastfit analyze --lint-only``) and
@@ -38,6 +50,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ..simmpi.errors import SimMPIError
+
 #: rule id -> human description
 LINT_RULES = {
     "wallclock": "wall-clock reads break replay determinism",
@@ -45,6 +59,7 @@ LINT_RULES = {
     "set-iteration": "set iteration order is nondeterministic",
     "blocking-io": "blocking I/O wedges the fiber scheduler",
     "missing-slots": "hot-path dataclasses must declare slots=True",
+    "error-handler": "applications must not catch simulated MPI errors (errors are fatal)",
     "parse-error": "file does not parse",
 }
 
@@ -53,6 +68,14 @@ DEFAULT_SCOPE = ("simmpi", "apps", "injection", "analyze")
 
 #: Package-relative files whose dataclasses must be slotted.
 DEFAULT_HOT_PATH = ("simmpi/fiber.py",)
+
+def _subclass_names(cls: type) -> set[str]:
+    return {cls.__name__}.union(*(_subclass_names(sub) for sub in cls.__subclasses__()))
+
+
+#: What an ``except`` clause or ``suppress(...)`` in application code
+#: must not name.
+_FATAL_CATCHES = {"Exception", "BaseException"} | _subclass_names(SimMPIError)
 
 _WALLCLOCK = {
     "time": {
@@ -104,11 +127,38 @@ def _dotted(node: ast.AST) -> str | None:
     return None
 
 
+def _import_aliases(tree: ast.AST) -> dict[str, str]:
+    """``as`` names of a module's imports -> the dotted name they bind."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) and node.module else ""
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = prefix + alias.name
+    return aliases
+
+
+def _yields(body: list[ast.stmt]) -> ast.AST | None:
+    """A ``yield``/``await`` in statements ``body``, nested function and
+    class bodies excluded, else None."""
+    stack: list[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
+            return node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return None
+
+
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, rel: str, source_lines: list[str], hot: bool) -> None:
+    def __init__(self, rel: str, source_lines: list[str], hot: bool, app: bool) -> None:
         self.rel = rel
         self.lines = source_lines
         self.hot = hot
+        self.app = app
+        self.aliases: dict[str, str] = {}
         self.findings: list[LintFinding] = []
 
     # -- helpers --------------------------------------------------------
@@ -123,9 +173,32 @@ class _Visitor(ast.NodeVisitor):
         if not self._allowed(line, rule):
             self.findings.append(LintFinding(self.rel, line, rule, message))
 
+    def _name(self, node: ast.AST) -> str:
+        """The last component of a dotted name, import aliases resolved."""
+        dotted = _dotted(node)
+        if dotted is None:
+            return "?"
+        head, _, rest = dotted.partition(".")
+        return ".".join(filter(None, (self.aliases.get(head, head), rest))).rsplit(".", 1)[-1]
+
+    def _fatal_catch(self, node: ast.AST, caught: list[ast.AST | None], how: str) -> None:
+        names = ["bare except" if t is None else self._name(t) for t in caught]
+        fatal = [n for n in names if n == "bare except" or n in _FATAL_CATCHES]
+        if fatal:
+            self._add(
+                node, "error-handler",
+                f"{how} {', '.join(fatal)} could survive a simulated MPI error (errors are fatal)",
+            )
+
     # -- rules ----------------------------------------------------------
 
+    def visit_Module(self, node: ast.Module) -> None:
+        self.aliases = _import_aliases(node)
+        self.generic_visit(node)
+
     def visit_Call(self, node: ast.Call) -> None:
+        if self.app and self._name(node.func) == "suppress":
+            self._fatal_catch(node, list(node.args), "suppress of")
         dotted = _dotted(node.func)
         if dotted is not None:
             parts = dotted.split(".")
@@ -183,6 +256,24 @@ class _Visitor(ast.NodeVisitor):
     visit_DictComp = _visit_comp
     visit_GeneratorExp = _visit_comp
 
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        if self.app:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            self._fatal_catch(node, caught, "except")
+        self.generic_visit(node)
+
+    def visit_Try(self, node: ast.Try) -> None:
+        if self.app:
+            inside = _yields(node.finalbody)
+            if inside is not None:
+                self._add(
+                    inside, "error-handler",
+                    "yield in a finally block runs other ranks while a simulated MPI error unwinds",
+                )
+        self.generic_visit(node)
+
+    visit_TryStar = visit_Try
+
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if self.hot:
             for deco in node.decorator_list:
@@ -206,14 +297,15 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source: str, rel: str, hot: bool = False) -> list[LintFinding]:
-    """Lint one module's source text."""
+def lint_source(source: str, rel: str, hot: bool = False, app: bool = False) -> list[LintFinding]:
+    """Lint one module's source text (``hot``: a hot-path module;
+    ``app``: application code)."""
     lines = source.splitlines()
     try:
         tree = ast.parse(source, filename=rel)
     except SyntaxError as exc:
         return [LintFinding(rel, exc.lineno or 0, "parse-error", str(exc.msg))]
-    visitor = _Visitor(rel, lines, hot)
+    visitor = _Visitor(rel, lines, hot, app)
     visitor.visit(tree)
     return visitor.findings
 
@@ -236,14 +328,20 @@ def lint_tree(
     scope: Iterable[str] = DEFAULT_SCOPE,
     hot_path: Iterable[str] = DEFAULT_HOT_PATH,
 ) -> list[LintFinding]:
-    """Lint the whole simulator scope; returns findings sorted by file."""
+    """Lint the whole simulator scope; returns findings sorted by file
+    (the ``error-handler`` rule applies under ``apps/``)."""
     root = package_root if package_root is not None else Path(__file__).resolve().parent.parent
     hot = {str((root / h).resolve()) for h in hot_path}
+    apps = (root / "apps").resolve()
     findings: list[LintFinding] = []
     for path in iter_scope_files(root, scope):
         rel = str(path.relative_to(root.parent)) if root.parent in path.parents else str(path)
+        resolved = path.resolve()
         findings.extend(
-            lint_source(path.read_text(), rel, hot=str(path.resolve()) in hot)
+            lint_source(
+                path.read_text(), rel, hot=str(resolved) in hot,
+                app=apps in resolved.parents,
+            )
         )
     findings.sort(key=lambda f: (f.path, f.line))
     return findings

@@ -434,7 +434,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .report.builder import snapshot_engine_line
     from .store import CampaignDB
 
-    with CampaignDB(args.db) as db:
+    with CampaignDB(args.db, create=False) as db:
         c = db.campaign(args.digest)
         if c is None:
             what = f"digest {args.digest!r}" if args.digest else "campaigns"

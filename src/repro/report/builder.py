@@ -115,8 +115,9 @@ def snapshot_engine_line(metrics: dict) -> str:
     forks = counters.get("snapshot.forks", 0)
     overlapped = counters.get("snapshot.overlapped_forks", 0)
     replays = counters.get("snapshot.replayed_tests", 0)
+    decided = counters.get("snapshot.decided_tests", 0)
     fallbacks = counters.get("snapshot.fallback_tests", 0)
-    if not forks and not replays and not fallbacks:
+    if not (forks or replays or decided or fallbacks):
         return ""
     hits = counters.get("snapshot.hits", 0)
     misses = counters.get("snapshot.misses", 0)
@@ -137,6 +138,7 @@ def snapshot_engine_line(metrics: dict) -> str:
         f"{replays} replayed in the park, their prefix cheaper than a fork "
         f"({timer('prefix_s', 'mean') * 1e3:.1f} ms mean prefix over "
         f"{timer('prefix_s', 'count')} parks), "
+        f"{decided} decided in the park, their strike rejected at the collective's entry, "
         f"{fallbacks} fallback replays, "
         f"{misses} fault-free runs from t=0, {hits} restored from a snapshot, "
         f"{nbytes / (1 << 20):.1f} MiB cached, "
@@ -376,8 +378,7 @@ def build_report(
     additionally gets its own page.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with CampaignDB(db_path) as db:
+    with CampaignDB(db_path, create=False) as db:
         campaigns = db.campaigns()
         if not campaigns:
             raise CampaignStoreError(f"no campaigns stored in {db.path}")
@@ -386,6 +387,7 @@ def build_report(
             raise CampaignStoreError(
                 f"no campaign matching digest {digest!r} in {db.path}"
             )
+        out.mkdir(parents=True, exist_ok=True)
 
         listing_rows = []
         for c in campaigns:

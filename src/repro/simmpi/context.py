@@ -13,8 +13,9 @@ Application code is written as generator functions receiving a
 Every collective entry builds a :class:`~repro.simmpi.calls.CollectiveCall`
 record, hands it to the registered instruments (the profiler records it;
 the fault injector may flip a bit in a parameter or in buffer memory),
-validates the — possibly corrupted — parameters, and only then expands
-the operation into point-to-point traffic.
+validates the — possibly corrupted — parameters through the collective's
+one entry-check function (:data:`~repro.simmpi.validation.ENTRY_CHECKS`),
+and only then expands the operation into point-to-point traffic.
 """
 
 from __future__ import annotations
@@ -32,13 +33,22 @@ from .fiber import Progress, Recv, Send
 from .memory import ArrayRef, Memory
 from .request import Request
 from .validation import (
+    allgatherv_entry,
+    allreduce_entry,
+    alltoallv_entry,
+    alltoallw_entry,
+    barrier_entry,
+    bcast_entry,
     check_addr,
     check_count,
-    check_counts_array,
-    check_root,
+    exchange_entry,
+    gatherv_entry,
+    reduce_entry,
+    reduce_scatter_entry,
     resolve_comm,
     resolve_datatype,
-    resolve_op,
+    rooted_exchange_entry,
+    scatterv_entry,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -209,12 +219,7 @@ class Context:
             "Bcast",
             {"buffer": buffer, "count": count, "datatype": datatype, "root": root, "comm": comm},
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        count = check_count(a["count"], rank=self.rank)
-        root = check_root(a["root"], comm_obj, rank=self.rank)
-        addr = check_addr(a["buffer"], rank=self.rank)
+        comm_obj, dtype, count, root, addr = bcast_entry(self.runtime, self.rank, call.args)
         yield from coll.bcast(
             self._env(comm_obj), addr, count, dtype, root,
             algorithm=self.runtime.algorithms["bcast"],
@@ -244,14 +249,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        op_obj = resolve_op(self.runtime, a["op"], rank=self.rank)
-        count = check_count(a["count"], rank=self.rank)
-        root = check_root(a["root"], comm_obj, rank=self.rank)
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, op_obj, count, root, sendaddr, recvaddr = reduce_entry(
+            self.runtime, self.rank, call.args
+        )
         yield from coll.reduce(
             self._env(comm_obj), sendaddr, recvaddr, count, dtype, op_obj, root
         )
@@ -272,13 +272,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        op_obj = resolve_op(self.runtime, a["op"], rank=self.rank)
-        count = check_count(a["count"], rank=self.rank)
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, op_obj, count, sendaddr, recvaddr = allreduce_entry(
+            self.runtime, self.rank, call.args
+        )
         yield from coll.allreduce(
             self._env(comm_obj), sendaddr, recvaddr, count, dtype, op_obj,
             algorithm=self.runtime.algorithms["allreduce"],
@@ -308,14 +304,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        sendcount = check_count(a["sendcount"], rank=self.rank, what="sendcount")
-        recvcount = check_count(a["recvcount"], rank=self.rank, what="recvcount")
-        root = check_root(a["root"], comm_obj, rank=self.rank)
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, sendcount, recvcount, root, sendaddr, recvaddr = (
+            rooted_exchange_entry(self.runtime, self.rank, call.args)
+        )
         yield from coll.scatter(
             self._env(comm_obj), sendaddr, sendcount, recvaddr, recvcount, dtype, root
         )
@@ -344,14 +335,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        sendcount = check_count(a["sendcount"], rank=self.rank, what="sendcount")
-        recvcount = check_count(a["recvcount"], rank=self.rank, what="recvcount")
-        root = check_root(a["root"], comm_obj, rank=self.rank)
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, sendcount, recvcount, root, sendaddr, recvaddr = (
+            rooted_exchange_entry(self.runtime, self.rank, call.args)
+        )
         yield from coll.gather(
             self._env(comm_obj), sendaddr, sendcount, recvaddr, recvcount, dtype, root
         )
@@ -372,13 +358,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        sendcount = check_count(a["sendcount"], rank=self.rank, what="sendcount")
-        recvcount = check_count(a["recvcount"], rank=self.rank, what="recvcount")
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, sendcount, recvcount, sendaddr, recvaddr = exchange_entry(
+            self.runtime, self.rank, call.args
+        )
         yield from coll.allgather(
             self._env(comm_obj), sendaddr, sendcount, recvaddr, recvcount, dtype
         )
@@ -399,13 +381,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        sendcount = check_count(a["sendcount"], rank=self.rank, what="sendcount")
-        recvcount = check_count(a["recvcount"], rank=self.rank, what="recvcount")
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, sendcount, recvcount, sendaddr, recvaddr = exchange_entry(
+            self.runtime, self.rank, call.args
+        )
         yield from coll.alltoall(
             self._env(comm_obj), sendaddr, sendcount, recvaddr, recvcount, dtype
         )
@@ -436,15 +414,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        sendcounts = check_counts_array(a["sendcounts"], rank=self.rank, what="sendcounts")
-        recvcounts = check_counts_array(a["recvcounts"], rank=self.rank, what="recvcounts")
-        sdispls = [int(x) for x in a["sdispls"]]
-        rdispls = [int(x) for x in a["rdispls"]]
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, sendcounts, sdispls, recvcounts, rdispls, sendaddr, recvaddr = (
+            alltoallv_entry(self.runtime, self.rank, call.args)
+        )
         yield from coll.alltoallv(
             self._env(comm_obj),
             sendaddr,
@@ -460,7 +432,7 @@ class Context:
     def Barrier(self, comm: int) -> Generator:
         """MPI_Barrier."""
         call = self._enter("Barrier", {"comm": comm})
-        comm_obj = resolve_comm(self.runtime, call.args["comm"], rank=self.rank)
+        (comm_obj,) = barrier_entry(self.runtime, self.rank, call.args)
         yield from coll.barrier(self._env(comm_obj))
         self._complete(call)
 
@@ -478,13 +450,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        op_obj = resolve_op(self.runtime, a["op"], rank=self.rank)
-        count = check_count(a["count"], rank=self.rank)
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, op_obj, count, sendaddr, recvaddr = allreduce_entry(
+            self.runtime, self.rank, call.args
+        )
         driver = coll.scan if name == "Scan" else coll.exscan
         yield from driver(self._env(comm_obj), sendaddr, recvaddr, count, dtype, op_obj)
         self._complete(call)
@@ -517,13 +485,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        op_obj = resolve_op(self.runtime, a["op"], rank=self.rank)
-        recvcount = check_count(a["recvcount"], rank=self.rank, what="recvcount")
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, op_obj, recvcount, sendaddr, recvaddr = reduce_scatter_entry(
+            self.runtime, self.rank, call.args
+        )
         yield from coll.reduce_scatter_block(
             self._env(comm_obj), sendaddr, recvaddr, recvcount, dtype, op_obj
         )
@@ -554,15 +518,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        sendcount = check_count(a["sendcount"], rank=self.rank, what="sendcount")
-        recvcounts = check_counts_array(a["recvcounts"], rank=self.rank, what="recvcounts")
-        displs = [int(x) for x in a["displs"]]
-        root = check_root(a["root"], comm_obj, rank=self.rank)
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, sendcount, recvcounts, displs, root, sendaddr, recvaddr = (
+            gatherv_entry(self.runtime, self.rank, call.args)
+        )
         yield from coll.gatherv(
             self._env(comm_obj), sendaddr, sendcount, recvaddr, recvcounts, displs, dtype, root
         )
@@ -593,15 +551,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        sendcounts = check_counts_array(a["sendcounts"], rank=self.rank, what="sendcounts")
-        displs = [int(x) for x in a["displs"]]
-        recvcount = check_count(a["recvcount"], rank=self.rank, what="recvcount")
-        root = check_root(a["root"], comm_obj, rank=self.rank)
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, sendcounts, displs, recvcount, root, sendaddr, recvaddr = (
+            scatterv_entry(self.runtime, self.rank, call.args)
+        )
         yield from coll.scatterv(
             self._env(comm_obj), sendaddr, sendcounts, displs, recvaddr, recvcount, dtype, root
         )
@@ -630,14 +582,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        dtype = resolve_datatype(self.runtime, a["datatype"], rank=self.rank)
-        sendcount = check_count(a["sendcount"], rank=self.rank, what="sendcount")
-        recvcounts = check_counts_array(a["recvcounts"], rank=self.rank, what="recvcounts")
-        displs = [int(x) for x in a["displs"]]
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, dtype, sendcount, recvcounts, displs, sendaddr, recvaddr = (
+            allgatherv_entry(self.runtime, self.rank, call.args)
+        )
         yield from coll.allgatherv(
             self._env(comm_obj), sendaddr, sendcount, recvaddr, recvcounts, displs, dtype
         )
@@ -670,20 +617,9 @@ class Context:
                 "comm": comm,
             },
         )
-        a = call.args
-        comm_obj = resolve_comm(self.runtime, a["comm"], rank=self.rank)
-        sendcounts = check_counts_array(a["sendcounts"], rank=self.rank, what="sendcounts")
-        recvcounts = check_counts_array(a["recvcounts"], rank=self.rank, what="recvcounts")
-        sdispls = [int(x) for x in a["sdispls"]]
-        rdispls = [int(x) for x in a["rdispls"]]
-        stypes = [
-            resolve_datatype(self.runtime, h, rank=self.rank) for h in a["sendtypes"]
-        ]
-        rtypes = [
-            resolve_datatype(self.runtime, h, rank=self.rank) for h in a["recvtypes"]
-        ]
-        sendaddr = check_addr(a["sendbuf"], rank=self.rank)
-        recvaddr = check_addr(a["recvbuf"], rank=self.rank)
+        comm_obj, sendcounts, sdispls, stypes, recvcounts, rdispls, rtypes, sendaddr, recvaddr = (
+            alltoallw_entry(self.runtime, self.rank, call.args)
+        )
         yield from coll.alltoallw(
             self._env(comm_obj),
             sendaddr,

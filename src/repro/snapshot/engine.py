@@ -29,6 +29,17 @@ park the parent also captures a :class:`SimSnapshot` into an LRU cache;
 only the *first* target of a later run in the same process fast-forwards
 from it instead of replaying from t=0.
 
+Decided at the park: before a test is forked or replayed, the parent
+strikes a private copy of the parked call's arguments with a copy of the
+test's RNG and runs the collective's own entry checks
+(:data:`~repro.simmpi.validation.ENTRY_CHECKS`, the function the live
+call runs) on it.  If they raise a simulated-MPI error, the job would
+end right there — errors are fatal to the job — so the test's result is
+``runner.classify_error`` of that error, delivered in its slot like a
+known result, with no fork and no replay (``snapshot.decided_tests``).
+A strike in buffer memory, checks that pass and any other exception
+fork or replay as before.
+
 Chosen replay: a fork costs a fixed overhead (fork + pipe + reap, ~3 ms)
 whatever the prefix, so at a park whose prefix was cheaper to run than
 that, tests are served by ``runner.run_one`` right where the job stands
@@ -46,12 +57,14 @@ Fallbacks (``snapshot.fallback_tests``, the same ``run_one`` full replay):
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import signal
 import struct
 import time
 from collections import deque
+from dataclasses import replace
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -60,10 +73,12 @@ import numpy as np
 from ..injection.models import MODELS, build_injector
 from ..injection.runner import InjectionRunner, TestResult
 from ..injection.space import FaultSpec, InjectionPoint
+from ..injection.targets import param_kind
 from ..obs.metrics import MetricsRegistry, Timer
-from ..simmpi.calls import Instrument
+from ..simmpi.calls import CollectiveCall, Instrument
 from ..simmpi.errors import SchedulerInterrupt, SimMPIError
 from ..simmpi.runtime import SimMPI
+from ..simmpi.validation import ENTRY_CHECKS
 from .cache import SnapshotCache
 from .snapshot import (
     FastForwardDiverged,
@@ -170,6 +185,13 @@ def _held(first: Slot, take: Take) -> Take:
         return take(limit)
 
     return take_again
+
+
+def _trial_call(call: CollectiveCall) -> CollectiveCall:
+    """A private copy of a parked call for a trial strike.  The injector
+    replaces an argument's value (a vector flip builds a new array), so
+    a copy of the argument dict keeps the parked call untouched."""
+    return replace(call, args=dict(call.args))
 
 
 def snapshot_supported() -> bool:
@@ -298,6 +320,27 @@ class SnapshotEngine:
         while unit is not None:
             unit = self._run(unit, units)
 
+    def decide(self, ctx, call: CollectiveCall, spec: FaultSpec,
+               rng: np.random.Generator) -> TestResult | None:
+        """The result of test ``(spec, rng)`` at the parked ``call`` when
+        the collective's entry checks reject its strike, else None (the
+        test must run).  The strike lands on a copy of the call with a
+        deep copy of ``rng``, so neither changes; buffer strikes, which
+        write rank memory, are never tried."""
+        if MODELS[spec.model].kind != "param" or param_kind(spec.param) == "buffer":
+            return None
+        injector = build_injector(spec, copy.deepcopy(rng))
+        trial = _trial_call(call)
+        try:
+            injector._inject(ctx, trial)
+            ENTRY_CHECKS[trial.name](ctx.runtime, ctx.rank, trial.args)
+        except SimMPIError as exc:
+            # Fatal at entry: the job ends with exactly this error.
+            return self.runner.classify_error(spec, injector, exc)
+        except Exception:
+            pass  # the scheduler's own containment decides: run it
+        return None
+
     # -- internals -----------------------------------------------------
 
     def _replay(self, slots: Iterable[Slot], deliver, m) -> None:
@@ -374,10 +417,11 @@ class SnapshotEngine:
         #: child's classification of its own continuation.
         child: dict[str, Any] = {}
 
-        def parked(prefix_s: float):
-            """Parent: serve the unit at this park, ``prefix_s`` seconds of
-            fault-free run from t=0, then re-point the park at the next
-            unit and return None.  Child: return the injector to arm."""
+        def parked(ctx, call: CollectiveCall, prefix_s: float):
+            """Parent: serve the unit at this park (``call`` on ``ctx``),
+            ``prefix_s`` seconds of fault-free run from t=0, then re-point
+            the park at the next unit and return None.  Child: return the
+            injector to arm."""
             nonlocal unit, restored
             if prefix_s < float("inf"):
                 unit.metrics.timer("snapshot.prefix_s").record(prefix_s)
@@ -428,6 +472,11 @@ class SnapshotEngine:
                             deliver(slot)
                         continue
                     spec, rng = slot
+                    decided = self.decide(ctx, call, spec, rng)
+                    if decided is not None:
+                        m.counter("snapshot.decided_tests").inc()
+                        pending.appendleft(decided)  # delivered as a known result
+                        continue
                     if not self.fork_pays(prefix_s):
                         # Replaying this prefix is cheaper than a fork from it.
                         self._drain(inflight, deliver, m)
@@ -482,7 +531,7 @@ class SnapshotEngine:
             nonlocal started
             parked_at = time.perf_counter()
             try:
-                injector = parked(parked_at - started)
+                injector = parked(ctx, call, parked_at - started)
             except SchedulerInterrupt:
                 raise
             except BaseException as exc:

@@ -71,12 +71,15 @@ class CampaignDB:
     """One campaign database file: connection, schema, queries.
 
     The connection runs in WAL mode with ``synchronous=FULL`` so a
-    committed unit survives host power loss.
+    committed unit survives host power loss.  A reader passes
+    ``create=False``: a path that does not exist then reads as an empty
+    store, and nothing is created on disk.
     """
 
-    def __init__(self, path: str | os.PathLike, timeout: float = 30.0):
+    def __init__(self, path: str | os.PathLike, timeout: float = 30.0, *, create: bool = True):
         self.path = Path(path)
         self.timeout = timeout
+        self.create = create
         self._conn: sqlite3.Connection | None = None
 
     # -- lifecycle -----------------------------------------------------
@@ -84,12 +87,13 @@ class CampaignDB:
     def open(self) -> "CampaignDB":
         if self._conn is not None:
             return self
-        if self.path.parent and not self.path.parent.exists():
+        target: str | Path = self.path
+        if not self.create and not self.path.exists():
+            target = ":memory:"
+        elif self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            conn = sqlite3.connect(
-                self.path, timeout=self.timeout, isolation_level=None
-            )
+            conn = sqlite3.connect(target, timeout=self.timeout, isolation_level=None)
             conn.row_factory = sqlite3.Row
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=FULL")

@@ -37,7 +37,7 @@ from ..apps.registry import make_app
 from ..profiling.profiler import profile_application
 from .conformance import run_conformance
 from .models import model_conformance
-from .snapshot_check import PASSES, fork_equivalence
+from .snapshot_check import FORK_PASSES, PASSES, fork_equivalence
 
 
 # -- collective algorithms ----------------------------------------------
@@ -180,6 +180,13 @@ def _reap_newest(orig: Callable) -> Callable:
     return _collect
 
 
+def _strike_parked_call(orig: Callable) -> Callable:
+    """``_trial_call`` handing back the parked call itself: the park's
+    trial strikes the live arguments, and every later test that park
+    tries or forks inherits the strike."""
+    return lambda call: call
+
+
 def _overreach(orig: Callable) -> Callable:
     """``SequentialStopper.certain`` one test past what it is certain of
     (capped at ``most``): a test past the serial cut is forked."""
@@ -294,7 +301,8 @@ MUTANTS: dict[str, Mutant] = {
             "the parked parent after capture, so every fork inherits a prefix "
             "the scratch run never had",
             ((_ENGINE, "take_snapshot", _stale_prefix),),
-            detected_by=PASSES,
+            # A test decided at the park reads no rank memory.
+            detected_by=FORK_PASSES,
         ),
         Mutant(
             "snapshot_wrong_invocation", "snapshot",
@@ -323,6 +331,13 @@ MUTANTS: dict[str, Mutant] = {
             "and delivered first, so results leave task order",
             ((_ENGINE, "SnapshotEngine._collect", _reap_newest),),
             detected_by=("pipelined",),
+        ),
+        Mutant(
+            "snapshot_trial_strikes_parked_call", "snapshot",
+            "the park's trial strikes the parked call's own arguments instead "
+            "of a copy, so later tests at that park see an earlier test's fault",
+            ((_ENGINE, "_trial_call", _strike_parked_call),),
+            detected_by=("decided",),
         ),
         Mutant(
             "snapshot_horizon_overreach", "snapshot",

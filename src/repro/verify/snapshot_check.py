@@ -63,7 +63,7 @@ class _ThreeForksThenReplay(SnapshotEngine):
         return self.decisions % 4 != 0
 
 
-#: The seven ways every point is served: ``cold`` — a list on an empty
+#: The eight ways every point is served: ``cold`` — a list on an empty
 #: cache (park + capture); ``fast-forward`` — the same list again (cache
 #: hit; under a mutant nothing is cached, so a second cold park: a
 #: snapshot captured before a defect struck would hide it);
@@ -83,8 +83,18 @@ class _ThreeForksThenReplay(SnapshotEngine):
 #: a sequential stopper (:data:`STOPPER`) through
 #: :meth:`~repro.exec.supervisor.WorkerState.execute` on a forking engine
 #: with three children in flight, and is compared with scratch cut where
-#: a serial loop consulting the stopper stops.
-PASSES = ("cold", "fast-forward", "lazy", "walk", "mixed", "pipelined", "stopped")
+#: a serial loop consulting the stopper stops.  ``decided`` serves each
+#: point's list drawn under :data:`DECIDED_POLICY` on a forking engine,
+#: so handle, count and root strikes that the collective's entry checks
+#: reject are decided in the park; it is compared with scratch under that
+#: policy.  The other passes, :data:`FORK_PASSES`, draw under the
+#: oracle's ``param_policy`` (default ``buffer``: every strike forks or
+#: replays).
+FORK_PASSES = ("cold", "fast-forward", "lazy", "walk", "mixed", "pipelined", "stopped")
+PASSES = FORK_PASSES + ("decided",)
+
+#: The ``decided`` pass's policy: every parameter of the collective.
+DECIDED_POLICY = "all"
 
 #: The ``stopped`` pass's stopper: it stops a point whose first two
 #: responses agree, so an oracle point is cut before its last test
@@ -124,12 +134,17 @@ class ForkEquivalenceReport:
     stopped_fingerprint: str = ""
     #: Points that scratch cut is before their last test.
     n_cut: int = 0
+    #: Scratch under :data:`DECIDED_POLICY`: what the ``decided`` pass
+    #: is compared with.
+    decided_fingerprint: str = ""
     #: Human-readable divergences (first few points that differ).
     mismatches: list[str] = field(default_factory=list)
 
     def reference(self, name: str) -> str:
         """The scratch fingerprint pass ``name`` must equal."""
-        return self.stopped_fingerprint if name == "stopped" else self.scratch_fingerprint
+        return {"stopped": self.stopped_fingerprint, "decided": self.decided_fingerprint}.get(
+            name, self.scratch_fingerprint
+        )
 
     @property
     def diverged(self) -> list[str]:
@@ -193,16 +208,20 @@ def fork_equivalence(
     idx = sorted({round(i * (len(space) - 1) / max(1, n - 1)) for i in range(n)})
     points: list[InjectionPoint] = [space[i] for i in idx]
 
-    def tasks_for(pi: int) -> list[tuple[FaultSpec, np.random.Generator]]:
+    def tasks_for(pi: int, policy: str = param_policy) -> list[tuple[FaultSpec, np.random.Generator]]:
         return [
-            draw_task(points[pi], seed, pi, t, policy=param_policy)
+            draw_task(points[pi], seed, pi, t, policy=policy)
             for t in range(tests_per_point)
         ]
 
-    scratch = [
-        [runner.run_one(spec, rng) for spec, rng in tasks_for(pi)]
-        for pi in range(len(points))
-    ]
+    def scratch_for(policy: str) -> list[list[TestResult]]:
+        return [
+            [runner.run_one(spec, rng) for spec, rng in tasks_for(pi, policy)]
+            for pi in range(len(points))
+        ]
+
+    scratch = scratch_for(param_policy)
+    decided = scratch_for(DECIDED_POLICY) if "decided" in passes else []
 
     def lazily(pi: int, delivered: list[TestResult]):
         # The next test is drawn when pulled, from what has been delivered
@@ -224,6 +243,7 @@ def fork_equivalence(
         batch, lazy = new_engine(_Forking, runner, 1), new_engine(_Forking, runner, 1)
         mixed = new_engine(_Alternating, runner, 1)
         pipelined = new_engine(_ThreeForksThenReplay, runner, 3)
+        deciding = new_engine(_Forking, runner, 1)
         stopped = WorkerState(app, profile, param_policy, seed, None, stopper=STOPPER)
         stopped.engine = new_engine(_Forking, stopped.runner, 3)
         out: dict[str, list[list[TestResult]]] = {name: [] for name in passes}
@@ -243,6 +263,8 @@ def fork_equivalence(
                 out["stopped"].append(
                     stopped.execute(WorkUnit(pi, 0, tests_per_point), point)[1]
                 )
+            if "decided" in out:
+                out["decided"].append(deciding.serve_point(point, tasks_for(pi, DECIDED_POLICY)))
         if "walk" in out:
             # A point's walk stream is what the execution-order stream
             # served there, followed by the reversed stream's results if
@@ -269,12 +291,14 @@ def fork_equivalence(
     stopped = [cut(tests) for tests in scratch]
     stopped_sig = _stream_signature(stopped)
     scratch_sig = _stream_signature(scratch)
+    decided_sig = _stream_signature(decided)
+    references = {"stopped": stopped_sig, "decided": decided_sig}
     forked_sigs = {name: _stream_signature(stream) for name, stream in forked.items()}
     mismatches = [
         f"{points[pi]}: {name} forked stream differs from scratch"
         for name, sig in forked_sigs.items()
         for pi in range(len(points))
-        if (stopped_sig if name == "stopped" else scratch_sig)[pi] != sig[pi]
+        if references.get(name, scratch_sig)[pi] != sig[pi]
     ]
     return ForkEquivalenceReport(
         app_name=app.name,
@@ -283,6 +307,7 @@ def fork_equivalence(
         scratch_fingerprint=fingerprint(scratch_sig),
         forked_fingerprints={name: fingerprint(sig) for name, sig in forked_sigs.items()},
         stopped_fingerprint=fingerprint(stopped_sig),
+        decided_fingerprint=fingerprint(decided_sig),
         n_cut=sum(len(kept) < len(tests) for kept, tests in zip(stopped, scratch)),
         mismatches=mismatches,
     )

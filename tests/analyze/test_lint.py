@@ -139,7 +139,7 @@ def test_suppression_is_rule_specific():
 def test_every_rule_documented():
     assert set(LINT_RULES) >= {
         "wallclock", "global-rng", "set-iteration", "blocking-io",
-        "missing-slots", "parse-error",
+        "missing-slots", "parse-error", "error-handler",
     }
 
 
@@ -147,3 +147,116 @@ def test_shipped_scope_is_clean():
     findings = lint_tree()
     assert findings == [], "\n".join(str(f) for f in findings)
     assert "simmpi" in DEFAULT_SCOPE and "analyze" in DEFAULT_SCOPE
+
+
+CATCHES_MPI_ERROR = """
+    from repro.simmpi.errors import MPIError
+
+    def main(ctx):
+        try:
+            yield from ctx.Barrier(ctx.WORLD)
+        except MPIError:
+            return None
+    """
+
+
+def _app_rules(source):
+    return [f.rule for f in lint_source(textwrap.dedent(source), "apps/mod.py", app=True)]
+
+
+def test_app_catching_mpi_error_flagged():
+    """Errors are fatal to the job: an application that catches one
+    breaks what the snapshot engine decides at the park."""
+    assert _app_rules(CATCHES_MPI_ERROR) == ["error-handler"]
+    assert "error-handler" not in _rules(CATCHES_MPI_ERROR)  # outside apps/
+
+
+def test_broad_and_subclass_handlers_flagged_in_apps():
+    for caught in ("", " Exception", " BaseException", " SimMPIError",
+                   " errors.SegmentationFault", " (KeyError, AppError)"):
+        assert _app_rules(f"""
+            try:
+                pass
+            except{caught}:
+                pass
+            """) == ["error-handler"], caught
+
+
+def test_survivals_the_except_rule_misses_are_flagged_in_apps():
+    """A suppress(...) context, a yield while the error unwinds, and an
+    aliased error class: each lets a job survive or reorder a fatal
+    error, so each is flagged under apps/."""
+    for source in (
+        """
+        import contextlib
+
+        with contextlib.suppress(MPIError):
+            pass
+        """,
+        """
+        from contextlib import suppress as quietly
+
+        with quietly(KeyError, Exception):
+            pass
+        """,
+        """
+        def main(ctx):
+            try:
+                yield from ctx.Barrier(ctx.WORLD)
+            finally:
+                yield from ctx.Barrier(ctx.WORLD)
+        """,
+        """
+        from repro.simmpi.errors import MPIError as E
+
+        try:
+            pass
+        except E:
+            pass
+        """,
+        """
+        import repro.simmpi.errors as errs
+
+        try:
+            pass
+        except (KeyError, errs.DeadlockError):
+            pass
+        """,
+    ):
+        assert _app_rules(source) == ["error-handler"], source
+
+
+def test_harmless_suppress_and_finally_allowed_in_apps():
+    assert _app_rules("""
+        from contextlib import suppress
+        from repro.simmpi.errors import MPIError as E
+
+        def main(ctx):
+            with suppress(KeyError):
+                pass
+            try:
+                yield from ctx.Barrier(ctx.WORLD)
+            finally:
+                def later():
+                    yield 1
+                ctx.log = later
+        """) == []
+
+
+def test_host_side_handlers_allowed_in_apps():
+    assert _app_rules("""
+        try:
+            pass
+        except (TypeError, ValueError):
+            pass
+        except KeyError:
+            pass
+        """) == []
+
+
+def test_error_handler_rule_is_scoped_to_apps(tmp_path):
+    for sub in ("apps", "simmpi"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "mod.py").write_text(textwrap.dedent(CATCHES_MPI_ERROR))
+    findings = lint_tree(tmp_path)
+    assert [(f.path.split("/")[-2], f.rule) for f in findings] == [("apps", "error-handler")]

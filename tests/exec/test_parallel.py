@@ -9,6 +9,7 @@ import pytest
 
 from repro.exec import WorkerState, WorkUnit
 from repro.injection import Campaign, Outcome, enumerate_points
+from repro.injection.targets import buffer_targets
 from repro.obs.metrics import MetricsRegistry
 from repro.snapshot import SnapshotEngine
 from repro.steer import SequentialStopper
@@ -113,6 +114,12 @@ class TestDeterminism:
         assert len(seen) <= 5
 
 
+def served(counters) -> int:
+    """Tests the park served: forked, or decided there because the
+    collective's entry checks reject their strike."""
+    return counters.get("snapshot.forks", 0) + counters.get("snapshot.decided_tests", 0)
+
+
 class _Oracle:
     """Stand-in pre-classifier: proves the given test indices SUCCESS."""
 
@@ -168,7 +175,7 @@ class TestStopperDrivenUnit:
         if snapshot:
             # One cold park for the whole unit: no re-serve, no fast-forward.
             assert counters["snapshot.misses"] == 1
-            assert counters["snapshot.forks"] == stop
+            assert served(counters) == stop
             assert "snapshot.hits" not in counters
             assert "snapshot.fallback_tests" not in counters
             assert registry.timer("snapshot.fastforward_s").count == 0
@@ -196,7 +203,8 @@ class TestStopperDrivenUnit:
             (t.spec, t.outcome, t.detail) for t in reference_tests[:stop]
         ]
         assert counters["snapshot.misses"] == 1 and "snapshot.hits" not in counters
-        assert counters["snapshot.forks"] == stop
+        assert served(counters) == stop
+        assert counters["snapshot.forks"] >= 2
         assert counters["snapshot.fallback_tests"] == 1
 
     @pytest.mark.parametrize("snapshot", [True, False])
@@ -221,7 +229,7 @@ class TestStopperDrivenUnit:
         ]
         assert counters["campaign.tests_predicted"] == 2
         if snapshot:
-            assert counters["snapshot.forks"] == stop - 2
+            assert served(counters) == stop - 2
 
 
 @pytest.mark.usefixtures("always_fork")  # snapshot.forks == tests on shallow points
@@ -243,10 +251,13 @@ class TestWalk:
     def test_campaign_pays_one_fault_free_run_per_executor(
         self, scratch_reference, lu_app, lu_profile, spread, jobs
     ):
-        reference = scratch_reference(lu_app, lu_profile, spread, 4, 11, "all")
+        """Policy ``buffer`` on points with a data buffer: every strike
+        forks, none is decided in the park."""
+        assert all(buffer_targets(p.collective) for p in spread)
+        reference = scratch_reference(lu_app, lu_profile, spread, 4, 11, "buffer")
         metrics = MetricsRegistry()
         campaign = Campaign(
-            lu_app, lu_profile, tests_per_point=4, param_policy="all", seed=11,
+            lu_app, lu_profile, tests_per_point=4, param_policy="buffer", seed=11,
             jobs=jobs, metrics=metrics,
         )
         assert campaign_signature(campaign.run(spread)) == campaign_signature(reference)
@@ -297,7 +308,7 @@ class TestWalk:
             merged.merge(registry)
         counters = merged.to_dict()["counters"]
         assert counters["snapshot.misses"] == 1
-        assert counters["snapshot.forks"] == counters["campaign.tests"] == sum(cuts)
+        assert served(counters) == counters["campaign.tests"] == sum(cuts)
         assert counters["campaign.tests_saved"] == 6 * self.TESTS - sum(cuts)
 
 

@@ -15,7 +15,7 @@ from repro.obs.events import Tracer
 from repro.obs.metrics import MetricsRegistry
 from repro.store import CampaignDB
 from tests.conftest import KillSink
-from tests.exec.test_parallel import campaign_signature
+from tests.exec.test_parallel import campaign_signature, served
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ class TestWorkerDeath:
         assert counters.get("exec.worker_deaths", 0) == (1 if mode == "exit" else 0)
         assert "exec.quarantined" not in counters
         assert counters["exec.units"] == 6
-        assert counters["snapshot.forks"] == counters["campaign.tests"] == 6 * 4
+        assert served(counters) == counters["campaign.tests"] == 6 * 4
         assert "snapshot.fallback_tests" not in counters
 
     def test_wedged_worker_is_killed_at_the_deadline(

@@ -5,6 +5,7 @@ import pytest
 from repro.injection import Campaign, enumerate_points
 from repro.obs.metrics import MetricsRegistry
 from repro.report import SECTIONS, build_report
+from repro.report.builder import snapshot_engine_line
 from repro.snapshot.engine import cpu_count
 from repro.store import CampaignDB, CampaignStoreError
 
@@ -64,10 +65,14 @@ def test_summary_carries_snapshot_engine_line(report, campaign_db):
         final = db.metrics_snapshot(db.campaign()["id"], "final")
     counters = final["counters"]
     forks, replays = counters["snapshot.forks"], counters.get("snapshot.replayed_tests", 0)
+    decided = counters["snapshot.decided_tests"]
     # One executor (jobs=1) overlaps up to one forked child per core.
     assert final["gauges"]["snapshot.width"] == cpu_count()
     assert f"up to {cpu_count()} child" in html and " in flight)" in html
-    assert forks + replays == len(result.all_tests())
+    assert forks + replays + decided == len(result.all_tests())
+    # Policy "all" strikes handles: some tests end at the collective's entry.
+    assert decided > 0
+    assert f"{decided} decided in the park, their strike rejected at the collective's entry" in html
     # Chosen replays are told apart from tests the fork path could not serve.
     assert f"{forks} forked tests" in html and "ms fork overhead each" in html
     # Forks made while a sibling was in flight, out of all forks.
@@ -77,6 +82,15 @@ def test_summary_carries_snapshot_engine_line(report, campaign_db):
     assert f"{replays} replayed in the park" in html and "0 fallback replays" in html
     assert "ms mean prefix over 5 parks" in html
     assert "s in fork+reap" in html
+
+
+def test_engine_line_of_a_campaign_decided_in_the_park():
+    """A campaign whose every test was decided at the park still has its
+    engine line."""
+    line = snapshot_engine_line({"counters": {"snapshot.decided_tests": 4}})
+    assert line.startswith("snapshot engine: 0 forked tests")
+    assert "0 replayed in the park" in line and "4 decided in the park" in line
+    assert snapshot_engine_line({"counters": {}}) == ""
 
 
 def test_heatmap_has_every_point_row(report):

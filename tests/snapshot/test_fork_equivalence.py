@@ -15,7 +15,7 @@ from repro.injection import Campaign, enumerate_points
 from repro.snapshot import snapshot_supported
 from repro.store import CampaignDB
 from repro.verify import fork_equivalence
-from repro.verify.snapshot_check import PASSES
+from repro.verify.snapshot_check import FORK_PASSES, PASSES
 
 from tests.conftest import KillSink
 from tests.store.test_equivalence import stream_signature
@@ -55,11 +55,15 @@ def test_oracle_reports_identical_streams(lu_app, lu_profile):
     # one-run walk over all points (in execution order and reversed),
     # the stream that alternates fork and in-park replay, and lists
     # served three children at a time are each compared with scratch;
-    # stopper-driven work units with scratch cut where the stopper cuts.
+    # stopper-driven work units with scratch cut where the stopper cuts;
+    # lists drawn under policy "all" (decided in the park where the
+    # entry checks reject a strike) with scratch under that policy.
     fingerprints = dict(report.forked_fingerprints)
     assert fingerprints.pop("stopped") == report.stopped_fingerprint
+    assert fingerprints.pop("decided") == report.decided_fingerprint
     assert set(fingerprints.values()) == {report.scratch_fingerprint}
-    assert tuple(report.forked_fingerprints) == PASSES == (
+    assert tuple(report.forked_fingerprints) == PASSES == FORK_PASSES + ("decided",)
+    assert FORK_PASSES == (
         "cold", "fast-forward", "lazy", "walk", "mixed", "pipelined", "stopped",
     )
     # The stopped pass cuts a point before its last test, so a horizon
@@ -113,8 +117,9 @@ def test_seeded_engine_mutants_are_detected(lu_app, lu_profile, mutant):
     defect in the step between units needs a stream of them (``walk``),
     one in the in-park replay a replayed test (``mixed``,
     ``pipelined``), one in the reaping order two children in flight
-    (``pipelined``), one in a stopper's horizon a stopper (``stopped``);
-    the rest are seen by every pass."""
+    (``pipelined``), one in a stopper's horizon a stopper (``stopped``),
+    one in the park's trial a test decided there (``decided``); a stale
+    prefix is seen by every pass that forks, the rest by every pass."""
     caught_then_cured(mutant, app=lu_app, profile=lu_profile, seed=3, tests=3)
 
 
@@ -125,12 +130,13 @@ def test_engine_mutant_pass_sets():
 
     assert {name: MUTANTS[name].detected_by for name in layer("snapshot")} == {
         "snapshot_rng_desync": PASSES,
-        "snapshot_stale_prefix": PASSES,
+        "snapshot_stale_prefix": FORK_PASSES,
         "snapshot_wrong_invocation": PASSES,
         "snapshot_walk_stale_target": ("walk",),
         "snapshot_replay_wrong_slot": ("mixed", "pipelined"),
         "snapshot_pipeline_reorder": ("pipelined",),
         "snapshot_horizon_overreach": ("stopped",),
+        "snapshot_trial_strikes_parked_call": ("decided",),
     }
 
 

@@ -21,6 +21,7 @@ from repro.exec.sharding import WorkUnit
 from repro.exec.supervisor import WorkerState
 from repro.injection import Campaign, enumerate_points
 from repro.injection.runner import InjectionRunner
+from repro.injection.targets import buffer_targets
 from repro.obs.metrics import MetricsRegistry
 from repro.profiling import profile_application
 from repro.snapshot import SnapshotEngine, snapshot_supported
@@ -63,7 +64,8 @@ def reference(scratch_reference, lu_app, lu_profile, spread):
 def counts(metrics):
     counters = metrics.to_dict()["counters"]
     return tuple(
-        counters.get(f"snapshot.{name}", 0) for name in ("forks", "replayed_tests", "fallback_tests")
+        counters.get(f"snapshot.{name}", 0)
+        for name in ("forks", "replayed_tests", "decided_tests", "fallback_tests")
     )
 
 
@@ -83,10 +85,13 @@ class TestDecision:
         """LU on 8 ranks, deepest points: the prefix costs tens of forks.
         A process's first ``os.fork()`` is cold (18 ms against 2.7 ms on
         the benchmark VM); deciding from that one sample would replay
-        every later test."""
+        every later test.  Policy ``buffer`` on points with a data
+        buffer: every strike lands in rank memory, so none is decided in
+        the park."""
         app = LUKernel(8, rows_per_rank=16, ncols=128, iterations=30, omega=1.2, seed=99)
         profile = profile_application(app)
         points = sorted(enumerate_points(profile), key=lambda p: (-p.invocation, p.rank, p.site))[:2]
+        assert all(buffer_targets(p.collective) for p in points)
         real_fork, calls = os.fork, []
 
         def fork():
@@ -98,9 +103,9 @@ class TestDecision:
         monkeypatch.setattr(os, "fork", fork)
         metrics = MetricsRegistry()
         Campaign(
-            app, profile, tests_per_point=5, param_policy="all", seed=SEED, metrics=metrics
+            app, profile, tests_per_point=5, param_policy="buffer", seed=SEED, metrics=metrics
         ).run(points)
-        assert counts(metrics) == (10, 0, 0) and len(calls) == 10
+        assert counts(metrics) == (10, 0, 0, 0) and len(calls) == 10
         assert metrics.timer("snapshot.fork_overhead_s").count == 10
         assert metrics.timer("snapshot.prefix_s").count == 2
         if slow_first_fork:
@@ -120,13 +125,16 @@ class TestEquivalence:
             metrics=metrics,
         ).run(spread)
         assert stream_signature(result) == stream_signature(reference)
-        forks, replays, fallbacks = counts(metrics)
+        forks, replays, decided, fallbacks = counts(metrics)
         total = len(spread) * TESTS
-        assert forks + replays + fallbacks == total and fallbacks == 0
+        assert forks + replays + decided + fallbacks == total and fallbacks == 0
+        # Policy "all": handle, count and root strikes the entry checks
+        # reject are decided in the park, whatever the pinning.
+        assert decided > 0
         if pinning == "fork":
-            assert forks == total
+            assert forks + decided == total
         elif pinning == "replay":
-            assert replays == total
+            assert replays + decided == total
         else:
             assert forks >= 3  # the first tests of a campaign are the calibration
         counters = metrics.to_dict()["counters"]
@@ -163,7 +171,8 @@ class TestReplaySideKeepsTheStreamContract:
             (t.spec, t.outcome, t.detail) for t in scratch[:stop]
         ]
         assert drawn == list(range(stop))
-        assert counts(registry) == (0, stop, 0)
+        forks, replays, decided, fallbacks = counts(registry)
+        assert (forks, replays + decided, fallbacks) == (0, stop, 0)
 
     def test_what_deliver_raises_during_a_replay_propagates_as_itself(
         self, monkeypatch, runner, spread
@@ -186,7 +195,7 @@ class TestReplaySideKeepsTheStreamContract:
                 spread[1], _tasks(spread[1], n=4), on_result=deliver
             )
         assert _sig(delivered) == _sig(_scratch(runner, spread[1], n=4))[:2]
-        assert counts(m) == (0, 2, 0)
+        assert counts(m) == (0, 2, 0, 0)
 
     def test_dead_child_then_chosen_replays_keep_slot_order(self, monkeypatch, runner, spread):
         """Fork, fork (the child dies: fallback replay in its slot), then
@@ -203,5 +212,5 @@ class TestReplaySideKeepsTheStreamContract:
         m = MetricsRegistry()
         results = SnapshotEngine(runner, metrics=m).serve_point(spread[3], _tasks(spread[3], n=5))
         assert _sig(results) == _sig(_scratch(runner, spread[3], n=5))
-        assert counts(m) == (2, 3, 1)
+        assert counts(m) == (2, 3, 0, 1)
         assert m.timer("snapshot.fork_overhead_s").count == 1  # the child that reported

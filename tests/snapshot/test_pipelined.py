@@ -24,6 +24,7 @@ from repro.injection import Campaign, enumerate_points
 from repro.injection.models import draw_task
 from repro.injection.outcome import Outcome
 from repro.injection.runner import InjectionRunner
+from repro.injection.targets import buffer_targets
 from repro.obs.metrics import MetricsRegistry
 from repro.snapshot import SnapshotEngine, snapshot_supported
 from repro.snapshot.engine import CALIBRATION_FORKS, task_slots
@@ -125,8 +126,8 @@ class TestListsOverlap:
         )
         for point, tests in zip(points, served):
             assert _sig(tests) == _sig(reference.points[point].tests)
-        forks, replays, fallbacks = counts(m)
-        assert forks + replays + fallbacks == len(points) * TESTS and fallbacks == 0
+        forks, replays, decided, fallbacks = counts(m)
+        assert forks + replays + decided + fallbacks == len(points) * TESTS and fallbacks == 0
         assert m.timer("snapshot.fork_overhead_s").count == forks
         assert m.gauge("snapshot.width").value == width
         assert most_in_flight(spy) <= width
@@ -173,7 +174,7 @@ class TestFailuresInTheWindow:
         monkeypatch.undo()
         assert _sig(results) == _sig(_scratch(runner, late_point, n=self.N))
         assert len(calls) == 3  # no fork is attempted after the failure
-        assert counts(m) == (2, 0, self.N - 2)
+        assert counts(m) == (2, 0, 0, self.N - 2)
         assert open_fds() == fds and no_children_left()
 
     def test_child_killed_mid_window_is_replayed_in_its_slot(
@@ -195,7 +196,7 @@ class TestFailuresInTheWindow:
         results = engine.serve_point(late_point, _tasks(late_point, n=self.N))
         monkeypatch.undo()
         assert _sig(results) == _sig(_scratch(runner, late_point, n=self.N))
-        assert counts(m) == (self.N, 0, 1)
+        assert counts(m) == (self.N, 0, 0, 1)
         assert m.timer("snapshot.fork_overhead_s").count == self.N - 1
 
     def test_what_deliver_raises_kills_every_child_in_flight(self, runner, late_point):
@@ -268,13 +269,15 @@ class TestStreamsThatDecideStaySerial:
         """Every worker unit hands out the tests certain to run: with no
         stopper all of them, with this stopper (it cannot close before
         the unit ends) all of them too, and a preclassifier's slots are
-        a pure function of the test index.  All three overlap."""
+        a pure function of the test index.  All three overlap.  Policy
+        ``buffer``: every strike forks, none is decided in the park."""
         kwargs = {
             "none": {},
             "stopper": {"stopper": SequentialStopper(ci_width=0.01, min_tests=TESTS)},
             "preclassifier": {"preclassifier": _NeverProves()},
         }[decided_by]
-        state = WorkerState(lu_app, lu_profile, "all", SEED, None, True, **kwargs)
+        assert buffer_targets(late_point.collective)
+        state = WorkerState(lu_app, lu_profile, "buffer", SEED, None, True, **kwargs)
         state.engine = calibrated(SnapshotEngine(state.runner, width=3))
         _, tests, registry = state.execute(WorkUnit(0, 0, TESTS), late_point)
         assert len(tests) == TESTS
@@ -287,10 +290,13 @@ class TestStreamsThatDecideStaySerial:
         self, lu_app, lu_profile, late_point, spy
     ):
         """Proven tests are delivered in their slots, between forked
-        ones, without forking; the forked ones still overlap."""
-        plain = WorkerState(lu_app, lu_profile, "all", SEED, None, False)
+        ones, without forking; the forked ones still overlap (policy
+        ``buffer``: no test is decided in the park)."""
+        plain = WorkerState(lu_app, lu_profile, "buffer", SEED, None, False)
         _, reference, _ = plain.execute(WorkUnit(0, 0, TESTS), late_point)
-        state = WorkerState(lu_app, lu_profile, "all", SEED, None, True, preclassifier=_ProvesOdd())
+        state = WorkerState(
+            lu_app, lu_profile, "buffer", SEED, None, True, preclassifier=_ProvesOdd()
+        )
         state.engine = calibrated(SnapshotEngine(state.runner, width=3))
         _, tests, registry = state.execute(WorkUnit(0, 0, TESTS), late_point)
         assert [t.predicted for t in tests] == [t % 2 == 1 for t in range(TESTS)]

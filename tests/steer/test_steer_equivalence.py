@@ -14,6 +14,7 @@ with full test streams (``learn``).
 import pytest
 
 from repro.injection.space import enumerate_points
+from repro.injection.targets import buffer_targets
 from repro.obs.metrics import MetricsRegistry
 from repro.pruning import level_labeler
 from repro.steer import adaptive_campaign
@@ -44,17 +45,9 @@ def sampler():
 def run(sampler, lu_app, lu_profile, lu_points):
     """Run the pinned campaign under ``sampler`` with extra options."""
 
-    def run(**kw):
-        return adaptive_campaign(
-            lu_app,
-            lu_profile,
-            lu_points,
-            batch_size=BATCH_SIZE,
-            seed=SEED,
-            param_policy="all",
-            **SAMPLERS[sampler],
-            **kw,
-        )
+    def run(points=lu_points, **kw):
+        options = dict(batch_size=BATCH_SIZE, seed=SEED, param_policy="all", **SAMPLERS[sampler])
+        return adaptive_campaign(lu_app, lu_profile, points, **{**options, **kw})
 
     return run
 
@@ -158,12 +151,18 @@ def test_snapshot_free_matches_serial(serial_trajectory, run):
 
 
 @pytest.mark.usefixtures("always_fork")
-def test_three_children_in_flight_matches_serial(serial_trajectory, run, monkeypatch):
+def test_three_children_in_flight_matches_serial(run, lu_points, monkeypatch):
     # A park forks up to three of the tests the stopper is certain to
-    # run before it reaps one, and never one past its cut.
+    # run before it reaps one, and never one past its cut.  Policy
+    # "buffer" on the points with a data buffer: every strike forks, none
+    # is decided in the park.
+    buffered = dict(
+        points=[p for p in lu_points if buffer_targets(p.collective)], param_policy="buffer"
+    )
+    serial = trajectory(run(snapshot=False, **buffered))
     monkeypatch.setattr("repro.snapshot.engine.cpu_count", lambda: 3)
     metrics = MetricsRegistry()
-    assert trajectory(run(metrics=metrics)) == serial_trajectory
+    assert trajectory(run(metrics=metrics, **buffered)) == serial
     counters = metrics.to_dict()["counters"]
     assert counters["snapshot.overlapped_forks"] > 0
     assert counters["snapshot.forks"] == counters["campaign.tests"]

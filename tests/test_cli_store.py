@@ -281,6 +281,20 @@ class TestErrorHygiene:
         assert "ffffffff" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["stats", "report"])
+    def test_readers_leave_no_file_behind(self, tmp_path, capsys, command):
+        """``stats`` and ``report`` only read: a mistyped ``--db`` exits 2
+        with the one line an empty store gives, and creates nothing."""
+        missing = tmp_path / "none.db"
+        argv = [command, "--db", str(missing)]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        line = {"stats": "no campaigns in", "report": "no campaigns stored in"}[command]
+        assert err == f"error: {line} {missing}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_empty_db_is_one_line(self, tmp_path, capsys):
         from repro.store import CampaignDB
 

@@ -70,7 +70,7 @@ def test_every_layer_is_self_tested():
     """Each layer's detection test parametrizes over :func:`layer`, so
     every mutant is in one of them."""
     assert {m.layer for m in MUTANTS.values()} == set(LAYER_NAMES)
-    assert len(MUTANTS) == 18
+    assert len(MUTANTS) == 19
 
 
 def test_patched_attributes_are_restored_exactly():
