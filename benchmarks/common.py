@@ -128,61 +128,6 @@ def _count_tests(value) -> int:
     return 0
 
 
-def benchmark_record(bench) -> dict:
-    """One committed-JSON record from a pytest-benchmark result.
-
-    Trimmed to what the ROADMAP's benchmark trajectory needs — stable
-    identity plus throughput — so committed ``BENCH_*.json`` files diff
-    cleanly across machines and runs.
-    """
-    stats = bench.stats.stats if hasattr(bench.stats, "stats") else bench.stats
-    extra = dict(bench.extra_info)
-    total = getattr(stats, "total", None)
-    mean = getattr(stats, "mean", None)
-    record = {
-        "name": bench.name,
-        "group": bench.group,
-        "rounds": getattr(stats, "rounds", None),
-        "mean_s": mean,
-        "wall_clock_s": total,
-        "extra_info": extra,
-    }
-    n_tests = extra.get("n_tests")
-    if n_tests and mean:
-        record["tests_per_sec"] = n_tests / mean
-    return record
-
-
-def emit_benchmark_json(path, benches, session_meta: dict | None = None) -> Path:
-    """Write the committed benchmark JSON (``--emit-json BENCH_<name>.json``).
-
-    ``benches`` is the benchmark list pytest-benchmark collected during
-    the session; ``session_meta`` adds environment context (scale,
-    platform) to the header.
-    """
-    import json
-    import platform
-    import sys
-    import time
-
-    out = Path(path)
-    payload = {
-        "schema": 1,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "scale": SCALE,
-        "campaign_class": CAMPAIGN_CLASS,
-        "tests_per_point": TESTS_PER_POINT,
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "benchmarks": [benchmark_record(b) for b in benches],
-    }
-    if session_meta:
-        payload.update(session_meta)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return out
-
-
 def once(benchmark, fn, n_tests: int | None = None):
     """Benchmark an expensive step exactly once (no warmup rounds).
 

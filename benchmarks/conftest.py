@@ -9,39 +9,9 @@ Every benchmark record saved with ``--benchmark-json`` gains:
 
 These fields live in each record's ``extra_info``, so downstream JSON
 consumers need no schema change.
-
-Separately, ``--emit-json PATH`` (or ``FASTFIT_BENCH_EMIT_JSON=PATH``)
-writes the *committed* benchmark format: a trimmed, stable-diff JSON
-(see ``common.emit_benchmark_json``) — the ROADMAP's
-``BENCH_<name>.json`` trajectory files are produced this way.
 """
 
 from __future__ import annotations
-
-import os
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--emit-json",
-        default=os.environ.get("FASTFIT_BENCH_EMIT_JSON"),
-        metavar="PATH",
-        help="write the committed benchmark JSON (BENCH_<name>.json) here",
-    )
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("--emit-json", default=None)
-    if not path:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    benches = getattr(bench_session, "benchmarks", None)
-    if not benches:
-        return
-    import common
-
-    out = common.emit_benchmark_json(path, benches)
-    print(f"\ncommitted benchmark JSON written to {out}")
 
 
 def pytest_benchmark_update_json(config, benchmarks, output_json):

@@ -5,7 +5,7 @@ outcome is provable without running it.  This module is the referee: it
 replays the exact campaign randomness for a sampled subset of predicted
 tests, runs them for real through :class:`repro.injection.runner.
 InjectionRunner` (the same harness the campaign uses), and reports any
-disagreement.  The analyze CI job fails on a single mismatch — an
+disagreement.  The test suite fails on a single mismatch — an
 unsound rule in :mod:`repro.analyze.preclassify` is a correctness bug,
 not a tolerable approximation.
 """

@@ -15,14 +15,15 @@ actions, before any genuine cross-rank interaction.
 a rule table derived from the collective drivers:
 
 * ``null-fault`` — the injector provably skips (empty count vector,
-  zero-extent buffer): the run is fault-free ⇒ SUCCESS.
+  zero-extent buffer, by the injector's own ``buffer_extent``): the run
+  is fault-free ⇒ SUCCESS.
 * ``negative-count`` — a count flipped negative fails ``check_count`` /
   ``check_counts_array`` on the faulty rank's first step ⇒ MPI_ERR.
 * ``root-out-of-range`` — a flipped root outside ``[0, comm.size)``
   fails ``check_root`` ⇒ MPI_ERR.
 * ``unmapped-handle`` / ``corrupted-handle`` / ``alias-nonmember-comm``
-  — handle flips classified by a static mirror of
-  ``HandleSpace.resolve`` (⇒ SEG_FAULT / MPI_ERR / MPI_ERR).
+  — handle flips classified by ``classify_handle``, the rule
+  ``HandleSpace.resolve`` applies (⇒ SEG_FAULT / MPI_ERR / MPI_ERR).
 * ``oob-eager-read`` / ``oob-block-read`` / ``oob-strided-write`` /
   ``oob-displaced-read`` / ``oob-displaced-write`` — a count or
   displacement flip that drives the driver's first buffer access out of
@@ -55,6 +56,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..injection.bitflip import flip_int32, flip_int64
+from ..injection.injector import buffer_extent
 from ..injection.models import draw_task
 from ..injection.outcome import Outcome
 from ..injection.space import InjectionPoint
@@ -184,7 +186,10 @@ class PreClassifier:
             )
         # buffer: a data flip never changes control flow by itself —
         # only the zero-extent case (injector skips) is provable.
-        extent = self._buffer_extent(op, param)
+        extent = buffer_extent(
+            op.name, op.args, param, op.dtype_size, lambda: len(op.comm_group),
+            lambda h: self.skeleton.datatypes.sizes.get(int(h), 0),
+        )
         if extent <= 0:
             return Prediction(
                 Outcome.SUCCESS, "null-fault", param, kind, -1,
@@ -533,62 +538,6 @@ class PreClassifier:
                     f"aliased {table.descr.get(live, hex(live))} excludes rank {op.rank}",
                 )
         return None  # live alias: semantics change, outcome is dynamic
-
-    # -- static mirror of injector.buffer_extent_bytes ------------------
-
-    def _buffer_extent(self, op: SkeletonOp, param: str) -> int:
-        a = op.args
-        name = op.name
-        n = len(op.comm_group)
-        es = op.dtype_size or 1
-
-        def vspan(counts_key: str, displs_key: str) -> int:
-            counts = np.asarray(a[counts_key], dtype=np.int64)
-            displs = np.asarray(a[displs_key], dtype=np.int64)
-            if counts.size == 0:
-                return 0
-            return int((displs + counts).max()) * es
-
-        if name in ("Bcast", "Reduce", "Allreduce", "Scan", "Exscan"):
-            return int(a["count"]) * es
-        if name == "Alltoallv":
-            if param == "sendbuf":
-                return vspan("sendcounts", "sdispls")
-            return vspan("recvcounts", "rdispls")
-        if name == "Alltoallw":
-            side = "send" if param == "sendbuf" else "recv"
-            counts = np.asarray(a[f"{side}counts"], dtype=np.int64)
-            displs = np.asarray(
-                a["sdispls" if side == "send" else "rdispls"], dtype=np.int64
-            )
-            sizes = np.asarray(
-                [self.skeleton.datatypes.sizes.get(int(h), 0) for h in a[f"{side}types"]],
-                dtype=np.int64,
-            )
-            if counts.size == 0:
-                return 0
-            return int((displs + counts * sizes).max())
-        if name == "Reduce_scatter":
-            per = int(a["recvcount"]) * es
-            return per * n if param == "sendbuf" else per
-        if name == "Gatherv":
-            if param == "sendbuf":
-                return int(a["sendcount"]) * es
-            return vspan("recvcounts", "displs")
-        if name == "Scatterv":
-            if param == "sendbuf":
-                return vspan("sendcounts", "displs")
-            return int(a["recvcount"]) * es
-        if name == "Allgatherv":
-            if param == "sendbuf":
-                return int(a["sendcount"]) * es
-            return vspan("recvcounts", "displs")
-        per_rank = int(a["sendcount" if param == "sendbuf" else "recvcount"])
-        if name == "Scatter":
-            return per_rank * (n if param == "sendbuf" else 1) * es
-        if name in ("Gather", "Allgather", "Alltoall"):
-            return per_rank * (1 if param == "sendbuf" else n) * es
-        return 0  # Barrier has no buffer parameters
 
 
 def predict_tests(

@@ -62,10 +62,6 @@ class Skeleton:
     def n_ops(self) -> int:
         return sum(len(seq) for seq in self.ranks)
 
-    @property
-    def arena_end(self) -> int:
-        return self.arena_base + self.arena_size
-
     def op_index(self) -> dict[tuple[int, str, str, int], SkeletonOp]:
         """``(rank, collective, site, invocation) -> op`` lookup."""
         index: dict[tuple[int, str, str, int], SkeletonOp] = {}
@@ -73,16 +69,6 @@ class Skeleton:
             for op in seq:
                 index[op.point_key] = op
         return index
-
-    def site_invocations(self) -> dict[tuple[int, tuple[str, str]], int]:
-        """Per ``(rank, (name, site))`` invocation counts — the same key
-        shape as ``ApplicationProfile.summaries``."""
-        counts: dict[tuple[int, tuple[str, str]], int] = {}
-        for seq in self.ranks:
-            for op in seq:
-                key = (op.rank, (op.name, op.site))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
 
 
 def skeleton_from_profile(profile: ApplicationProfile) -> Skeleton:

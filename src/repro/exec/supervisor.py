@@ -31,7 +31,7 @@ Everything is observable: ``exec.retries`` / ``exec.worker_deaths`` /
 tracer events.
 
 The module also hosts the chaos hooks (``FASTFIT_CHAOS_*`` environment
-variables) that the chaos tests and the CI chaos smoke job use to make
+variables) that the chaos tests and the CLI chaos smoke use to make
 workers crash, raise, or hang deterministically.  They are read inside
 the worker only, never in the parent.
 """

@@ -18,6 +18,7 @@ through the same routines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -82,22 +83,28 @@ def strike_record(
 
 
 def buffer_extent_bytes(ctx, call: CollectiveCall, param: str) -> int:
-    """Byte extent of a buffer parameter as the *clean* call defines it.
+    """Byte extent of a buffer parameter of the live call ``call``."""
+    args, runtime, rank = call.args, ctx.runtime, ctx.rank
+    return buffer_extent(
+        call.name, args, param,
+        resolve_datatype(runtime, args["datatype"], rank=rank).size if "datatype" in args else 1,
+        lambda: resolve_comm(runtime, args["comm"], rank=rank).size,
+        lambda h: resolve_datatype(runtime, h, rank=rank).size,
+    )
+
+
+def buffer_extent(name: str, args: Mapping[str, Any], param: str, es: int,
+                  comm_size: Callable[[], int], type_size: Callable[[int], int]) -> int:
+    """Byte extent of buffer ``param`` as the *clean* call defines it,
+    from its arguments, element size ``es``, the communicator's size
+    (asked only by extents that span it) and a datatype-size lookup
+    (alltoallw's per-peer types).  The injector and the static
+    pre-classifier both call this.
 
     Root-side send buffers of Scatter and receive buffers of
     Gather/Allgather/Alltoall span ``count × comm_size`` elements;
     alltoallv extents follow counts + displacements.
     """
-    args = call.args
-    name = call.name
-    if name != "Alltoallw":
-        dtype = resolve_datatype(ctx.runtime, args["datatype"], rank=ctx.rank)
-        es = dtype.size
-    else:
-        es = 1  # alltoallw extents are computed per peer below
-
-    def comm_size() -> int:
-        return resolve_comm(ctx.runtime, args["comm"], rank=ctx.rank).size
 
     def vspan(counts_key: str, displs_key: str) -> int:
         counts = np.asarray(args[counts_key], dtype=np.int64)
@@ -117,13 +124,7 @@ def buffer_extent_bytes(ctx, call: CollectiveCall, param: str) -> int:
         side = "send" if param == "sendbuf" else "recv"
         counts = np.asarray(args[f"{side}counts"], dtype=np.int64)
         displs = np.asarray(args["sdispls" if side == "send" else "rdispls"], dtype=np.int64)
-        sizes = np.array(
-            [
-                resolve_datatype(ctx.runtime, h, rank=ctx.rank).size
-                for h in args[f"{side}types"]
-            ],
-            dtype=np.int64,
-        )
+        sizes = np.array([type_size(h) for h in args[f"{side}types"]], dtype=np.int64)
         if counts.size == 0:
             return 0
         return int((displs + counts * sizes).max())
@@ -145,9 +146,7 @@ def buffer_extent_bytes(ctx, call: CollectiveCall, param: str) -> int:
     per_rank = int(args["sendcount" if param == "sendbuf" else "recvcount"])
     if name == "Scatter":
         return per_rank * (comm_size() if param == "sendbuf" else 1) * es
-    if name == "Gather":
-        return per_rank * (1 if param == "sendbuf" else comm_size()) * es
-    if name in ("Allgather", "Alltoall"):
+    if name in ("Gather", "Allgather", "Alltoall"):
         return per_rank * (1 if param == "sendbuf" else comm_size()) * es
     raise ValueError(f"{name} has no buffer parameter {param!r}")  # pragma: no cover
 

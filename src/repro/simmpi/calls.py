@@ -151,14 +151,6 @@ class CollectiveCall:
         """Identity of the static call site: (collective name, location)."""
         return (self.name, self.site)
 
-    @property
-    def stack_hash(self) -> int:
-        """Stable hash of the canonical call stack."""
-        return hash(self.stack)
-
-    def param_names(self) -> tuple[str, ...]:
-        return COLLECTIVE_PARAMS[self.name]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CollectiveCall({self.name} @ {self.site}, rank={self.rank}, "

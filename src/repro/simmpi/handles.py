@@ -25,7 +25,7 @@ flipped ``MPI_Op`` silently become a different valid op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generic, Mapping, TypeVar
+from typing import TYPE_CHECKING, Container, Generic, Mapping, TypeVar
 
 from .errors import MPIError, SegmentationFault
 
@@ -44,6 +44,20 @@ OBJECT_EXTENT = 0x40
 
 #: Number of bits in a handle value (pointers on the target platform).
 HANDLE_BITS = 64
+
+
+def classify_handle(handle: int, base: int, top: int,
+                    live: Container[int]) -> tuple[str, int | None]:
+    """``("live", handle)``, ``("corrupt", b)`` inside the live object
+    at ``b``, or ``("segfault", None)``: the module docstring's three
+    cases for a space whose objects sit in ``[base, top)``."""
+    if handle in live:
+        return ("live", handle)
+    if base <= handle < top and handle % OBJECT_EXTENT != 0:
+        aligned = handle - (handle % OBJECT_EXTENT)
+        if aligned in live:
+            return ("corrupt", aligned)
+    return ("segfault", None)
 
 
 class HandleSpace(Generic[T]):
@@ -82,17 +96,12 @@ class HandleSpace(Generic[T]):
         obj = self._objects.get(handle)
         if obj is not None:
             return obj
-        # Inside a live object but not at its base: the magic/refcount
-        # fields read garbage -> the library reports an invalid handle.
-        offset = handle - self.base
-        if 0 <= offset < self._next - self.base and handle % OBJECT_EXTENT != 0:
-            aligned = handle - (handle % OBJECT_EXTENT)
-            if aligned in self._objects:
-                raise MPIError(
-                    f"MPI_ERR_{self.name.upper()}",
-                    f"corrupted {self.name} handle {handle:#x}",
-                    rank=rank,
-                )
+        if classify_handle(handle, self.base, self._next, self._objects)[0] == "corrupt":
+            raise MPIError(
+                f"MPI_ERR_{self.name.upper()}",
+                f"corrupted {self.name} handle {handle:#x}",
+                rank=rank,
+            )
         raise SegmentationFault(handle, OBJECT_EXTENT, rank=rank)
 
     def contains(self, handle: int) -> bool:
@@ -106,9 +115,10 @@ class HandleSpace(Generic[T]):
 class HandleTable:
     """Static snapshot of one pointer-like handle space.
 
-    ``resolve_static`` mirrors :meth:`HandleSpace.resolve` without
-    executing anything: the three outcomes (live object /
-    corrupted-but-alive / unmapped) are decidable from the layout alone.
+    ``resolve_static`` applies :func:`classify_handle`, the rule the
+    miss path of :meth:`HandleSpace.resolve` applies, without executing
+    anything: the three outcomes (live object / corrupted-but-alive /
+    unmapped) are decidable from the layout alone.
     """
 
     kind: str
@@ -124,16 +134,8 @@ class HandleTable:
         return tuple(sorted(self.descr))
 
     def resolve_static(self, handle: int) -> tuple[str, int | None]:
-        """Classify ``handle`` as ``("live", h)``, ``("corrupt", base)``,
-        or ``("segfault", None)`` — exactly like the runtime would."""
-        if handle in self.descr:
-            return ("live", handle)
-        offset = handle - self.base
-        if 0 <= offset < self.top - self.base and handle % OBJECT_EXTENT != 0:
-            aligned = handle - (handle % OBJECT_EXTENT)
-            if aligned in self.descr:
-                return ("corrupt", aligned)
-        return ("segfault", None)
+        """Classify ``handle`` exactly like the runtime would."""
+        return classify_handle(handle, self.base, self.top, self.descr)
 
 
 def _snapshot(space: HandleSpace, descr: dict[int, str],

@@ -294,6 +294,7 @@ class TestErrorHygiene:
             (["--tests", "-2"], "--tests must be >= 0, got -2"),
             (["--seed", "-1"], "--seed must be >= 0, got -1"),
             (["--policy", "bogus"], "--policy 'bogus' is not 'buffer', 'all', or a parameter"),
+            (["--jobs", "0"], "--jobs must be >= 1, got 0"),
         ],
     )
     def test_bad_campaign_option_is_one_line(self, flags, message, capsys):

@@ -56,6 +56,23 @@ def test_verify_cli_reports_every_witness_clean(capsys):
     assert models["failures"] == [], models
 
 
+def test_verify_cli_exit_status_is_the_reports_ok(capsys):
+    """The same run with a delivery-layer mutant installed: the report
+    says not ok and the command exits 1, so CI gates ``verify --json``
+    on the exit status alone."""
+    from repro.cli import main
+    from repro.verify import installed_mutant
+
+    with installed_mutant(layer("models")[0]):
+        code = main([
+            "verify", "--json", "--draws", "1", "--skip-sanitize",
+            "--skip-replay", "--skip-campaign", "--skip-snapshot",
+        ])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["ok"] is False, report
+    assert report["phases"]["models"]["ok"] is False, report
+
+
 @pytest.mark.parametrize("name", layer("models"))
 def test_mutant_is_detected(name):
     caught_then_cured(name, seed=0)
